@@ -205,7 +205,12 @@ def load_columns(path, names):
                     data[c].append(float(record[c]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"column '{c}' is not numeric (line {i})") from exc
-    return {c: np.array(v) for c, v in data.items()}
+    table = np.array(list(data.values()), dtype=float)  # one row per column
+    rows, cols = np.nonzero(~np.isfinite(table.T))
+    if rows.size:
+        c = list(data)[cols[0]]
+        raise ValueError(f"column '{c}' is not finite (line {rows[0] + 2})")
+    return dict(zip(data, table))
 
 
 def _file_sha256(path):
@@ -298,24 +303,10 @@ def _parse_range_flag(text):
     raise ValueError("--range must be known=R, marginal=R, residual or two-mean")
 
 
-def _bernstein_ci(summary, R, alpha):
-    """Mean CI from the simple variance-adaptive tail with the U-variance
-    plug-in Av(eps^2) = M^2/3 = R^2/12: solve the quadratic in tau at level
-    alpha."""
-    n = summary.n
-    log_term = math.log(2.0 / alpha)
-    M = R / 2.0
-    w = 1.0 / n
-    A = n * M * M / 3.0
-    b = log_term * (2.0 / 3.0) * w * M
-    half = 0.5 * (b + math.sqrt(b * b + 8.0 * log_term * w * w * A))
-    return ConfidenceSet(
-        lower=summary.mean - half,
-        upper=summary.mean + half,
-        level=1.0 - alpha,
-        method="bernstein",
-        range_source="known",
-    )
+# --method value -> ci_mean method
+CI_MEAN_METHODS = {
+    "hoeffding": "hoeffding", "u": "u_sharp", "bernstein": "bernstein", "ratio": "ratio",
+}
 
 
 def cmd_ci(args):
@@ -343,18 +334,13 @@ def cmd_ci(args):
         if R == 0.0:
             warnings.warn("column is constant; the confidence set is degenerate")
 
-    if method == "ratio":
-        result = ci_mean(summary, alpha=alpha, method="ratio")
-    elif method in ("hoeffding", "u"):
-        full = {"u": "u_sharp", "hoeffding": "hoeffding"}[method]
-        if R == 0.0:
-            result = ConfidenceSet(summary.mean, summary.mean, 1 - alpha, full, "known")
-        else:
-            result = ci_mean(summary, R=R, alpha=alpha, method=full)
-    elif method == "bernstein":
-        result = _bernstein_ci(summary, R, alpha)
-    else:
+    full = CI_MEAN_METHODS.get(method)
+    if full is None:
         raise ValueError("--method must be hoeffding, u, bernstein or ratio")
+    if full != "ratio" and R == 0.0:
+        result = ConfidenceSet(summary.mean, summary.mean, 1 - alpha, full, "known")
+    else:
+        result = ci_mean(summary, R=R, alpha=alpha, method=full)
 
     print(
         f"{result.level:.0%} confidence set for mean({column}): "
@@ -386,30 +372,24 @@ def _fit_frame(args, config_file):
     return data[response], design, tuple(["intercept"] + names)
 
 
+# --range source -> ci_linear keyword arguments for coefficient s of a fit
+RANGE_KWARGS = {
+    "residual": lambda fit, s, given: {
+        "range_source": "residual_range", "rhat": residual_range(fit, s), "n": fit.n
+    },
+    "known": lambda fit, s, given: {"range_source": "known", "ranges": given},
+    "marginal": lambda fit, s, given: {"range_source": "marginal_range", "ranges": given},
+    "two-mean": lambda fit, s, given: {"range_source": "two_mean", "fitted": fit.fitted},
+}
+
+
 def _coefficient_sets(fit, columns, alpha, source, given):
     rows = []
     for s, name in enumerate(columns):
-        if source == "residual":
-            rhat = residual_range(fit, s)
-            cs = ci_linear(
-                fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-                range_source="residual_range", rhat=rhat, n=fit.n,
-            )
-        elif source == "known":
-            cs = ci_linear(
-                fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-                range_source="known", ranges=given,
-            )
-        elif source == "marginal":
-            cs = ci_linear(
-                fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-                range_source="marginal_range", ranges=given,
-            )
-        else:  # two-mean
-            cs = ci_linear(
-                fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-                range_source="two_mean", fitted=fit.fitted,
-            )
+        cs = ci_linear(
+            fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
+            **RANGE_KWARGS[source](fit, s, given),
+        )
         rows.append(
             CoefficientRow(
                 name=name,
@@ -478,14 +458,14 @@ def cmd_fit(args):
             chosen = counts[comparison.recommended]
             tie = " (tie)" if comparison.is_tie else ""
             print(f"  partition check {name}: recommend K={chosen}{tie}")
-        wald = gee_exchangeable_wald(X, y, parts[0], alpha=alpha, s=len(columns) - 1)
+        wald = gee_exchangeable_wald(fit, parts[0], alpha=alpha, s=len(columns) - 1)
         print(
             f"  comparator Wald ({columns[-1]}, K={counts[0]}): "
             f"[{wald.lower:.6g}, {wald.upper:.6g}]"
         )
 
     if args.screen:
-        _print_screen(args.screen, y, X, columns)
+        _print_screen(args.screen, fit, columns)
 
     if args.out:
         with open(args.out, "w") as handle:
@@ -511,15 +491,14 @@ def _zero_residual_diagnostics(name, n):
     )
 
 
-def _print_screen(screen_column, y, X, columns):
+def _print_screen(screen_column, full, columns):
     """The with/without covariate-retention comparison (reported, not automated)."""
     if screen_column not in columns:
         print(f"  retention screen skipped: {screen_column!r} is not in the model")
         return
     drop = columns.index(screen_column)
     keep = [j for j in range(len(columns)) if j != drop]
-    reduced = ols_fit(X[:, keep], y)
-    full = ols_fit(X, y)
+    reduced = ols_fit(full.design[:, keep], full.outcomes)
     print(f"  retention screen for {screen_column}:")
     for pos, j in enumerate(keep):
         if columns[j] == "intercept":

@@ -113,6 +113,9 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp", nonneg_m=False):
 
     method="hoeffding":  Ybar +- R sqrt(log(2/alpha) / (2n))
     method="u_sharp":    Ybar +- R sqrt(log(2/alpha) / (6n))   (U errors)
+    method="bernstein":  Ybar +- tau, tau solving the simple variance-adaptive
+                         tail at level alpha with the U-variance plug-in
+                         Av(eps^2) = M^2/3 = R^2/12 (M = R/2, w = 1/n).
     method="ratio":      [Ybar/(1+c), Ybar/(1-c)], c = sqrt(2 log(2/alpha)/n),
                          for nonnegative variables with R bounded by twice
                          the mean; requires n > 2 log(2/alpha).
@@ -127,11 +130,19 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp", nonneg_m=False):
     n = summary.n
     log_term = math.log(2.0 / alpha)
 
-    if method in ("hoeffding", "u_sharp"):
+    if method in ("hoeffding", "u_sharp", "bernstein"):
         if R is None or not R > 0:
             raise ValueError("a positive range R is required")
-        denom = 2.0 if method == "hoeffding" else 6.0
-        half = R * math.sqrt(log_term / (denom * n))
+        if method == "bernstein":
+            # tau^2 = log(2/alpha) (2 w^2 A + (2/3) w tau M), A = n M^2 / 3
+            M = R / 2.0
+            w = 1.0 / n
+            A = n * M * M / 3.0
+            b = log_term * (2.0 / 3.0) * w * M
+            half = 0.5 * (b + math.sqrt(b * b + 8.0 * log_term * w * w * A))
+        else:
+            denom = 2.0 if method == "hoeffding" else 6.0
+            half = R * math.sqrt(log_term / (denom * n))
         return ConfidenceSet(
             lower=summary.mean - half,
             upper=summary.mean + half,
@@ -155,7 +166,7 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp", nonneg_m=False):
             method="hoeffding",
             range_source="two_mean",
         )
-    raise ValueError("method must be 'hoeffding', 'u_sharp' or 'ratio'")
+    raise ValueError("method must be 'hoeffding', 'u_sharp', 'bernstein' or 'ratio'")
 
 
 def ci_linear(

@@ -346,78 +346,85 @@ def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
 # ---------------------------------------------------------------------------
 
 
-def gee_exchangeable_vcov(X, y, partition):
-    """Sandwich covariance with an exchangeable working correlation.
+def _exchangeable_sandwich(X, E, partition):
+    """Sandwich covariance with an exchangeable working correlation, batched
+    over replications.
 
-    The working correlation rho is estimated by moment matching: the mean of
-    within-cluster residual cross-products over all within-cluster pairs,
-    normalized by the residual variance (no degrees-of-freedom correction).
-    Working covariance scalars cancel between bread and meat, leaving
+    X is the n x p design, E a reps x n residual matrix (one row per
+    replication).  The working correlation rho is estimated by moment
+    matching: the mean of within-cluster residual cross-products over all
+    within-cluster pairs, normalized by the residual variance (no
+    degrees-of-freedom correction).  Working covariance scalars cancel
+    between bread and meat, leaving
 
         vcov = D^{-1} (sum_k u_k u_k') D^{-1},
         D   = X'X - sum_k c_k Sx_k Sx_k',
         u_k = X_k' e_k - c_k Sx_k Se_k,
         c_k = rho / (1 + (n_k - 1) rho),
 
-    with Sx_k, Se_k the within-cluster sums.  An all-singleton partition
-    gives rho = 0 and reduces to the heteroskedasticity-robust sandwich.
-
-    Returns (coefficients, vcov, rho_hat).
+    with Sx_k, Se_k the within-cluster sums.  Observations are taken in
+    stable label order, so each cluster is one contiguous run for
+    ``reduceat`` whatever the partition (for a sequential partition the
+    order is the identity).  Returns (vcov, rho) of shapes reps x p x p and
+    (reps,).
     """
-    fit = ols_fit(X, y)
-    X = fit.design
-    e = fit.residuals
     n, p = X.shape
     if partition.assignment.shape[0] != n:
         raise ValueError("partition length does not match the data")
     if partition.n_clusters < 2:
         raise ValueError("need at least two clusters for a sandwich estimate")
+    order = np.argsort(partition.assignment, kind="stable")
+    X, E = X[order], np.take(E, order, axis=1)  # take keeps E row-major
+    sizes = partition.cluster_sizes
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
-    labels = partition.assignment - 1
-    K = partition.n_clusters
-    sizes = partition.cluster_sizes.astype(float)
+    Sx = np.add.reduceat(X, offsets, axis=0)  # K x p cluster sums of columns
+    Se = np.add.reduceat(E, offsets, axis=1)  # reps x K
+    Se2 = np.add.reduceat(E * E, offsets, axis=1)
+    SxE = np.empty((E.shape[0], p, sizes.shape[0]))  # reps x p x K
+    for j in range(p):
+        SxE[:, j, :] = np.add.reduceat(E * X[:, j], offsets, axis=1)
 
-    sigma2 = float(np.mean(e * e))
-    Se = np.bincount(labels, weights=e, minlength=K)
+    sigma2 = np.mean(E * E, axis=1)
+    n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))
     # sum over within-cluster pairs i<j of e_i e_j, via (sum^2 - sum of squares)/2
-    Se2 = np.bincount(labels, weights=e * e, minlength=K)
-    cross = 0.5 * float(np.sum(Se * Se - Se2))
-    n_pairs = float(np.sum(sizes * (sizes - 1.0) / 2.0))
-    if n_pairs > 0 and sigma2 > 0:
-        rho = cross / (n_pairs * sigma2)
-    else:
-        rho = 0.0
+    cross = 0.5 * (np.sum(Se * Se, axis=1) - np.sum(Se2, axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where((sigma2 > 0) & (n_pairs > 0), cross / (n_pairs * sigma2), 0.0)
     # Keep the working covariance positive definite for every cluster size.
     max_size = float(np.max(sizes))
     lo = -1.0 / (max_size - 1.0) + 1e-6 if max_size > 1 else -1.0 + 1e-6
-    rho = float(np.clip(rho, lo, 1.0 - 1e-6))
+    rho = np.clip(rho, lo, 1.0 - 1e-6)
 
-    c = rho / (1.0 + (sizes - 1.0) * rho)
-    Sx = np.zeros((K, p))
-    for j in range(p):
-        Sx[:, j] = np.bincount(labels, weights=X[:, j], minlength=K)
-    D = X.T @ X - (Sx * c[:, None]).T @ Sx
-
-    U = np.zeros((K, p))
-    for j in range(p):
-        U[:, j] = np.bincount(labels, weights=X[:, j] * e, minlength=K)
-    U -= (c * Se)[:, None] * Sx
-    meat = U.T @ U
-
+    c = rho[:, None] / (1.0 + (sizes[None, :] - 1.0) * rho[:, None])  # reps x K
+    U = SxE.transpose(0, 2, 1) - (c * Se)[:, :, None] * Sx[None, :, :]  # reps x K x p
+    meat = np.einsum("rkp,rkq->rpq", U, U)
+    D = (X.T @ X)[None, :, :] - np.einsum("rk,kp,kq->rpq", c, Sx, Sx)
     Dinv = np.linalg.inv(D)
-    return fit.coefficients, Dinv @ meat @ Dinv, rho
+    return Dinv @ meat @ Dinv, rho
 
 
-def gee_exchangeable_wald(X, y, partition, alpha=0.05, s=0):
+def gee_exchangeable_vcov(fit, partition):
+    """Exchangeable-sandwich covariance of a least-squares fit.
+
+    The one-replication case of ``_exchangeable_sandwich``.  An
+    all-singleton partition gives rho = 0 and reduces to the
+    heteroskedasticity-robust sandwich.  Returns (vcov, rho_hat).
+    """
+    vcov, rho = _exchangeable_sandwich(fit.design, fit.residuals[None, :], partition)
+    return vcov[0], float(rho[0])
+
+
+def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    coef, vcov, _ = gee_exchangeable_vcov(X, y, partition)
+    vcov, _ = gee_exchangeable_vcov(fit, partition)
     se = float(np.sqrt(vcov[s, s]))
     z = std_normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceSet(
-        lower=float(coef[s]) - z * se,
-        upper=float(coef[s]) + z * se,
+        lower=float(fit.coefficients[s]) - z * se,
+        upper=float(fit.coefficients[s]) + z * se,
         level=1.0 - alpha,
         method="wald",
         range_source=None,

@@ -20,11 +20,6 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix expected to be PD fails its Cholesky factorization."""
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF, vectorized, absolute error below 1e-10 on [-8, 8]."""
-    return special.ndtr(np.asarray(x, dtype=float))
-
-
 def std_normal_quantile(p):
     """Inverse standard normal CDF for p in (0, 1)."""
     p = np.asarray(p, dtype=float)

@@ -26,6 +26,7 @@ from scipy.special import ndtr
 
 from densum.concentration import a5_empirical, optimal_s, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
+from densum.estimators import _exchangeable_sandwich, _qr_weight_rows
 from densum.kernels import (
     beta_quantile,
     cholesky,
@@ -33,6 +34,7 @@ from densum.kernels import (
     seeded_stream,
     std_normal_quantile,
     truncnorm_quantile,
+    validate_correlation,
 )
 
 MARGINAL_FAMILIES = ("beta", "truncnormal", "uniform")
@@ -258,14 +260,16 @@ def copula_sample(corr, marginal, n, reps, seed):
     Row r is marginal.quantile(Phi(L z_r)) with L the Cholesky factor of
     ``corr`` and z_r standard normal from the counter-based stream
     (seed, r) — deterministic per replication, whatever the scheduling.
-    A comonotone matrix (all cells 1) is handled directly, since it is
-    singular: every column repeats the first coordinate.
+    ``corr`` must be symmetric with a unit diagonal.  A comonotone matrix
+    (all cells 1) is handled directly, since it is singular: every column
+    repeats the first coordinate.
     """
     corr = np.asarray(corr, dtype=float)
     n = int(n)
     reps = int(reps)
     if corr.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
+    validate_correlation(corr)
     Z = np.empty((reps, n))
     for r in range(reps):
         Z[r] = seeded_stream(seed, r).standard_normal(n)
@@ -275,50 +279,6 @@ def copula_sample(corr, marginal, n, reps, seed):
         L = cholesky(corr)
         X = Z @ L.T
     return marginal.quantile(ndtr(X))
-
-
-# ---------------------------------------------------------------------------
-# vectorized conventional comparator
-# ---------------------------------------------------------------------------
-
-
-def _sandwich_wald_covers(X, B, E, partition, beta_true, z):
-    """Exchangeable-sandwich Wald coverage, vectorized across replications.
-
-    Mirrors estimators.gee_exchangeable_vcov cell by cell (the per-replication
-    agreement is cross-checked in the test suite); clusters of a sequential
-    partition are contiguous, so cluster sums reduce to reduceat calls.
-
-    X is the n x p design shared by all replications, B the reps x p
-    coefficient matrix, E the reps x n residual matrix.  Returns a reps x p
-    boolean matrix of |B - beta_true| <= z * SE.
-    """
-    n, p = X.shape
-    sizes = partition.cluster_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-
-    Sx = np.add.reduceat(X, offsets, axis=0)  # K x p cluster sums of columns
-    XtX = X.T @ X
-    Se = np.add.reduceat(E, offsets, axis=1)  # reps x K
-    Se2 = np.add.reduceat(E * E, offsets, axis=1)
-    SxE = np.add.reduceat(E[:, None, :] * X.T[None, :, :], offsets, axis=2)  # reps x p x K
-
-    sigma2 = np.mean(E * E, axis=1)
-    n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))
-    cross = 0.5 * (np.sum(Se * Se, axis=1) - np.sum(Se2, axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where((sigma2 > 0) & (n_pairs > 0), cross / (n_pairs * sigma2), 0.0)
-    max_size = float(np.max(sizes))
-    lo = -1.0 / (max_size - 1.0) + 1e-6 if max_size > 1 else -1.0 + 1e-6
-    rho = np.clip(rho, lo, 1.0 - 1e-6)
-
-    c = rho[:, None] / (1.0 + (sizes[None, :] - 1.0) * rho[:, None])  # reps x K
-    U = SxE.transpose(0, 2, 1) - (c * Se)[:, :, None] * Sx[None, :, :]  # reps x K x p
-    meat = np.einsum("rkp,rkq->rpq", U, U)
-    D = XtX[None, :, :] - np.einsum("rk,kp,kq->rpq", c, Sx, Sx)
-    vcov = np.linalg.inv(D) @ meat @ np.linalg.inv(D)
-    se = np.sqrt(np.einsum("rpp->rp", vcov))
-    return np.abs(B - beta_true[None, :]) <= z * se
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +302,8 @@ def _mean_cell(table, n, phi, marginal, config, alpha_shape=None):
     K = config.wald_clusters if config.wald_clusters is not None else n // 10
     partition = sequential_partition(n, K)
     z = std_normal_quantile(1.0 - alpha / 2.0)
-    design = np.ones((n, 1))
-    resid = Y - ybar[:, None]
-    covered_wald = _sandwich_wald_covers(
-        design, ybar[:, None], resid, partition, np.array([mu_true]), z
-    )[:, 0]
+    vcov, _ = _exchangeable_sandwich(np.ones((n, 1)), Y - ybar[:, None], partition)
+    covered_wald = np.abs(ybar - mu_true) <= z * np.sqrt(vcov[:, 0, 0])
 
     c_star = config.c_star if config.c_star is not None else 10.0
     w = np.full(n, 1.0 / n)
@@ -427,11 +384,6 @@ def table3_design(n, master_seed):
     return np.column_stack([np.ones(int(n)), t])
 
 
-def _weight_rows(X):
-    # (X'X)^{-1} X' via least squares on the identity; X here is tiny-p.
-    return np.linalg.solve(X.T @ X, X.T)
-
-
 def run_table3(config):
     """Regression coverage: y = 20 + 10 t + eps over the (n, phi*) grid.
 
@@ -458,7 +410,7 @@ def run_table3(config):
     for n in ns:
         n = int(n)
         X = table3_design(n, seed)
-        W = _weight_rows(X)
+        W = _qr_weight_rows(X)
         sum_w2 = np.sum(W * W, axis=1)
         K = config.wald_clusters if config.wald_clusters is not None else n // 10
         partition = sequential_partition(n, K)
@@ -469,7 +421,9 @@ def run_table3(config):
             B = TABLE3_BETA[None, :] + eps @ W.T
             resid = eps - (eps @ W.T) @ X.T
 
-            covered_wald = _sandwich_wald_covers(X, B, resid, partition, TABLE3_BETA, z)
+            vcov, _ = _exchangeable_sandwich(X, resid, partition)
+            se = np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
+            covered_wald = np.abs(B - TABLE3_BETA[None, :]) <= z * se
             rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
             for s_idx, name in enumerate(("beta0", "beta1")):
                 err = np.abs(B[:, s_idx] - TABLE3_BETA[s_idx])

@@ -149,19 +149,21 @@ class UDiagnosticsReport:
 def check_u_class(data, support, tol=None):
     """Check whether a variable is U (E = Av) on a regular support.
 
-    ``data`` is either a sample (array-like) or a distribution-like object
-    exposing ``mean()``.  On regular supports the functional average is the
-    midpoint (M + m) / 2, so membership reduces to comparing the expected
-    value against the midpoint.  The default tolerance is 1e-3 * R for
-    analytic inputs, widened by three standard errors of the mean for
-    empirical samples.  ``cdf_area_gap`` reports (M - E) - (E - m), the
-    integrated CDF-minus-survival gap, which is zero exactly for U
-    variables on continuous regular supports.
+    ``data`` is either a sample (anything with ``__len__`` or ``__array__``)
+    or a distribution-like object with a callable ``mean()``.  On regular
+    supports the functional average is the midpoint (M + m) / 2, so
+    membership reduces to comparing the expected value against the
+    midpoint.  The default tolerance is 1e-3 * R for analytic inputs,
+    widened by three standard errors of the mean for empirical samples.
+    ``cdf_area_gap`` reports (M - E) - (E - m), the integrated
+    CDF-minus-survival gap, which is zero exactly for U variables on
+    continuous regular supports.
     """
     if not isinstance(support, SupportSpec):
         raise TypeError("support must be a SupportSpec")
     R = support.range
-    if hasattr(data, "mean") and not isinstance(data, np.ndarray):
+    is_sample = hasattr(data, "__len__") or hasattr(data, "__array__")
+    if callable(getattr(data, "mean", None)) and not is_sample:
         expected = float(data.mean())
         default_tol = 1e-3 * R
     else:

@@ -476,6 +476,21 @@ class TestLoadColumns:
         with pytest.raises(ValueError, match="column 'b' is not numeric \\(line 3\\)"):
             load_columns(path, ["a", "b"])
 
+    def test_non_finite_cell_is_located(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("a,b\n1,2\n3,4\ninf,5\n")
+        with pytest.raises(ValueError, match="column 'a' is not finite \\(line 4\\)"):
+            load_columns(path, ["a", "b"])
+
+    def test_nan_response_fails_the_fit_at_load(self, regression_csv, tmp_path, capsys):
+        lines = open(regression_csv).read().splitlines()
+        x, _ = lines[5].split(",")
+        lines[5] = f"{x},nan"  # the y cell on file line 6
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path), "--response", "y", "--covariates", "x"]) == 1
+        assert "column 'y' is not finite (line 6)" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -160,6 +160,18 @@ class TestCiMean:
         tail = u_tail(0.5 * out.width, np.full(64, 1.0 / 64), 1.0)
         assert tail.value == pytest.approx(alpha, rel=1e-10)
 
+    def test_bernstein_inverts_the_simple_tail(self, rng):
+        # the half-width solves bernstein_tail(form="simple") = alpha with the
+        # U-variance plug-in Av(eps^2) = R^2 / 12 for every observation
+        values = rng.uniform(0.0, 2.0, size=64)
+        alpha = 0.11
+        out = ci_mean(values, R=2.0, alpha=alpha, method="bernstein")
+        tail = bernstein_tail(0.5 * out.width, 1.0 / 64, 1.0, np.full(64, 4.0 / 12.0), form="simple")
+        assert tail.value == pytest.approx(alpha, rel=1e-10)
+        assert out.lower + out.upper == pytest.approx(2.0 * float(np.mean(values)), rel=1e-12)
+        assert out.method == "bernstein"
+        assert out.range_source == "known"
+
     def test_requires_range_for_additive_methods(self):
         with pytest.raises(ValueError, match="positive range"):
             ci_mean([0.1, 0.2, 0.3], method="u_sharp")

@@ -334,18 +334,30 @@ class TestGeeExchangeable:
         X = np.column_stack([np.ones(37), rng.standard_normal(37)])
         y = X @ np.array([1.0, 2.0]) + rng.standard_normal(37)
         partition = sequential_partition(37, 7)  # unequal cluster sizes
-        coef, vcov, rho = gee_exchangeable_vcov(X, y, partition)
+        fit = ols_fit(X, y)
+        vcov, rho = gee_exchangeable_vcov(fit, partition)
         coef_o, vcov_o, rho_o = sandwich_oracle(X, y, partition)
         assert rho == pytest.approx(rho_o, abs=1e-12)
-        np.testing.assert_allclose(coef, coef_o, atol=1e-12)
+        np.testing.assert_allclose(fit.coefficients, coef_o, atol=1e-12)
+        np.testing.assert_allclose(vcov, vcov_o, rtol=1e-9, atol=1e-14)
+
+    def test_non_contiguous_partition_matches_oracle(self, rng):
+        # clusters interleave across the sample, so no cluster is one
+        # contiguous block in the original observation order
+        X = np.column_stack([np.ones(37), rng.standard_normal(37)])
+        y = X @ np.array([1.0, 2.0]) + rng.standard_normal(37)
+        partition = Partition(rng.permutation(sequential_partition(37, 7).assignment))
+        vcov, rho = gee_exchangeable_vcov(ols_fit(X, y), partition)
+        _, vcov_o, rho_o = sandwich_oracle(X, y, partition)
+        assert rho == pytest.approx(rho_o, abs=1e-12)
         np.testing.assert_allclose(vcov, vcov_o, rtol=1e-9, atol=1e-14)
 
     def test_singletons_reduce_to_hc0(self, rng):
         X = np.column_stack([np.ones(40), rng.standard_normal(40)])
         y = rng.standard_normal(40)
-        _, vcov, rho = gee_exchangeable_vcov(X, y, sequential_partition(40, 40))
-        assert rho == 0.0
         fit = ols_fit(X, y)
+        vcov, rho = gee_exchangeable_vcov(fit, sequential_partition(40, 40))
+        assert rho == 0.0
         xtx_inv = np.linalg.inv(X.T @ X)
         hc0 = xtx_inv @ (X * fit.residuals[:, None] ** 2).T @ X @ xtx_inv
         np.testing.assert_allclose(vcov, hc0, rtol=1e-10, atol=1e-15)
@@ -356,12 +368,12 @@ class TestGeeExchangeable:
         e_pattern = np.tile([1.0, -1.0], 10)
         X = np.ones((20, 1))
         y = e_pattern  # mean zero, so residuals equal the pattern
-        _, _, rho = gee_exchangeable_vcov(X, y, sequential_partition(20, 10))
+        _, rho = gee_exchangeable_vcov(ols_fit(X, y), sequential_partition(20, 10))
         assert rho == pytest.approx(-1.0 + 1e-6)
 
     def test_needs_two_clusters(self):
         with pytest.raises(ValueError, match="two clusters"):
-            gee_exchangeable_vcov(X3, Y3, Partition([1, 1, 1]))
+            gee_exchangeable_vcov(ols_fit(X3, Y3), Partition([1, 1, 1]))
 
     def test_wald_interval_covers_independent_data(self, rng):
         hits = 0
@@ -369,7 +381,7 @@ class TestGeeExchangeable:
         for _ in range(reps):
             y = rng.uniform(0, 1, size=150)
             cs = gee_exchangeable_wald(
-                np.ones((150, 1)), y, sequential_partition(150, 50), alpha=0.05
+                ols_fit(np.ones((150, 1)), y), sequential_partition(150, 50), alpha=0.05
             )
             hits += cs.contains(0.5)
         assert 0.90 <= hits / reps <= 0.99
@@ -377,7 +389,7 @@ class TestGeeExchangeable:
     def test_wald_set_shape(self, rng):
         X = np.column_stack([np.ones(60), rng.standard_normal(60)])
         y = X @ np.array([0.0, 1.0]) + rng.standard_normal(60)
-        cs = gee_exchangeable_wald(X, y, sequential_partition(60, 6), s=1)
+        cs = gee_exchangeable_wald(ols_fit(X, y), sequential_partition(60, 6), s=1)
         assert cs.method == "wald"
         assert cs.range_source is None
         assert cs.lower < cs.upper

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from densum.estimators import gee_exchangeable_vcov, ols_fit
+from densum.estimators import _exchangeable_sandwich, gee_exchangeable_vcov, ols_fit
 from densum.kernels import cholesky, std_normal_quantile
 from densum.simulation import (
     TABLE1_GRID,
@@ -12,7 +12,6 @@ from densum.simulation import (
     CoverageReport,
     ExperimentConfig,
     MarginalSpec,
-    _sandwich_wald_covers,
     copula_sample,
     exchangeable_corr,
     run_table,
@@ -189,45 +188,50 @@ class TestCopulaSample:
         with pytest.raises(ValueError, match="must be 3 x 3"):
             copula_sample(np.eye(2), MarginalSpec.uniform(0, 1), 3, 2, seed=0)
 
+    def test_asymmetric_matrix_rejected(self):
+        # Cholesky reads only the lower triangle, so this must fail up front
+        corr = np.array([[1.0, 0.2], [0.7, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            copula_sample(corr, MarginalSpec.uniform(0, 1), 2, 2, seed=0)
+
+    def test_non_unit_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            copula_sample(2.0 * np.eye(2), MarginalSpec.uniform(0, 1), 2, 2, seed=0)
+
 
 class TestVectorizedSandwich:
+    # the experiment drivers call the batched sandwich; each replication must
+    # equal the one-fit-at-a-time estimator and make the same cover/miss call
+
+    @staticmethod
+    def assert_batch_equals_single_fits(X, ys, beta, partition):
+        z = std_normal_quantile(0.975)
+        fits = [ols_fit(X, y) for y in ys]
+        B = np.array([fit.coefficients for fit in fits])
+        vcov, rho = _exchangeable_sandwich(X, np.array([fit.residuals for fit in fits]), partition)
+        covered = np.abs(B - beta) <= z * np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
+        for r, fit in enumerate(fits):
+            vcov_r, rho_r = gee_exchangeable_vcov(fit, partition)
+            np.testing.assert_array_equal(vcov[r], vcov_r)
+            assert rho[r] == rho_r
+            np.testing.assert_array_equal(
+                covered[r], np.abs(fit.coefficients - beta) <= z * np.sqrt(np.diag(vcov_r))
+            )
+
     def test_agrees_with_the_reference_route_per_replication(self, rng):
-        # the experiment drivers use the vectorized comparator; it must make
-        # the same cover/miss call as the one-fit-at-a-time estimator
         n, reps = 40, 25
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         beta = np.array([1.0, -2.0])
-        partition = sequential_partition(n, 7)  # sizes 5 and 6: uneven on purpose
-        z = std_normal_quantile(0.975)
-
-        B = np.empty((reps, 2))
-        E = np.empty((reps, n))
-        expected = np.empty((reps, 2), dtype=bool)
         ys = X @ beta + rng.standard_normal((reps, n))
-        for r in range(reps):
-            fit = ols_fit(X, ys[r])
-            B[r] = fit.coefficients
-            E[r] = fit.residuals
-            coef, vcov, _ = gee_exchangeable_vcov(X, ys[r], partition)
-            se = np.sqrt(np.diag(vcov))
-            expected[r] = np.abs(coef - beta) <= z * se
-
-        got = _sandwich_wald_covers(X, B, E, partition, beta, z)
-        np.testing.assert_array_equal(got, expected)
+        # sizes 5 and 6: uneven on purpose
+        self.assert_batch_equals_single_fits(X, ys, beta, sequential_partition(n, 7))
 
     def test_intercept_only_agreement(self, rng):
         n, reps = 30, 15
-        X = np.ones((n, 1))
-        partition = sequential_partition(n, 3)
-        z = std_normal_quantile(0.975)
         ys = 0.3 + rng.standard_normal((reps, n))
-        B = ys.mean(axis=1)[:, None]
-        E = ys - B
-        got = _sandwich_wald_covers(X, B, E, partition, np.array([0.3]), z)
-        for r in range(reps):
-            coef, vcov, _ = gee_exchangeable_vcov(X, ys[r], partition)
-            covered = abs(coef[0] - 0.3) <= z * math.sqrt(vcov[0, 0])
-            assert got[r, 0] == covered
+        self.assert_batch_equals_single_fits(
+            np.ones((n, 1)), ys, np.array([0.3]), sequential_partition(n, 3)
+        )
 
 
 class TestConfigAndReport:

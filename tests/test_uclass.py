@@ -206,6 +206,17 @@ class TestCheckUClass:
         with pytest.raises(ValueError, match="empty"):
             check_u_class(np.array([]), SYM)
 
+    def test_list_with_a_mean_method_is_a_sample(self, rng):
+        class MeanList(list):
+            def mean(self):
+                return sum(self) / len(self)
+
+        values = rng.uniform(-1.0, 1.0, size=50)
+        as_list = check_u_class(MeanList(values.tolist()), SYM)
+        as_array = check_u_class(values, SYM)
+        assert as_list.tolerance == as_array.tolerance
+        assert as_list.tolerance > 1e-3 * SYM.range
+
 
 class TestMomentConditions:
     def test_uniform_attains_even_bounds(self):
