@@ -19,6 +19,7 @@ import os
 import sys
 import urllib.error
 import warnings
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -188,28 +189,39 @@ def _series_diagnostics(name, series):
 
 
 def load_columns(path, names):
-    """Read the named numeric columns from a CSV with a header row."""
+    """Read the named numeric columns from a CSV with a header row.
+
+    Errors name the file line of the offending record (``line_num``), so
+    blank lines and quoted line breaks are counted as the file has them.
+    """
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("input file is empty")
-        missing = [c for c in names if c not in reader.fieldnames]
+        missing = [c for c in names if c not in header]
         if missing:
-            raise ValueError(
-                f"missing column(s) {missing}; available: {reader.fieldnames}"
-            )
-        data = {c: [] for c in names}  # repeated names collapse to one read
-        for i, record in enumerate(reader, start=2):
-            for c in data:
+            raise ValueError(f"missing column(s) {missing}; available: {header}")
+        position = {c: j for j, c in enumerate(header)}  # a repeated header: last wins
+        data = {c: array("d") for c in names}  # repeated names collapse to one read
+        fields = [(c, data[c].append, position[c]) for c in data]
+        lines = array("q")  # file line of each record
+        for record in reader:
+            if not record:  # blank line
+                continue
+            for c, append, j in fields:
                 try:
-                    data[c].append(float(record[c]))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"column '{c}' is not numeric (line {i})") from exc
+                    append(float(record[j]))
+                except (IndexError, ValueError) as exc:  # short row or bad cell
+                    raise ValueError(
+                        f"column '{c}' is not numeric (line {reader.line_num})"
+                    ) from exc
+            lines.append(reader.line_num)
     table = np.array(list(data.values()), dtype=float)  # one row per column
     rows, cols = np.nonzero(~np.isfinite(table.T))
     if rows.size:
         c = list(data)[cols[0]]
-        raise ValueError(f"column '{c}' is not finite (line {rows[0] + 2})")
+        raise ValueError(f"column '{c}' is not finite (line {lines[rows[0]]})")
     return dict(zip(data, table))
 
 

@@ -482,6 +482,47 @@ class TestLoadColumns:
         with pytest.raises(ValueError, match="column 'a' is not finite \\(line 4\\)"):
             load_columns(path, ["a", "b"])
 
+    def test_error_names_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,b\n1,2\n\n3,oops\n")
+        with pytest.raises(ValueError, match="column 'b' is not numeric \\(line 4\\)"):
+            load_columns(path, ["a", "b"])
+
+    def test_non_finite_error_names_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "blank_inf.csv"
+        path.write_text("a,b\n1,2\n\n3,inf\n")
+        with pytest.raises(ValueError, match="column 'b' is not finite \\(line 4\\)"):
+            load_columns(path, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "content, names, expected",
+        [
+            pytest.param(b'a,b\n"1.5",2\n', ["a"], {"a": [1.5]}, id="quoted-cell"),
+            pytest.param(b"a,b\n 1.5 ,2\n", ["a", "b"], {"a": [1.5], "b": [2.0]},
+                         id="whitespace-around-number"),
+            pytest.param(b"a,b\n1_000,2\n", ["a"], {"a": [1000.0]}, id="underscore-digits"),
+            pytest.param(b"a,b\r\n1,2\r\n3,4\r\n", ["a", "b"],
+                         {"a": [1.0, 3.0], "b": [2.0, 4.0]}, id="crlf"),
+            pytest.param(b"a,b\n1,2\n3\n", ["a", "b"],
+                         "column 'b' is not numeric \\(line 3\\)", id="short-row"),
+            pytest.param(b"a,b\n1,2,9,x\n", ["a", "b"], {"a": [1.0], "b": [2.0]},
+                         id="extra-trailing-fields-ignored"),
+            pytest.param(b"a,b\n1,2\n3,4\n", ["a", "a"], {"a": [1.0, 3.0]},
+                         id="repeated-name-read-once"),
+        ],
+    )
+    def test_accept_reject_set(self, tmp_path, content, names, expected):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(content)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                load_columns(path, names)
+            return
+        got = load_columns(path, names)
+        assert list(got) == list(expected)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(got[name], values)
+
     def test_nan_response_fails_the_fit_at_load(self, regression_csv, tmp_path, capsys):
         lines = open(regression_csv).read().splitlines()
         x, _ = lines[5].split(",")

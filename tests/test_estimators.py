@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densum.core import Partition, sequential_partition
 from densum.estimators import (
@@ -395,7 +397,32 @@ class TestGeeExchangeable:
         assert cs.lower < cs.upper
 
 
+def _loop_acf(series, lags):
+    """r_1..r_lags by one O(n) sum per lag: the oracle for the FFT ACF."""
+    y = np.asarray(series, dtype=float)
+    centered = y - np.mean(y)
+    denom = float(np.sum(centered * centered))
+    n = y.shape[0]
+    return np.array(
+        [float(np.sum(centered[: n - l] * centered[l:])) / denom for l in range(1, lags + 1)]
+    )
+
+
 class TestAcf:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1), walk=st.booleans(),
+           data=st.data())
+    def test_fft_matches_loop_oracle(self, n, seed, walk, data):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(n)
+        z = 5.0 + (np.cumsum(noise) if walk else noise)
+        lags = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)), label="lags")
+        short = data.draw(st.integers(1, lags), label="short")
+        report = acf_phi_hat(z, lags)
+        np.testing.assert_allclose(report.acf, _loop_acf(z, lags), rtol=0, atol=1e-12)
+        # the padded length depends on n only, so windows share their prefix exactly
+        assert np.array_equal(acf_phi_hat(z, short).acf, report.acf[:short])
+
     def test_alternating_series_closed_form(self):
         # centered alternating +-1 of even length: r_l = (-1)^l (n-l)/n
         report = acf_phi_hat(np.tile([1.0, -1.0], 5), lags=3)
