@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import urllib.error
 import warnings
 from array import array
 from dataclasses import asdict, dataclass
@@ -43,6 +42,8 @@ RESULTS_HEADER = (
     "mean_lower", "mean_upper", "ci_wald", "ci_u", "ci_r",
     "a_hat", "av_star", "verdict", "seed", "repair_lambda",
 )
+# The short lag window, floor(10 log10 n), must stay below n.
+MIN_SERIES_LENGTH = 11
 
 
 def _fmt(value):
@@ -148,17 +149,24 @@ class AnalysisReport:
 
 
 def _series_diagnostics(name, series):
-    """Diagnostics for one weighted-residual (or raw) series."""
+    """Diagnostics for one weighted-residual (or raw) series.
+
+    Returns the SeriesDiagnostics and the sample autocorrelations up to the
+    longer of the two lag windows; each window's r_l are a prefix of them.
+    """
     z = np.asarray(series, dtype=float)
     n = z.shape[0]
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(
+            f"series {name} has {n} observations; diagnostics need n >= {MIN_SERIES_LENGTH}"
+        )
     if float(np.min(z)) == float(np.max(z)):
         raise ValueError(f"series {name} is constant; diagnostics are undefined")
     support = SupportSpec(float(np.min(z)), float(np.max(z)))
     u_report = check_u_class(z, support)
     bound = rule_of_thumb(np.ones(n), float(np.var(z)), support.length)
     short, long_ = climate.lag_windows(n)
-    acf_short = acf_phi_hat(z, short)
-    acf_long = acf_phi_hat(z, long_)
+    acf = acf_phi_hat(z, max(short, long_)).acf
     half = n // 2
     drift = abs(float(np.mean(z[:half]) - np.mean(z[half:])))
     drift_se = math.sqrt(np.var(z) * (1.0 / half + 1.0 / (n - half)))
@@ -175,12 +183,12 @@ def _series_diagnostics(name, series):
         functional_average=u_report.functional_average,
         tolerance=u_report.tolerance,
         rule_of_thumb_bound=bound,
-        phi_hat_short=acf_short.phi_hat,
-        phi_hat_long=acf_long.phi_hat,
+        phi_hat_short=float(np.mean(acf[:short])),
+        phi_hat_long=float(np.mean(acf[:long_])),
         lags_short=short,
         lags_long=long_,
         stationarity_note=note,
-    )
+    ), acf
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +437,7 @@ def cmd_fit(args):
         warnings.simplefilter("ignore")  # zero-noise fixtures have zero spread
         coef_rows = _coefficient_sets(fit, columns, alpha, source, given)
         diagnostics = tuple(
-            _series_diagnostics(name, fit.weight_rows[s] * fit.residuals)
+            _series_diagnostics(name, fit.weight_rows[s] * fit.residuals)[0]
             for s, name in enumerate(columns)
             if float(np.ptp(fit.weight_rows[s] * fit.residuals)) > 0.0
         )
@@ -545,7 +553,7 @@ def cmd_diagnose(args):
         series = fit.weight_rows[s] * fit.residuals
         name = f"weighted residuals: {args.coefficient}"
 
-    diag = _series_diagnostics(name, series)
+    diag, acf = _series_diagnostics(name, series)
     print(f"series: {name}  (n={series.shape[0]})")
     print(
         f"  U-class: is_u={diag.is_u} is_sub_u={diag.is_sub_u} "
@@ -558,12 +566,12 @@ def cmd_diagnose(args):
     print(f"  stationarity: {diag.stationarity_note}")
 
     if args.out:
-        _write_plot_csvs(args.out, series, diag)
+        _write_plot_csvs(args.out, series, diag, acf)
         print(f"wrote plot-ready CSVs with prefix {args.out}")
     return 0
 
 
-def _write_plot_csvs(prefix, series, diag):
+def _write_plot_csvs(prefix, series, diag, acf):
     z = np.asarray(series, dtype=float)
     n = z.shape[0]
     counts, edges = np.histogram(z, bins="auto")
@@ -582,8 +590,7 @@ def _write_plot_csvs(prefix, series, diag):
         writer = csv.writer(handle)
         writer.writerow(["lag", "r", "window"])
         for window, lags in (("short", diag.lags_short), ("long", diag.lags_long)):
-            report = acf_phi_hat(z, lags)
-            for lag, r in enumerate(report.acf, start=1):
+            for lag, r in enumerate(acf[:lags], start=1):
                 writer.writerow([lag, _fmt(float(r)), window])
 
 
@@ -594,10 +601,7 @@ def cmd_fetch_climate(args):
             start=tuple(int(x) for x in args.start.split("-")),
             end=tuple(int(x) for x in args.end.split("-")),
         )
-    except urllib.error.URLError as exc:
-        print(f"network failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except OSError as exc:  # urllib's URLError is an OSError
         print(f"network failure: {exc}", file=sys.stderr)
         return 2
     climate.write_climate_csv(rows, args.out)

@@ -11,6 +11,9 @@ experiment drivers reproduce the coverage tables:
 * ``run_table3`` — a fixed-design regression with truncated-normal errors
   whose correlation mosaic is proportional to the intercept weight products.
 
+All three score their replications with one coverage engine: a mean is the
+intercept-only least-squares fit (X = 1, weight row 1/n).
+
 Every replication r draws its normals from an independent counter-based
 stream keyed by (master_seed, r), so results are bit-identical however the
 replications are scheduled, and grid cells share common random numbers.
@@ -160,8 +163,8 @@ class ExperimentConfig:
     mosaic scale phi* for the regression table) restrict the table's grid
     when set; ``shape`` restricts the table-2 shape grid.  ``c_star``
     controls the diagnostic exponential's size (defaults: 10 for means, 5
-    for regressions).  ``wald_clusters`` overrides the sequential n/10
-    clustering of the conventional comparator.
+    for regressions).  The conventional comparator always clusters the
+    observations sequentially into n // 10 groups.
     """
 
     table: int
@@ -172,8 +175,6 @@ class ExperimentConfig:
     alpha: float = 0.05
     c_star: float | None = None
     master_seed: int = 0
-    wald_clusters: int | None = None
-    marginal: MarginalSpec | None = None
 
     def __post_init__(self):
         if self.table not in (1, 2, 3):
@@ -286,49 +287,69 @@ def copula_sample(corr, marginal, n, reps, seed):
 # ---------------------------------------------------------------------------
 
 
-def _mean_cell(table, n, phi, marginal, config, alpha_shape=None):
-    """One (n, phi) cell of a mean-coverage experiment."""
-    reps, alpha, seed = config.reps, config.alpha, config.master_seed
-    corr = exchangeable_corr(n, phi)
-    Y = copula_sample(corr, marginal, n, reps, seed)
+def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
+    """One CoverageReport per coefficient of the least-squares fit beta_hat = W y.
 
-    mu_true = marginal.mean
-    R = marginal.support.range
-    M = marginal.support.length / 2.0
-    ybar = np.mean(Y, axis=1)
-    half_u = R * math.sqrt(math.log(2.0 / alpha) / (6.0 * n))
-    covered_u = np.abs(ybar - mu_true) <= half_u
-
-    K = config.wald_clusters if config.wald_clusters is not None else n // 10
-    partition = sequential_partition(n, K)
+    ``eps`` holds one error vector per replication (reps x n), so the
+    estimation errors are eps W^T and the residuals eps - (eps W^T) X^T.  A
+    mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
+    conventional Wald comparator (exchangeable sandwich over n // 10
+    sequential clusters), the known-range set R sqrt(sum w^2)
+    sqrt(log(2/alpha)/6), its residual-range plug-in (the pooled residual
+    range standing in for 2M) and the MGF diagnostic.  ``fields`` fill the
+    remaining report columns and take precedence (``ci_r=None`` drops the
+    plug-in).
+    """
+    n = X.shape[0]
+    R = support.range
+    M = support.length / 2.0
+    root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
+    sum_w2 = np.sum(W * W, axis=1)
+    err = eps @ W.T
+    B = beta[None, :] + err
+    resid = eps - err @ X.T
+    vcov, _ = _exchangeable_sandwich(X, resid, sequential_partition(n, n // 10))
     z = std_normal_quantile(1.0 - alpha / 2.0)
-    vcov, _ = _exchangeable_sandwich(np.ones((n, 1)), Y - ybar[:, None], partition)
-    covered_wald = np.abs(ybar - mu_true) <= z * np.sqrt(vcov[:, 0, 0])
+    covered_wald = np.abs(err) <= z * np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
+    rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
+    rows = []
+    for s_idx, name in enumerate(names):
+        abs_err = np.abs(err[:, s_idx])
+        half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
+        half_r = rhat * math.sqrt(sum_w2[s_idx]) * root_log
+        s_diag = optimal_s(
+            theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=alpha
+        )
+        report = a5_empirical(eps, W[s_idx], s_diag, M)
+        row = dict(
+            n=n,
+            mean_lower=float(np.mean(B[:, s_idx]) - half_u),
+            mean_upper=float(np.mean(B[:, s_idx]) + half_u),
+            ci_wald=float(np.mean(covered_wald[:, s_idx])),
+            ci_u=float(np.mean(abs_err <= half_u)),
+            ci_r=float(np.mean(abs_err <= half_r)),
+            a_hat=report.a_hat,
+            av_star=report.av_star,
+            a5_verdict=report.verdict,
+            coefficient=name,
+        )
+        rows.append(CoverageReport(**{**row, **fields}))
+    return rows
 
+
+def _mean_cell(table, n, phi, marginal, config, alpha_shape=None):
+    """One (n, phi) cell of a mean-coverage experiment: the intercept-only fit."""
+    eps = copula_sample(exchangeable_corr(n, phi), marginal, n, config.reps, config.master_seed)
+    eps -= marginal.mean
+    W = np.full((1, n), 1.0 / n)
+    bound = rule_of_thumb(W[0], marginal.variance, marginal.support.range)
     c_star = config.c_star if config.c_star is not None else 10.0
-    w = np.full(n, 1.0 / n)
-    s = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=1.0 / n, alpha=alpha)
-    report = a5_empirical(Y - mu_true, w, s, M)
-
-    bound = rule_of_thumb(w, marginal.variance, R)
-    return CoverageReport(
-        table=table,
-        n=n,
-        phi=phi,
-        mean_lower=float(np.mean(ybar) - half_u),
-        mean_upper=float(np.mean(ybar) + half_u),
-        ci_wald=float(np.mean(covered_wald)),
-        ci_u=float(np.mean(covered_u)),
-        ci_r=None,
-        a_hat=report.a_hat,
-        av_star=report.av_star,
-        a5_verdict=report.verdict,
-        alpha_shape=alpha_shape,
-        threshold=bound / (n - 1),
-        coefficient=None,
-        seed=seed,
-        repair_lambda=0.0,
+    (row,) = _coverage_rows(
+        np.ones((n, 1)), W, np.array([marginal.mean]), eps, marginal.support, config.alpha,
+        c_star, names=(None,), table=table, phi=phi, seed=config.master_seed,
+        alpha_shape=alpha_shape, threshold=bound / (n - 1), ci_r=None,
     )
+    return row
 
 
 def run_table1(config):
@@ -338,16 +359,13 @@ def run_table1(config):
     the standard grid runs as its own cell (it must keep the exchangeable
     matrix positive definite).
     """
-    marginal = config.marginal if config.marginal is not None else MarginalSpec.beta(10, 10)
+    marginal = MarginalSpec.beta(10, 10)
     rows = []
     ns = (config.n,) if config.n is not None else tuple(TABLE1_GRID)
     for n in ns:
         if n not in TABLE1_GRID:
             raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
-        if config.phi is not None:
-            phis = (config.phi,)
-        else:
-            phis = TABLE1_GRID[n]
+        phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
         for phi in phis:
             rows.append(_mean_cell(1, n, phi, marginal, config))
     return rows
@@ -393,66 +411,23 @@ def run_table3(config):
     set (R = 40), and the residual-range plug-in (the pooled residual range
     standing in for 2M).  One report row per coefficient per cell.
     """
-    marginal = (
-        config.marginal
-        if config.marginal is not None
-        else MarginalSpec.truncnormal(0.0, 5.0, -20.0, 20.0)
-    )
-    reps, alpha, seed = config.reps, config.alpha, config.master_seed
+    marginal = MarginalSpec.truncnormal(0.0, 5.0, -20.0, 20.0)
     c_star = config.c_star if config.c_star is not None else 5.0
-    root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
-    R = marginal.support.range
-    M = marginal.support.length / 2.0
-
     ns = (config.n,) if config.n is not None else TABLE3_NS
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
     rows = []
     for n in ns:
         n = int(n)
-        X = table3_design(n, seed)
+        X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
-        sum_w2 = np.sum(W * W, axis=1)
-        K = config.wald_clusters if config.wald_clusters is not None else n // 10
-        partition = sequential_partition(n, K)
-        z = std_normal_quantile(1.0 - alpha / 2.0)
         for phi_star in phis:
             corr, repair = table3_corr(phi_star, W[0], sigma=5.0)
-            eps = copula_sample(corr, marginal, n, reps, seed)
-            B = TABLE3_BETA[None, :] + eps @ W.T
-            resid = eps - (eps @ W.T) @ X.T
-
-            vcov, _ = _exchangeable_sandwich(X, resid, partition)
-            se = np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
-            covered_wald = np.abs(B - TABLE3_BETA[None, :]) <= z * se
-            rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
-            for s_idx, name in enumerate(("beta0", "beta1")):
-                err = np.abs(B[:, s_idx] - TABLE3_BETA[s_idx])
-                half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
-                half_r = rhat * math.sqrt(sum_w2[s_idx]) * root_log
-                s_diag = optimal_s(
-                    theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=alpha
-                )
-                report = a5_empirical(eps, W[s_idx], s_diag, M)
-                rows.append(
-                    CoverageReport(
-                        table=3,
-                        n=n,
-                        phi=phi_star,
-                        mean_lower=float(np.mean(B[:, s_idx]) - half_u),
-                        mean_upper=float(np.mean(B[:, s_idx]) + half_u),
-                        ci_wald=float(np.mean(covered_wald[:, s_idx])),
-                        ci_u=float(np.mean(err <= half_u)),
-                        ci_r=float(np.mean(err <= half_r)),
-                        a_hat=report.a_hat,
-                        av_star=report.av_star,
-                        a5_verdict=report.verdict,
-                        alpha_shape=None,
-                        threshold=None,
-                        coefficient=name,
-                        seed=seed,
-                        repair_lambda=repair.lam,
-                    )
-                )
+            eps = copula_sample(corr, marginal, n, config.reps, config.master_seed)
+            rows += _coverage_rows(
+                X, W, TABLE3_BETA, eps, marginal.support, config.alpha, c_star,
+                names=("beta0", "beta1"),
+                table=3, phi=phi_star, seed=config.master_seed, repair_lambda=repair.lam,
+            )
     return rows
 
 

@@ -21,6 +21,7 @@ from densum.cli import (
     write_results_csv,
 )
 from densum.concentration import bernstein_tail
+from densum.estimators import acf_phi_hat
 from densum.simulation import CoverageReport
 
 LOG40 = math.log(40.0)
@@ -408,16 +409,34 @@ class TestAnalysisReportValidation:
 class TestSeriesDiagnostics:
     def test_drift_note_fires_on_a_level_shift(self, rng):
         z = np.concatenate([rng.uniform(0, 1, 60), 10.0 + rng.uniform(0, 1, 60)])
-        diag = _series_diagnostics("shifted", z)
+        diag, _ = _series_diagnostics("shifted", z)
         assert "inspect for drift" in diag.stationarity_note
 
     def test_stationary_series_is_quiet(self, rng):
-        diag = _series_diagnostics("flat", rng.uniform(0, 1, 120))
+        diag, _ = _series_diagnostics("flat", rng.uniform(0, 1, 120))
         assert diag.stationarity_note == "no mean drift detected between sample halves"
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             _series_diagnostics("c", np.ones(50))
+
+    def test_windows_are_prefixes_of_one_acf(self, rng):
+        z = rng.standard_normal(200)
+        diag, acf = _series_diagnostics("z", z)
+        assert len(acf) == max(diag.lags_short, diag.lags_long)
+        for lags, phi_hat in ((diag.lags_short, diag.phi_hat_short),
+                              (diag.lags_long, diag.phi_hat_long)):
+            assert phi_hat == acf_phi_hat(z, lags).phi_hat
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_short_series_names_the_minimum(self, tmp_path, capsys, command):
+        x = np.arange(10.0)
+        path = write_csv(tmp_path / "short.csv", {"x": x, "y": 1.0 + 2.0 * x + np.sin(x)})
+        args = ["--response", "y", "--covariates", "x"]
+        args += ["--coefficient", "x"] if command == "diagnose" else []
+        assert main([command, path] + args) == 1
+        err = capsys.readouterr().err
+        assert "has 10 observations; diagnostics need n >= 11" in err
 
 
 class TestDiagnoseCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from densum.concentration import a5_empirical, optimal_s
 from densum.estimators import _exchangeable_sandwich, gee_exchangeable_vcov, ols_fit
 from densum.kernels import cholesky, std_normal_quantile
 from densum.simulation import (
@@ -312,6 +313,51 @@ class TestTable2:
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="shape must be positive"):
             run_table2(ExperimentConfig(table=2, shape=-1.0, reps=2))
+
+
+def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
+    """A table 1-2 cell by direct mean arithmetic: the oracle for the coverage
+    engine's intercept-only case."""
+    Y = copula_sample(exchangeable_corr(n, phi), marginal, n, reps, seed)
+    mu, R = marginal.mean, marginal.support.range
+    M = marginal.support.length / 2.0
+    ybar = np.mean(Y, axis=1)
+    half_u = R * math.sqrt(math.log(2.0 / alpha) / (6.0 * n))
+    partition = sequential_partition(n, n // 10)
+    vcov, _ = _exchangeable_sandwich(np.ones((n, 1)), Y - ybar[:, None], partition)
+    half_wald = std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(vcov[:, 0, 0])
+    s = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=1.0 / n, alpha=alpha)
+    report = a5_empirical(Y - mu, np.full(n, 1.0 / n), s, M)
+    return {
+        "mean_lower": float(np.mean(ybar) - half_u),
+        "mean_upper": float(np.mean(ybar) + half_u),
+        "ci_wald": float(np.mean(np.abs(ybar - mu) <= half_wald)),
+        "ci_u": float(np.mean(np.abs(ybar - mu) <= half_u)),
+        "a_hat": report.a_hat,
+        "av_star": report.av_star,
+        "a5_verdict": report.verdict,
+    }
+
+
+@pytest.mark.parametrize(
+    "table, n, phi, shape, reps, seed",
+    [
+        (1, 100, 0.06, 10.0, 300, 0),
+        (1, 100, 0.2, 10.0, 200, 7),
+        (1, 500, 0.01, 10.0, 120, 3),
+        (2, 100, 0.1, 25.0, 200, 1),
+        (2, 500, 0.1, 100.0, 100, 2),
+    ],
+)
+def test_mean_rows_match_the_direct_mean_oracle(table, n, phi, shape, reps, seed):
+    config = ExperimentConfig(table=table, n=n, phi=phi, shape=shape, reps=reps, master_seed=seed)
+    (row,) = run_table1(config) if table == 1 else run_table2(config)
+    expected = _mean_cell_oracle(n, phi, MarginalSpec.beta(shape, shape), reps, seed)
+    for key in ("ci_wald", "ci_u", "a5_verdict"):
+        assert getattr(row, key) == expected[key], key
+    for key in ("mean_lower", "mean_upper", "a_hat", "av_star"):
+        assert getattr(row, key) == pytest.approx(expected[key], rel=1e-12, abs=0), key
+    assert row.ci_r is None and row.coefficient is None
 
 
 class TestTable3:
