@@ -31,6 +31,7 @@ from densum.concentration import a5_empirical, optimal_s, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
 from densum.estimators import _exchangeable_sandwich, _qr_weight_rows
 from densum.kernels import (
+    beta_from_normal,
     beta_quantile,
     cholesky,
     ensure_pd,
@@ -45,6 +46,10 @@ MARGINAL_FAMILIES = ("beta", "truncnormal", "uniform")
 # The design draw for the regression experiment must never collide with a
 # replication stream, so it lives far outside the replication index range.
 DESIGN_STREAM_OFFSET = 2**32
+
+# The open unit interval's float ends, for copula probabilities Phi(x).
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 TABLE1_GRID = {
     100: (0.0, 0.06, 0.1, 0.2),
@@ -149,6 +154,20 @@ class MarginalSpec:
             return truncnorm_quantile(*self.params, u)
         lo, hi = self.params
         return lo + u * (hi - lo)
+
+    def from_normal(self, x):
+        """The Gaussian-copula transform quantile(Phi(x)) of normal draws x.
+
+        Beta marginals use the normal-scale map ``beta_from_normal``, which
+        overwrites x when it is a writable C-contiguous float64 array.  The
+        other families take quantile(Phi(x)) with Phi(x) clipped into
+        [tiny, 1 - 2^-53], so draws far in either tail (Phi rounds to 1
+        from x = 8.3 and to 0 below about -38) map inside the support.
+        """
+        if self.family == "beta":
+            return beta_from_normal(*self.params, np.require(x, float, ("C", "W")))
+        u = np.asarray(ndtr(x))
+        return self.quantile(np.clip(u, _TINY, _BELOW_ONE, out=u))
 
 
 def _norm_pdf(x):
@@ -258,7 +277,7 @@ def table3_corr(phi_star, w1, sigma=5.0, n=None):
 def copula_sample(corr, marginal, n, reps, seed):
     """Draw a reps x n outcome matrix from a Gaussian copula.
 
-    Row r is marginal.quantile(Phi(L z_r)) with L the Cholesky factor of
+    Row r is marginal.from_normal(L z_r) with L the Cholesky factor of
     ``corr`` and z_r standard normal from the counter-based stream
     (seed, r) — deterministic per replication, whatever the scheduling.
     ``corr`` must be symmetric with a unit diagonal.  A comonotone matrix
@@ -275,11 +294,12 @@ def copula_sample(corr, marginal, n, reps, seed):
     for r in range(reps):
         Z[r] = seeded_stream(seed, r).standard_normal(n)
     if n > 1 and np.all(corr == 1.0):
-        X = np.broadcast_to(Z[:, :1], (reps, n))
+        X = np.repeat(Z[:, :1], n, axis=1)
     else:
         L = cholesky(corr)
         X = Z @ L.T
-    return marginal.quantile(ndtr(X))
+    del Z
+    return marginal.from_normal(X)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +327,8 @@ def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
     sum_w2 = np.sum(W * W, axis=1)
     err = eps @ W.T
     B = beta[None, :] + err
-    resid = eps - err @ X.T
+    fitted = err @ X.T
+    resid = np.subtract(eps, fitted, out=fitted)
     vcov, _ = _exchangeable_sandwich(X, resid, sequential_partition(n, n // 10))
     z = std_normal_quantile(1.0 - alpha / 2.0)
     covered_wald = np.abs(err) <= z * np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 from conftest import random_psd
+from densum import kernels
 from densum.kernels import (
     NotPositiveDefiniteError,
+    beta_from_normal,
     beta_quantile,
     cholesky,
     ensure_pd,
@@ -76,6 +78,58 @@ class TestBetaQuantile:
         assert 0.0 <= x <= 1.0
         if p < 0.5:
             assert x <= float(beta_quantile(a, b, min(1 - 1e-7, p + 0.4)))
+
+
+def exact_beta_map(a, b, x):
+    """F^{-1}(Phi(x)) for Beta(a, b) by betaincinv; the upper half mirrored,
+    since Phi(x) rounds to 1 for x >= 8.3."""
+    x = np.asarray(x, dtype=float)
+    return np.where(
+        x <= 0.0,
+        special.betaincinv(a, b, special.ndtr(x)),
+        1.0 - special.betaincinv(b, a, special.ndtr(-x)),
+    )
+
+
+class TestBetaFromNormal:
+    # Dense enough to land inside every knot interval, and past the knots'
+    # edge at |x| = 8 into the tails that take the exact map.
+    GRID = np.linspace(-8.5, 8.5, 100_003)
+
+    @pytest.mark.parametrize("shape", [10.0, 25.0, 50.0, 100.0])
+    def test_matches_the_exact_map(self, shape, monkeypatch):
+        exact_values = []
+
+        def counting_quantile(a, b, p):
+            exact_values.append(np.size(p))
+            return beta_quantile(a, b, p)
+
+        monkeypatch.setattr(kernels, "beta_quantile", counting_quantile)
+        got = beta_from_normal(shape, shape, self.GRID.copy())
+        err = np.abs(got - exact_beta_map(shape, shape, self.GRID))
+        assert err.max() <= 1e-11
+        # the table serves every value inside the knots: the exact map only
+        # builds and checks it (knots plus midpoints) and covers the tails
+        tails = np.count_nonzero(np.abs(self.GRID) > kernels.NORMAL_MAP_EDGE)
+        assert sum(exact_values) == 2 * kernels.NORMAL_MAP_KNOTS - 1 + tails
+
+    def test_small_shapes_take_the_exact_map(self):
+        got = beta_from_normal(0.3, 0.3, self.GRID.copy())
+        np.testing.assert_array_equal(got, exact_beta_map(0.3, 0.3, self.GRID))
+
+    def test_overwrites_its_argument(self):
+        x = np.array([[-1.0, 0.0], [0.5, 9.0]])
+        assert beta_from_normal(10.0, 10.0, x) is x
+        np.testing.assert_allclose(x, exact_beta_map(10.0, 10.0, [[-1.0, 0.0], [0.5, 9.0]]),
+                                   atol=1e-11)
+
+    def test_rejects_arrays_it_cannot_overwrite(self):
+        with pytest.raises(ValueError, match="float64"):
+            beta_from_normal(10.0, 10.0, np.zeros(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="float64"):
+            beta_from_normal(10.0, 10.0, np.zeros((3, 3))[:, 0])
+        with pytest.raises(ValueError, match="positive"):
+            beta_from_normal(0.0, 1.0, np.zeros(3))
 
 
 class TestTruncnormQuantile:

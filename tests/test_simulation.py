@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from densum.concentration import a5_empirical, optimal_s
 from densum.estimators import _exchangeable_sandwich, gee_exchangeable_vcov, ols_fit
-from densum.kernels import cholesky, std_normal_quantile
+from densum.kernels import cholesky, seeded_stream, std_normal_quantile
 from densum.simulation import (
     TABLE1_GRID,
     TABLE2_SHAPES,
@@ -89,6 +89,22 @@ class TestMarginalSpec:
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            MarginalSpec.beta(10, 10),
+            MarginalSpec.beta(0.3, 0.3),
+            MarginalSpec.truncnormal(0, 5, -20, 20),
+            MarginalSpec.uniform(-1, 3),
+        ],
+    )
+    def test_extreme_normal_draws_map_inside_the_support(self, m):
+        # Phi rounds to 1 from x = 8.3 and to 0 below about -38
+        y = m.from_normal(np.array([-40.0, -9.0, 9.0, 40.0]))
+        assert np.all(np.isfinite(y))
+        assert np.all(y >= m.support.lower) and np.all(y <= m.support.upper)
+        assert np.all(np.diff(y) >= 0.0)
 
 
 class TestCorrelationBuilders:
@@ -184,6 +200,14 @@ class TestCopulaSample:
         assert float(Y.mean()) == pytest.approx(0.5, abs=0.005)
         assert float(Y.var()) == pytest.approx(1.0 / 84.0, abs=0.001)
         assert Y.min() >= 0.0 and Y.max() <= 1.0
+
+    def test_beta_cell_matches_betaincinv(self):
+        n, reps, seed = 30, 50, 4
+        corr = exchangeable_corr(n, 0.1)
+        Z = np.stack([seeded_stream(seed, r).standard_normal(n) for r in range(reps)])
+        expected = special.betaincinv(10.0, 10.0, special.ndtr(Z @ cholesky(corr).T))
+        got = copula_sample(corr, MarginalSpec.beta(10, 10), n, reps, seed)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must be 3 x 3"):
