@@ -364,17 +364,20 @@ def _exchangeable_sandwich(X, E, partition):
 
     with Sx_k, Se_k the within-cluster sums.  Observations are taken in
     stable label order, so each cluster is one contiguous run for
-    ``reduceat`` whatever the partition (for a sequential partition the
-    order is the identity).  Returns (vcov, rho) of shapes reps x p x p and
+    ``reduceat`` whatever the partition; when the labels already run in
+    order (every sequential partition) X and E are used as they are, with
+    no reordered copy.  Returns (vcov, rho) of shapes reps x p x p and
     (reps,).
     """
     n, p = X.shape
-    if partition.assignment.shape[0] != n:
+    labels = partition.assignment
+    if labels.shape[0] != n:
         raise ValueError("partition length does not match the data")
     if partition.n_clusters < 2:
         raise ValueError("need at least two clusters for a sandwich estimate")
-    order = np.argsort(partition.assignment, kind="stable")
-    X, E = X[order], np.take(E, order, axis=1)  # take keeps E row-major
+    if np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        X, E = X[order], np.take(E, order, axis=1)  # take keeps E row-major
     sizes = partition.cluster_sizes
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 

@@ -1,13 +1,15 @@
 """Numeric kernels: quantile transforms, the Beta copula transform, Cholesky
-with positive-definite repair, and deterministic counter-based uniform
-streams.
+with positive-definite repair, the rank-one correlation's semiseparable
+factor, and deterministic counter-based uniform streams.
 
 These back the copula simulator.  The quantile transforms wrap scipy's
 high-accuracy special functions and serve as the oracles for the fast
 normal-scale Beta map ``beta_from_normal``: a cubic Hermite interpolant of
 x -> F^{-1}(Phi(x)) on a uniform normal-scale grid, built on each call,
 checked against ``beta_quantile`` at every interval midpoint and replaced by
-the exact map where that check or the grid's range does not hold.  The
+the exact map where that check or the grid's range does not hold.  Every
+correlation the coverage grids use is diag(1 - v^2) + v v^T, whose Cholesky
+factor ``rank_one_cholesky`` gives in O(n) without forming the matrix.  The
 random streams are Philox counter-based generators keyed by (master seed,
 stream index) so that replications can be generated in any order, on any
 number of workers, with bit-identical results.
@@ -15,6 +17,7 @@ number of workers, with bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +155,14 @@ def beta_from_normal(a, b, x):
     return x
 
 
-def truncnorm_quantile(mu, sigma, lo, hi, p):
+def truncnorm_quantile(mu, sigma, lo, hi, p, out=None):
     """Quantile of a normal(mu, sigma^2) truncated to [lo, hi].
 
     Computed by inverting the normal CDF on the renormalized interval:
     x = mu + sigma * Phi^{-1}(Phi(alpha) + p * (Phi(beta) - Phi(alpha))).
-    The result is clipped to [lo, hi] to absorb boundary rounding.
+    The result is clipped to [lo, hi] to absorb boundary rounding.  With
+    ``out`` (a float64 array of p's shape, which may be p itself) every step
+    writes there, in the same order of operations, and ``out`` is returned.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -170,8 +175,12 @@ def truncnorm_quantile(mu, sigma, lo, hi, p):
     b = special.ndtr((hi - mu) / sigma)
     if not b > a:
         raise ValueError("truncation interval carries no probability mass")
-    x = mu + sigma * special.ndtri(a + p * (b - a))
-    return np.clip(x, lo, hi)
+    x = np.multiply(p, b - a, out=out)
+    x = np.add(a, x, out=out)
+    x = special.ndtri(x, out=out)
+    x = np.multiply(sigma, x, out=out)
+    x = np.add(mu, x, out=out)
+    return np.clip(x, lo, hi, out=out)
 
 
 def validate_correlation(A, tol=1e-8):
@@ -216,6 +225,17 @@ class PDRepair:
         return self.lam > 0.0
 
 
+def _shrinkage_grid(eps):
+    """The repair weights {0, eps, 10*eps, ..., 1} that ensure_pd tries."""
+    grid = [0.0]
+    lam = float(eps)
+    while lam < 1.0:
+        grid.append(lam)
+        lam *= 10.0
+    grid.append(1.0)
+    return grid
+
+
 def ensure_pd(A, eps=1e-6):
     """Shrink a symmetric matrix toward the identity until it is PD.
 
@@ -231,17 +251,64 @@ def ensure_pd(A, eps=1e-6):
         raise ValueError("ensure_pd needs a square matrix")
     A = 0.5 * (A + A.T)
     eye = np.eye(A.shape[0])
-    grid = [0.0]
-    lam = float(eps)
-    while lam < 1.0:
-        grid.append(lam)
-        lam *= 10.0
-    grid.append(1.0)
-    for attempts, lam in enumerate(grid, start=1):
+    for attempts, lam in enumerate(_shrinkage_grid(eps), start=1):
         candidate = A if lam == 0.0 else (1.0 - lam) * A + lam * eye
         try:
             np.linalg.cholesky(candidate)
         except np.linalg.LinAlgError:
+            continue
+        return candidate, PDRepair(lam=lam, attempts=attempts)
+    raise AssertionError("unreachable: the identity is positive definite")
+
+
+def rank_one_cholesky(v):
+    """Semiseparable Cholesky factor of the correlation C = diag(1 - v^2) + v v^T.
+
+    C has a unit diagonal and off-diagonal entries v_i v_j.  Its lower
+    factor L has L_jj = d_j and L_ij = v_i g_j for i > j, from the
+    recurrence (Gill, Golub, Murray & Saunders 1974; Vandebril, Van Barel &
+    Mastronardi 2008)
+
+        d_j^2 = 1 - v_j^2 S_j,  g_j = v_j (1 - S_j) / d_j,  S_{j+1} = S_j + g_j^2,
+
+    with S_1 = 0: O(n) work and no n x n matrix.  C is positive definite
+    exactly when every d_j^2 > 0, the condition under which a Cholesky
+    factorization succeeds; otherwise NotPositiveDefiniteError is raised.
+    Returns (d, g).
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValueError("loading vector must be 1-D and finite")
+    d, g = [], []
+    s = 0.0
+    for vj in v.tolist():
+        d2 = 1.0 - vj * vj * s
+        if not d2 > 0.0:
+            raise NotPositiveDefiniteError(
+                "rank-one correlation is not positive definite; repair it with "
+                "rank_one_ensure_pd"
+            )
+        dj = math.sqrt(d2)
+        gj = vj * (1.0 - s) / dj
+        d.append(dj)
+        g.append(gj)
+        s += gj * gj
+    return np.array(d), np.array(g)
+
+
+def rank_one_ensure_pd(v, eps=1e-6):
+    """``ensure_pd`` for the rank-one correlation diag(1 - v^2) + v v^T.
+
+    Shrinking it toward the identity, (1 - lam) C + lam I, is the same form
+    with v -> sqrt(1 - lam) v, so the smallest lam on ensure_pd's grid whose
+    ``rank_one_cholesky`` succeeds is kept.  Returns (shrunk v, PDRepair).
+    """
+    v = np.asarray(v, dtype=float)
+    for attempts, lam in enumerate(_shrinkage_grid(eps), start=1):
+        candidate = v if lam == 0.0 else math.sqrt(1.0 - lam) * v
+        try:
+            rank_one_cholesky(candidate)
+        except NotPositiveDefiniteError:
             continue
         return candidate, PDRepair(lam=lam, attempts=attempts)
     raise AssertionError("unreachable: the identity is positive definite")

@@ -15,8 +15,15 @@ All three score their replications with one coverage engine: a mean is the
 intercept-only least-squares fit (X = 1, weight row 1/n).
 
 Every replication r draws its normals from an independent counter-based
-stream keyed by (master_seed, r), so results are bit-identical however the
-replications are scheduled, and grid cells share common random numbers.
+stream keyed by (master_seed, r); the drivers draw them once per n
+(``standard_normals``) and every cell at that n reads the same matrix, so
+grid cells share common random numbers.  Every grid correlation is
+diag(1 - v^2) + v v^T (v = sqrt(phi) 1 for the exchangeable tables, v
+proportional to the intercept weights for the mosaic), and ``copula_sample``
+applies its semiseparable factor row by row with one cumulative sum: a
+shorter run is then a bit-identical prefix of a longer one, and any single
+replication can be reproduced alone.  Other matrices take a dense Cholesky
+product in fixed-size row blocks, which keeps the prefix property only.
 """
 
 from __future__ import annotations
@@ -31,10 +38,13 @@ from densum.concentration import a5_empirical, optimal_s, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
 from densum.estimators import _exchangeable_sandwich, _qr_weight_rows
 from densum.kernels import (
+    NORMAL_MAP_BLOCK,
     beta_from_normal,
     beta_quantile,
     cholesky,
     ensure_pd,
+    rank_one_cholesky,
+    rank_one_ensure_pd,
     seeded_stream,
     std_normal_quantile,
     truncnorm_quantile,
@@ -50,6 +60,11 @@ DESIGN_STREAM_OFFSET = 2**32
 # The open unit interval's float ends, for copula probabilities Phi(x).
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# Replications per block of the copula's normal-scale arithmetic.  The dense
+# product pads its last block with zeros, so every matrix product has this
+# many rows whatever reps is.
+COPULA_BLOCK_ROWS = 256
 
 TABLE1_GRID = {
     100: (0.0, 0.06, 0.1, 0.2),
@@ -158,16 +173,30 @@ class MarginalSpec:
     def from_normal(self, x):
         """The Gaussian-copula transform quantile(Phi(x)) of normal draws x.
 
-        Beta marginals use the normal-scale map ``beta_from_normal``, which
-        overwrites x when it is a writable C-contiguous float64 array.  The
-        other families take quantile(Phi(x)) with Phi(x) clipped into
-        [tiny, 1 - 2^-53], so draws far in either tail (Phi rounds to 1
-        from x = 8.3 and to 0 below about -38) map inside the support.
+        Overwrites x when it is a writable C-contiguous float64 array (any
+        other input is copied first) and returns it.  Beta marginals use the
+        normal-scale map ``beta_from_normal``.  The other families take
+        quantile(Phi(x)) with Phi(x) clipped into [tiny, 1 - 2^-53], so draws
+        far in either tail (Phi rounds to 1 from x = 8.3 and to 0 below about
+        -38) map inside the support; they run in place over blocks of
+        NORMAL_MAP_BLOCK values, with the same operations as
+        ``quantile(clip(ndtr(x)))`` and so the same values.
         """
+        x = np.require(x, float, ("C", "W"))
         if self.family == "beta":
-            return beta_from_normal(*self.params, np.require(x, float, ("C", "W")))
-        u = np.asarray(ndtr(x))
-        return self.quantile(np.clip(u, _TINY, _BELOW_ONE, out=u))
+            return beta_from_normal(*self.params, x)
+        flat = x.reshape(-1)
+        for start in range(0, flat.size, NORMAL_MAP_BLOCK):
+            u = flat[start:start + NORMAL_MAP_BLOCK]
+            ndtr(u, out=u)
+            np.clip(u, _TINY, _BELOW_ONE, out=u)
+            if self.family == "truncnormal":
+                truncnorm_quantile(*self.params, u, out=u)
+            else:
+                lo, hi = self.params
+                u *= hi - lo
+                u += lo
+        return x
 
 
 def _norm_pdf(x):
@@ -238,12 +267,7 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def exchangeable_corr(n, rho):
-    """Correlation matrix with unit diagonal and constant off-diagonal rho.
-
-    Positive definiteness requires -1/(n-1) < rho < 1 (the smallest
-    eigenvalue is 1 - rho, the largest 1 + (n-1) rho).
-    """
+def _check_exchangeable(n, rho):
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
@@ -251,9 +275,28 @@ def exchangeable_corr(n, rho):
         raise ValueError(
             f"exchangeable correlation needs -1/(n-1) = {-1.0 / (n - 1):.6f} < rho < 1"
         )
+    return n
+
+
+def exchangeable_corr(n, rho):
+    """Correlation matrix with unit diagonal and constant off-diagonal rho.
+
+    Positive definiteness requires -1/(n-1) < rho < 1 (the smallest
+    eigenvalue is 1 - rho, the largest 1 + (n-1) rho).
+    """
+    n = _check_exchangeable(n, rho)
     corr = np.full((n, n), float(rho))
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def _exchangeable_copula(n, rho):
+    """``exchangeable_corr(n, rho)`` as ``copula_sample`` takes it: the
+    loading vector sqrt(rho) 1 when rho >= 0, the matrix otherwise (a
+    negative constant correlation has no real rank-one form)."""
+    if rho < 0:
+        return exchangeable_corr(n, rho)
+    return np.full(_check_exchangeable(n, rho), math.sqrt(rho))
 
 
 def table3_corr(phi_star, w1, sigma=5.0, n=None):
@@ -274,31 +317,112 @@ def table3_corr(phi_star, w1, sigma=5.0, n=None):
     return ensure_pd(corr)
 
 
-def copula_sample(corr, marginal, n, reps, seed):
+def _table3_copula(phi_star, w1, sigma):
+    """``table3_corr(phi_star, w1, sigma)`` as ``copula_sample`` takes it:
+    (loading vector, PDRepair) for the mosaic diag(1 - v^2) + v v^T with
+    v = sqrt(phi* n^2 / sigma^2) w1, repaired by ``rank_one_ensure_pd``.
+    A negative phi* (no real rank-one form) or a mosaic with an off-diagonal
+    entry that table3_corr would clip gets table3_corr's dense matrix."""
+    w1 = np.asarray(w1, dtype=float).ravel()
+    n = w1.shape[0]
+    scale = phi_star * n * n / (sigma * sigma)
+    top = np.sort(np.abs(w1))[-2:]  # the largest |off-diagonal| is scale * (top[0] * top[1])
+    if scale < 0 or (n > 1 and scale * (top[0] * top[1]) > 0.999):
+        return table3_corr(phi_star, w1, sigma)
+    return rank_one_ensure_pd(math.sqrt(scale) * w1)
+
+
+def standard_normals(n, reps, seed):
+    """The copula's reps x n standard normals, read-only.
+
+    Row r comes from the counter-based stream (seed, r), so it is the same
+    whatever reps is and whatever else is drawn.
+    """
+    Z = np.empty((int(reps), int(n)))
+    for r in range(Z.shape[0]):
+        Z[r] = seeded_stream(seed, r).standard_normal(Z.shape[1])
+    Z.flags.writeable = False
+    return Z
+
+
+def _rank_one_normals(v, Z):
+    """Rows of Z times the semiseparable factor of diag(1 - v^2) + v v^T:
+    X_i = d_i Z_i + v_i sum_{j<i} g_j Z_j, one exclusive cumulative sum per
+    row, so each row depends on its own draws alone."""
+    d, g = rank_one_cholesky(v)
+    X = np.empty(Z.shape)
+    X[:, 0] = 0.0
+    buf = np.empty((min(COPULA_BLOCK_ROWS, Z.shape[0]), Z.shape[1]))
+    for start in range(0, Z.shape[0], COPULA_BLOCK_ROWS):
+        z, x = Z[start:start + COPULA_BLOCK_ROWS], X[start:start + COPULA_BLOCK_ROWS]
+        tail = x[:, 1:]
+        np.multiply(z[:, :-1], g[:-1], out=tail)
+        np.cumsum(tail, axis=1, out=tail)
+        x *= v
+        dz = np.multiply(z, d, out=buf[:z.shape[0]])
+        x += dz
+    return X
+
+
+def _dense_normals(corr, Z):
+    """Rows of Z times the Cholesky factor of ``corr``, in row blocks of
+    COPULA_BLOCK_ROWS with the last one zero-padded: every product has the
+    same shape, so a shorter run is a bit-identical prefix of a longer one.
+    A single row drawn alone may still differ in the last bits."""
+    LT = cholesky(corr).T
+    reps, n = Z.shape
+    X = np.empty((reps, n))
+    pad = np.zeros((COPULA_BLOCK_ROWS, n))
+    for start in range(0, reps, COPULA_BLOCK_ROWS):
+        z = Z[start:start + COPULA_BLOCK_ROWS]
+        if z.shape[0] == COPULA_BLOCK_ROWS:
+            np.matmul(z, LT, out=X[start:start + COPULA_BLOCK_ROWS])
+        else:
+            pad[:z.shape[0]] = z
+            X[start:] = (pad @ LT)[:z.shape[0]]
+    return X
+
+
+def copula_sample(corr, marginal, n, reps, seed, normals=None):
     """Draw a reps x n outcome matrix from a Gaussian copula.
 
-    Row r is marginal.from_normal(L z_r) with L the Cholesky factor of
-    ``corr`` and z_r standard normal from the counter-based stream
+    Row r is marginal.from_normal(L z_r) with L the Cholesky factor of the
+    correlation and z_r standard normal from the counter-based stream
     (seed, r) — deterministic per replication, whatever the scheduling.
-    ``corr`` must be symmetric with a unit diagonal.  A comonotone matrix
-    (all cells 1) is handled directly, since it is singular: every column
-    repeats the first coordinate.
+    ``normals``, when given, is that draw, ``standard_normals(n, reps,
+    seed)``, made once by a caller that shares it across cells; it is only
+    read.
+
+    ``corr`` is either a length-n loading vector v, standing for the
+    correlation diag(1 - v^2) + v v^T (it must be finite, and positive
+    definite by ``rank_one_cholesky``), or an n x n matrix that is symmetric
+    with a unit diagonal.  A vector row is one O(n) cumulative sum and
+    depends on z_r alone.  A matrix takes a dense product in fixed-size row
+    blocks, which keeps a shorter run a prefix of a longer one but not a
+    single replication bit-identical to its row in a batch.  A comonotone
+    matrix (all cells 1) is handled directly, since it is singular: every
+    column repeats the first coordinate.
     """
     corr = np.asarray(corr, dtype=float)
     n = int(n)
     reps = int(reps)
-    if corr.shape != (n, n):
+    if corr.ndim == 1:
+        if corr.shape != (n,):
+            raise ValueError(f"loading vector must have length {n}, got {corr.shape[0]}")
+    elif corr.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
-    validate_correlation(corr)
-    Z = np.empty((reps, n))
-    for r in range(reps):
-        Z[r] = seeded_stream(seed, r).standard_normal(n)
-    if n > 1 and np.all(corr == 1.0):
+    else:
+        validate_correlation(corr)
+    Z = standard_normals(n, reps, seed) if normals is None else normals
+    if Z.shape != (reps, n):
+        raise ValueError(f"normals must be {reps} x {n}, got {Z.shape}")
+    if corr.ndim == 1:
+        X = _rank_one_normals(corr, Z)
+    elif n > 1 and np.all(corr == 1.0):
         X = np.repeat(Z[:, :1], n, axis=1)
     else:
-        L = cholesky(corr)
-        X = Z @ L.T
-    del Z
+        X = _dense_normals(corr, Z)
+    del Z  # frees a draw made here before the transform
     return marginal.from_normal(X)
 
 
@@ -358,9 +482,12 @@ def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
     return rows
 
 
-def _mean_cell(table, n, phi, marginal, config, alpha_shape=None):
-    """One (n, phi) cell of a mean-coverage experiment: the intercept-only fit."""
-    eps = copula_sample(exchangeable_corr(n, phi), marginal, n, config.reps, config.master_seed)
+def _mean_cell(table, n, phi, marginal, config, Z, alpha_shape=None):
+    """One (n, phi) cell of a mean-coverage experiment: the intercept-only fit
+    on the shared normals Z of its n."""
+    eps = copula_sample(
+        _exchangeable_copula(n, phi), marginal, n, config.reps, config.master_seed, normals=Z
+    )
     eps -= marginal.mean
     W = np.full((1, n), 1.0 / n)
     bound = rule_of_thumb(W[0], marginal.variance, marginal.support.range)
@@ -387,8 +514,9 @@ def run_table1(config):
         if n not in TABLE1_GRID:
             raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
+        Z = standard_normals(n, config.reps, config.master_seed)
         for phi in phis:
-            rows.append(_mean_cell(1, n, phi, marginal, config))
+            rows.append(_mean_cell(1, n, phi, marginal, config, Z))
     return rows
 
 
@@ -401,12 +529,13 @@ def run_table2(config):
     n = config.n if config.n is not None else 500
     phi = config.phi if config.phi is not None else 0.1
     shapes = (config.shape,) if config.shape is not None else TABLE2_SHAPES
+    if any(shape <= 0 for shape in shapes):
+        raise ValueError("beta shape must be positive")
+    Z = standard_normals(n, config.reps, config.master_seed)
     rows = []
     for shape in shapes:
-        if shape <= 0:
-            raise ValueError("beta shape must be positive")
         marginal = MarginalSpec.beta(shape, shape)
-        rows.append(_mean_cell(2, n, phi, marginal, config, alpha_shape=float(shape)))
+        rows.append(_mean_cell(2, n, phi, marginal, config, Z, alpha_shape=float(shape)))
     return rows
 
 
@@ -441,9 +570,10 @@ def run_table3(config):
         n = int(n)
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
+        Z = standard_normals(n, config.reps, config.master_seed)
         for phi_star in phis:
-            corr, repair = table3_corr(phi_star, W[0], sigma=5.0)
-            eps = copula_sample(corr, marginal, n, config.reps, config.master_seed)
+            corr, repair = _table3_copula(phi_star, W[0], sigma=5.0)
+            eps = copula_sample(corr, marginal, n, config.reps, config.master_seed, normals=Z)
             rows += _coverage_rows(
                 X, W, TABLE3_BETA, eps, marginal.support, config.alpha, c_star,
                 names=("beta0", "beta1"),

@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import densum.cli
 from densum.cli import (
     RESULTS_HEADER,
     RESULTS_VERSION,
@@ -15,6 +16,7 @@ from densum.cli import (
     SeriesDiagnostics,
     _parse_range_flag,
     _series_diagnostics,
+    _write_plot_csvs,
     load_columns,
     main,
     read_results_csv,
@@ -143,6 +145,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--table", "1", "-c", str(cfg), "--phi", "0.2",
                      "--out", str(out)]) == 0
         assert read_results_csv(out)[0]["phi"] == "0.2"
+
+    def test_missing_output_directory_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("run_table must not run")
+
+        monkeypatch.setattr(densum.cli, "run_table", never)
+        missing = tmp_path / "missing" / "dir"
+        rc = main(["simulate", "--table", "1", "--reps", "300", "--out", str(missing / "x.csv")])
+        assert rc == 1
+        assert f"output directory {missing} does not exist" in capsys.readouterr().err
 
     def test_env_seed_beats_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DENSUM_SEED", "123")
@@ -482,10 +494,53 @@ class TestDiagnoseCommand:
             acf = list(csv.DictReader(handle))
         assert {r["window"] for r in acf} == {"short", "long"}
 
+    @pytest.mark.parametrize("block", [densum.cli.PLOT_CSV_BLOCK, 7])
+    def test_plot_csvs_match_the_csv_writer_bytes(self, block, tmp_path, monkeypatch):
+        # negatives, ties, tiny and large magnitudes, an integer-valued float;
+        # a small block puts seams inside every file
+        monkeypatch.setattr(densum.cli, "PLOT_CSV_BLOCK", block)
+        rng = np.random.default_rng(8)
+        series = np.concatenate([
+            rng.normal(size=200), [-3.5, -3.5, 0.0, 0.0, 1e-7, -2.5e-9, 123456789.0, 7.0, 7.0],
+        ])
+        diag, acf = _series_diagnostics("z", series)
+        _write_plot_csvs(str(tmp_path / "new"), series, diag, acf)
+        _csv_writer_plot_csvs(str(tmp_path / "old"), series, diag, acf)
+        for suffix in ("hist", "ecdf", "acf"):
+            new = (tmp_path / f"new_{suffix}.csv").read_bytes()
+            assert new == (tmp_path / f"old_{suffix}.csv").read_bytes(), suffix
+
     def test_constant_column_fails_cleanly(self, tmp_path, capsys):
         path = write_csv(tmp_path / "const.csv", {"y": [1.0] * 20})
         assert main(["diagnose", path, "--column", "y"]) == 1
         assert "constant" in capsys.readouterr().err
+
+
+def _fmt6(value):
+    return f"{value:.6g}"
+
+
+def _csv_writer_plot_csvs(prefix, series, diag, acf):
+    """The plot CSVs written one csv.writer row at a time: the byte oracle."""
+    z = np.asarray(series, dtype=float)
+    n = z.shape[0]
+    counts, edges = np.histogram(z, bins="auto")
+    with open(f"{prefix}_hist.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["bin_left", "bin_right", "count"])
+        for i, count in enumerate(counts):
+            writer.writerow([_fmt6(float(edges[i])), _fmt6(float(edges[i + 1])), count])
+    with open(f"{prefix}_ecdf.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["value", "fraction"])
+        for i, value in enumerate(np.sort(z), start=1):
+            writer.writerow([_fmt6(float(value)), _fmt6(i / n)])
+    with open(f"{prefix}_acf.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lag", "r", "window"])
+        for window, lags in (("short", diag.lags_short), ("long", diag.lags_long)):
+            for lag, r in enumerate(acf[:lags], start=1):
+                writer.writerow([lag, _fmt6(float(r)), window])
 
 
 class TestLoadColumns:

@@ -1,0 +1,50 @@
+"""Golden outputs: the coverage tables at reps=2000, seed 0.
+
+``tests/golden/table{1,2,3}_reps2000_seed0.csv`` are the results CSVs of
+``densum simulate --table T --reps 2000 --seed 0``.  A rerun must reproduce
+every coverage rate and verdict exactly and every other cell at six
+significant digits.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from densum.cli import main, read_results_csv
+
+GOLDEN = Path(__file__).parent / "golden"
+EXACT = ("table", "n", "phi", "alpha_shape", "coefficient", "ci_wald", "ci_u", "ci_r",
+         "verdict", "seed")
+
+
+def agree6(ref, got):
+    """True when ``got`` matches ``ref`` at six significant digits (one unit
+    of the sixth digit of ``ref``); non-numeric cells must be equal."""
+    try:
+        a, b = float(ref), float(got)
+    except ValueError:
+        return ref == got
+    if a == b:
+        return True
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
+        return False
+    unit = 10.0 ** (math.floor(math.log10(abs(a))) - 5)
+    return abs(a - b) <= unit * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_simulate_reproduces_the_golden_table(table, tmp_path):
+    out = tmp_path / f"table{table}.csv"
+    assert main(["simulate", "--table", str(table), "--reps", "2000", "--seed", "0",
+                 "--out", str(out)]) == 0
+    expected = read_results_csv(GOLDEN / f"table{table}_reps2000_seed0.csv")
+    got = read_results_csv(out)
+    assert len(got) == len(expected)
+    for i, (ref, row) in enumerate(zip(expected, got)):
+        assert row.keys() == ref.keys()
+        for key, value in ref.items():
+            if key in EXACT:
+                assert row[key] == value, (i, key)
+            else:
+                assert agree6(value, row[key]), (i, key, row[key], value)

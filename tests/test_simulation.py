@@ -2,23 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
+import densum.simulation
 from densum.concentration import a5_empirical, optimal_s
-from densum.estimators import _exchangeable_sandwich, gee_exchangeable_vcov, ols_fit
-from densum.kernels import cholesky, seeded_stream, std_normal_quantile
+from densum.estimators import (
+    _exchangeable_sandwich,
+    _qr_weight_rows,
+    gee_exchangeable_vcov,
+    ols_fit,
+)
+from densum.kernels import (
+    NORMAL_MAP_BLOCK,
+    cholesky,
+    ensure_pd,
+    rank_one_ensure_pd,
+    seeded_stream,
+    std_normal_quantile,
+    truncnorm_quantile,
+)
 from densum.simulation import (
     TABLE1_GRID,
     TABLE2_SHAPES,
     CoverageReport,
     ExperimentConfig,
     MarginalSpec,
+    _exchangeable_copula,
+    _rank_one_normals,
+    _table3_copula,
     copula_sample,
     exchangeable_corr,
     run_table,
     run_table1,
     run_table2,
     run_table3,
+    standard_normals,
     table3_corr,
     table3_design,
 )
@@ -105,6 +125,42 @@ class TestMarginalSpec:
         assert np.all(np.isfinite(y))
         assert np.all(y >= m.support.lower) and np.all(y <= m.support.upper)
         assert np.all(np.diff(y) >= 0.0)
+
+
+    @pytest.mark.parametrize(
+        "m, quantile",
+        [
+            (
+                MarginalSpec.truncnormal(0, 5, -20, 20),
+                lambda u, a=special.ndtr(-4.0), b=special.ndtr(4.0): np.clip(
+                    0.0 + 5.0 * special.ndtri(a + u * (b - a)), -20.0, 20.0
+                ),
+            ),
+            (MarginalSpec.uniform(-1, 2.5), lambda u: -1.0 + u * 3.5),
+        ],
+    )
+    def test_in_place_transform_matches_the_quantile_of_phi(self, m, quantile):
+        # bit for bit, over more than one evaluation block
+        x = np.random.default_rng(3).normal(scale=3.0, size=(3, NORMAL_MAP_BLOCK))
+        x[0, :4] = (-40.0, -9.0, 9.0, 40.0)
+        expected = quantile(np.clip(special.ndtr(x), np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
+        got = m.from_normal(x)
+        assert got is x
+        np.testing.assert_array_equal(got, expected)
+
+    def test_read_only_input_is_copied(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        x.flags.writeable = False
+        y = MarginalSpec.truncnormal(0, 5, -20, 20).from_normal(x)
+        np.testing.assert_array_equal(x, np.linspace(-3.0, 3.0, 7))
+        assert y is not x
+
+    def test_truncnorm_quantile_out_matches_the_new_array(self):
+        p = np.linspace(0.001, 0.999, 101)
+        expected = truncnorm_quantile(0.0, 5.0, -20.0, 20.0, p)
+        got = truncnorm_quantile(0.0, 5.0, -20.0, 20.0, p, out=p)
+        assert got is p
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestCorrelationBuilders:
@@ -222,6 +278,144 @@ class TestCopulaSample:
     def test_non_unit_diagonal_rejected(self):
         with pytest.raises(ValueError, match="unit diagonal"):
             copula_sample(2.0 * np.eye(2), MarginalSpec.uniform(0, 1), 2, 2, seed=0)
+
+
+def _dense(v):
+    corr = np.outer(v, v)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def _mosaic(n, phi_star=0.15):
+    w1 = _qr_weight_rows(table3_design(n, master_seed=0))[0]
+    v, repair = _table3_copula(phi_star, w1, sigma=5.0)
+    return v, repair, w1
+
+
+class TestStructuredSampler:
+    # Every grid correlation is diag(1 - v^2) + v v^T.  Its semiseparable
+    # factor is checked against the dense Cholesky product, and each row's
+    # arithmetic uses only that row's draws, so the determinism contract
+    # holds bit for bit: a shorter run is a prefix of a longer one, and a
+    # replication can be reproduced in a run of its own.
+
+    CELLS = {
+        "beta-exchangeable": lambda n: (_exchangeable_copula(n, 0.01), MarginalSpec.beta(10, 10)),
+        "truncnormal-mosaic": lambda n: (_mosaic(n)[0], MarginalSpec.truncnormal(0, 5, -20, 20)),
+    }
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        cell=st.sampled_from(sorted(CELLS)),
+        n=st.sampled_from([500, 1500]),
+        k=st.integers(1, 600),
+        seed=st.integers(0, 2**16),
+    )
+    @example(cell="beta-exchangeable", n=1500, k=1000, seed=0)
+    @example(cell="truncnormal-mosaic", n=500, k=1000, seed=0)
+    def test_shorter_run_is_a_bitwise_prefix(self, cell, n, k, seed):
+        corr, m = self.CELLS[cell](n)
+        short = copula_sample(corr, m, n, k, seed)
+        np.testing.assert_array_equal(short, copula_sample(corr, m, n, 2 * k, seed)[:k])
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        cell=st.sampled_from(sorted(CELLS)),
+        n=st.sampled_from([500, 1500]),
+        r=st.integers(0, 299),
+        seed=st.integers(0, 2**16),
+    )
+    @example(cell="beta-exchangeable", n=1500, r=0, seed=0)
+    @example(cell="truncnormal-mosaic", n=1500, r=0, seed=0)
+    def test_replication_reproduces_in_isolation(self, cell, n, r, seed):
+        corr, m = self.CELLS[cell](n)
+        alone = copula_sample(corr, m, n, r + 1, seed)[r]
+        np.testing.assert_array_equal(alone, copula_sample(corr, m, n, 300, seed)[r])
+
+    @pytest.mark.parametrize("n", sorted(TABLE1_GRID))
+    def test_exchangeable_factor_matches_the_dense_cholesky(self, n):
+        Z = standard_normals(n, 40, seed=2)
+        for rho in TABLE1_GRID[n] + (0.5,):
+            expected = Z @ cholesky(exchangeable_corr(n, rho)).T
+            got = _rank_one_normals(_exchangeable_copula(n, rho), Z)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 500, 1500])
+    def test_mosaic_factor_matches_the_dense_cholesky(self, n):
+        v, repair, w1 = _mosaic(n)
+        corr, dense_repair = table3_corr(0.15, w1, sigma=5.0)
+        assert repair == dense_repair
+        Z = standard_normals(n, 40, seed=2)
+        np.testing.assert_allclose(
+            _rank_one_normals(v, Z), Z @ cholesky(corr).T, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.full(10, 1.00003),
+            np.full(40, 1.0005),
+            np.full(25, 1.02),
+            np.array([2.0, 0.5, 0.5]),
+            np.r_[1.004, np.full(30, 0.8)],  # one loading above 1, still PD
+        ],
+    )
+    def test_repair_matches_ensure_pd(self, v):
+        shrunk, repair = rank_one_ensure_pd(v)
+        fixed, dense_repair = ensure_pd(_dense(v))
+        assert repair == dense_repair
+        np.testing.assert_allclose(_dense(shrunk), fixed, rtol=0, atol=1e-14)
+
+    def test_unclipped_mosaics_are_structured_others_dense(self):
+        assert _table3_copula(0.1, [0.1, 0.2, 0.3], sigma=5.0)[0].ndim == 1
+        for phi_star, w1 in ((25.0 / 18.0, [3.0, 1.0, 1.0]), (-0.1, [0.1, 0.2, 0.3])):
+            corr, repair = _table3_copula(phi_star, w1, sigma=5.0)
+            expected, expected_repair = table3_corr(phi_star, w1, sigma=5.0)
+            np.testing.assert_array_equal(corr, expected)
+            assert repair == expected_repair
+        np.testing.assert_array_equal(_exchangeable_copula(4, -0.2), exchangeable_corr(4, -0.2))
+        with pytest.raises(ValueError, match="-1/"):
+            _exchangeable_copula(3, 1.0)
+
+    def test_loading_vector_is_validated(self):
+        m = MarginalSpec.uniform(0, 1)
+        with pytest.raises(ValueError, match="length 3"):
+            copula_sample(np.full(2, 0.1), m, 3, 2, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            copula_sample(np.array([0.1, np.nan]), m, 2, 2, seed=0)
+
+    def test_dense_path_keeps_the_prefix(self):
+        # a negative exchangeable correlation has no real rank-one form
+        n, m = 500, MarginalSpec.truncnormal(0, 5, -20, 20)
+        corr = _exchangeable_copula(n, -0.001)
+        assert corr.shape == (n, n)
+        short = copula_sample(corr, m, n, 300, seed=1)
+        np.testing.assert_array_equal(short, copula_sample(corr, m, n, 600, seed=1)[:300])
+
+    def test_shared_normals_give_the_same_draw(self):
+        n, reps, m = 50, 30, MarginalSpec.beta(10, 10)
+        Z = standard_normals(n, reps, seed=4)
+        assert not Z.flags.writeable
+        for corr in (_exchangeable_copula(n, 0.1), exchangeable_corr(n, -0.01)):
+            np.testing.assert_array_equal(
+                copula_sample(corr, m, n, reps, 4, normals=Z), copula_sample(corr, m, n, reps, 4)
+            )
+        with pytest.raises(ValueError, match="normals must be 31 x 50"):
+            copula_sample(_exchangeable_copula(n, 0.1), m, n, reps + 1, 4, normals=Z)
+
+    def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
+        calls = []
+
+        def counting(seed, index):
+            calls.append(index)
+            return seeded_stream(seed, index)
+
+        monkeypatch.setattr(densum.simulation, "seeded_stream", counting)
+        run_table1(ExperimentConfig(table=1, n=100, reps=3))
+        assert calls == [0, 1, 2]  # four phi cells share one draw
+        calls.clear()
+        run_table3(ExperimentConfig(table=3, n=100, reps=3))
+        assert sorted(calls) == [0, 1, 2, 2**32 + 100]  # plus the design draw
 
 
 class TestVectorizedSandwich:
