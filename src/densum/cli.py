@@ -275,6 +275,26 @@ def _resolve_seed(flag_value, config, section):
 # ---------------------------------------------------------------------------
 
 
+def _check_output_dir(path):
+    """Fail before any work when an output path's directory is missing."""
+    out_dir = os.path.dirname(path)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir} does not exist")
+
+
+def _cluster_counts(text):
+    """argparse type of --partitions: comma-separated positive integers."""
+    try:
+        counts = [int(k) for k in text.split(",")]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive cluster counts, got {text!r}"
+        )
+    return counts
+
+
 def cmd_simulate(args):
     config_file = _load_config(args.config)
     section = f"table{args.table}"
@@ -292,9 +312,7 @@ def cmd_simulate(args):
         master_seed=_resolve_seed(args.seed, config_file, section),
     )
     out = args.out or f"table{args.table}_results.csv"
-    out_dir = os.path.dirname(out)
-    if out_dir and not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir} does not exist")
+    _check_output_dir(out)
     rows = []
     for row in run_table(config):
         rows.append(row)
@@ -343,6 +361,8 @@ def cmd_ci(args):
     column = _resolve(args.column, config_file, "analysis", "column", str, None)
     if column is None:
         raise ValueError("--column is required")
+    if args.out:
+        _check_output_dir(args.out)
     values = load_columns(args.file, [column])[column]
     summary = summarize(values)
 
@@ -391,6 +411,8 @@ def _fit_frame(args, config_file):
     if response is None or covs is None:
         raise ValueError("--response and --covariates are required (or use --climate)")
     names = [c.strip() for c in covs.split(",") if c.strip()]
+    if response in names:
+        raise ValueError(f"response {response!r} is also listed among the covariates")
     data = load_columns(args.file, [response] + names)
     design = np.column_stack([np.ones(data[response].shape[0])] + [data[c] for c in names])
     return data[response], design, tuple(["intercept"] + names)
@@ -434,8 +456,14 @@ def cmd_fit(args):
     alpha = _resolve(args.alpha, config_file, "analysis", "alpha", float, 0.05)
     range_flag = _resolve(args.range, config_file, "analysis", "range", str, None)
     source, given = _parse_range_flag(range_flag)
+    if args.out:
+        _check_output_dir(args.out)
 
     y, X, columns = _fit_frame(args, config_file)
+    parts = [sequential_partition(y.shape[0], k) for k in args.partitions or ()]
+    if parts and parts[0].n_clusters < 2:
+        raise ValueError("--partitions: the first count sets the Wald comparator's "
+                         "clusters and must be at least 2")
     fit = ols_fit(X, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-noise fixtures have zero spread
@@ -474,9 +502,8 @@ def cmd_fit(args):
             f"mu*phi bound={diag.rule_of_thumb_bound:.3g}"
         )
 
-    if args.partitions:
-        counts = [int(k) for k in args.partitions.split(",")]
-        parts = [sequential_partition(fit.n, k) for k in counts]
+    if parts:
+        counts = args.partitions
         for s, name in enumerate(columns):
             comparison = partition_compare(fit, parts, s)
             chosen = counts[comparison.recommended]
@@ -542,6 +569,8 @@ def cmd_diagnose(args):
     if not config_file.has_section("analysis"):
         config_file.add_section("analysis")
     column = _resolve(args.column, config_file, "analysis", "column", str, None)
+    if args.out:
+        _check_output_dir(args.out)
 
     if column is not None:
         series = load_columns(args.file, [column])[column]
@@ -664,7 +693,8 @@ def build_parser():
                      help="treat the input as a climate CSV and build the lagged frame")
     fit.add_argument("--alpha", type=float)
     fit.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
-    fit.add_argument("--partitions", help="comma-separated cluster counts to compare")
+    fit.add_argument("--partitions", type=_cluster_counts,
+                     help="comma-separated cluster counts to compare")
     fit.add_argument("--screen", help="covariate to evaluate for retention")
     fit.add_argument("--out", help="write the JSON report here")
     fit.add_argument("-c", "--config")

@@ -291,18 +291,32 @@ def a5_empirical(draws, w, s, M, band_scale=2.0):
     log-sum-exp form.  Av* = prod_i Av exp(s w_i Z_i) for symmetric supports
     [-M_i, M_i].  The verdict is "boundary" when |A_hat - Av*| falls within
     ``band_scale`` Monte Carlo standard errors of A_hat, otherwise "holds"
-    (A_hat < Av*) or "violated".
+    (A_hat < Av*) or "violated".  This is ``a5_from_sums`` on the
+    per-replication sums draws @ w.
     """
-    if not s >= 0:
-        raise ValueError("s must be nonnegative")
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be a reps x n matrix")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape != (draws.shape[1],):
         raise ValueError("weights must match the number of columns in draws")
-    reps = draws.shape[0]
-    t = s * (draws @ w)
+    return a5_from_sums(draws @ w, w, s, M, band_scale)
+
+
+def a5_from_sums(sums, w, s, M, band_scale=2.0):
+    """``a5_empirical`` from the per-replication weighted sums
+    sum_i w_i e_{r,i} (a length-N vector), so a caller that already holds
+    them (the coverage grids' estimation errors) skips the reps x n product.
+    ``w`` enters only through Av*.
+    """
+    if not s >= 0:
+        raise ValueError("s must be nonnegative")
+    sums = np.asarray(sums, dtype=float)
+    if sums.ndim != 1:
+        raise ValueError("sums must hold one value per replication")
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    reps = sums.shape[0]
+    t = s * sums
     overflow = math.log(np.finfo(float).max)
 
     def _mean_and_se(exponent):

@@ -362,49 +362,75 @@ def _exchangeable_sandwich(X, E, partition):
         u_k = X_k' e_k - c_k Sx_k Se_k,
         c_k = rho / (1 + (n_k - 1) rho),
 
-    with Sx_k, Se_k the within-cluster sums.  Observations are taken in
-    stable label order, so each cluster is one contiguous run for
-    ``reduceat`` whatever the partition; when the labels already run in
-    order (every sequential partition) X and E are used as they are, with
-    no reordered copy.  Returns (vcov, rho) of shapes reps x p x p and
-    (reps,).
+    with Sx_k, Se_k the within-cluster sums.  Every replication's result
+    depends on its own row of E alone.  Returns (vcov, rho) of shapes
+    reps x p x p and (reps,).
     """
-    n, p = X.shape
-    labels = partition.assignment
-    if labels.shape[0] != n:
-        raise ValueError("partition length does not match the data")
-    if partition.n_clusters < 2:
-        raise ValueError("need at least two clusters for a sandwich estimate")
-    if np.any(labels[1:] < labels[:-1]):
-        order = np.argsort(labels, kind="stable")
-        X, E = X[order], np.take(E, order, axis=1)  # take keeps E row-major
-    sizes = partition.cluster_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return _ExchangeableSandwich(X, partition)(E)
 
-    Sx = np.add.reduceat(X, offsets, axis=0)  # K x p cluster sums of columns
-    Se = np.add.reduceat(E, offsets, axis=1)  # reps x K
-    Se2 = np.add.reduceat(E * E, offsets, axis=1)
-    SxE = np.empty((E.shape[0], p, sizes.shape[0]))  # reps x p x K
-    for j in range(p):
-        SxE[:, j, :] = np.add.reduceat(E * X[:, j], offsets, axis=1)
 
-    sigma2 = np.mean(E * E, axis=1)
-    n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))
-    # sum over within-cluster pairs i<j of e_i e_j, via (sum^2 - sum of squares)/2
-    cross = 0.5 * (np.sum(Se * Se, axis=1) - np.sum(Se2, axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where((sigma2 > 0) & (n_pairs > 0), cross / (n_pairs * sigma2), 0.0)
-    # Keep the working covariance positive definite for every cluster size.
-    max_size = float(np.max(sizes))
-    lo = -1.0 / (max_size - 1.0) + 1e-6 if max_size > 1 else -1.0 + 1e-6
-    rho = np.clip(rho, lo, 1.0 - 1e-6)
+class _ExchangeableSandwich:
+    """``_exchangeable_sandwich`` for one design and partition, set up once.
 
-    c = rho[:, None] / (1.0 + (sizes[None, :] - 1.0) * rho[:, None])  # reps x K
-    U = SxE.transpose(0, 2, 1) - (c * Se)[:, :, None] * Sx[None, :, :]  # reps x K x p
-    meat = np.einsum("rkp,rkq->rpq", U, U)
-    D = (X.T @ X)[None, :, :] - np.einsum("rk,kp,kq->rpq", c, Sx, Sx)
-    Dinv = np.linalg.inv(D)
-    return Dinv @ meat @ Dinv, rho
+    The design side (observation order, cluster offsets and sizes, the
+    cluster sums Sx of the columns, X'X) is computed here; calling the
+    object on a reps x n residual matrix returns (vcov, rho), so a caller
+    that scores replications block by block pays for the setup once.
+    Observations are taken in stable label order, so each cluster is one
+    contiguous run for ``reduceat`` whatever the partition; when the labels
+    already run in order (every sequential partition) X and E are used as
+    they are, with no reordered copy.  The temporaries are the size of E.
+    """
+
+    def __init__(self, X, partition):
+        n = X.shape[0]
+        labels = partition.assignment
+        if labels.shape[0] != n:
+            raise ValueError("partition length does not match the data")
+        if partition.n_clusters < 2:
+            raise ValueError("need at least two clusters for a sandwich estimate")
+        self.order = None
+        if np.any(labels[1:] < labels[:-1]):
+            self.order = np.argsort(labels, kind="stable")
+            X = X[self.order]
+        self.X = X
+        self.sizes = partition.cluster_sizes
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.Sx = np.add.reduceat(X, self.offsets, axis=0)  # K x p cluster sums of columns
+        self.XtX = X.T @ X
+        self.n_pairs = float(np.sum(self.sizes * (self.sizes - 1) / 2.0))
+        # Keep the working covariance positive definite for every cluster size.
+        max_size = float(np.max(self.sizes))
+        self.rho_lo = -1.0 / (max_size - 1.0) + 1e-6 if max_size > 1 else -1.0 + 1e-6
+
+    def __call__(self, E):
+        X, sizes, offsets, Sx = self.X, self.sizes, self.offsets, self.Sx
+        if self.order is not None:
+            E = np.take(E, self.order, axis=1)  # take keeps E row-major
+        p = X.shape[1]
+        Se = np.add.reduceat(E, offsets, axis=1)  # reps x K
+        EE = E * E
+        Se2 = np.add.reduceat(EE, offsets, axis=1)
+        sigma2 = np.mean(EE, axis=1)
+        SxE = np.empty((E.shape[0], p, sizes.shape[0]))  # reps x p x K
+        for j in range(p):
+            SxE[:, j, :] = np.add.reduceat(np.multiply(E, X[:, j], out=EE), offsets, axis=1)
+        del EE
+
+        # sum over within-cluster pairs i<j of e_i e_j, via (sum^2 - sum of squares)/2
+        cross = 0.5 * (np.sum(Se * Se, axis=1) - np.sum(Se2, axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = np.where(
+                (sigma2 > 0) & (self.n_pairs > 0), cross / (self.n_pairs * sigma2), 0.0
+            )
+        rho = np.clip(rho, self.rho_lo, 1.0 - 1e-6)
+
+        c = rho[:, None] / (1.0 + (sizes[None, :] - 1.0) * rho[:, None])  # reps x K
+        U = SxE.transpose(0, 2, 1) - (c * Se)[:, :, None] * Sx[None, :, :]  # reps x K x p
+        meat = np.einsum("rkp,rkq->rpq", U, U)
+        D = self.XtX[None, :, :] - np.einsum("rk,kp,kq->rpq", c, Sx, Sx)
+        Dinv = np.linalg.inv(D)
+        return Dinv @ meat @ Dinv, rho
 
 
 def gee_exchangeable_vcov(fit, partition):

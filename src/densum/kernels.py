@@ -4,8 +4,8 @@ factor, and deterministic counter-based uniform streams.
 
 These back the copula simulator.  The quantile transforms wrap scipy's
 high-accuracy special functions and serve as the oracles for the fast
-normal-scale Beta map ``beta_from_normal``: a cubic Hermite interpolant of
-x -> F^{-1}(Phi(x)) on a uniform normal-scale grid, built on each call,
+normal-scale Beta map ``beta_normal_map``: a cubic Hermite interpolant of
+x -> F^{-1}(Phi(x)) on a uniform normal-scale grid, built once per map,
 checked against ``beta_quantile`` at every interval midpoint and replaced by
 the exact map where that check or the grid's range does not hold.  Every
 correlation the coverage grids use is diag(1 - v^2) + v v^T, whose Cholesky
@@ -17,6 +17,7 @@ number of workers, with bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,29 +105,40 @@ def _beta_hermite_table(a, b):
     return knots[0], h, (c0, c1, c2, c3)
 
 
-def beta_from_normal(a, b, x):
-    """Overwrite the float array x with F^{-1}(Phi(x)) for Beta(a, b).
+def beta_normal_map(a, b):
+    """The in-place map x -> F^{-1}(Phi(x)) for Beta(a, b), set up once.
 
     The Gaussian-copula transform of a standard normal draw to a Beta(a, b)
     value, without the per-value root-find of ``betaincinv``: a cubic
-    Hermite table on NORMAL_MAP_KNOTS uniform knots over |x| <= 8, built on
-    each call (a few milliseconds) and evaluated in place, block by block,
-    so no temporary grows with x.  Its maximum error against the exact map
-    is below NORMAL_MAP_TOL (about 3e-14 for Beta(10, 10)).  Values beyond
-    the knots, and every value when the table fails its midpoint check (for
-    shapes below about 0.7), go through the exact map ``beta_quantile``.
+    Hermite table on NORMAL_MAP_KNOTS uniform knots over |x| <= 8, built
+    here (a few milliseconds) and evaluated in place, block by block, by the
+    returned function, so no temporary grows with x.  Its maximum error
+    against the exact map is below NORMAL_MAP_TOL (about 3e-14 for
+    Beta(10, 10)).  Values beyond the knots, and every value when the table
+    fails its midpoint check (for shapes below about 0.7), go through the
+    exact map ``beta_quantile``.
 
-    ``x`` must be a writable C-contiguous float64 array; it is returned.
+    The function takes a writable C-contiguous float64 array, overwrites it
+    and returns it.
     """
     if not (a > 0 and b > 0):
         raise ValueError("beta shape parameters must be positive")
+    return functools.partial(_apply_beta_map, a, b, _beta_hermite_table(a, b))
+
+
+def beta_from_normal(a, b, x):
+    """Overwrite the float array x with F^{-1}(Phi(x)) for Beta(a, b):
+    ``beta_normal_map(a, b)(x)``, building the table for this call alone."""
+    return beta_normal_map(a, b)(x)
+
+
+def _apply_beta_map(a, b, table, x):
     if not (
         isinstance(x, np.ndarray) and x.dtype == np.float64
         and x.flags.c_contiguous and x.flags.writeable
     ):
         raise ValueError("x must be a writable C-contiguous float64 array")
     flat = x.reshape(-1)
-    table = _beta_hermite_table(a, b)
     if table is None:
         for start in range(0, flat.size, NORMAL_MAP_BLOCK):
             block = flat[start:start + NORMAL_MAP_BLOCK]

@@ -15,31 +15,39 @@ All three score their replications with one coverage engine: a mean is the
 intercept-only least-squares fit (X = 1, weight row 1/n).
 
 Every replication r draws its normals from an independent counter-based
-stream keyed by (master_seed, r); the drivers draw them once per n
-(``standard_normals``) and every cell at that n reads the same matrix, so
-grid cells share common random numbers.  Every grid correlation is
-diag(1 - v^2) + v v^T (v = sqrt(phi) 1 for the exchangeable tables, v
-proportional to the intercept weights for the mosaic), and ``copula_sample``
-applies its semiseparable factor row by row with one cumulative sum: a
-shorter run is then a bit-identical prefix of a longer one, and any single
-replication can be reproduced alone.  Other matrices take a dense Cholesky
-product in fixed-size row blocks, which keeps the prefix property only.
+stream keyed by (master_seed, r).  The drivers loop, per n, over blocks of
+BLOCK_ROWS replications: a block's normals are drawn once and read by every
+cell at that n, so grid cells share common random numbers (table 2's shapes
+also share the normal-scale block).  Each cell applies its correlation
+factor and marginal map to the block and writes its per-replication
+statistics (estimation errors, Wald cover flags, residual range) into
+length-reps vectors; the table rows are reduced from those vectors after the
+last block.  Memory is O(BLOCK_ROWS * n) per n whatever reps is.  Every
+matrix product runs on a full block, zero-padded past reps, so a
+replication's statistics do not depend on reps: a shorter run's statistics
+are a bit-identical prefix of a longer run's, and its report is their
+reduction.  Every grid correlation is diag(1 - v^2) + v v^T (v = sqrt(phi) 1
+for the exchangeable tables, v proportional to the intercept weights for the
+mosaic), whose semiseparable factor is applied row by row with one
+cumulative sum; other matrices take a dense Cholesky product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from densum.concentration import a5_empirical, optimal_s, rule_of_thumb
+from densum.concentration import a5_from_sums, optimal_s, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
-from densum.estimators import _exchangeable_sandwich, _qr_weight_rows
+from densum.estimators import _ExchangeableSandwich, _qr_weight_rows
 from densum.kernels import (
     NORMAL_MAP_BLOCK,
-    beta_from_normal,
+    beta_normal_map,
     beta_quantile,
     cholesky,
     ensure_pd,
@@ -61,10 +69,14 @@ DESIGN_STREAM_OFFSET = 2**32
 _TINY = np.finfo(float).tiny
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-# Replications per block of the copula's normal-scale arithmetic.  The dense
-# product pads its last block with zeros, so every matrix product has this
-# many rows whatever reps is.
-COPULA_BLOCK_ROWS = 256
+# Replications per block.  The drivers and ``copula_sample`` run block by
+# block, so memory is O(BLOCK_ROWS * n) whatever reps is, and every matrix
+# product runs on all BLOCK_ROWS rows, those past reps zero-padded, so each
+# replication's values do not depend on reps.  With scipy-openblas 0.3.31
+# on a 2-core x86-64 host, 1000-row products of the errors by the weight
+# rows also equalled the whole-matrix products bit for bit at reps 2000 to
+# 10000, where 256- or 512-row blocks did not.
+BLOCK_ROWS = 1000
 
 TABLE1_GRID = {
     100: (0.0, 0.06, 0.1, 0.2),
@@ -170,21 +182,23 @@ class MarginalSpec:
         lo, hi = self.params
         return lo + u * (hi - lo)
 
-    def from_normal(self, x):
-        """The Gaussian-copula transform quantile(Phi(x)) of normal draws x.
+    def normal_map(self):
+        """The Gaussian-copula transform quantile(Phi(x)) as an in-place
+        function of a writable C-contiguous float64 array, with any setup
+        (the Beta table) done once here.
 
-        Overwrites x when it is a writable C-contiguous float64 array (any
-        other input is copied first) and returns it.  Beta marginals use the
-        normal-scale map ``beta_from_normal``.  The other families take
-        quantile(Phi(x)) with Phi(x) clipped into [tiny, 1 - 2^-53], so draws
-        far in either tail (Phi rounds to 1 from x = 8.3 and to 0 below about
-        -38) map inside the support; they run in place over blocks of
-        NORMAL_MAP_BLOCK values, with the same operations as
-        ``quantile(clip(ndtr(x)))`` and so the same values.
+        Beta marginals use the normal-scale map ``beta_normal_map``.  The
+        other families take quantile(Phi(x)) with Phi(x) clipped into
+        [tiny, 1 - 2^-53], so draws far in either tail (Phi rounds to 1 from
+        x = 8.3 and to 0 below about -38) map inside the support; they run
+        in place over blocks of NORMAL_MAP_BLOCK values, with the same
+        operations as ``quantile(clip(ndtr(x)))`` and so the same values.
         """
-        x = np.require(x, float, ("C", "W"))
         if self.family == "beta":
-            return beta_from_normal(*self.params, x)
+            return beta_normal_map(*self.params)
+        return self._clipped_quantile_of_phi
+
+    def _clipped_quantile_of_phi(self, x):
         flat = x.reshape(-1)
         for start in range(0, flat.size, NORMAL_MAP_BLOCK):
             u = flat[start:start + NORMAL_MAP_BLOCK]
@@ -197,6 +211,12 @@ class MarginalSpec:
                 u *= hi - lo
                 u += lo
         return x
+
+    def from_normal(self, x):
+        """``normal_map()`` applied to x: overwrites x when it is a writable
+        C-contiguous float64 array (any other input is copied first) and
+        returns it."""
+        return self.normal_map()(np.require(x, float, ("C", "W")))
 
 
 def _norm_pdf(x):
@@ -332,55 +352,90 @@ def _table3_copula(phi_star, w1, sigma):
     return rank_one_ensure_pd(math.sqrt(scale) * w1)
 
 
+def _draw_normals(seed, start, out):
+    """Fill row i of ``out`` with standard normals from the counter-based
+    stream (seed, start + i); return ``out``."""
+    for i in range(out.shape[0]):
+        seeded_stream(seed, start + i).standard_normal(out=out[i])
+    return out
+
+
 def standard_normals(n, reps, seed):
     """The copula's reps x n standard normals, read-only.
 
     Row r comes from the counter-based stream (seed, r), so it is the same
     whatever reps is and whatever else is drawn.
     """
-    Z = np.empty((int(reps), int(n)))
-    for r in range(Z.shape[0]):
-        Z[r] = seeded_stream(seed, r).standard_normal(Z.shape[1])
+    Z = _draw_normals(seed, 0, np.empty((int(reps), int(n))))
     Z.flags.writeable = False
     return Z
 
 
-def _rank_one_normals(v, Z):
-    """Rows of Z times the semiseparable factor of diag(1 - v^2) + v v^T:
-    X_i = d_i Z_i + v_i sum_{j<i} g_j Z_j, one exclusive cumulative sum per
-    row, so each row depends on its own draws alone."""
-    d, g = rank_one_cholesky(v)
-    X = np.empty(Z.shape)
-    X[:, 0] = 0.0
-    buf = np.empty((min(COPULA_BLOCK_ROWS, Z.shape[0]), Z.shape[1]))
-    for start in range(0, Z.shape[0], COPULA_BLOCK_ROWS):
-        z, x = Z[start:start + COPULA_BLOCK_ROWS], X[start:start + COPULA_BLOCK_ROWS]
-        tail = x[:, 1:]
-        np.multiply(z[:, :-1], g[:-1], out=tail)
-        np.cumsum(tail, axis=1, out=tail)
-        x *= v
-        dz = np.multiply(z, d, out=buf[:z.shape[0]])
-        x += dz
-    return X
+def _normal_blocks(n, reps, seed, normals=None):
+    """Yield (start, rows, z) for each block of BLOCK_ROWS replications.
 
-
-def _dense_normals(corr, Z):
-    """Rows of Z times the Cholesky factor of ``corr``, in row blocks of
-    COPULA_BLOCK_ROWS with the last one zero-padded: every product has the
-    same shape, so a shorter run is a bit-identical prefix of a longer one.
-    A single row drawn alone may still differ in the last bits."""
-    LT = cholesky(corr).T
-    reps, n = Z.shape
-    X = np.empty((reps, n))
-    pad = np.zeros((COPULA_BLOCK_ROWS, n))
-    for start in range(0, reps, COPULA_BLOCK_ROWS):
-        z = Z[start:start + COPULA_BLOCK_ROWS]
-        if z.shape[0] == COPULA_BLOCK_ROWS:
-            np.matmul(z, LT, out=X[start:start + COPULA_BLOCK_ROWS])
+    z is one BLOCK_ROWS x n buffer, reused from block to block: its first
+    ``rows`` rows hold the standard normals of replications start, ...,
+    start + rows - 1 (drawn as ``standard_normals`` draws them, or copied
+    from ``normals``) and its other rows are zero.
+    """
+    z = np.zeros((BLOCK_ROWS, n))
+    for start in range(0, reps, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, reps - start)
+        z[rows:] = 0.0
+        if normals is None:
+            _draw_normals(seed, start, z[:rows])
         else:
-            pad[:z.shape[0]] = z
-            X[start:] = (pad @ LT)[:z.shape[0]]
-    return X
+            z[:rows] = normals[start:start + rows]
+        yield start, rows, z
+
+
+def _copula_factor(corr, n):
+    """The normal-scale step of the copula for one correlation, factored and
+    checked once: a function (z, rows, out, scratch) that writes the first
+    ``rows`` rows of z times the transposed Cholesky factor into ``out``.
+    z, out and scratch are BLOCK_ROWS x n; scratch is overwritten.
+
+    A length-n loading vector v stands for diag(1 - v^2) + v v^T and takes
+    its semiseparable factor row by row.  A matrix must be symmetric with a
+    unit diagonal; the comonotone matrix (all cells 1) is singular and
+    repeats the first coordinate in every column; any other matrix takes a
+    dense product over all BLOCK_ROWS rows of z.
+    """
+    corr = np.asarray(corr, dtype=float)
+    if corr.ndim == 1:
+        if corr.shape != (n,):
+            raise ValueError(f"loading vector must have length {n}, got {corr.shape[0]}")
+        return functools.partial(_rank_one_block, corr, *rank_one_cholesky(corr))
+    if corr.shape != (n, n):
+        raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
+    validate_correlation(corr)
+    if n > 1 and np.all(corr == 1.0):
+        return _comonotone_block
+    return functools.partial(_dense_block, cholesky(corr).T)
+
+
+def _rank_one_block(v, d, g, z, rows, out, scratch):
+    """X_i = d_i Z_i + v_i sum_{j<i} g_j Z_j with (d, g) from
+    ``rank_one_cholesky(v)``: one exclusive cumulative sum per row, so each
+    row depends on its own draws alone."""
+    z, x = z[:rows], out[:rows]
+    x[:, 0] = 0.0
+    tail = x[:, 1:]
+    np.multiply(z[:, :-1], g[:-1], out=tail)
+    np.cumsum(tail, axis=1, out=tail)
+    x *= v
+    x += np.multiply(z, d, out=scratch[:rows])
+
+
+def _dense_block(LT, z, rows, out, scratch):
+    """z @ L^T over the whole zero-padded block: the product's shape is the
+    same whatever ``rows`` is, so every row's bits are too."""
+    np.matmul(z, LT, out=out)
+
+
+def _comonotone_block(z, rows, out, scratch):
+    out[:rows] = z[:rows, :1]
 
 
 def copula_sample(corr, marginal, n, reps, seed, normals=None):
@@ -390,53 +445,108 @@ def copula_sample(corr, marginal, n, reps, seed, normals=None):
     correlation and z_r standard normal from the counter-based stream
     (seed, r) — deterministic per replication, whatever the scheduling.
     ``normals``, when given, is that draw, ``standard_normals(n, reps,
-    seed)``, made once by a caller that shares it across cells; it is only
-    read.
+    seed)``, made once by a caller; it is only read.
 
     ``corr`` is either a length-n loading vector v, standing for the
     correlation diag(1 - v^2) + v v^T (it must be finite, and positive
     definite by ``rank_one_cholesky``), or an n x n matrix that is symmetric
-    with a unit diagonal.  A vector row is one O(n) cumulative sum and
-    depends on z_r alone.  A matrix takes a dense product in fixed-size row
-    blocks, which keeps a shorter run a prefix of a longer one but not a
-    single replication bit-identical to its row in a batch.  A comonotone
-    matrix (all cells 1) is handled directly, since it is singular: every
-    column repeats the first coordinate.
+    with a unit diagonal (see ``_copula_factor``).  The draw runs in blocks
+    of BLOCK_ROWS replications, the loop the coverage drivers use, so a
+    shorter run is a bit-identical prefix of a longer one and a single
+    replication drawn alone equals its row in a batch.
     """
-    corr = np.asarray(corr, dtype=float)
     n = int(n)
     reps = int(reps)
-    if corr.ndim == 1:
-        if corr.shape != (n,):
-            raise ValueError(f"loading vector must have length {n}, got {corr.shape[0]}")
-    elif corr.shape != (n, n):
-        raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
-    else:
-        validate_correlation(corr)
-    Z = standard_normals(n, reps, seed) if normals is None else normals
-    if Z.shape != (reps, n):
-        raise ValueError(f"normals must be {reps} x {n}, got {Z.shape}")
-    if corr.ndim == 1:
-        X = _rank_one_normals(corr, Z)
-    elif n > 1 and np.all(corr == 1.0):
-        X = np.repeat(Z[:, :1], n, axis=1)
-    else:
-        X = _dense_normals(corr, Z)
-    del Z  # frees a draw made here before the transform
-    return marginal.from_normal(X)
+    factor = _copula_factor(corr, n)
+    if normals is not None and normals.shape != (reps, n):
+        raise ValueError(f"normals must be {reps} x {n}, got {normals.shape}")
+    to_marginal = marginal.normal_map()
+    Y = np.empty((reps, n))
+    x, scratch = np.empty((BLOCK_ROWS, n)), np.empty((BLOCK_ROWS, n))
+    for start, rows, z in _normal_blocks(n, reps, seed, normals):
+        factor(z, rows, x, scratch)
+        Y[start:start + rows] = to_marginal(x[:rows])
+    return Y
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# the blocked coverage engine and the experiment drivers
 # ---------------------------------------------------------------------------
 
 
-def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
-    """One CoverageReport per coefficient of the least-squares fit beta_hat = W y.
+class _Statistics(NamedTuple):
+    """Per-replication statistics of one coverage cell: the estimation
+    errors eps W^T (reps x p), the Wald comparator's cover flags (reps x p)
+    and the pooled residual range (reps)."""
 
-    ``eps`` holds one error vector per replication (reps x n), so the
-    estimation errors are eps W^T and the residuals eps - (eps W^T) X^T.  A
-    mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
+    err: np.ndarray
+    covered_wald: np.ndarray
+    rhat: np.ndarray
+
+
+class _Cell:
+    """One coverage cell, scored block by block: the least-squares fit
+    beta_hat = W y on the design X, with errors eps = marginal draw - shift.
+
+    The setup that does not change from block to block (the marginal map,
+    the sandwich's design side over n // 10 sequential clusters) is built
+    here once; ``add`` fills the cell's length-reps statistics.
+    """
+
+    def __init__(self, X, W, marginal, shift, reps, alpha):
+        n, p = X.shape
+        self.X, self.W, self.shift = X, W, shift
+        self.to_marginal = marginal.normal_map()
+        self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
+        self.z = std_normal_quantile(1.0 - alpha / 2.0)
+        self.stats = _Statistics(
+            np.empty((reps, p)), np.empty((reps, p), dtype=bool), np.empty(reps)
+        )
+
+    def add(self, start, rows, eps, scratch):
+        """Score replications start, ..., start + rows - 1 from their
+        normal-scale block: the first ``rows`` rows of eps (BLOCK_ROWS x n,
+        overwritten, like scratch).  The matrix products run on all
+        BLOCK_ROWS rows, the others zeroed, so each replication's statistics
+        do not depend on reps."""
+        e = self.to_marginal(eps[:rows])
+        e -= self.shift
+        eps[rows:] = 0.0
+        err = eps @ self.W.T
+        fitted = np.matmul(err, self.X.T, out=scratch)
+        resid = np.subtract(e, fitted[:rows], out=fitted[:rows])
+        vcov, _ = self.sandwich(resid)
+        err = err[:rows]
+        done = slice(start, start + rows)
+        self.stats.err[done] = err
+        self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
+            np.diagonal(vcov, axis1=1, axis2=2)
+        )
+        self.stats.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
+
+
+def _score_blocks(n, reps, seed, groups):
+    """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
+    with the cells that share its normal-scale block.  Per block of
+    replications the normals are drawn once, each factor is applied once,
+    and each of its cells scores its own copy (the last one takes the block
+    itself).  Memory is a few BLOCK_ROWS x n buffers whatever reps is."""
+    x, scratch = np.empty((BLOCK_ROWS, n)), np.empty((BLOCK_ROWS, n))
+    copy = np.empty((BLOCK_ROWS, n)) if any(len(cells) > 1 for _, cells in groups) else None
+    for start, rows, z in _normal_blocks(n, reps, seed):
+        for factor, cells in groups:
+            factor(z, rows, x, scratch)
+            for cell in cells[:-1]:
+                np.copyto(copy[:rows], x[:rows])
+                cell.add(start, rows, copy, scratch)
+            cells[-1].add(start, rows, x, scratch)
+
+
+def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
+    """One CoverageReport per coefficient of the least-squares fit beta_hat = W y,
+    reduced from the cell's per-replication ``_Statistics``.
+
+    A mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
     conventional Wald comparator (exchangeable sandwich over n // 10
     sequential clusters), the known-range set R sqrt(sum w^2)
     sqrt(log(2/alpha)/6), its residual-range plug-in (the pooled residual
@@ -444,33 +554,27 @@ def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
     remaining report columns and take precedence (``ci_r=None`` drops the
     plug-in).
     """
-    n = X.shape[0]
+    n = W.shape[1]
     R = support.range
     M = support.length / 2.0
     root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
     sum_w2 = np.sum(W * W, axis=1)
-    err = eps @ W.T
-    B = beta[None, :] + err
-    fitted = err @ X.T
-    resid = np.subtract(eps, fitted, out=fitted)
-    vcov, _ = _exchangeable_sandwich(X, resid, sequential_partition(n, n // 10))
-    z = std_normal_quantile(1.0 - alpha / 2.0)
-    covered_wald = np.abs(err) <= z * np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
-    rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
+    B = beta[None, :] + stats.err
     rows = []
     for s_idx, name in enumerate(names):
-        abs_err = np.abs(err[:, s_idx])
+        err = stats.err[:, s_idx]
+        abs_err = np.abs(err)
         half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
-        half_r = rhat * math.sqrt(sum_w2[s_idx]) * root_log
+        half_r = stats.rhat * math.sqrt(sum_w2[s_idx]) * root_log
         s_diag = optimal_s(
             theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=alpha
         )
-        report = a5_empirical(eps, W[s_idx], s_diag, M)
+        report = a5_from_sums(err, W[s_idx], s_diag, M)
         row = dict(
             n=n,
             mean_lower=float(np.mean(B[:, s_idx]) - half_u),
             mean_upper=float(np.mean(B[:, s_idx]) + half_u),
-            ci_wald=float(np.mean(covered_wald[:, s_idx])),
+            ci_wald=float(np.mean(stats.covered_wald[:, s_idx])),
             ci_u=float(np.mean(abs_err <= half_u)),
             ci_r=float(np.mean(abs_err <= half_r)),
             a_hat=report.a_hat,
@@ -482,18 +586,18 @@ def _coverage_rows(X, W, beta, eps, support, alpha, c_star, names, **fields):
     return rows
 
 
-def _mean_cell(table, n, phi, marginal, config, Z, alpha_shape=None):
-    """One (n, phi) cell of a mean-coverage experiment: the intercept-only fit
-    on the shared normals Z of its n."""
-    eps = copula_sample(
-        _exchangeable_copula(n, phi), marginal, n, config.reps, config.master_seed, normals=Z
-    )
-    eps -= marginal.mean
+def _mean_cell(n, marginal, config):
+    """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n,
+    errors centred at the marginal mean."""
     W = np.full((1, n), 1.0 / n)
-    bound = rule_of_thumb(W[0], marginal.variance, marginal.support.range)
+    return _Cell(np.ones((n, 1)), W, marginal, marginal.mean, config.reps, config.alpha)
+
+
+def _mean_row(table, n, phi, marginal, config, cell, alpha_shape=None):
+    bound = rule_of_thumb(cell.W[0], marginal.variance, marginal.support.range)
     c_star = config.c_star if config.c_star is not None else 10.0
     (row,) = _coverage_rows(
-        np.ones((n, 1)), W, np.array([marginal.mean]), eps, marginal.support, config.alpha,
+        cell.W, cell.stats, np.array([marginal.mean]), marginal.support, config.alpha,
         c_star, names=(None,), table=table, phi=phi, seed=config.master_seed,
         alpha_shape=alpha_shape, threshold=bound / (n - 1), ci_r=None,
     )
@@ -514,9 +618,11 @@ def run_table1(config):
         if n not in TABLE1_GRID:
             raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
-        Z = standard_normals(n, config.reps, config.master_seed)
-        for phi in phis:
-            rows.append(_mean_cell(1, n, phi, marginal, config, Z))
+        factors = [_copula_factor(_exchangeable_copula(n, phi), n) for phi in phis]
+        cells = [_mean_cell(n, marginal, config) for _ in phis]
+        _score_blocks(n, config.reps, config.master_seed,
+                      [(factor, [cell]) for factor, cell in zip(factors, cells)])
+        rows += [_mean_row(1, n, phi, marginal, config, cell) for phi, cell in zip(phis, cells)]
     return rows
 
 
@@ -525,18 +631,22 @@ def run_table2(config):
 
     The threshold column is the feasibility bound divided by n - 1: the
     exchangeable correlation beyond which the diagnostic predicts breakdown.
+    The shapes share one correlation, so they share each block's
+    normal-scale draw and differ only in the marginal map.
     """
     n = config.n if config.n is not None else 500
     phi = config.phi if config.phi is not None else 0.1
     shapes = (config.shape,) if config.shape is not None else TABLE2_SHAPES
     if any(shape <= 0 for shape in shapes):
         raise ValueError("beta shape must be positive")
-    Z = standard_normals(n, config.reps, config.master_seed)
-    rows = []
-    for shape in shapes:
-        marginal = MarginalSpec.beta(shape, shape)
-        rows.append(_mean_cell(2, n, phi, marginal, config, Z, alpha_shape=float(shape)))
-    return rows
+    marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
+    factor = _copula_factor(_exchangeable_copula(n, phi), n)
+    cells = [_mean_cell(n, marginal, config) for marginal in marginals]
+    _score_blocks(n, config.reps, config.master_seed, [(factor, cells)])
+    return [
+        _mean_row(2, n, phi, marginal, config, cell, alpha_shape=float(shape))
+        for shape, marginal, cell in zip(shapes, marginals, cells)
+    ]
 
 
 def table3_design(n, master_seed):
@@ -570,12 +680,13 @@ def run_table3(config):
         n = int(n)
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
-        Z = standard_normals(n, config.reps, config.master_seed)
-        for phi_star in phis:
-            corr, repair = _table3_copula(phi_star, W[0], sigma=5.0)
-            eps = copula_sample(corr, marginal, n, config.reps, config.master_seed, normals=Z)
+        copulas = [_table3_copula(phi_star, W[0], sigma=5.0) for phi_star in phis]
+        cells = [_Cell(X, W, marginal, 0.0, config.reps, config.alpha) for _ in phis]
+        _score_blocks(n, config.reps, config.master_seed,
+                      [(_copula_factor(corr, n), [cell]) for (corr, _), cell in zip(copulas, cells)])
+        for phi_star, (_, repair), cell in zip(phis, copulas, cells):
             rows += _coverage_rows(
-                X, W, TABLE3_BETA, eps, marginal.support, config.alpha, c_star,
+                W, cell.stats, TABLE3_BETA, marginal.support, config.alpha, c_star,
                 names=("beta0", "beta1"),
                 table=3, phi=phi_star, seed=config.master_seed, repair_lambda=repair.lam,
             )

@@ -375,6 +375,63 @@ class TestFitCommand:
         assert report.diagnostics[0].stationarity_note == "residuals are exactly zero"
         assert all(c.ci_lower == c.ci_upper == 0.0 for c in report.coefficients)
 
+    @pytest.fixture
+    def twelve_rows(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 12)
+        return write_csv(tmp_path / "twelve.csv", {"x": x, "y": 1.0 + x + 0.1 * np.sin(7 * x)})
+
+    @pytest.mark.parametrize("flag", ["0", "a", "5,0", "3,,4", ""])
+    def test_partitions_must_be_positive_integers(self, twelve_rows, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", twelve_rows, "--response", "y", "--covariates", "x",
+                  "--partitions", flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive cluster counts" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("50", "K=50 must satisfy 1 <= K <= n=12"), ("3,13", "K=13 must satisfy"),
+         ("1,5", "first count sets the Wald comparator's clusters")],
+    )
+    def test_unusable_partitions_fail_before_the_report(self, twelve_rows, flag, message, capsys):
+        rc = main(["fit", twelve_rows, "--response", "y", "--covariates", "x",
+                   "--partitions", flag])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_response_among_its_covariates_is_rejected(self, regression_csv, command, capsys):
+        argv = [command, regression_csv, "--response", "y", "--covariates", "x,y"]
+        if command == "diagnose":
+            argv += ["--coefficient", "x"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "response 'y' is also listed among the covariates" in captured.err
+
+    @pytest.mark.parametrize("command", ["ci", "fit", "diagnose"])
+    def test_missing_output_directory_fails_before_the_work(
+        self, regression_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        monkeypatch.setattr(densum.cli, "load_columns", never)
+        missing = tmp_path / "missing" / "dir"
+        argv = {
+            "ci": ["ci", regression_csv, "--column", "y"],
+            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
+            "diagnose": ["diagnose", regression_csv, "--column", "y"],
+        }[command]
+        assert main(argv + ["--out", str(missing / "p")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"output directory {missing} does not exist" in captured.err
+
 
 class TestAnalysisReportValidation:
     def make_row(self, **overrides):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +25,16 @@ from densum.kernels import (
     truncnorm_quantile,
 )
 from densum.simulation import (
+    BLOCK_ROWS,
     TABLE1_GRID,
     TABLE2_SHAPES,
     CoverageReport,
     ExperimentConfig,
     MarginalSpec,
+    _copula_factor,
+    _coverage_rows,
     _exchangeable_copula,
-    _rank_one_normals,
+    _Statistics,
     _table3_copula,
     copula_sample,
     exchangeable_corr,
@@ -286,6 +290,13 @@ def _dense(v):
     return corr
 
 
+def _rank_one_normals(v, Z):
+    """Rows of Z times the semiseparable factor, through the copula's block step."""
+    out, scratch = np.empty(Z.shape), np.empty(Z.shape)
+    _copula_factor(v, Z.shape[1])(Z, Z.shape[0], out, scratch)
+    return out
+
+
 def _mosaic(n, phi_star=0.15):
     w1 = _qr_weight_rows(table3_design(n, master_seed=0))[0]
     v, repair = _table3_copula(phi_star, w1, sigma=5.0)
@@ -297,11 +308,16 @@ class TestStructuredSampler:
     # factor is checked against the dense Cholesky product, and each row's
     # arithmetic uses only that row's draws, so the determinism contract
     # holds bit for bit: a shorter run is a prefix of a longer one, and a
-    # replication can be reproduced in a run of its own.
+    # replication can be reproduced in a run of its own.  The dense product
+    # keeps both as well, since it always runs on a full zero-padded block.
 
     CELLS = {
         "beta-exchangeable": lambda n: (_exchangeable_copula(n, 0.01), MarginalSpec.beta(10, 10)),
         "truncnormal-mosaic": lambda n: (_mosaic(n)[0], MarginalSpec.truncnormal(0, 5, -20, 20)),
+        # a negative exchangeable correlation takes the dense product
+        "truncnormal-dense": lambda n: (
+            _exchangeable_copula(n, -0.0005), MarginalSpec.truncnormal(0, 5, -20, 20)
+        ),
     }
 
     @settings(max_examples=6, deadline=None)
@@ -313,6 +329,7 @@ class TestStructuredSampler:
     )
     @example(cell="beta-exchangeable", n=1500, k=1000, seed=0)
     @example(cell="truncnormal-mosaic", n=500, k=1000, seed=0)
+    @example(cell="truncnormal-dense", n=500, k=1001, seed=0)
     def test_shorter_run_is_a_bitwise_prefix(self, cell, n, k, seed):
         corr, m = self.CELLS[cell](n)
         short = copula_sample(corr, m, n, k, seed)
@@ -327,6 +344,7 @@ class TestStructuredSampler:
     )
     @example(cell="beta-exchangeable", n=1500, r=0, seed=0)
     @example(cell="truncnormal-mosaic", n=1500, r=0, seed=0)
+    @example(cell="truncnormal-dense", n=500, r=0, seed=0)
     def test_replication_reproduces_in_isolation(self, cell, n, r, seed):
         corr, m = self.CELLS[cell](n)
         alone = copula_sample(corr, m, n, r + 1, seed)[r]
@@ -416,6 +434,75 @@ class TestStructuredSampler:
         calls.clear()
         run_table3(ExperimentConfig(table=3, n=100, reps=3))
         assert sorted(calls) == [0, 1, 2, 2**32 + 100]  # plus the design draw
+
+
+def _run_capturing_statistics(config):
+    """run_table(config) plus, per call of the engine's reduction, the
+    arguments it got: (W, _Statistics, other positional args, fields)."""
+    calls = []
+
+    def capture(W, stats, *args, **fields):
+        calls.append((W, stats, args, fields))
+        return _coverage_rows(W, stats, *args, **fields)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densum.simulation, "_coverage_rows", capture)
+        rows = run_table(config)
+    return rows, calls
+
+
+class TestBlockedEngine:
+    # The drivers score replications in blocks of BLOCK_ROWS, each matrix
+    # product on a full zero-padded block, so a replication's statistics do
+    # not depend on reps: a reps=k report is the reduction of the first k
+    # rows of a reps=2k run's statistics, bit for bit, and a cell's memory
+    # does not grow with reps.
+
+    CELLS = {
+        "table1": dict(table=1, phi=0.06),
+        "table2": dict(table=2, phi=0.1, shape=25.0),
+        "table3": dict(table=3, phi=0.15),
+    }
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        cell=st.sampled_from(sorted(CELLS)),
+        n=st.sampled_from([100, 500]),
+        k=st.integers(1, 2 * BLOCK_ROWS + 1),
+        seed=st.integers(0, 2**16),
+    )
+    @example(cell="table3", n=100, k=BLOCK_ROWS - 1, seed=0)
+    @example(cell="table1", n=100, k=BLOCK_ROWS, seed=1)
+    @example(cell="table3", n=500, k=BLOCK_ROWS + 1, seed=2)
+    @example(cell="table2", n=100, k=2 * BLOCK_ROWS + 1, seed=3)
+    def test_report_is_the_reduction_of_a_longer_runs_prefix(self, cell, n, k, seed):
+        settings_ = dict(self.CELLS[cell], n=n, master_seed=seed)
+        short_rows, short_calls = _run_capturing_statistics(ExperimentConfig(reps=k, **settings_))
+        _, long_calls = _run_capturing_statistics(ExperimentConfig(reps=2 * k, **settings_))
+        assert len(short_calls) == len(long_calls) >= 1
+        rows = []
+        for (W, short, args, fields), (_, long, long_args, _) in zip(short_calls, long_calls):
+            for got, longer in zip(short, long):
+                assert got.shape[0] == k
+                np.testing.assert_array_equal(got, longer[:k])
+            head = _Statistics(*(values[:k] for values in long))
+            rows += _coverage_rows(W, head, *long_args, **fields)
+        assert rows == short_rows
+
+    @pytest.mark.parametrize(
+        "settings_", [dict(table=3, n=1500, phi=0.15), dict(table=1, n=1500, phi=0.02)]
+    )
+    def test_cell_memory_does_not_grow_with_reps(self, settings_):
+        peaks = {}
+        for reps in (1000, 10000):
+            tracemalloc.start()
+            try:
+                run_table(ExperimentConfig(reps=reps, **settings_))
+                peaks[reps] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peaks[10000] <= peaks[1000] + 4.0, peaks
+        assert peaks[10000] < 64.0, peaks
 
 
 class TestVectorizedSandwich:
