@@ -1,18 +1,20 @@
-"""Numeric kernels: quantile transforms, the Beta copula transform, Cholesky
-with positive-definite repair, the rank-one correlation's semiseparable
-factor, and deterministic counter-based uniform streams.
+"""Numeric kernels: quantile transforms, the normal-scale copula maps for Beta
+and truncated-normal marginals, Cholesky with positive-definite repair, the
+rank-one correlation's semiseparable factor, and deterministic
+counter-based uniform streams.
 
 These back the copula simulator.  The quantile transforms wrap scipy's
 high-accuracy special functions and serve as the oracles for the fast
-normal-scale Beta map ``beta_normal_map``: a cubic Hermite interpolant of
-x -> F^{-1}(Phi(x)) on a uniform normal-scale grid, built once per map,
-checked against ``beta_quantile`` at every interval midpoint and replaced by
-the exact map where that check or the grid's range does not hold.  Every
-correlation the coverage grids use is diag(1 - v^2) + v v^T, whose Cholesky
-factor ``rank_one_cholesky`` gives in O(n) without forming the matrix.  The
-random streams are Philox counter-based generators keyed by (master seed,
-stream index) so that replications can be generated in any order, on any
-number of workers, with bit-identical results.
+normal-scale maps ``beta_normal_map`` and ``truncnorm_normal_map``: one
+cubic Hermite interpolant of x -> F^{-1}(Phi(x)) on a uniform normal-scale
+grid, built once per map from the family's exact map and the closed-form
+slope of that map, checked against the exact map at every interval midpoint
+and replaced by it where that check or the grid's range does not hold.
+Every correlation the coverage grids use is diag(1 - v^2) + v v^T, whose
+Cholesky factor ``rank_one_cholesky`` gives in O(n) without forming the
+matrix.  The random streams are Philox counter-based generators keyed by
+(master seed, stream index) so that replications can be generated in any
+order, on any number of workers, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -53,56 +55,93 @@ def beta_quantile(a, b, p):
     return special.betaincinv(a, b, p)
 
 
-# The normal-scale Beta map: knots on [-NORMAL_MAP_EDGE, NORMAL_MAP_EDGE],
-# the largest midpoint error the table may show, and the evaluation block.
+# The normal-scale maps: knots on [-NORMAL_MAP_EDGE, NORMAL_MAP_EDGE] (the
+# Beta map's and the truncated-normal map's counts), the largest midpoint
+# error a table may show, and the evaluation block.
 NORMAL_MAP_KNOTS = 2049
+TRUNCNORM_MAP_KNOTS = 8193
 NORMAL_MAP_EDGE = 8.0
 NORMAL_MAP_TOL = 1e-11
 NORMAL_MAP_BLOCK = 1 << 15
 _TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def clipped_normal_cdf(x):
+    """Overwrite the float array x with Phi(x) clipped into [tiny, 1 - 2^-53]
+    and return it: copula probabilities inside the open unit interval, since
+    Phi rounds to 1 from x = 8.3 and to 0 below about -38."""
+    special.ndtr(x, out=x)
+    return np.clip(x, _TINY, _BELOW_ONE, out=x)
 
 
 def _beta_from_normal_exact(a, b, x):
-    """F^{-1}(Phi(x)) for Beta(a, b) through ``beta_quantile``.
+    """Overwrite the float array x with F^{-1}(Phi(x)) for Beta(a, b) through
+    ``beta_quantile`` and return it.
 
     The upper half uses the mirror 1 - F_{b,a}^{-1}(Phi(-x)), since Phi(x)
     rounds to 1 for x >= 8.3 and loses the tail probability well before; the
     lower tail probability is clipped to the smallest normal float, which
     Phi(x) underflows below about x = -37.5.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     upper = x > 0.0
     lower = ~upper
-    out[lower] = beta_quantile(a, b, np.maximum(special.ndtr(x[lower]), _TINY))
-    out[upper] = 1.0 - beta_quantile(b, a, np.maximum(special.ndtr(-x[upper]), _TINY))
-    return out
+    x[lower] = beta_quantile(a, b, np.maximum(special.ndtr(x[lower]), _TINY))
+    x[upper] = 1.0 - beta_quantile(b, a, np.maximum(special.ndtr(-x[upper]), _TINY))
+    return x
 
 
-def _beta_hermite_table(a, b):
-    """Cubic Hermite coefficients of the Beta normal-scale map, or None.
+def _beta_slope(a, b, x, y):
+    """dy/dx = phi(x) / f(y) of the Beta map, with f the Beta(a, b) density."""
+    log_pdf = (a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y) - special.betaln(a, b)
+    return np.exp(-0.5 * x * x - 0.5 * np.log(2.0 * np.pi) - log_pdf)
 
-    Knot values come from the exact map and knot slopes from the closed form
-    dy/dx = phi(x) / f(y).  On interval i, with t = (x - x_i) / h in [0, 1),
-    the value is c0 + t (c1 + t (c2 + t c3)).  The table is returned only
-    when it agrees with the exact map to NORMAL_MAP_TOL at every interval
-    midpoint, where a cubic Hermite interpolant's error is largest.
+
+def _truncnorm_from_normal_exact(mu, sigma, lo, hi, x):
+    """Overwrite the float array x with Q(Phi(x)) for the truncated normal,
+    Phi(x) clipped by ``clipped_normal_cdf`` and Q = ``truncnorm_quantile``,
+    every step in place; return x."""
+    return truncnorm_quantile(mu, sigma, lo, hi, clipped_normal_cdf(x), out=x)
+
+
+def _truncnorm_slope(mu, sigma, lo, hi, x, y):
+    """dy/dx = sigma (Phi(beta) - Phi(alpha)) phi(x) / phi((y - mu) / sigma)
+    of the truncated-normal map, with alpha, beta the standardized bounds."""
+    mass = special.ndtr((hi - mu) / sigma) - special.ndtr((lo - mu) / sigma)
+    z = (y - mu) / sigma
+    return sigma * mass * np.exp(0.5 * (z * z - x * x))
+
+
+def _hermite_table(exact, slope, knots):
+    """Cubic Hermite coefficients of a normal-scale map x -> y, or None.
+
+    ``exact`` is the map itself, in place on a float array; ``slope(x, y)``
+    is its closed-form derivative.  Knot values come from the exact map and
+    knot slopes from the closed form, on ``knots`` uniform knots over
+    |x| <= NORMAL_MAP_EDGE.  On interval i, with t = (x - x_i) / h in
+    [0, 1), the value is c0 + t (c1 + t (c2 + t c3)).  The table is returned
+    only when it agrees with the exact map to NORMAL_MAP_TOL at every
+    interval midpoint, where a cubic Hermite interpolant's error is largest.
     """
-    knots = np.linspace(-NORMAL_MAP_EDGE, NORMAL_MAP_EDGE, NORMAL_MAP_KNOTS)
-    h = knots[1] - knots[0]
-    y = _beta_from_normal_exact(a, b, knots)
+    x = np.linspace(-NORMAL_MAP_EDGE, NORMAL_MAP_EDGE, knots)
+    h = x[1] - x[0]
+    y = exact(x.copy())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_pdf = (a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y) - special.betaln(a, b)
-        m = h * np.exp(-0.5 * knots * knots - 0.5 * np.log(2.0 * np.pi) - log_pdf)
+        m = h * slope(x, y)
         dy = np.diff(y)
         c0, c1 = y[:-1], m[:-1]
         c2 = 3.0 * dy - 2.0 * m[:-1] - m[1:]
         c3 = m[:-1] + m[1:] - 2.0 * dy
         mid = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
-        err = np.abs(mid - _beta_from_normal_exact(a, b, knots[:-1] + 0.5 * h))
+        err = np.abs(mid - exact(x[:-1] + 0.5 * h))
     if not np.all(err <= NORMAL_MAP_TOL):
         return None
-    return knots[0], h, (c0, c1, c2, c3)
+    return x[0], h, (c0, c1, c2, c3)
+
+
+def _normal_map(exact, slope, knots):
+    """The in-place map with its table, built once; see beta_normal_map."""
+    return functools.partial(_apply_normal_map, exact, _hermite_table(exact, slope, knots))
 
 
 def beta_normal_map(a, b):
@@ -123,7 +162,11 @@ def beta_normal_map(a, b):
     """
     if not (a > 0 and b > 0):
         raise ValueError("beta shape parameters must be positive")
-    return functools.partial(_apply_beta_map, a, b, _beta_hermite_table(a, b))
+    return _normal_map(
+        functools.partial(_beta_from_normal_exact, a, b),
+        functools.partial(_beta_slope, a, b),
+        NORMAL_MAP_KNOTS,
+    )
 
 
 def beta_from_normal(a, b, x):
@@ -132,7 +175,25 @@ def beta_from_normal(a, b, x):
     return beta_normal_map(a, b)(x)
 
 
-def _apply_beta_map(a, b, table, x):
+def truncnorm_normal_map(mu, sigma, lo, hi):
+    """The in-place map x -> Q(Phi(x)) for normal(mu, sigma^2) truncated to
+    [lo, hi], set up once like ``beta_normal_map``.
+
+    The exact map clips Phi(x) by ``clipped_normal_cdf`` and applies
+    ``truncnorm_quantile``, so far tails map inside [lo, hi].  Its table has
+    TRUNCNORM_MAP_KNOTS knots and an absolute error on the outcome scale of
+    about 7e-12 for truncnormal(0, 5, -20, 20); a wide marginal such as
+    sigma = 1000 fails the midpoint check and takes the exact map throughout.
+    """
+    params = (mu, sigma, lo, hi)
+    return _normal_map(
+        functools.partial(_truncnorm_from_normal_exact, *params),
+        functools.partial(_truncnorm_slope, *params),
+        TRUNCNORM_MAP_KNOTS,
+    )
+
+
+def _apply_normal_map(exact, table, x):
     if not (
         isinstance(x, np.ndarray) and x.dtype == np.float64
         and x.flags.c_contiguous and x.flags.writeable
@@ -141,8 +202,7 @@ def _apply_beta_map(a, b, table, x):
     flat = x.reshape(-1)
     if table is None:
         for start in range(0, flat.size, NORMAL_MAP_BLOCK):
-            block = flat[start:start + NORMAL_MAP_BLOCK]
-            block[...] = _beta_from_normal_exact(a, b, block)
+            exact(flat[start:start + NORMAL_MAP_BLOCK])
         return x
     x0, h, (c0, c1, c2, c3) = table
     size = min(flat.size, NORMAL_MAP_BLOCK)
@@ -152,7 +212,7 @@ def _apply_beta_map(a, b, table, x):
         k = block.size
         t, c, i = t_buf[:k], c_buf[:k], i_buf[:k]
         far = np.flatnonzero(np.abs(block) > NORMAL_MAP_EDGE)
-        tails = _beta_from_normal_exact(a, b, block[far])
+        tails = exact(block[far])
         np.subtract(block, x0, out=t)
         t /= h
         np.copyto(i, t, casting="unsafe")

@@ -19,7 +19,9 @@ stream keyed by (master_seed, r).  The drivers loop, per n, over blocks of
 BLOCK_ROWS replications: a block's normals are drawn once and read by every
 cell at that n, so grid cells share common random numbers (table 2's shapes
 also share the normal-scale block).  Each cell applies its correlation
-factor and marginal map to the block and writes its per-replication
+factor and marginal map to the block (for Beta and truncated-normal
+marginals a normal-scale table from ``kernels``, built once per cell, in
+place of the per-value quantile) and writes its per-replication
 statistics (estimation errors, Wald cover flags, residual range) into
 length-reps vectors; the table rows are reduced from those vectors after the
 last block.  Memory is O(BLOCK_ROWS * n) per n whatever reps is.  Every
@@ -46,15 +48,16 @@ from densum.concentration import a5_from_sums, optimal_s, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
 from densum.estimators import _ExchangeableSandwich, _qr_weight_rows
 from densum.kernels import (
-    NORMAL_MAP_BLOCK,
     beta_normal_map,
     beta_quantile,
     cholesky,
+    clipped_normal_cdf,
     ensure_pd,
     rank_one_cholesky,
     rank_one_ensure_pd,
     seeded_stream,
     std_normal_quantile,
+    truncnorm_normal_map,
     truncnorm_quantile,
     validate_correlation,
 )
@@ -64,10 +67,6 @@ MARGINAL_FAMILIES = ("beta", "truncnormal", "uniform")
 # The design draw for the regression experiment must never collide with a
 # replication stream, so it lives far outside the replication index range.
 DESIGN_STREAM_OFFSET = 2**32
-
-# The open unit interval's float ends, for copula probabilities Phi(x).
-_TINY = np.finfo(float).tiny
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 # Replications per block.  The drivers and ``copula_sample`` run block by
 # block, so memory is O(BLOCK_ROWS * n) whatever reps is, and every matrix
@@ -185,32 +184,26 @@ class MarginalSpec:
     def normal_map(self):
         """The Gaussian-copula transform quantile(Phi(x)) as an in-place
         function of a writable C-contiguous float64 array, with any setup
-        (the Beta table) done once here.
+        (the normal-scale table) done once here.
 
-        Beta marginals use the normal-scale map ``beta_normal_map``.  The
-        other families take quantile(Phi(x)) with Phi(x) clipped into
-        [tiny, 1 - 2^-53], so draws far in either tail (Phi rounds to 1 from
-        x = 8.3 and to 0 below about -38) map inside the support; they run
-        in place over blocks of NORMAL_MAP_BLOCK values, with the same
-        operations as ``quantile(clip(ndtr(x)))`` and so the same values.
+        Beta and truncated-normal marginals use the normal-scale maps
+        ``beta_normal_map`` and ``truncnorm_normal_map``.  A uniform
+        marginal takes quantile(Phi(x)) with Phi(x) clipped into
+        [tiny, 1 - 2^-53] by ``clipped_normal_cdf``, so draws far in either
+        tail map inside the support.
         """
         if self.family == "beta":
             return beta_normal_map(*self.params)
-        return self._clipped_quantile_of_phi
+        if self.family == "truncnormal":
+            return truncnorm_normal_map(*self.params)
+        return self._uniform_of_phi
 
-    def _clipped_quantile_of_phi(self, x):
-        flat = x.reshape(-1)
-        for start in range(0, flat.size, NORMAL_MAP_BLOCK):
-            u = flat[start:start + NORMAL_MAP_BLOCK]
-            ndtr(u, out=u)
-            np.clip(u, _TINY, _BELOW_ONE, out=u)
-            if self.family == "truncnormal":
-                truncnorm_quantile(*self.params, u, out=u)
-            else:
-                lo, hi = self.params
-                u *= hi - lo
-                u += lo
-        return x
+    def _uniform_of_phi(self, x):
+        lo, hi = self.params
+        u = clipped_normal_cdf(x)
+        u *= hi - lo
+        u += lo
+        return u
 
     def from_normal(self, x):
         """``normal_map()`` applied to x: overwrites x when it is a writable
@@ -251,6 +244,12 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        for name in ("phi", "shape"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.c_star is not None and not 0.0 < self.c_star < math.inf:
+            raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ def copula_sample(corr, marginal, n, reps, seed, normals=None):
     correlation and z_r standard normal from the counter-based stream
     (seed, r) — deterministic per replication, whatever the scheduling.
     ``normals``, when given, is that draw, ``standard_normals(n, reps,
-    seed)``, made once by a caller; it is only read.
+    seed)``, made once by a caller; it is only read, and must be finite.
 
     ``corr`` is either a length-n loading vector v, standing for the
     correlation diag(1 - v^2) + v v^T (it must be finite, and positive
@@ -458,8 +457,11 @@ def copula_sample(corr, marginal, n, reps, seed, normals=None):
     n = int(n)
     reps = int(reps)
     factor = _copula_factor(corr, n)
-    if normals is not None and normals.shape != (reps, n):
-        raise ValueError(f"normals must be {reps} x {n}, got {normals.shape}")
+    if normals is not None:
+        if normals.shape != (reps, n):
+            raise ValueError(f"normals must be {reps} x {n}, got {normals.shape}")
+        if not np.all(np.isfinite(normals)):
+            raise ValueError("normals must be finite")
     to_marginal = marginal.normal_map()
     Y = np.empty((reps, n))
     x, scratch = np.empty((BLOCK_ROWS, n)), np.empty((BLOCK_ROWS, n))

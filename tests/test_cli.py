@@ -156,6 +156,27 @@ class TestSimulateCommand:
         assert rc == 1
         assert f"output directory {missing} does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--table", "3", "--phi", "inf"], "phi must be finite, got inf"),
+            (["--table", "3", "--phi-star", "nan"], "phi must be finite, got nan"),
+            (["--table", "2", "--shape", "inf"], "shape must be finite, got inf"),
+            (["--table", "1", "--c-star", "-1"], "c_star must be finite and positive, got -1.0"),
+            (["--table", "3", "--c-star", "nan"], "c_star must be finite and positive, got nan"),
+        ],
+    )
+    def test_bad_settings_fail_before_the_work(self, flags, message, tmp_path, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("run_table must not run")
+
+        monkeypatch.setattr(densum.cli, "run_table", never)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", *flags, "--reps", "2", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_beats_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DENSUM_SEED", "123")
         out = tmp_path / "t1.csv"

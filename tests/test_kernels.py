@@ -14,6 +14,7 @@ from densum.kernels import (
     ensure_pd,
     seeded_stream,
     std_normal_quantile,
+    truncnorm_normal_map,
     truncnorm_quantile,
     validate_correlation,
 )
@@ -130,6 +131,54 @@ class TestBetaFromNormal:
             beta_from_normal(10.0, 10.0, np.zeros((3, 3))[:, 0])
         with pytest.raises(ValueError, match="positive"):
             beta_from_normal(0.0, 1.0, np.zeros(3))
+
+
+class TestTruncnormFromNormal:
+    # Table 3's error marginal, truncated at four sigma either side.
+    PARAMS = (0.0, 5.0, -20.0, 20.0)
+    GRID = TestBetaFromNormal.GRID
+    # A table on the outcome scale carries an absolute error that grows with
+    # sigma: about 1.4e-9 for this one, which fails the midpoint check.
+    WIDE = (0.0, 1000.0, -4000.0, 4000.0)
+
+    def oracle(self, x):
+        a, b = special.ndtr(-4.0), special.ndtr(4.0)
+        return np.clip(5.0 * special.ndtri(a + special.ndtr(x) * (b - a)), -20.0, 20.0)
+
+    def test_matches_the_independent_oracle(self, monkeypatch):
+        exact_values = []
+
+        def counting_quantile(mu, sigma, lo, hi, p, out=None):
+            exact_values.append(np.size(p))
+            return truncnorm_quantile(mu, sigma, lo, hi, p, out=out)
+
+        monkeypatch.setattr(kernels, "truncnorm_quantile", counting_quantile)
+        got = truncnorm_normal_map(*self.PARAMS)(self.GRID.copy())
+        assert np.abs(got - self.oracle(self.GRID)).max() <= 1e-11
+        # the exact map sees the knots, the midpoints and the tails only
+        tails = np.count_nonzero(np.abs(self.GRID) > kernels.NORMAL_MAP_EDGE)
+        assert sum(exact_values) == 2 * kernels.TRUNCNORM_MAP_KNOTS - 1 + tails
+
+    def test_table_is_built_for_the_regression_marginal(self):
+        # on every supported numpy and scipy, so the fast path cannot be lost
+        _, table = truncnorm_normal_map(*self.PARAMS).args
+        assert table is not None
+
+    def test_failed_table_takes_the_exact_map(self):
+        to_outcome = truncnorm_normal_map(*self.WIDE)
+        _, table = to_outcome.args
+        assert table is None
+        got = to_outcome(self.GRID.copy())
+        expected = kernels._truncnorm_from_normal_exact(*self.WIDE, self.GRID.copy())
+        np.testing.assert_array_equal(got, expected)
+
+    def test_rejects_arrays_it_cannot_overwrite(self):
+        to_outcome = truncnorm_normal_map(*self.PARAMS)
+        read_only = np.zeros(3)
+        read_only.flags.writeable = False
+        for bad in (np.zeros(3, dtype=np.float32), np.zeros((3, 3))[:, 0], read_only, [0.0]):
+            with pytest.raises(ValueError, match="writable C-contiguous float64"):
+                to_outcome(bad)
 
 
 class TestTruncnormQuantile:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import densum.simulation
+from densum import kernels
 from densum.concentration import a5_empirical, optimal_s
 from densum.estimators import (
     _exchangeable_sandwich,
@@ -144,11 +145,15 @@ class TestMarginalSpec:
         ],
     )
     def test_in_place_transform_matches_the_quantile_of_phi(self, m, quantile):
-        # bit for bit, over more than one evaluation block
+        # bit for bit, over more than one evaluation block; a truncated normal
+        # is checked through its exact map, the table's fallback and oracle
         x = np.random.default_rng(3).normal(scale=3.0, size=(3, NORMAL_MAP_BLOCK))
         x[0, :4] = (-40.0, -9.0, 9.0, 40.0)
         expected = quantile(np.clip(special.ndtr(x), np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
-        got = m.from_normal(x)
+        if m.family == "truncnormal":
+            got = kernels._truncnorm_from_normal_exact(*m.params, x)
+        else:
+            got = m.from_normal(x)
         assert got is x
         np.testing.assert_array_equal(got, expected)
 
@@ -421,6 +426,18 @@ class TestStructuredSampler:
         with pytest.raises(ValueError, match="normals must be 31 x 50"):
             copula_sample(_exchangeable_copula(n, 0.1), m, n, reps + 1, 4, normals=Z)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "m", [MarginalSpec.beta(10, 10), MarginalSpec.truncnormal(0, 5, -20, 20)]
+    )
+    def test_non_finite_normals_are_rejected(self, m, bad):
+        # a NaN would spread along its row through the rank-one cumulative sum
+        n, reps = 50, 30
+        Z = standard_normals(n, reps, seed=4).copy()
+        Z[3, 7] = bad
+        with pytest.raises(ValueError, match="normals must be finite"):
+            copula_sample(_exchangeable_copula(n, 0.1), m, n, reps, 4, normals=Z)
+
     def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
         calls = []
 
@@ -547,6 +564,22 @@ class TestConfigAndReport:
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"table": 3, "phi": math.inf}, "phi"),
+            ({"table": 1, "phi": math.nan}, "phi"),
+            ({"table": 2, "shape": -math.inf}, "shape"),
+            ({"table": 1, "c_star": -1.0}, "c_star"),
+            ({"table": 3, "c_star": 0.0}, "c_star"),
+            ({"table": 1, "c_star": math.inf}, "c_star"),
+            ({"table": 1, "c_star": math.nan}, "c_star"),
+        ],
+    )
+    def test_non_finite_or_non_positive_settings_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ExperimentConfig(**kwargs)
 
     def test_report_rate_validation(self):
