@@ -362,9 +362,14 @@ def _exchangeable_sandwich(X, E, partition):
         u_k = X_k' e_k - c_k Sx_k Se_k,
         c_k = rho / (1 + (n_k - 1) rho),
 
-    with Sx_k, Se_k the within-cluster sums.  Every replication's result
-    depends on its own row of E alone.  Returns (vcov, rho) of shapes
+    with Sx_k, Se_k the within-cluster sums.  Returns (vcov, rho) of shapes
     reps x p x p and (reps,).
+
+    Every replication's result depends on its own row of E alone, to the
+    bit: each step does the same per-row work whatever the number of rows
+    (reps = 1 included), with no matrix product across replications, so a
+    batch equals one-at-a-time fits and a shorter run is a prefix of a
+    longer one.
     """
     return _ExchangeableSandwich(X, partition)(E)
 
@@ -372,63 +377,89 @@ def _exchangeable_sandwich(X, E, partition):
 class _ExchangeableSandwich:
     """``_exchangeable_sandwich`` for one design and partition, set up once.
 
-    The design side (observation order, cluster offsets and sizes, the
-    cluster sums Sx of the columns, X'X) is computed here; calling the
-    object on a reps x n residual matrix returns (vcov, rho), so a caller
-    that scores replications block by block pays for the setup once.
-    Observations are taken in stable label order, so each cluster is one
-    contiguous run for ``reduceat`` whatever the partition; when the labels
-    already run in order (every sequential partition) X and E are used as
-    they are, with no reordered copy.  The temporaries are the size of E.
+    Observations sit in the slots of a row-major layout of rows of width
+    w = ceil(n / K): cluster k takes ceil(n_k / w) consecutive rows, the
+    clusters in label order, and the slots a cluster leaves unused hold
+    zero weight.  A row's sums of e [1, X] are then one dot product per
+    column, and a cluster's sums are the sum of its rows'.  There are at
+    most n / w + K <= 2K rows, so at most 2n + K slots per replication,
+    however lopsided the cluster sizes.  For an equal-size sequential
+    partition the slots are the observations in order and E is only
+    reshaped; any other partition gathers E into a zeroed buffer.
+
+    The design side ([1, X] in that layout, the cluster sums Sx of the
+    columns, X'X and the K x p^2 table of Sx_k Sx_k') is computed here;
+    calling the object on a reps x n residual matrix returns (vcov, rho), so
+    a caller that scores replications block by block pays for it once.
     """
 
     def __init__(self, X, partition):
-        n = X.shape[0]
+        n, p = X.shape
         labels = partition.assignment
         if labels.shape[0] != n:
             raise ValueError("partition length does not match the data")
         if partition.n_clusters < 2:
             raise ValueError("need at least two clusters for a sandwich estimate")
-        self.order = None
-        if np.any(labels[1:] < labels[:-1]):
-            self.order = np.argsort(labels, kind="stable")
-            X = X[self.order]
-        self.X = X
-        self.sizes = partition.cluster_sizes
-        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        self.Sx = np.add.reduceat(X, self.offsets, axis=0)  # K x p cluster sums of columns
+        self.sizes = sizes = partition.cluster_sizes
+        K = sizes.size
+        width = -(-n // K)
+        rows = -(-sizes // width)
+        first_row = np.concatenate(([0], np.cumsum(rows)[:-1]))
+        first_obs = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        order = np.argsort(labels, kind="stable")
+        k = labels[order] - 1
+        slot = np.empty(n, dtype=np.intp)
+        slot[order] = first_row[k] * width + np.arange(n) - first_obs[k]
+        self.shape = (int(rows.sum()), width)
+        identity = self.shape[0] * width == n and np.array_equal(slot, np.arange(n))
+        self.slot = None if identity else slot
+        self.fold = None if self.shape[0] == K else first_row  # rows -> clusters
+        layout = np.zeros((p + 1, self.shape[0] * width))
+        layout[0, slot] = 1.0
+        layout[1:, slot] = X.T
+        self.layout = layout.reshape(p + 1, *self.shape)  # [1, X] in the slots
+
+        self.Sx = np.add.reduceat(X[order], first_obs, axis=0)  # K x p cluster sums of columns
+        self.SxSx = (self.Sx[:, :, None] * self.Sx[:, None, :]).reshape(K, p * p)
         self.XtX = X.T @ X
-        self.n_pairs = float(np.sum(self.sizes * (self.sizes - 1) / 2.0))
+        self.n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))
         # Keep the working covariance positive definite for every cluster size.
-        max_size = float(np.max(self.sizes))
+        max_size = float(np.max(sizes))
         self.rho_lo = -1.0 / (max_size - 1.0) + 1e-6 if max_size > 1 else -1.0 + 1e-6
 
     def __call__(self, E):
-        X, sizes, offsets, Sx = self.X, self.sizes, self.offsets, self.Sx
-        if self.order is not None:
-            E = np.take(E, self.order, axis=1)  # take keeps E row-major
-        p = X.shape[1]
-        Se = np.add.reduceat(E, offsets, axis=1)  # reps x K
-        EE = E * E
-        Se2 = np.add.reduceat(EE, offsets, axis=1)
-        sigma2 = np.mean(EE, axis=1)
-        SxE = np.empty((E.shape[0], p, sizes.shape[0]))  # reps x p x K
-        for j in range(p):
-            SxE[:, j, :] = np.add.reduceat(np.multiply(E, X[:, j], out=EE), offsets, axis=1)
-        del EE
+        reps, n = E.shape
+        p = self.XtX.shape[0]
+        G = E
+        if self.slot is not None:
+            G = np.zeros((reps, self.shape[0] * self.shape[1]))
+            G[:, self.slot] = E
+        G = G.reshape(reps, *self.shape)
+        S = np.empty((p + 1, reps, self.shape[0]))  # per-row sums of e and of e X_j
+        for column, sums in zip(self.layout, S):
+            np.einsum("rkm,km->rk", G, column, out=sums)
+        if self.fold is not None:
+            S = np.add.reduceat(S, self.fold, axis=2)
+        Se = S[0]  # reps x K
 
         # sum over within-cluster pairs i<j of e_i e_j, via (sum^2 - sum of squares)/2
-        cross = 0.5 * (np.sum(Se * Se, axis=1) - np.sum(Se2, axis=1))
+        sumsq = np.einsum("ri,ri->r", E, E)
+        sigma2 = sumsq / n
+        cross = 0.5 * (np.einsum("rk,rk->r", Se, Se) - sumsq)
         with np.errstate(invalid="ignore", divide="ignore"):
             rho = np.where(
                 (sigma2 > 0) & (self.n_pairs > 0), cross / (self.n_pairs * sigma2), 0.0
             )
         rho = np.clip(rho, self.rho_lo, 1.0 - 1e-6)
 
-        c = rho[:, None] / (1.0 + (sizes[None, :] - 1.0) * rho[:, None])  # reps x K
-        U = SxE.transpose(0, 2, 1) - (c * Se)[:, :, None] * Sx[None, :, :]  # reps x K x p
-        meat = np.einsum("rkp,rkq->rpq", U, U)
-        D = self.XtX[None, :, :] - np.einsum("rk,kp,kq->rpq", c, Sx, Sx)
+        c = rho[:, None] / (1.0 + (self.sizes[None, :] - 1.0) * rho[:, None])  # reps x K
+        cSe = c * Se
+        U = np.empty((reps, p, Se.shape[1]))  # u_k = X_k' e_k - c_k Sx_k Se_k
+        for j in range(p):
+            np.multiply(cSe, self.Sx[:, j], out=U[:, j])
+            np.subtract(S[j + 1], U[:, j], out=U[:, j])
+        meat = np.matmul(U, U.transpose(0, 2, 1))
+        D = self.XtX - np.matmul(c[:, None, :], self.SxSx).reshape(reps, p, p)
         Dinv = np.linalg.inv(D)
         return Dinv @ meat @ Dinv, rho
 

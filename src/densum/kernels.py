@@ -211,8 +211,12 @@ def _apply_normal_map(exact, table, x):
         block = flat[start:start + NORMAL_MAP_BLOCK]
         k = block.size
         t, c, i = t_buf[:k], c_buf[:k], i_buf[:k]
-        far = np.flatnonzero(np.abs(block) > NORMAL_MAP_EDGE)
-        tails = exact(block[far])
+        # Values beyond the knots, and NaN, take the exact map; their slots
+        # are zeroed so that the index cast below sees finite values only.
+        far = np.flatnonzero(~(np.abs(block) <= NORMAL_MAP_EDGE))
+        if far.size:
+            tails = exact(block[far])
+            block[far] = 0.0
         np.subtract(block, x0, out=t)
         t /= h
         np.copyto(i, t, casting="unsafe")
@@ -223,7 +227,8 @@ def _apply_normal_map(exact, table, x):
             block *= t
             np.take(coef, i, out=c)
             block += c
-        block[far] = tails
+        if far.size:
+            block[far] = tails
     return x
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from densum.core import Partition, sequential_partition
 from densum.estimators import (
     ConvergenceError,
     RegressionFit,
+    _exchangeable_sandwich,
     acf_phi_hat,
     cluster_robust,
     gee_exchangeable_vcov,
@@ -17,6 +20,7 @@ from densum.estimators import (
     partition_compare,
     residual_range,
 )
+from densum.simulation import BLOCK_ROWS
 
 # Worked example used throughout: three points, one slope.
 #   X = [[1,0],[1,1],[1,2]], y = [0,1,1]
@@ -395,6 +399,66 @@ class TestGeeExchangeable:
         assert cs.method == "wald"
         assert cs.range_source is None
         assert cs.lower < cs.upper
+
+
+def lopsided_partition(n):
+    """One cluster of n - 999 observations, then 999 singletons."""
+    return Partition(np.concatenate([np.ones(n - 999, dtype=int), np.arange(2, 1001)]))
+
+
+SANDWICH_PARTITIONS = {
+    "equal": sequential_partition(100, 10),
+    "unequal": sequential_partition(37, 7),
+    "shuffled": Partition(
+        np.random.default_rng(3).permutation(sequential_partition(37, 7).assignment)
+    ),
+    "lopsided": lopsided_partition(2000),
+}
+
+
+class TestSandwichLayout:
+    # The padded cluster layout: the identity for equal sequential clusters, a
+    # gather for any other partition, several rows per cluster when one is large.
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", SANDWICH_PARTITIONS)
+    def test_each_replication_is_independent_of_the_batch(self, name, p):
+        partition = SANDWICH_PARTITIONS[name]
+        rng = np.random.default_rng(p)
+        X = np.column_stack([np.ones(partition.n), rng.standard_normal((partition.n, p - 1))])
+        E = rng.standard_normal((BLOCK_ROWS + 5, partition.n))
+        vcov, rho = _exchangeable_sandwich(X, E, partition)
+        for reps in (1, 2, 3, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
+            vcov_r, rho_r = _exchangeable_sandwich(X, E[:reps], partition)
+            np.testing.assert_array_equal(vcov_r, vcov[:reps])
+            np.testing.assert_array_equal(rho_r, rho[:reps])
+
+    def test_lopsided_partition_matches_oracle(self, rng):
+        partition = SANDWICH_PARTITIONS["lopsided"]
+        X = np.column_stack([np.ones(partition.n), rng.standard_normal(partition.n)])
+        y = X @ np.array([1.0, 2.0]) + rng.standard_normal(partition.n)
+        vcov, rho = gee_exchangeable_vcov(ols_fit(X, y), partition)
+        _, vcov_o, rho_o = sandwich_oracle(X, y, partition)
+        assert rho == pytest.approx(rho_o, abs=1e-12)
+        np.testing.assert_allclose(vcov, vcov_o, rtol=1e-9, atol=1e-14)
+
+    def test_lopsided_partition_memory_is_linear_in_n(self):
+        # Padding every cluster to the largest one would take K x max size =
+        # 1000 x 199 001 slots, 1.6 GB per replication.  The layout holds at
+        # most 2n + K slots (3.2 MB here), and set-up plus one call must stay
+        # within 64 MB of traced allocations.
+        n = 200_000
+        partition = lopsided_partition(n)
+        X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
+        E = np.random.default_rng(0).standard_normal((1, n))
+        tracemalloc.start()
+        try:
+            vcov, _ = _exchangeable_sandwich(X, E, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vcov))
+        assert peak <= 64 * 2**20
 
 
 def _loop_acf(series, lags):

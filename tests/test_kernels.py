@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from densum import kernels
 from densum.kernels import (
     NotPositiveDefiniteError,
     beta_from_normal,
+    beta_normal_map,
     beta_quantile,
     cholesky,
     ensure_pd,
@@ -179,6 +182,42 @@ class TestTruncnormFromNormal:
         for bad in (np.zeros(3, dtype=np.float32), np.zeros((3, 3))[:, 0], read_only, [0.0]):
             with pytest.raises(ValueError, match="writable C-contiguous float64"):
                 to_outcome(bad)
+
+
+class TestNormalMapEvaluation:
+    # Beta and truncated normal, each with its table and without one.
+    MAPS = {
+        "beta": (beta_normal_map, (10.0, 10.0), True),
+        "beta-exact": (beta_normal_map, (0.3, 0.3), False),
+        "truncnormal": (truncnorm_normal_map, TestTruncnormFromNormal.PARAMS, True),
+        "truncnormal-exact": (truncnorm_normal_map, TestTruncnormFromNormal.WIDE, False),
+    }
+
+    @pytest.mark.parametrize("name, quantile", [
+        ("beta", "beta_quantile"), ("truncnormal", "truncnorm_quantile"),
+    ])
+    def test_values_inside_the_knots_never_reach_the_exact_map(self, name, quantile,
+                                                               monkeypatch):
+        family, params, _ = self.MAPS[name]
+        to_outcome = family(*params)
+        calls = []
+        monkeypatch.setattr(kernels, quantile, lambda *args, **kw: calls.append(args))
+        # several evaluation blocks, every value inside the knots
+        to_outcome(np.linspace(-8.0, 8.0, 3 * kernels.NORMAL_MAP_BLOCK + 5))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_nan_maps_to_nan_without_a_warning(self, name):
+        family, params, tabled = self.MAPS[name]
+        to_outcome = family(*params)
+        assert (to_outcome.args[1] is not None) == tabled
+        x = np.array([0.0, np.nan, 1.0, np.inf, -np.inf, -9.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = to_outcome(x.copy())
+        finite = ~np.isnan(x)
+        assert np.isnan(got[~finite]).all()
+        np.testing.assert_array_equal(got[finite], to_outcome(x[finite]))
 
 
 class TestTruncnormQuantile:
