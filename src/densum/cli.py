@@ -259,14 +259,21 @@ def _resolve(flag_value, config, section, key, cast, default=None):
     if flag_value is not None:
         return flag_value
     if config.has_option(section, key):
-        return cast(config.get(section, key))
+        text = config.get(section, key)
+        try:
+            return cast(text)
+        except ValueError:
+            raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {text!r}") from None
     return default
 
 
 def _resolve_seed(flag_value, config, section):
     env = os.environ.get("DENSUM_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
     return _resolve(flag_value, config, section, "seed", int, 0)
 
 

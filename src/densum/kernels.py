@@ -14,13 +14,16 @@ Every correlation the coverage grids use is diag(1 - v^2) + v v^T, whose
 Cholesky factor ``rank_one_cholesky`` gives in O(n) without forming the
 matrix.  The random streams are Philox counter-based generators keyed by
 (master seed, stream index) so that replications can be generated in any
-order, on any number of workers, with bit-identical results.
+order, on any number of workers, with bit-identical results;
+``seeded_normals`` keys a block of them in one vectorized pass of numpy's
+SeedSequence hash.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +225,12 @@ def _apply_normal_map(exact, table, x):
         np.copyto(i, t, casting="unsafe")
         np.clip(i, 0, c0.size - 1, out=i)
         t -= i
-        np.take(c3, i, out=block)
+        # mode="clip" spares take()'s buffered out= copy (mode="raise" makes
+        # one); i is already clipped above, as t -= i needs, so no index moves.
+        np.take(c3, i, out=block, mode="clip")
         for coef in (c2, c1, c0):
             block *= t
-            np.take(coef, i, out=c)
+            np.take(coef, i, out=c, mode="clip")
             block += c
         if far.size:
             block[far] = tails
@@ -391,16 +396,121 @@ def rank_one_ensure_pd(v, eps=1e-6):
     raise AssertionError("unreachable: the identity is positive definite")
 
 
+def _stream_key(master_seed, stream_index):
+    """(master_seed, stream_index) as Python ints; both must be nonnegative
+    integers (a float seed is refused, not truncated)."""
+    for value in (master_seed, stream_index):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"seed and stream index must be nonnegative integers, got {value!r}")
+    return int(master_seed), int(stream_index)
+
+
 def seeded_stream(master_seed, stream_index):
     """Deterministic uniform stream keyed by (master_seed, stream_index).
 
     Distinct indices yield statistically independent Philox streams; the
     same pair always reproduces the same sequence, independent of how many
-    other streams exist or the order in which they are consumed.
+    other streams exist or the order in which they are consumed.  This is
+    the single-stream entry point; ``seeded_normals`` draws many rows of
+    these streams at once, bit for bit the same.
     """
-    master_seed = int(master_seed)
-    stream_index = int(stream_index)
-    if master_seed < 0 or stream_index < 0:
-        raise ValueError("seed and stream index must be nonnegative")
+    master_seed, stream_index = _stream_key(master_seed, stream_index)
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_index,))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
+# the two multiplicative hash constants and the mixing multipliers.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, hash_const, mult):
+    """SeedSequence's hashmix on a uint32 array; returns (value, next hash_const)."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _philox_keys(master_seed, indices):
+    """The Philox keys of ``seeded_stream(master_seed, r)`` for each r in the
+    uint32 array ``indices``: a (len(indices), 2) uint64 array.
+
+    One vectorized pass of SeedSequence(master_seed, spawn_key=(r,)):
+    the entropy is the seed's 32-bit words, zero-padded to the pool size,
+    then the spawn word r; ``mix_entropy`` folds it into the pool and
+    ``generate_state(2, np.uint64)`` hashes the pool into the key.
+    """
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(indices.shape, w, dtype=np.uint32) for w in words] + [indices]
+    pool = []
+    hash_const = _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    state = []
+    hash_const = _INIT_B
+    for word in pool:
+        value, hash_const = _hashmix(word, hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    # little-endian word pairs, as generate_state views them
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def seeded_normals(master_seed, start, out):
+    """Fill row i of the 2-D float64 array ``out`` with the standard normals
+    that ``seeded_stream(master_seed, start + i).standard_normal`` draws and
+    return ``out``, bit for bit.
+
+    The rows' Philox keys come from one vectorized pass of numpy's
+    SeedSequence hash (``_philox_keys``), and one Philox generator is
+    re-keyed per row to counter 0 with an empty output buffer, the state a
+    fresh Philox starts in, instead of building a SeedSequence and a
+    generator per stream.  Stream indices must lie below 2**32, where the
+    spawn key is one 32-bit word.
+    """
+    master_seed, start = _stream_key(master_seed, start)
+    rows = out.shape[0]
+    if start + rows > 2**32:
+        raise ValueError("stream indices must lie below 2**32")
+    keys = _philox_keys(master_seed, (start + np.arange(rows)).astype(np.uint32))
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    counter, buffer = np.zeros(4, dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+    for key, row in zip(keys, out):
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key},
+            "buffer": buffer,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    return out

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,7 @@ from densum.kernels import (
     ensure_pd,
     rank_one_cholesky,
     rank_one_ensure_pd,
+    seeded_normals,
     seeded_stream,
     std_normal_quantile,
     truncnorm_normal_map,
@@ -250,6 +252,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.c_star is not None and not 0.0 < self.c_star < math.inf:
             raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -351,21 +355,13 @@ def _table3_copula(phi_star, w1, sigma):
     return rank_one_ensure_pd(math.sqrt(scale) * w1)
 
 
-def _draw_normals(seed, start, out):
-    """Fill row i of ``out`` with standard normals from the counter-based
-    stream (seed, start + i); return ``out``."""
-    for i in range(out.shape[0]):
-        seeded_stream(seed, start + i).standard_normal(out=out[i])
-    return out
-
-
 def standard_normals(n, reps, seed):
     """The copula's reps x n standard normals, read-only.
 
     Row r comes from the counter-based stream (seed, r), so it is the same
     whatever reps is and whatever else is drawn.
     """
-    Z = _draw_normals(seed, 0, np.empty((int(reps), int(n))))
+    Z = seeded_normals(seed, 0, np.empty((int(reps), int(n))))
     Z.flags.writeable = False
     return Z
 
@@ -383,7 +379,7 @@ def _normal_blocks(n, reps, seed, normals=None):
         rows = min(BLOCK_ROWS, reps - start)
         z[rows:] = 0.0
         if normals is None:
-            _draw_normals(seed, start, z[:rows])
+            seeded_normals(seed, start, z[:rows])
         else:
             z[:rows] = normals[start:start + rows]
         yield start, rows, z

@@ -164,6 +164,7 @@ class TestSimulateCommand:
             (["--table", "2", "--shape", "inf"], "shape must be finite, got inf"),
             (["--table", "1", "--c-star", "-1"], "c_star must be finite and positive, got -1.0"),
             (["--table", "3", "--c-star", "nan"], "c_star must be finite and positive, got nan"),
+            (["--table", "1", "--seed", "-1"], "master_seed must be a nonnegative integer, got -1"),
         ],
     )
     def test_bad_settings_fail_before_the_work(self, flags, message, tmp_path, monkeypatch, capsys):
@@ -175,6 +176,25 @@ class TestSimulateCommand:
         rc = main(["simulate", *flags, "--reps", "2", "--out", str(out)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("run_table must not run")
+
+        monkeypatch.setattr(densum.cli, "run_table", never)
+        monkeypatch.setenv("DENSUM_SEED", "abc")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--table", "1", "--reps", "2", "--out", str(out)]) == 1
+        assert "error: DENSUM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_value_is_named(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[table1]\nseed = abc\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "-c", str(config), "--table", "1", "--out", str(out)]) == 1
+        assert "error: [table1] seed must be int, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_seed_beats_everything(self, tmp_path, monkeypatch):

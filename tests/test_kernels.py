@@ -15,6 +15,7 @@ from densum.kernels import (
     beta_quantile,
     cholesky,
     ensure_pd,
+    seeded_normals,
     seeded_stream,
     std_normal_quantile,
     truncnorm_normal_map,
@@ -220,6 +221,19 @@ class TestNormalMapEvaluation:
         np.testing.assert_array_equal(got[finite], to_outcome(x[finite]))
 
 
+    @pytest.mark.parametrize("name", ["beta", "truncnormal"])
+    def test_the_knots_edges_map_within_tolerance(self, name):
+        # x = +EDGE lands on index knots - 1, one past the last interval: the
+        # index clip moves it to the last interval with t = 1
+        family, params, _ = self.MAPS[name]
+        to_outcome = family(*params)
+        edge = kernels.NORMAL_MAP_EDGE
+        x = np.array([-edge, np.nextafter(-edge, 0.0), np.nextafter(edge, 0.0), edge])
+        exact = to_outcome.args[0]
+        err = np.abs(to_outcome(x.copy()) - exact(x.copy()))
+        assert err.max() <= kernels.NORMAL_MAP_TOL
+
+
 class TestTruncnormQuantile:
     def test_symmetric_median_is_mu(self):
         assert truncnorm_quantile(1.0, 2.0, -3.0, 5.0, 0.5) == pytest.approx(1.0, abs=1e-12)
@@ -324,3 +338,46 @@ class TestSeededStreams:
             seeded_stream(-1, 0)
         with pytest.raises(ValueError, match="nonnegative"):
             seeded_stream(0, -1)
+        with pytest.raises(ValueError, match="integers, got 1.5"):
+            seeded_stream(1.5, 0)  # refused, not truncated to seed 1
+
+
+class TestSeededNormals:
+    # 2**130 + 1 has five 32-bit words, one more than SeedSequence's pool
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1]
+    INDICES = [0, 1, 999, 1000, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_are_the_seed_sequence_keys(self, seed):
+        got = kernels._philox_keys(seed, np.array(self.INDICES, dtype=np.uint32))
+        expected = [
+            np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            for r in self.INDICES
+        ]
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1500])
+    @pytest.mark.parametrize("seed, start", [(0, 0), (2**64 + 3, 998), (5, 2**32 - 4)])
+    def test_rows_are_the_seeded_streams_bit_for_bit(self, seed, start, n):
+        out = np.empty((4, n))
+        assert seeded_normals(seed, start, out) is out
+        expected = [seeded_stream(seed, start + i).standard_normal(n) for i in range(4)]
+        np.testing.assert_array_equal(out, expected)
+
+    def test_rows_of_a_block_buffer(self):
+        z = np.zeros((5, 6))
+        seeded_normals(3, 10, z[:2])
+        np.testing.assert_array_equal(z[:2], [seeded_stream(3, 10 + i).standard_normal(6)
+                                              for i in range(2)])
+        assert not z[2:].any()
+
+    @pytest.mark.parametrize("seed, start, rows, message", [
+        (-1, 0, 1, "nonnegative"),
+        (0, -1, 1, "nonnegative"),
+        (1.5, 0, 1, "nonnegative integers, got 1.5"),
+        (0, 2**32, 1, "below 2\\*\\*32"),
+        (0, 2**32 - 1, 2, "below 2\\*\\*32"),
+    ])
+    def test_bad_seeds_and_starts_are_rejected(self, seed, start, rows, message):
+        with pytest.raises(ValueError, match=message):
+            seeded_normals(seed, start, np.empty((rows, 3)))

@@ -21,6 +21,7 @@ from densum.kernels import (
     cholesky,
     ensure_pd,
     rank_one_ensure_pd,
+    seeded_normals,
     seeded_stream,
     std_normal_quantile,
     truncnorm_quantile,
@@ -441,11 +442,16 @@ class TestStructuredSampler:
     def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
         calls = []
 
-        def counting(seed, index):
+        def counting_stream(seed, index):
             calls.append(index)
             return seeded_stream(seed, index)
 
-        monkeypatch.setattr(densum.simulation, "seeded_stream", counting)
+        def counting_normals(seed, start, out):
+            calls.extend(range(start, start + out.shape[0]))
+            return seeded_normals(seed, start, out)
+
+        monkeypatch.setattr(densum.simulation, "seeded_stream", counting_stream)
+        monkeypatch.setattr(densum.simulation, "seeded_normals", counting_normals)
         run_table1(ExperimentConfig(table=1, n=100, reps=3))
         assert calls == [0, 1, 2]  # four phi cells share one draw
         calls.clear()
@@ -581,6 +587,11 @@ class TestConfigAndReport:
     def test_non_finite_or_non_positive_settings_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_master_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^master_seed must be a nonnegative integer"):
+            ExperimentConfig(table=1, master_seed=seed)
 
     def test_report_rate_validation(self):
         with pytest.raises(ValueError, match="coverage rates"):
