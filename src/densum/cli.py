@@ -344,9 +344,13 @@ def _parse_range_flag(text):
         return ("residual", None)
     head, _, tail = text.partition("=")
     if head in ("known", "marginal"):
-        if not tail:
-            raise ValueError(f"--range {head}=R needs a numeric range")
-        return (head, float(tail))
+        try:
+            R = float(tail)
+        except ValueError:
+            R = math.nan
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"--range {head}=R needs a finite positive number, got {tail!r}")
+        return (head, R)
     if head in ("residual", "two-mean") and not tail:
         return (head, None)
     raise ValueError("--range must be known=R, marginal=R, residual or two-mean")
@@ -370,10 +374,10 @@ def cmd_ci(args):
         raise ValueError("--column is required")
     if args.out:
         _check_output_dir(args.out)
+    source, given = _parse_range_flag(range_flag)
     values = load_columns(args.file, [column])[column]
     summary = summarize(values)
 
-    source, given = _parse_range_flag(range_flag)
     if source == "known" or source == "marginal":
         R = given
     elif source == "two-mean":

@@ -172,12 +172,6 @@ def beta_normal_map(a, b):
     )
 
 
-def beta_from_normal(a, b, x):
-    """Overwrite the float array x with F^{-1}(Phi(x)) for Beta(a, b):
-    ``beta_normal_map(a, b)(x)``, building the table for this call alone."""
-    return beta_normal_map(a, b)(x)
-
-
 def truncnorm_normal_map(mu, sigma, lo, hi):
     """The in-place map x -> Q(Phi(x)) for normal(mu, sigma^2) truncated to
     [lo, hi], set up once like ``beta_normal_map``.

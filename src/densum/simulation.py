@@ -16,22 +16,21 @@ intercept-only least-squares fit (X = 1, weight row 1/n).
 
 Every replication r draws its normals from an independent counter-based
 stream keyed by (master_seed, r).  The drivers loop, per n, over blocks of
-BLOCK_ROWS replications: a block's normals are drawn once and read by every
-cell at that n, so grid cells share common random numbers (table 2's shapes
-also share the normal-scale block).  Each cell applies its correlation
-factor and marginal map to the block (for Beta and truncated-normal
-marginals a normal-scale table from ``kernels``, built once per cell, in
-place of the per-value quantile) and writes its per-replication
-statistics (estimation errors, Wald cover flags, residual range) into
-length-reps vectors; the table rows are reduced from those vectors after the
-last block.  Memory is O(BLOCK_ROWS * n) per n whatever reps is.  Every
-matrix product runs on a full block, zero-padded past reps, so a
-replication's statistics do not depend on reps: a shorter run's statistics
-are a bit-identical prefix of a longer run's, and its report is their
-reduction.  Every grid correlation is diag(1 - v^2) + v v^T (v = sqrt(phi) 1
-for the exchangeable tables, v proportional to the intercept weights for the
-mosaic), whose semiseparable factor is applied row by row with one
-cumulative sum; other matrices take a dense Cholesky product.
+at most BLOCK_ROWS replications: a block's normals are drawn once and read
+by every cell at that n, so grid cells share common random numbers (table
+2's shapes also share the normal-scale block).  Each cell applies its
+correlation factor and marginal map (for Beta and truncated-normal marginals
+a normal-scale table from ``kernels``, built once per cell) and writes its
+per-replication statistics (estimation errors, Wald cover flags, residual
+range) into length-reps vectors, reduced to the table rows after the last
+block.  Memory is O(min(reps, BLOCK_ROWS) * n) per n.  Every step is
+row-local, one output row from one input row by numpy's own loops, so a
+replication's statistics depend neither on reps nor on the block size, and a
+shorter run's are a bit-identical prefix of a longer run's.  Every grid
+correlation is diag(1 - v^2) + v v^T (v = sqrt(phi) 1 for the exchangeable
+tables, v proportional to the intercept weights for the mosaic), whose
+semiseparable factor takes one cumulative sum per row; other matrices take a
+dense Cholesky product, the one step run on a fixed-shape block.
 """
 
 from __future__ import annotations
@@ -71,12 +70,7 @@ MARGINAL_FAMILIES = ("beta", "truncnormal", "uniform")
 DESIGN_STREAM_OFFSET = 2**32
 
 # Replications per block.  The drivers and ``copula_sample`` run block by
-# block, so memory is O(BLOCK_ROWS * n) whatever reps is, and every matrix
-# product runs on all BLOCK_ROWS rows, those past reps zero-padded, so each
-# replication's values do not depend on reps.  With scipy-openblas 0.3.31
-# on a 2-core x86-64 host, 1000-row products of the errors by the weight
-# rows also equalled the whole-matrix products bit for bit at reps 2000 to
-# 10000, where 256- or 512-row blocks did not.
+# block, so memory is O(min(reps, BLOCK_ROWS) * n) whatever reps is.
 BLOCK_ROWS = 1000
 
 TABLE1_GRID = {
@@ -206,12 +200,6 @@ class MarginalSpec:
         u *= hi - lo
         u += lo
         return u
-
-    def from_normal(self, x):
-        """``normal_map()`` applied to x: overwrites x when it is a writable
-        C-contiguous float64 array (any other input is copied first) and
-        returns it."""
-        return self.normal_map()(np.require(x, float, ("C", "W")))
 
 
 def _norm_pdf(x):
@@ -355,47 +343,29 @@ def _table3_copula(phi_star, w1, sigma):
     return rank_one_ensure_pd(math.sqrt(scale) * w1)
 
 
-def standard_normals(n, reps, seed):
-    """The copula's reps x n standard normals, read-only.
-
-    Row r comes from the counter-based stream (seed, r), so it is the same
-    whatever reps is and whatever else is drawn.
-    """
-    Z = seeded_normals(seed, 0, np.empty((int(reps), int(n))))
-    Z.flags.writeable = False
-    return Z
-
-
-def _normal_blocks(n, reps, seed, normals=None):
-    """Yield (start, rows, z) for each block of BLOCK_ROWS replications.
-
-    z is one BLOCK_ROWS x n buffer, reused from block to block: its first
-    ``rows`` rows hold the standard normals of replications start, ...,
-    start + rows - 1 (drawn as ``standard_normals`` draws them, or copied
-    from ``normals``) and its other rows are zero.
-    """
-    z = np.zeros((BLOCK_ROWS, n))
+def _normal_blocks(n, reps, seed):
+    """Yield (start, rows, z) for each block of at most BLOCK_ROWS
+    replications: z is one min(reps, BLOCK_ROWS) x n buffer whose first
+    ``rows`` rows hold the normals of replications start, ...,
+    start + rows - 1, row r from the counter-based stream (seed, r)."""
+    z = np.empty((min(reps, BLOCK_ROWS), n))
     for start in range(0, reps, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, reps - start)
-        z[rows:] = 0.0
-        if normals is None:
-            seeded_normals(seed, start, z[:rows])
-        else:
-            z[:rows] = normals[start:start + rows]
+        seeded_normals(seed, start, z[:rows])
         yield start, rows, z
 
 
 def _copula_factor(corr, n):
     """The normal-scale step of the copula for one correlation, factored and
     checked once: a function (z, rows, out, scratch) that writes the first
-    ``rows`` rows of z times the transposed Cholesky factor into ``out``.
-    z, out and scratch are BLOCK_ROWS x n; scratch is overwritten.
+    ``rows`` rows of z times the transposed Cholesky factor into ``out``
+    (z, out and scratch have n columns; scratch is overwritten).
 
     A length-n loading vector v stands for diag(1 - v^2) + v v^T and takes
     its semiseparable factor row by row.  A matrix must be symmetric with a
     unit diagonal; the comonotone matrix (all cells 1) is singular and
     repeats the first coordinate in every column; any other matrix takes a
-    dense product over all BLOCK_ROWS rows of z.
+    dense product on a BLOCK_ROWS x n block of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if corr.ndim == 1:
@@ -407,7 +377,8 @@ def _copula_factor(corr, n):
     validate_correlation(corr)
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
-    return functools.partial(_dense_block, cholesky(corr).T)
+    block = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
+    return functools.partial(_dense_block, cholesky(corr).T, *block)
 
 
 def _rank_one_block(v, d, g, z, rows, out, scratch):
@@ -423,47 +394,44 @@ def _rank_one_block(v, d, g, z, rows, out, scratch):
     x += np.multiply(z, d, out=scratch[:rows])
 
 
-def _dense_block(LT, z, rows, out, scratch):
-    """z @ L^T over the whole zero-padded block: the product's shape is the
-    same whatever ``rows`` is, so every row's bits are too."""
-    np.matmul(z, LT, out=out)
+def _dense_block(LT, zb, xb, z, rows, out, scratch):
+    """z @ L^T through the fixed BLOCK_ROWS x n pair (zb, xb): the BLAS
+    product's shape is the same whatever ``rows`` is, so every row's bits
+    are too."""
+    zb[:rows] = z[:rows]
+    np.matmul(zb, LT, out=xb)
+    out[:rows] = xb[:rows]
 
 
 def _comonotone_block(z, rows, out, scratch):
     out[:rows] = z[:rows, :1]
 
 
-def copula_sample(corr, marginal, n, reps, seed, normals=None):
+def copula_sample(corr, marginal, n, reps, seed):
     """Draw a reps x n outcome matrix from a Gaussian copula.
 
-    Row r is marginal.from_normal(L z_r) with L the Cholesky factor of the
-    correlation and z_r standard normal from the counter-based stream
-    (seed, r) — deterministic per replication, whatever the scheduling.
-    ``normals``, when given, is that draw, ``standard_normals(n, reps,
-    seed)``, made once by a caller; it is only read, and must be finite.
+    Row r is marginal.normal_map() applied to L z_r, with L the Cholesky
+    factor of the correlation and z_r standard normal from the
+    counter-based stream (seed, r) — deterministic per replication, whatever
+    the scheduling.
 
     ``corr`` is either a length-n loading vector v, standing for the
     correlation diag(1 - v^2) + v v^T (it must be finite, and positive
     definite by ``rank_one_cholesky``), or an n x n matrix that is symmetric
-    with a unit diagonal (see ``_copula_factor``).  The draw runs in blocks
-    of BLOCK_ROWS replications, the loop the coverage drivers use, so a
-    shorter run is a bit-identical prefix of a longer one and a single
-    replication drawn alone equals its row in a batch.
+    with a unit diagonal (see ``_copula_factor``).  The draw runs in the
+    coverage drivers' block loop, ``_score_blocks``, so a shorter run is a
+    bit-identical prefix of a longer one and a single replication drawn
+    alone equals its row in a batch.
     """
-    n = int(n)
-    reps = int(reps)
+    n, reps = int(n), int(reps)
     factor = _copula_factor(corr, n)
-    if normals is not None:
-        if normals.shape != (reps, n):
-            raise ValueError(f"normals must be {reps} x {n}, got {normals.shape}")
-        if not np.all(np.isfinite(normals)):
-            raise ValueError("normals must be finite")
     to_marginal = marginal.normal_map()
     Y = np.empty((reps, n))
-    x, scratch = np.empty((BLOCK_ROWS, n)), np.empty((BLOCK_ROWS, n))
-    for start, rows, z in _normal_blocks(n, reps, seed, normals):
-        factor(z, rows, x, scratch)
+
+    def store(start, rows, x, scratch):
         Y[start:start + rows] = to_marginal(x[:rows])
+
+    _score_blocks(n, reps, seed, [(factor, [store])])
     return Y
 
 
@@ -493,7 +461,8 @@ class _Cell:
 
     def __init__(self, X, W, marginal, shift, reps, alpha):
         n, p = X.shape
-        self.X, self.W, self.shift = X, W, shift
+        self.W, self.shift = W, shift
+        self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
         self.to_marginal = marginal.normal_map()
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
         self.z = std_normal_quantile(1.0 - alpha / 2.0)
@@ -503,18 +472,16 @@ class _Cell:
 
     def add(self, start, rows, eps, scratch):
         """Score replications start, ..., start + rows - 1 from their
-        normal-scale block: the first ``rows`` rows of eps (BLOCK_ROWS x n,
-        overwritten, like scratch).  The matrix products run on all
-        BLOCK_ROWS rows, the others zeroed, so each replication's statistics
-        do not depend on reps."""
+        normal-scale block: the first ``rows`` rows of eps (overwritten, like
+        scratch).  The least-squares products are einsum's loops, one output
+        row from one input row, so each replication's statistics do not
+        depend on reps or on the block size."""
         e = self.to_marginal(eps[:rows])
         e -= self.shift
-        eps[rows:] = 0.0
-        err = eps @ self.W.T
-        fitted = np.matmul(err, self.X.T, out=scratch)
-        resid = np.subtract(e, fitted[:rows], out=fitted[:rows])
+        err = np.einsum("rn,pn->rp", e, self.Wc)
+        fitted = np.einsum("rp,pn->rn", err, self.XT, out=scratch[:rows])
+        resid = np.subtract(e, fitted, out=fitted)
         vcov, _ = self.sandwich(resid)
-        err = err[:rows]
         done = slice(start, start + rows)
         self.stats.err[done] = err
         self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
@@ -525,19 +492,22 @@ class _Cell:
 
 def _score_blocks(n, reps, seed, groups):
     """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
-    with the cells that share its normal-scale block.  Per block of
+    with the consumers that share its normal-scale block: callables
+    (start, rows, x, scratch) such as ``_Cell.add``, which read the first
+    ``rows`` rows of x and may overwrite x and scratch.  Per block of
     replications the normals are drawn once, each factor is applied once,
-    and each of its cells scores its own copy (the last one takes the block
-    itself).  Memory is a few BLOCK_ROWS x n buffers whatever reps is."""
-    x, scratch = np.empty((BLOCK_ROWS, n)), np.empty((BLOCK_ROWS, n))
-    copy = np.empty((BLOCK_ROWS, n)) if any(len(cells) > 1 for _, cells in groups) else None
+    and each of its consumers gets its own copy (the last one takes the
+    block itself).  Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
+    shape = (min(reps, BLOCK_ROWS), n)
+    x, scratch = np.empty(shape), np.empty(shape)
+    copy = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
     for start, rows, z in _normal_blocks(n, reps, seed):
-        for factor, cells in groups:
+        for factor, consumers in groups:
             factor(z, rows, x, scratch)
-            for cell in cells[:-1]:
+            for consume in consumers[:-1]:
                 np.copyto(copy[:rows], x[:rows])
-                cell.add(start, rows, copy, scratch)
-            cells[-1].add(start, rows, x, scratch)
+                consume(start, rows, copy, scratch)
+            consumers[-1](start, rows, x, scratch)
 
 
 def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
@@ -619,7 +589,7 @@ def run_table1(config):
         factors = [_copula_factor(_exchangeable_copula(n, phi), n) for phi in phis]
         cells = [_mean_cell(n, marginal, config) for _ in phis]
         _score_blocks(n, config.reps, config.master_seed,
-                      [(factor, [cell]) for factor, cell in zip(factors, cells)])
+                      [(factor, [cell.add]) for factor, cell in zip(factors, cells)])
         rows += [_mean_row(1, n, phi, marginal, config, cell) for phi, cell in zip(phis, cells)]
     return rows
 
@@ -640,7 +610,7 @@ def run_table2(config):
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
     factor = _copula_factor(_exchangeable_copula(n, phi), n)
     cells = [_mean_cell(n, marginal, config) for marginal in marginals]
-    _score_blocks(n, config.reps, config.master_seed, [(factor, cells)])
+    _score_blocks(n, config.reps, config.master_seed, [(factor, [cell.add for cell in cells])])
     return [
         _mean_row(2, n, phi, marginal, config, cell, alpha_shape=float(shape))
         for shape, marginal, cell in zip(shapes, marginals, cells)
@@ -680,8 +650,8 @@ def run_table3(config):
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0], sigma=5.0) for phi_star in phis]
         cells = [_Cell(X, W, marginal, 0.0, config.reps, config.alpha) for _ in phis]
-        _score_blocks(n, config.reps, config.master_seed,
-                      [(_copula_factor(corr, n), [cell]) for (corr, _), cell in zip(copulas, cells)])
+        groups = [(_copula_factor(corr, n), [cell.add]) for (corr, _), cell in zip(copulas, cells)]
+        _score_blocks(n, config.reps, config.master_seed, groups)
         for phi_star, (_, repair), cell in zip(phis, copulas, cells):
             rows += _coverage_rows(
                 W, cell.stats, TABLE3_BETA, marginal.support, config.alpha, c_star,

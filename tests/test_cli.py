@@ -329,10 +329,25 @@ class TestParseRangeFlag:
     def test_accepted_forms(self, text, expected):
         assert _parse_range_flag(text) == expected
 
-    @pytest.mark.parametrize("text", ["known", "marginal=", "two-mean=3", "bogus"])
+    @pytest.mark.parametrize(
+        "text",
+        ["known", "marginal=", "two-mean=3", "bogus",
+         "known=abc", "known=inf", "known=nan", "known=0", "marginal=-1"],
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError, match="--range"):
             _parse_range_flag(text)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["ci", "--column", "x"], ["fit", "--response", "y", "--covariates", "x"]],
+        ids=["ci", "fit"],
+    )
+    def test_bad_range_fails_before_the_load(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        rc = main([command[0], str(missing), *command[1:], "--range", "known=nan"])
+        assert rc == 1
+        assert "error: --range known=R needs a finite positive number" in capsys.readouterr().err
 
 
 class TestFitCommand:

@@ -1,9 +1,9 @@
-"""Golden outputs: the coverage tables at reps=2000, seed 0.
+"""Golden outputs: the coverage tables at reps=2000 and 10000, seed 0.
 
-``tests/golden/table{1,2,3}_reps2000_seed0.csv`` are the results CSVs of
-``densum simulate --table T --reps 2000 --seed 0``.  A rerun must reproduce
-every coverage rate and verdict exactly and every other cell at six
-significant digits.
+``tests/golden/table{1,2,3}_reps{2000,10000}_seed0.csv`` are the results
+CSVs of ``densum simulate --table T --reps R --seed 0``.  A rerun must
+reproduce every coverage rate and verdict exactly and every other cell at
+six significant digits.
 """
 
 import math
@@ -33,12 +33,17 @@ def agree6(ref, got):
     return abs(a - b) <= unit * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("table", [1, 2, 3])
-def test_simulate_reproduces_the_golden_table(table, tmp_path):
+# The reps=2000 cases keep their original ids.
+@pytest.mark.parametrize(
+    "table, reps",
+    [pytest.param(table, 2000, id=str(table)) for table in (1, 2, 3)]
+    + [pytest.param(table, 10000, id=f"{table}-reps10000") for table in (1, 2, 3)],
+)
+def test_simulate_reproduces_the_golden_table(table, reps, tmp_path):
     out = tmp_path / f"table{table}.csv"
-    assert main(["simulate", "--table", str(table), "--reps", "2000", "--seed", "0",
+    assert main(["simulate", "--table", str(table), "--reps", str(reps), "--seed", "0",
                  "--out", str(out)]) == 0
-    expected = read_results_csv(GOLDEN / f"table{table}_reps2000_seed0.csv")
+    expected = read_results_csv(GOLDEN / f"table{table}_reps{reps}_seed0.csv")
     got = read_results_csv(out)
     assert len(got) == len(expected)
     for i, (ref, row) in enumerate(zip(expected, got)):

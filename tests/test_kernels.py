@@ -10,7 +10,6 @@ from conftest import random_psd
 from densum import kernels
 from densum.kernels import (
     NotPositiveDefiniteError,
-    beta_from_normal,
     beta_normal_map,
     beta_quantile,
     cholesky,
@@ -110,7 +109,7 @@ class TestBetaFromNormal:
             return beta_quantile(a, b, p)
 
         monkeypatch.setattr(kernels, "beta_quantile", counting_quantile)
-        got = beta_from_normal(shape, shape, self.GRID.copy())
+        got = beta_normal_map(shape, shape)(self.GRID.copy())
         err = np.abs(got - exact_beta_map(shape, shape, self.GRID))
         assert err.max() <= 1e-11
         # the table serves every value inside the knots: the exact map only
@@ -119,22 +118,22 @@ class TestBetaFromNormal:
         assert sum(exact_values) == 2 * kernels.NORMAL_MAP_KNOTS - 1 + tails
 
     def test_small_shapes_take_the_exact_map(self):
-        got = beta_from_normal(0.3, 0.3, self.GRID.copy())
+        got = beta_normal_map(0.3, 0.3)(self.GRID.copy())
         np.testing.assert_array_equal(got, exact_beta_map(0.3, 0.3, self.GRID))
 
     def test_overwrites_its_argument(self):
         x = np.array([[-1.0, 0.0], [0.5, 9.0]])
-        assert beta_from_normal(10.0, 10.0, x) is x
+        assert beta_normal_map(10.0, 10.0)(x) is x
         np.testing.assert_allclose(x, exact_beta_map(10.0, 10.0, [[-1.0, 0.0], [0.5, 9.0]]),
                                    atol=1e-11)
 
     def test_rejects_arrays_it_cannot_overwrite(self):
         with pytest.raises(ValueError, match="float64"):
-            beta_from_normal(10.0, 10.0, np.zeros(3, dtype=np.float32))
+            beta_normal_map(10.0, 10.0)(np.zeros(3, dtype=np.float32))
         with pytest.raises(ValueError, match="float64"):
-            beta_from_normal(10.0, 10.0, np.zeros((3, 3))[:, 0])
+            beta_normal_map(10.0, 10.0)(np.zeros((3, 3))[:, 0])
         with pytest.raises(ValueError, match="positive"):
-            beta_from_normal(0.0, 1.0, np.zeros(3))
+            beta_normal_map(0.0, 1.0)(np.zeros(3))
 
 
 class TestTruncnormFromNormal:

@@ -44,7 +44,6 @@ from densum.simulation import (
     run_table1,
     run_table2,
     run_table3,
-    standard_normals,
     table3_corr,
     table3_design,
 )
@@ -127,7 +126,7 @@ class TestMarginalSpec:
     )
     def test_extreme_normal_draws_map_inside_the_support(self, m):
         # Phi rounds to 1 from x = 8.3 and to 0 below about -38
-        y = m.from_normal(np.array([-40.0, -9.0, 9.0, 40.0]))
+        y = m.normal_map()(np.array([-40.0, -9.0, 9.0, 40.0]))
         assert np.all(np.isfinite(y))
         assert np.all(y >= m.support.lower) and np.all(y <= m.support.upper)
         assert np.all(np.diff(y) >= 0.0)
@@ -154,16 +153,9 @@ class TestMarginalSpec:
         if m.family == "truncnormal":
             got = kernels._truncnorm_from_normal_exact(*m.params, x)
         else:
-            got = m.from_normal(x)
+            got = m.normal_map()(x)
         assert got is x
         np.testing.assert_array_equal(got, expected)
-
-    def test_read_only_input_is_copied(self):
-        x = np.linspace(-3.0, 3.0, 7)
-        x.flags.writeable = False
-        y = MarginalSpec.truncnormal(0, 5, -20, 20).from_normal(x)
-        np.testing.assert_array_equal(x, np.linspace(-3.0, 3.0, 7))
-        assert y is not x
 
     def test_truncnorm_quantile_out_matches_the_new_array(self):
         p = np.linspace(0.001, 0.999, 101)
@@ -315,7 +307,7 @@ class TestStructuredSampler:
     # arithmetic uses only that row's draws, so the determinism contract
     # holds bit for bit: a shorter run is a prefix of a longer one, and a
     # replication can be reproduced in a run of its own.  The dense product
-    # keeps both as well, since it always runs on a full zero-padded block.
+    # keeps both as well, since it always runs on a fixed-shape block.
 
     CELLS = {
         "beta-exchangeable": lambda n: (_exchangeable_copula(n, 0.01), MarginalSpec.beta(10, 10)),
@@ -358,7 +350,7 @@ class TestStructuredSampler:
 
     @pytest.mark.parametrize("n", sorted(TABLE1_GRID))
     def test_exchangeable_factor_matches_the_dense_cholesky(self, n):
-        Z = standard_normals(n, 40, seed=2)
+        Z = seeded_normals(2, 0, np.empty((40, n)))
         for rho in TABLE1_GRID[n] + (0.5,):
             expected = Z @ cholesky(exchangeable_corr(n, rho)).T
             got = _rank_one_normals(_exchangeable_copula(n, rho), Z)
@@ -369,7 +361,7 @@ class TestStructuredSampler:
         v, repair, w1 = _mosaic(n)
         corr, dense_repair = table3_corr(0.15, w1, sigma=5.0)
         assert repair == dense_repair
-        Z = standard_normals(n, 40, seed=2)
+        Z = seeded_normals(2, 0, np.empty((40, n)))
         np.testing.assert_allclose(
             _rank_one_normals(v, Z), Z @ cholesky(corr).T, rtol=0, atol=1e-12
         )
@@ -416,29 +408,6 @@ class TestStructuredSampler:
         short = copula_sample(corr, m, n, 300, seed=1)
         np.testing.assert_array_equal(short, copula_sample(corr, m, n, 600, seed=1)[:300])
 
-    def test_shared_normals_give_the_same_draw(self):
-        n, reps, m = 50, 30, MarginalSpec.beta(10, 10)
-        Z = standard_normals(n, reps, seed=4)
-        assert not Z.flags.writeable
-        for corr in (_exchangeable_copula(n, 0.1), exchangeable_corr(n, -0.01)):
-            np.testing.assert_array_equal(
-                copula_sample(corr, m, n, reps, 4, normals=Z), copula_sample(corr, m, n, reps, 4)
-            )
-        with pytest.raises(ValueError, match="normals must be 31 x 50"):
-            copula_sample(_exchangeable_copula(n, 0.1), m, n, reps + 1, 4, normals=Z)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "m", [MarginalSpec.beta(10, 10), MarginalSpec.truncnormal(0, 5, -20, 20)]
-    )
-    def test_non_finite_normals_are_rejected(self, m, bad):
-        # a NaN would spread along its row through the rank-one cumulative sum
-        n, reps = 50, 30
-        Z = standard_normals(n, reps, seed=4).copy()
-        Z[3, 7] = bad
-        with pytest.raises(ValueError, match="normals must be finite"):
-            copula_sample(_exchangeable_copula(n, 0.1), m, n, reps, 4, normals=Z)
-
     def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
         calls = []
 
@@ -475,11 +444,12 @@ def _run_capturing_statistics(config):
 
 
 class TestBlockedEngine:
-    # The drivers score replications in blocks of BLOCK_ROWS, each matrix
-    # product on a full zero-padded block, so a replication's statistics do
-    # not depend on reps: a reps=k report is the reduction of the first k
-    # rows of a reps=2k run's statistics, bit for bit, and a cell's memory
-    # does not grow with reps.
+    # The drivers score replications in blocks of at most BLOCK_ROWS, and
+    # every step computes a replication's values from its own row alone, so
+    # a replication's statistics depend neither on reps nor on the block
+    # size: a reps=k report is the reduction of the first k rows of a
+    # reps=2k run's statistics, bit for bit, and a cell's memory does not
+    # grow with reps (nor exceed what reps itself needs).
 
     CELLS = {
         "table1": dict(table=1, phi=0.06),
@@ -512,12 +482,27 @@ class TestBlockedEngine:
             rows += _coverage_rows(W, head, *long_args, **fields)
         assert rows == short_rows
 
+    @pytest.mark.parametrize("table", [1, 2, 3])
+    def test_statistics_do_not_depend_on_the_block_size(self, table, monkeypatch):
+        config = ExperimentConfig(table=table, n=100, reps=250, master_seed=5)
+        runs = {}
+        for block_rows in (7, 100, 1000):
+            monkeypatch.setattr(densum.simulation, "BLOCK_ROWS", block_rows)
+            runs[block_rows] = _run_capturing_statistics(config)
+        reference_rows, reference_calls = runs.pop(1000)
+        for report_rows, calls in runs.values():
+            assert report_rows == reference_rows
+            assert len(calls) == len(reference_calls) >= 1
+            for (_, got, _, _), (_, expected, _, _) in zip(calls, reference_calls):
+                for values, expected_values in zip(got, expected):
+                    np.testing.assert_array_equal(values, expected_values)
+
     @pytest.mark.parametrize(
         "settings_", [dict(table=3, n=1500, phi=0.15), dict(table=1, n=1500, phi=0.02)]
     )
     def test_cell_memory_does_not_grow_with_reps(self, settings_):
         peaks = {}
-        for reps in (1000, 10000):
+        for reps in (20, 1000, 10000):
             tracemalloc.start()
             try:
                 run_table(ExperimentConfig(reps=reps, **settings_))
@@ -526,6 +511,7 @@ class TestBlockedEngine:
                 tracemalloc.stop()
         assert peaks[10000] <= peaks[1000] + 4.0, peaks
         assert peaks[10000] < 64.0, peaks
+        assert peaks[20] < 8.0, peaks
 
 
 class TestVectorizedSandwich:
