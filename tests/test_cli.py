@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from densum.cli import (
     AnalysisReport,
     CoefficientRow,
     SeriesDiagnostics,
+    _load_columns_csv,
     _parse_range_flag,
     _series_diagnostics,
     _write_plot_csvs,
@@ -681,34 +685,155 @@ class TestLoadColumns:
         with pytest.raises(ValueError, match="column 'b' is not finite \\(line 4\\)"):
             load_columns(path, ["a", "b"])
 
-    @pytest.mark.parametrize(
-        "content, names, expected",
-        [
-            pytest.param(b'a,b\n"1.5",2\n', ["a"], {"a": [1.5]}, id="quoted-cell"),
-            pytest.param(b"a,b\n 1.5 ,2\n", ["a", "b"], {"a": [1.5], "b": [2.0]},
-                         id="whitespace-around-number"),
-            pytest.param(b"a,b\n1_000,2\n", ["a"], {"a": [1000.0]}, id="underscore-digits"),
-            pytest.param(b"a,b\r\n1,2\r\n3,4\r\n", ["a", "b"],
-                         {"a": [1.0, 3.0], "b": [2.0, 4.0]}, id="crlf"),
-            pytest.param(b"a,b\n1,2\n3\n", ["a", "b"],
-                         "column 'b' is not numeric \\(line 3\\)", id="short-row"),
-            pytest.param(b"a,b\n1,2,9,x\n", ["a", "b"], {"a": [1.0], "b": [2.0]},
-                         id="extra-trailing-fields-ignored"),
-            pytest.param(b"a,b\n1,2\n3,4\n", ["a", "a"], {"a": [1.0, 3.0]},
-                         id="repeated-name-read-once"),
-        ],
-    )
+    # Accepted by np.loadtxt, so the fast path must return them without the
+    # csv-module loader; every other case runs that loader exactly once.
+    FALLBACK_FREE = {
+        "quoted-cell", "whitespace-around-number", "crlf",
+        "extra-trailing-fields-ignored", "repeated-name-read-once",
+        "quoted-header-line-break", "no-trailing-newline", "trailing-commas",
+        "cr-only", "quoted-comma-in-unused-column", "utf8-bom",
+    }
+    CASES = [
+        pytest.param(b'a,b\n"1.5",2\n', ["a"], {"a": [1.5]}, id="quoted-cell"),
+        pytest.param(b"a,b\n 1.5 ,2\n", ["a", "b"], {"a": [1.5], "b": [2.0]},
+                     id="whitespace-around-number"),
+        pytest.param(b"a,b\n1_000,2\n", ["a"], {"a": [1000.0]}, id="underscore-digits"),
+        pytest.param(b"a,b\r\n1,2\r\n3,4\r\n", ["a", "b"],
+                     {"a": [1.0, 3.0], "b": [2.0, 4.0]}, id="crlf"),
+        pytest.param(b"a,b\n1,2\n3\n", ["a", "b"],
+                     "column 'b' is not numeric \\(line 3\\)", id="short-row"),
+        pytest.param(b"a,b\n1,2,9,x\n", ["a", "b"], {"a": [1.0], "b": [2.0]},
+                     id="extra-trailing-fields-ignored"),
+        pytest.param(b"a,b\n1,2\n3,4\n", ["a", "a"], {"a": [1.0, 3.0]},
+                     id="repeated-name-read-once"),
+        pytest.param(b"a,b\n1,2\n   \n3,4\n", ["a", "b"],
+                     "column 'a' is not numeric \\(line 3\\)", id="whitespace-only-line"),
+        pytest.param(b"a,b\n1,2\n#3,4\n", ["a", "b"],
+                     "column 'a' is not numeric \\(line 3\\)", id="hash-prefixed-row"),
+        pytest.param(b"a,b\n1,nan\n", ["a", "b"],
+                     "column 'b' is not finite \\(line 2\\)", id="nan"),
+        pytest.param(b"a,b\n1,2\n-inf,4\n", ["a", "b"],
+                     "column 'a' is not finite \\(line 3\\)", id="inf"),
+        pytest.param(b"a,b\n0x10,2\n", ["a"],
+                     "column 'a' is not numeric \\(line 2\\)", id="hex"),
+        pytest.param(b"a,b\n1,1.5e\n", ["a", "b"],
+                     "column 'b' is not numeric \\(line 2\\)", id="bare-exponent"),
+        pytest.param(b"a,b\n1,\n", ["a", "b"],
+                     "column 'b' is not numeric \\(line 2\\)", id="empty-cell"),
+        pytest.param("a,b\n\u0661\u0662,2\n".encode(), ["a", "b"],
+                     {"a": [12.0], "b": [2.0]}, id="arabic-indic-digits"),
+        pytest.param("a,b\n\uff13,2\n".encode(), ["a"], {"a": [3.0]},
+                     id="fullwidth-digits"),
+        pytest.param(b"a,b\n0.1e1_0,2\n", ["a"], {"a": [1e9]},
+                     id="underscore-exponent"),
+        pytest.param(b'"a\nx",b\n1,2\n', ["a\nx", "b"],
+                     {"a\nx": [1.0], "b": [2.0]}, id="quoted-header-line-break"),
+        pytest.param(b'"a\nx",b\n1,2\n3,oops\n', ["a\nx", "b"],
+                     "column 'b' is not numeric \\(line 4\\)",
+                     id="quoted-header-line-break-bad-cell"),
+        pytest.param(b"a,b\n1,2\na,b\n3,4\n", ["a", "b"],
+                     "column 'a' is not numeric \\(line 3\\)", id="header-repeated-mid-file"),
+        pytest.param(b"a,b\n", ["a", "b"], {"a": [], "b": []}, id="header-only"),
+        pytest.param(b"a,b\n1,2\n3,4", ["a", "b"], {"a": [1.0, 3.0], "b": [2.0, 4.0]},
+                     id="no-trailing-newline"),
+        pytest.param(b"a,b,\n1,2,\n3,4,,\n", ["a", "b"],
+                     {"a": [1.0, 3.0], "b": [2.0, 4.0]}, id="trailing-commas"),
+        pytest.param(b"a,b\r1,2\r3,4\r", ["a", "b"], {"a": [1.0, 3.0], "b": [2.0, 4.0]},
+                     id="cr-only"),
+        pytest.param(b'a,b,c\n1,"x,y",3\n', ["a", "c"], {"a": [1.0], "c": [3.0]},
+                     id="quoted-comma-in-unused-column"),
+        pytest.param(b"\xef\xbb\xbfa,b\n1,2\n", ["a", "b"], {"a": [1.0], "b": [2.0]},
+                     id="utf8-bom"),
+    ]
+
+    @staticmethod
+    def oracle(path, names):
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return _load_columns_csv(handle, names)
+
+    @staticmethod
+    def assert_same_columns(got, want):
+        """Same names, and arrays equal bit for bit (the sign of zero too)."""
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert got[name].dtype == np.float64 and got[name].flags.c_contiguous
+            np.testing.assert_array_equal(got[name].view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("content, names, expected", CASES)
     def test_accept_reject_set(self, tmp_path, content, names, expected):
         path = tmp_path / "cells.csv"
         path.write_bytes(content)
         if isinstance(expected, str):
-            with pytest.raises(ValueError, match=expected):
+            with pytest.raises(ValueError, match=expected) as got:
                 load_columns(path, names)
+            with pytest.raises(ValueError) as want:
+                self.oracle(path, names)
+            assert str(got.value) == str(want.value)
             return
         got = load_columns(path, names)
         assert list(got) == list(expected)
         for name, values in expected.items():
             np.testing.assert_array_equal(got[name], values)
+        self.assert_same_columns(got, self.oracle(path, names))
+
+    @pytest.mark.parametrize("content, names, expected", CASES)
+    def test_fast_path_is_taken(self, tmp_path, monkeypatch, request, content, names, expected):
+        calls = []
+
+        def counted(handle, names):
+            calls.append(names)
+            return _load_columns_csv(handle, names)
+
+        monkeypatch.setattr(densum.cli, "_load_columns_csv", counted)
+        path = tmp_path / "cells.csv"
+        path.write_bytes(content)
+        try:
+            load_columns(path, names)
+        except ValueError:
+            pass
+        assert len(calls) == (request.node.callspec.id not in self.FALLBACK_FREE)
+
+    def test_fast_path_matches_the_csv_loader_on_generated_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        table = rng.standard_normal((20_000, 3)) * 10.0 ** rng.integers(-300, 300, (20_000, 3))
+        table[:6] = [[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308],
+                     [-0.0, 0.0, 2.2250738585072014e-308], [1.0, -1.0, 0.1],
+                     [np.nextafter(1.0, 2.0), 1e-320, -1e-310], [3.0, 4.0, 5.0]]
+        path = tmp_path / "rows.csv"
+        with open(path, "w") as handle:
+            handle.write("a,b,c\n")
+            handle.writelines("%.17g,%.17g,%.17g\n" % tuple(row) for row in table)
+
+        def never(handle, names):
+            raise AssertionError("the csv-module loader ran on a well-formed file")
+
+        want = self.oracle(path, ["c", "a", "b"])
+        monkeypatch.setattr(densum.cli, "_load_columns_csv", never)
+        got = load_columns(path, ["c", "a", "b"])
+        self.assert_same_columns(got, want)
+        for j, name in enumerate("abc"):
+            np.testing.assert_array_equal(got[name].view(np.uint64), table[:, j].view(np.uint64))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_in_one_csv_module_pass(self, tmp_path):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(b"a,b\n1_000,2\n",), daemon=True)
+        writer.start()
+        try:
+            got = load_columns(path, ["a", "b"])
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert {k: v.tolist() for k, v in got.items()} == {"a": [1000.0], "b": [2.0]}
+
+    def test_header_only_file_raises_no_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_columns(path, ["a", "b"])
+        assert [v.size for v in got.values()] == [0, 0]
 
     def test_nan_response_fails_the_fit_at_load(self, regression_csv, tmp_path, capsys):
         lines = open(regression_csv).read().splitlines()
