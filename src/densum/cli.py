@@ -1,10 +1,13 @@
 """Command-line surface: simulate, ci, fit, diagnose, fetch-climate.
 
 Settings resolve in priority order: built-in defaults, then the config file
-(``-c/--config``, INI sections [table1]/[table2]/[table3]/[analysis]), then
-command-line flags, then the DENSUM_SEED environment variable (which
-overrides any seed).  Exit codes: 0 success, 1 usage/config/data error,
-2 network failure.
+(``-c/--config``, accepted by simulate, ci, fit and diagnose; INI sections
+[table1]/[table2]/[table3]/[analysis]), then command-line flags, then the
+DENSUM_SEED environment variable (which overrides any seed).  ``main`` fills
+and checks every setting in ``resolve_settings`` before any input is read,
+grid run or download made.  Exit codes: 0 success, 1 setting, config or data
+error, 2 network failure or a usage error that argparse rejects (an unknown
+flag, a bad --table or --partitions).
 """
 
 from __future__ import annotations
@@ -284,46 +287,85 @@ def _file_sha256(path):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path):
-    parser = configparser.ConfigParser()
-    if path:
-        with open(path) as handle:
-            parser.read_file(handle)
-    return parser
+# Config keys and their casts.  A command reads only the keys it has flags
+# for: simulate from [table1]..[table3], the others from [analysis].
+CONFIG_CASTS = {
+    "n": int, "phi": float, "shape": float, "reps": int, "alpha": float, "c_star": float,
+    "seed": int, "method": str, "range": str, "column": str, "response": str,
+    "covariates": str,
+}
+# Defaults of the analysis commands' settings; simulate's are ExperimentConfig's.
+ANALYSIS_DEFAULTS = {"alpha": 0.05, "method": "u", "range": "residual"}
+SIMULATE_SETTINGS = ("n", "phi", "shape", "reps", "alpha", "c_star")
 
 
-def _resolve(flag_value, config, section, key, cast, default=None):
-    if flag_value is not None:
-        return flag_value
-    if config.has_option(section, key):
-        text = config.get(section, key)
-        try:
-            return cast(text)
-        except ValueError:
-            raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {text!r}") from None
-    return default
+def resolve_settings(args):
+    """Fill every setting the command line left unset, in place, and check
+    them all before any input is read, grid run or download made.
 
-
-def _resolve_seed(flag_value, config, section):
+    A setting comes from its flag, else from the config file, else from its
+    default; DENSUM_SEED overrides any seed.
+    """
     env = os.environ.get("DENSUM_SEED")
-    if env is not None:
+    if env is not None and hasattr(args, "seed"):
         try:
-            return int(env)
+            args.seed = int(env)
         except ValueError:
             raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
-    return _resolve(flag_value, config, section, "seed", int, 0)
+    config = configparser.ConfigParser()
+    if getattr(args, "config", None):
+        with open(args.config) as handle:
+            config.read_file(handle)
+    section = f"table{args.table}" if args.command == "simulate" else "analysis"
+    # Without its own section a command still reads the file's [DEFAULT] keys.
+    values = config[section if config.has_section(section) else config.default_section]
+    for key, cast in CONFIG_CASTS.items():
+        if getattr(args, key, False) is None and key in values:
+            text = values[key]
+            try:
+                setattr(args, key, cast(text))
+            except ValueError:
+                raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {text!r}") from None
+    for key, default in ANALYSIS_DEFAULTS.items():
+        if args.command != "simulate" and getattr(args, key, False) is None:
+            setattr(args, key, default)
+
+    if args.command == "simulate":
+        settings = {k: getattr(args, k) for k in SIMULATE_SETTINGS if getattr(args, k) is not None}
+        if args.seed is not None:
+            settings["master_seed"] = args.seed
+        args.experiment = ExperimentConfig(table=args.table, **settings)
+        args.out = args.out or f"table{args.table}_results.csv"
+    if args.command == "ci" and args.column is None:
+        raise ValueError("--column is required")
+    if args.command in ("fit", "diagnose") and getattr(args, "column", None) is None:
+        if not args.climate:
+            if args.response is None or args.covariates is None:
+                raise ValueError("--response and --covariates are required (or use --climate)")
+            args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+            if args.response in args.covariates:
+                raise ValueError(
+                    f"response {args.response!r} is also listed among the covariates"
+                )
+        if args.command == "diagnose" and args.coefficient is None:
+            raise ValueError("--coefficient is required when diagnosing a fit")
+    if args.command == "ci" and args.method not in CI_MEAN_METHODS:
+        raise ValueError("--method must be hoeffding, u, bernstein or ratio")
+    if hasattr(args, "range"):
+        args.source, args.given = _parse_range_flag(args.range)
+    if getattr(args, "partitions", None) and args.partitions[0] < 2:
+        raise ValueError("--partitions: the first count sets the Wald comparator's "
+                         "clusters and must be at least 2")
+    if args.command in ("ci", "fit") and not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir} does not exist")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def _check_output_dir(path):
-    """Fail before any work when an output path's directory is missing."""
-    out_dir = os.path.dirname(path)
-    if out_dir and not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir} does not exist")
 
 
 def _cluster_counts(text):
@@ -340,25 +382,8 @@ def _cluster_counts(text):
 
 
 def cmd_simulate(args):
-    config_file = _load_config(args.config)
-    section = f"table{args.table}"
-    if not config_file.has_section(section):
-        config_file.add_section(section)
-    phi = args.phi if args.phi is not None else args.phi_star
-    config = ExperimentConfig(
-        table=args.table,
-        n=_resolve(args.n, config_file, section, "n", int),
-        phi=_resolve(phi, config_file, section, "phi", float),
-        shape=_resolve(args.shape, config_file, section, "shape", float),
-        reps=_resolve(args.reps, config_file, section, "reps", int, 2000),
-        alpha=_resolve(args.alpha, config_file, section, "alpha", float, 0.05),
-        c_star=_resolve(args.c_star, config_file, section, "c_star", float),
-        master_seed=_resolve_seed(args.seed, config_file, section),
-    )
-    out = args.out or f"table{args.table}_results.csv"
-    _check_output_dir(out)
     rows = []
-    for row in run_table(config):
+    for row in run_table(args.experiment):
         rows.append(row)
         if row.coefficient:
             label = f" {row.coefficient}"
@@ -370,8 +395,8 @@ def cmd_simulate(args):
             f"table {row.table} n={row.n} phi={_fmt(row.phi)}{label}"
             + f": ci_u={_fmt(row.ci_u)} ci_wald={_fmt(row.ci_wald)} verdict={row.a5_verdict}"
         )
-    write_results_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    write_results_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -400,24 +425,12 @@ CI_MEAN_METHODS = {
 
 
 def cmd_ci(args):
-    config_file = _load_config(args.config)
-    if not config_file.has_section("analysis"):
-        config_file.add_section("analysis")
-    alpha = _resolve(args.alpha, config_file, "analysis", "alpha", float, 0.05)
-    method = _resolve(args.method, config_file, "analysis", "method", str, "u")
-    range_flag = _resolve(args.range, config_file, "analysis", "range", str, None)
-    column = _resolve(args.column, config_file, "analysis", "column", str, None)
-    if column is None:
-        raise ValueError("--column is required")
-    if args.out:
-        _check_output_dir(args.out)
-    source, given = _parse_range_flag(range_flag)
-    values = load_columns(args.file, [column])[column]
-    summary = summarize(values)
+    alpha, column = args.alpha, args.column
+    summary = summarize(load_columns(args.file, [column])[column])
 
-    if source == "known" or source == "marginal":
-        R = given
-    elif source == "two-mean":
+    if args.source == "known" or args.source == "marginal":
+        R = args.given
+    elif args.source == "two-mean":
         if summary.minimum < 0:
             raise ValueError("two-mean range needs nonnegative data")
         R = 2.0 * summary.mean
@@ -426,9 +439,7 @@ def cmd_ci(args):
         if R == 0.0:
             warnings.warn("column is constant; the confidence set is degenerate")
 
-    full = CI_MEAN_METHODS.get(method)
-    if full is None:
-        raise ValueError("--method must be hoeffding, u, bernstein or ratio")
+    full = CI_MEAN_METHODS[args.method]
     if full != "ratio" and R == 0.0:
         result = ConfidenceSet(summary.mean, summary.mean, 1 - alpha, full, "known")
     else:
@@ -448,19 +459,13 @@ def cmd_ci(args):
     return 0
 
 
-def _fit_frame(args, config_file):
-    """Resolve the (response, design, columns) triple for fit/diagnose."""
+def _fit_frame(args):
+    """Read the (response, design, columns) triple for fit/diagnose."""
     if args.climate:
         rows = climate.load_climate_csv(args.file)
         frame = climate.climate_prepare(rows, unit=args.climate)
         return frame.response, frame.design, frame.columns
-    response = _resolve(args.response, config_file, "analysis", "response", str, None)
-    covs = _resolve(args.covariates, config_file, "analysis", "covariates", str, None)
-    if response is None or covs is None:
-        raise ValueError("--response and --covariates are required (or use --climate)")
-    names = [c.strip() for c in covs.split(",") if c.strip()]
-    if response in names:
-        raise ValueError(f"response {response!r} is also listed among the covariates")
+    response, names = args.response, args.covariates
     data = load_columns(args.file, [response] + names)
     design = np.column_stack([np.ones(data[response].shape[0])] + [data[c] for c in names])
     return data[response], design, tuple(["intercept"] + names)
@@ -498,24 +503,12 @@ def _coefficient_sets(fit, columns, alpha, source, given):
 
 
 def cmd_fit(args):
-    config_file = _load_config(args.config)
-    if not config_file.has_section("analysis"):
-        config_file.add_section("analysis")
-    alpha = _resolve(args.alpha, config_file, "analysis", "alpha", float, 0.05)
-    range_flag = _resolve(args.range, config_file, "analysis", "range", str, None)
-    source, given = _parse_range_flag(range_flag)
-    if args.out:
-        _check_output_dir(args.out)
-
-    y, X, columns = _fit_frame(args, config_file)
+    y, X, columns = _fit_frame(args)
     parts = [sequential_partition(y.shape[0], k) for k in args.partitions or ()]
-    if parts and parts[0].n_clusters < 2:
-        raise ValueError("--partitions: the first count sets the Wald comparator's "
-                         "clusters and must be at least 2")
     fit = ols_fit(X, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-noise fixtures have zero spread
-        coef_rows = _coefficient_sets(fit, columns, alpha, source, given)
+        coef_rows = _coefficient_sets(fit, columns, args.alpha, args.source, args.given)
         diagnostics = tuple(
             _series_diagnostics(name, fit.weight_rows[s] * fit.residuals)[0]
             for s, name in enumerate(columns)
@@ -532,7 +525,7 @@ def cmd_fit(args):
         provenance={
             "input_sha256": _file_sha256(args.file),
             "seed": None,
-            "config": {"alpha": alpha, "range": range_flag or "residual", "n": fit.n},
+            "config": {"alpha": args.alpha, "range": args.range, "n": fit.n},
         },
     )
 
@@ -557,7 +550,7 @@ def cmd_fit(args):
             chosen = counts[comparison.recommended]
             tie = " (tie)" if comparison.is_tie else ""
             print(f"  partition check {name}: recommend K={chosen}{tie}")
-        wald = gee_exchangeable_wald(fit, parts[0], alpha=alpha, s=len(columns) - 1)
+        wald = gee_exchangeable_wald(fit, parts[0], alpha=args.alpha, s=len(columns) - 1)
         print(
             f"  comparator Wald ({columns[-1]}, K={counts[0]}): "
             f"[{wald.lower:.6g}, {wald.upper:.6g}]"
@@ -613,20 +606,11 @@ def _print_screen(screen_column, full, columns):
 
 
 def cmd_diagnose(args):
-    config_file = _load_config(args.config)
-    if not config_file.has_section("analysis"):
-        config_file.add_section("analysis")
-    column = _resolve(args.column, config_file, "analysis", "column", str, None)
-    if args.out:
-        _check_output_dir(args.out)
-
-    if column is not None:
-        series = load_columns(args.file, [column])[column]
-        name = column
+    if args.column is not None:
+        series = load_columns(args.file, [args.column])[args.column]
+        name = args.column
     else:
-        y, X, columns = _fit_frame(args, config_file)
-        if args.coefficient is None:
-            raise ValueError("--coefficient is required when diagnosing a fit")
+        y, X, columns = _fit_frame(args)
         if args.coefficient not in columns:
             raise ValueError(f"unknown coefficient {args.coefficient!r}")
         fit = ols_fit(X, y)
@@ -708,12 +692,17 @@ def build_parser():
         description="Dependence-robust confidence sets for bounded data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model = argparse.ArgumentParser(add_help=False)  # the flags fit and diagnose share
+    model.add_argument("file")
+    model.add_argument("--response")
+    model.add_argument("--covariates", help="comma-separated column names")
+    model.add_argument("--climate", choices=("monthly", "yearly"),
+                       help="treat the input as a climate CSV and build the lagged frame")
 
     sim = sub.add_parser("simulate", help="run a coverage experiment grid")
     sim.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
     sim.add_argument("--n", type=int)
-    sim.add_argument("--phi", type=float)
-    sim.add_argument("--phi-star", dest="phi_star", type=float)
+    sim.add_argument("--phi", "--phi-star", type=float)
     sim.add_argument("--shape", type=float)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--reps", type=int)
@@ -733,12 +722,8 @@ def build_parser():
     ci.add_argument("-c", "--config")
     ci.set_defaults(func=cmd_ci)
 
-    fit = sub.add_parser("fit", help="least squares with dependence-robust sets")
-    fit.add_argument("file")
-    fit.add_argument("--response")
-    fit.add_argument("--covariates", help="comma-separated column names")
-    fit.add_argument("--climate", choices=("monthly", "yearly"),
-                     help="treat the input as a climate CSV and build the lagged frame")
+    fit = sub.add_parser("fit", parents=[model],
+                         help="least squares with dependence-robust sets")
     fit.add_argument("--alpha", type=float)
     fit.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
     fit.add_argument("--partitions", type=_cluster_counts,
@@ -748,12 +733,9 @@ def build_parser():
     fit.add_argument("-c", "--config")
     fit.set_defaults(func=cmd_fit)
 
-    diag = sub.add_parser("diagnose", help="U-class and dependence diagnostics")
-    diag.add_argument("file")
+    diag = sub.add_parser("diagnose", parents=[model],
+                          help="U-class and dependence diagnostics")
     diag.add_argument("--column")
-    diag.add_argument("--response")
-    diag.add_argument("--covariates")
-    diag.add_argument("--climate", choices=("monthly", "yearly"))
     diag.add_argument("--coefficient", help="diagnose this coefficient's weighted residuals")
     diag.add_argument("--out", help="prefix for plot-ready CSVs")
     diag.add_argument("-c", "--config")
@@ -772,9 +754,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        resolve_settings(args)
         return args.func(args)
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -135,14 +135,25 @@ def climate_prepare(rows, unit="monthly"):
 # ---------------------------------------------------------------------------
 
 
+def _finite(record, column):
+    value = float(record[column])
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r} is not finite")
+    return value
+
+
 def load_climate_csv(path):
-    """Read a normalized climate CSV: date (YYYY-MM), temp_anomaly, co2[, index]."""
-    with open(path, newline="") as handle:
+    """Read a normalized climate CSV: date (YYYY-MM), temp_anomaly, co2[, index].
+
+    UTF-8, a byte-order mark accepted; a bad or non-finite cell is an error
+    that names its file line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "date" not in reader.fieldnames:
             raise ValueError("climate CSV needs a 'date' column")
         rows = []
-        for i, record in enumerate(reader, start=2):
+        for record in reader:
             try:
                 year, month = record["date"].split("-")
                 idx = record.get("index")
@@ -150,13 +161,15 @@ def load_climate_csv(path):
                     ClimateRow(
                         year=int(year),
                         month=int(month),
-                        temp_anomaly=float(record["temp_anomaly"]),
-                        co2=float(record["co2"]),
-                        index=float(idx) if idx not in (None, "") else None,
+                        temp_anomaly=_finite(record, "temp_anomaly"),
+                        co2=_finite(record, "co2"),
+                        index=_finite(record, "index") if idx not in (None, "") else None,
                     )
                 )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"line {i}: cannot parse climate row ({exc})") from exc
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
+                raise ValueError(
+                    f"line {reader.line_num}: cannot parse climate row ({exc})"
+                ) from exc
     return rows
 
 

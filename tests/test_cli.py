@@ -493,6 +493,72 @@ class TestFitCommand:
         assert f"output directory {missing} does not exist" in captured.err
 
 
+class TestSettingsFailBeforeTheWork:
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["ci", "--column", "y", "--alpha", "1.5"], None, "alpha must lie in (0, 1)"),
+            (["ci", "--column", "y"], "method = bogus",
+             "--method must be hoeffding, u, bernstein or ratio"),
+            (["fit", "--response", "y", "--covariates", "x", "--alpha", "0"], None,
+             "alpha must lie in (0, 1)"),
+            (["fit", "--response", "y", "--covariates", "x"], "alpha = 1.5",
+             "alpha must lie in (0, 1)"),
+            (["diagnose", "--response", "y", "--covariates", "x"], None,
+             "--coefficient is required when diagnosing a fit"),
+            (["fit", "--response", "y", "--covariates", "x", "--partitions", "1,5"], None,
+             "--partitions: the first count sets the Wald comparator's clusters and "
+             "must be at least 2"),
+        ],
+        ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha",
+             "diagnose-coefficient", "fit-partitions"],
+    )
+    def test_bad_setting_fails_before_the_input_is_read(
+        self, regression_csv, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        monkeypatch.setattr(densum.cli, "load_columns", never)
+        argv = argv[:1] + [regression_csv] + argv[1:]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    def test_fetch_climate_checks_its_output_directory_before_the_download(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing must be downloaded")
+
+        monkeypatch.setattr(densum.cli.climate, "fetch_climate", never)
+        missing = tmp_path / "missing" / "dir"
+        assert main(["fetch-climate", "--out", str(missing / "c.csv")]) == 1
+        assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nalpha = 0.2\n",
+                                      "[DEFAULT]\nalpha = 0.2\n[analysis]\nmethod = u\n"])
+    def test_config_default_section_applies_without_a_command_section(
+        self, unit_column, tmp_path, text
+    ):
+        cfg = tmp_path / "an.ini"
+        cfg.write_text(text)
+        out = tmp_path / "ci.json"
+        assert main(["ci", unit_column, "--column", "y", "-c", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["level"] == pytest.approx(0.8)
+
+    def test_phi_and_phi_star_are_one_setting_the_last_wins(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert main(["simulate", "--table", "1", "--n", "100", "--phi", "0.2",
+                     "--phi-star", "0.06", "--reps", "2", "--out", str(out)]) == 0
+        assert read_results_csv(out)[0]["phi"] == "0.06"
+
+
 class TestAnalysisReportValidation:
     def make_row(self, **overrides):
         row = dict(

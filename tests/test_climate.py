@@ -212,6 +212,53 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3: cannot parse climate row"):
             load_climate_csv(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("date,temp_anomaly,co2\n2001-01,0.1,370\n2001-02,nan,371\n",
+             "line 3: .*column 'temp_anomaly' is not finite"),
+            ("date,temp_anomaly,co2\n2001-01,0.1,370\n2001-02,0.2,inf\n",
+             "line 3: .*column 'co2' is not finite"),
+            ("date,temp_anomaly,co2,index\n2001-01,0.1,370,-inf\n",
+             "line 2: .*column 'index' is not finite"),
+            ("date,temp_anomaly,co2\n2001-01,0.1,370\n\n2001-02,0.2,NaN\n",
+             "line 4: .*column 'co2' is not finite"),
+            ("date,temp_anomaly,co2\n2001-01,0.1,370\n2001-02,0.2\n",
+             "line 3: cannot parse climate row"),
+        ],
+        ids=["nan-temp", "inf-co2", "inf-index", "after-blank-line", "short-row"],
+    )
+    def test_non_finite_or_short_row_is_located(self, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=message):
+            load_climate_csv(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path, marked = tmp_path / "c.csv", tmp_path / "bom.csv"
+        write_climate_csv(make_rows(n_months=3), path)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_climate_csv(marked) == load_climate_csv(path)
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_cli_reads_a_marked_file_and_locates_a_non_finite_cell(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "c.csv"
+        write_climate_csv(make_rows(n_months=60), path)
+        text = path.read_text()
+        argv = [command, "--climate", "monthly"]
+        argv += ["--coefficient", "log_co2_lag1"] if command == "diagnose" else []
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+        lines = text.splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 6: " in err and "column 'co2' is not finite" in err
+
 
 GISTEMP_SAMPLE = """Land-Ocean: Global Means
 Year,Jan,Feb,Mar,Apr,May,Jun,Jul,Aug,Sep,Oct,Nov,Dec,J-D,D-N,DJF,MAM,JJA,SON
