@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from array import array
@@ -312,7 +313,7 @@ def resolve_settings(args):
             args.seed = int(env)
         except ValueError:
             raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
-    config = configparser.ConfigParser()
+    config = configparser.ConfigParser(interpolation=None)
     if getattr(args, "config", None):
         with open(args.config) as handle:
             config.read_file(handle)
@@ -358,6 +359,15 @@ def resolve_settings(args):
                          "clusters and must be at least 2")
     if args.command in ("ci", "fit") and not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if args.command == "fetch-climate":
+        for flag in ("start", "end"):  # YYYY-M or YYYY-MM, kept as (year, month)
+            text = getattr(args, flag)
+            match = re.fullmatch(r"([0-9]{4})-(0?[1-9]|1[0-2])", text)
+            if not match:
+                raise ValueError(f"--{flag} must be YYYY-M or YYYY-MM (month 1-12), got {text!r}")
+            setattr(args, flag, (int(match[1]), int(match[2])))
+        if args.start > args.end:
+            raise ValueError("--start must not come after --end")
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")
@@ -670,8 +680,7 @@ def cmd_fetch_climate(args):
     try:
         rows = climate.fetch_climate(
             args.temp_url, args.co2_url, args.index_url,
-            start=tuple(int(x) for x in args.start.split("-")),
-            end=tuple(int(x) for x in args.end.split("-")),
+            start=args.start, end=args.end,
         )
     except OSError as exc:  # urllib's URLError is an OSError
         print(f"network failure: {exc}", file=sys.stderr)

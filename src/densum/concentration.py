@@ -108,7 +108,7 @@ def _as_summary(data):
     return summarize(data)
 
 
-def ci_mean(data, R=None, alpha=0.05, method="u_sharp", nonneg_m=False):
+def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
     """Confidence set for a mean from n bounded observations.
 
     method="hoeffding":  Ybar +- R sqrt(log(2/alpha) / (2n))
@@ -120,9 +120,7 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp", nonneg_m=False):
                          for nonnegative variables with R bounded by twice
                          the mean; requires n > 2 log(2/alpha).
 
-    ``data`` may be a raw sample or a SampleSummary.  ``nonneg_m`` records the
-    caller's assertion that the support lower bound is nonnegative (the
-    observed minimum can only refute it, never establish it).
+    ``data`` may be a raw sample or a SampleSummary.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -346,12 +346,13 @@ def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
 # ---------------------------------------------------------------------------
 
 
-def _exchangeable_sandwich(X, E, partition):
+class _ExchangeableSandwich:
     """Sandwich covariance with an exchangeable working correlation, batched
-    over replications.
+    over replications, for one design and partition, set up once.
 
-    X is the n x p design, E a reps x n residual matrix (one row per
-    replication).  The working correlation rho is estimated by moment
+    X is the n x p design; calling the object on a reps x n residual matrix
+    E (one row per replication) returns (vcov, rho) of shapes reps x p x p
+    and (reps,).  The working correlation rho is estimated by moment
     matching: the mean of within-cluster residual cross-products over all
     within-cluster pairs, normalized by the residual variance (no
     degrees-of-freedom correction).  Working covariance scalars cancel
@@ -362,20 +363,13 @@ def _exchangeable_sandwich(X, E, partition):
         u_k = X_k' e_k - c_k Sx_k Se_k,
         c_k = rho / (1 + (n_k - 1) rho),
 
-    with Sx_k, Se_k the within-cluster sums.  Returns (vcov, rho) of shapes
-    reps x p x p and (reps,).
+    with Sx_k, Se_k the within-cluster sums.
 
     Every replication's result depends on its own row of E alone, to the
     bit: each step does the same per-row work whatever the number of rows
     (reps = 1 included), with no matrix product across replications, so a
     batch equals one-at-a-time fits and a shorter run is a prefix of a
     longer one.
-    """
-    return _ExchangeableSandwich(X, partition)(E)
-
-
-class _ExchangeableSandwich:
-    """``_exchangeable_sandwich`` for one design and partition, set up once.
 
     Observations sit in the slots of a row-major layout of rows of width
     w = ceil(n / K): cluster k takes ceil(n_k / w) consecutive rows, the
@@ -388,8 +382,7 @@ class _ExchangeableSandwich:
     reshaped; any other partition gathers E into a zeroed buffer.
 
     The design side ([1, X] in that layout, the cluster sums Sx of the
-    columns, X'X and the K x p^2 table of Sx_k Sx_k') is computed here;
-    calling the object on a reps x n residual matrix returns (vcov, rho), so
+    columns, X'X and the K x p^2 table of Sx_k Sx_k') is computed here, so
     a caller that scores replications block by block pays for it once.
     """
 
@@ -467,11 +460,11 @@ class _ExchangeableSandwich:
 def gee_exchangeable_vcov(fit, partition):
     """Exchangeable-sandwich covariance of a least-squares fit.
 
-    The one-replication case of ``_exchangeable_sandwich``.  An
+    The one-replication case of ``_ExchangeableSandwich``.  An
     all-singleton partition gives rho = 0 and reduces to the
     heteroskedasticity-robust sandwich.  Returns (vcov, rho_hat).
     """
-    vcov, rho = _exchangeable_sandwich(fit.design, fit.residuals[None, :], partition)
+    vcov, rho = _ExchangeableSandwich(fit.design, partition)(fit.residuals[None, :])
     return vcov[0], float(rho[0])
 
 

@@ -10,11 +10,11 @@ cubic Hermite interpolant of x -> F^{-1}(Phi(x)) on a uniform normal-scale
 grid, built once per map from the family's exact map and the closed-form
 slope of that map, checked against the exact map at every interval midpoint
 and replaced by it where that check or the grid's range does not hold.
-Every correlation the coverage grids use is diag(1 - v^2) + v v^T, whose
-Cholesky factor ``rank_one_cholesky`` gives in O(n) without forming the
-matrix.  The random streams are Philox counter-based generators keyed by
-(master seed, stream index) so that replications can be generated in any
-order, on any number of workers, with bit-identical results;
+Every correlation the coverage grids use is diag(1 - sign v^2) + sign v v^T,
+sign = +1 or -1, whose Cholesky factor ``rank_one_cholesky`` gives in O(n)
+without forming the matrix.  The random streams are Philox counter-based
+generators keyed by (master seed, stream index) so that replications can be
+generated in any order, on any number of workers, with bit-identical results;
 ``seeded_normals`` keys a block of them in one vectorized pass of numpy's
 SeedSequence hash.
 """
@@ -337,15 +337,15 @@ def ensure_pd(A, eps=1e-6):
     raise AssertionError("unreachable: the identity is positive definite")
 
 
-def rank_one_cholesky(v):
-    """Semiseparable Cholesky factor of the correlation C = diag(1 - v^2) + v v^T.
+def rank_one_cholesky(v, sign=1):
+    """Semiseparable Cholesky factor of C = diag(1 - sign v^2) + sign v v^T.
 
-    C has a unit diagonal and off-diagonal entries v_i v_j.  Its lower
-    factor L has L_jj = d_j and L_ij = v_i g_j for i > j, from the
-    recurrence (Gill, Golub, Murray & Saunders 1974; Vandebril, Van Barel &
-    Mastronardi 2008)
+    C has a unit diagonal and off-diagonal entries sign v_i v_j, sign = +1
+    or -1 (the rank-one update or downdate).  Its lower factor L has
+    L_jj = d_j and L_ij = sign v_i g_j for i > j, from the recurrence (Gill,
+    Golub, Murray & Saunders 1974; Vandebril, Van Barel & Mastronardi 2008)
 
-        d_j^2 = 1 - v_j^2 S_j,  g_j = v_j (1 - S_j) / d_j,  S_{j+1} = S_j + g_j^2,
+        d_j^2 = 1 - v_j^2 S_j,  g_j = v_j (1 - sign S_j) / d_j,  S_{j+1} = S_j + g_j^2,
 
     with S_1 = 0: O(n) work and no n x n matrix.  C is positive definite
     exactly when every d_j^2 > 0, the condition under which a Cholesky
@@ -355,6 +355,8 @@ def rank_one_cholesky(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or not np.all(np.isfinite(v)):
         raise ValueError("loading vector must be 1-D and finite")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     d, g = [], []
     s = 0.0
     for vj in v.tolist():
@@ -365,15 +367,15 @@ def rank_one_cholesky(v):
                 "rank_one_ensure_pd"
             )
         dj = math.sqrt(d2)
-        gj = vj * (1.0 - s) / dj
+        gj = vj * (1.0 - sign * s) / dj
         d.append(dj)
         g.append(gj)
         s += gj * gj
     return np.array(d), np.array(g)
 
 
-def rank_one_ensure_pd(v, eps=1e-6):
-    """``ensure_pd`` for the rank-one correlation diag(1 - v^2) + v v^T.
+def rank_one_ensure_pd(v, sign=1, eps=1e-6):
+    """``ensure_pd`` for the rank-one correlation diag(1 - sign v^2) + sign v v^T.
 
     Shrinking it toward the identity, (1 - lam) C + lam I, is the same form
     with v -> sqrt(1 - lam) v, so the smallest lam on ensure_pd's grid whose
@@ -383,7 +385,7 @@ def rank_one_ensure_pd(v, eps=1e-6):
     for attempts, lam in enumerate(_shrinkage_grid(eps), start=1):
         candidate = v if lam == 0.0 else math.sqrt(1.0 - lam) * v
         try:
-            rank_one_cholesky(candidate)
+            rank_one_cholesky(candidate, sign)
         except NotPositiveDefiniteError:
             continue
         return candidate, PDRepair(lam=lam, attempts=attempts)

@@ -27,10 +27,11 @@ block.  Memory is O(min(reps, BLOCK_ROWS) * n) per n.  Every step is
 row-local, one output row from one input row by numpy's own loops, so a
 replication's statistics depend neither on reps nor on the block size, and a
 shorter run's are a bit-identical prefix of a longer run's.  Every grid
-correlation is diag(1 - v^2) + v v^T (v = sqrt(phi) 1 for the exchangeable
-tables, v proportional to the intercept weights for the mosaic), whose
-semiseparable factor takes one cumulative sum per row; other matrices take a
-dense Cholesky product, the one step run on a fixed-shape block.
+correlation is diag(1 - sign v^2) + sign v v^T (v = sqrt(|phi|) 1 for the
+exchangeable tables, v proportional to the intercept weights for the mosaic,
+sign that of phi or phi*), whose semiseparable factor takes one cumulative
+sum per row; a clipped mosaic and a matrix passed to ``copula_sample`` take
+a dense Cholesky product, the one step run on a fixed-shape block.
 """
 
 from __future__ import annotations
@@ -302,12 +303,9 @@ def exchangeable_corr(n, rho):
 
 
 def _exchangeable_copula(n, rho):
-    """``exchangeable_corr(n, rho)`` as ``copula_sample`` takes it: the
-    loading vector sqrt(rho) 1 when rho >= 0, the matrix otherwise (a
-    negative constant correlation has no real rank-one form)."""
-    if rho < 0:
-        return exchangeable_corr(n, rho)
-    return np.full(_check_exchangeable(n, rho), math.sqrt(rho))
+    """``exchangeable_corr(n, rho)`` as ``_copula_factor`` takes it: the
+    loading vector sqrt(|rho|) 1 and the sign of rho."""
+    return np.full(_check_exchangeable(n, rho), math.sqrt(abs(rho))), -1 if rho < 0 else 1
 
 
 def table3_corr(phi_star, w1, sigma=5.0, n=None):
@@ -329,49 +327,40 @@ def table3_corr(phi_star, w1, sigma=5.0, n=None):
 
 
 def _table3_copula(phi_star, w1, sigma):
-    """``table3_corr(phi_star, w1, sigma)`` as ``copula_sample`` takes it:
-    (loading vector, PDRepair) for the mosaic diag(1 - v^2) + v v^T with
-    v = sqrt(phi* n^2 / sigma^2) w1, repaired by ``rank_one_ensure_pd``.
-    A negative phi* (no real rank-one form) or a mosaic with an off-diagonal
-    entry that table3_corr would clip gets table3_corr's dense matrix."""
+    """``table3_corr(phi_star, w1, sigma)`` as ``_copula_factor`` takes it:
+    (v, sign, PDRepair) for diag(1 - sign v^2) + sign v v^T, v = sqrt(|s|) w1
+    with s = phi* n^2 / sigma^2 and sign its sign, repaired by
+    ``rank_one_ensure_pd``; (table3_corr's dense matrix, 1, PDRepair) when
+    table3_corr would clip an off-diagonal entry."""
     w1 = np.asarray(w1, dtype=float).ravel()
     n = w1.shape[0]
     scale = phi_star * n * n / (sigma * sigma)
-    top = np.sort(np.abs(w1))[-2:]  # the largest |off-diagonal| is scale * (top[0] * top[1])
-    if scale < 0 or (n > 1 and scale * (top[0] * top[1]) > 0.999):
-        return table3_corr(phi_star, w1, sigma)
-    return rank_one_ensure_pd(math.sqrt(scale) * w1)
+    top = np.sort(np.abs(w1))[-2:]  # the largest |off-diagonal| is |scale| * (top[0] * top[1])
+    if n > 1 and abs(scale) * (top[0] * top[1]) > 0.999:
+        corr, repair = table3_corr(phi_star, w1, sigma)
+        return corr, 1, repair
+    sign = -1 if scale < 0 else 1
+    v, repair = rank_one_ensure_pd(math.sqrt(abs(scale)) * w1, sign)
+    return v, sign, repair
 
 
-def _normal_blocks(n, reps, seed):
-    """Yield (start, rows, z) for each block of at most BLOCK_ROWS
-    replications: z is one min(reps, BLOCK_ROWS) x n buffer whose first
-    ``rows`` rows hold the normals of replications start, ...,
-    start + rows - 1, row r from the counter-based stream (seed, r)."""
-    z = np.empty((min(reps, BLOCK_ROWS), n))
-    for start in range(0, reps, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, reps - start)
-        seeded_normals(seed, start, z[:rows])
-        yield start, rows, z
-
-
-def _copula_factor(corr, n):
+def _copula_factor(corr, n, sign=1):
     """The normal-scale step of the copula for one correlation, factored and
     checked once: a function (z, rows, out, scratch) that writes the first
     ``rows`` rows of z times the transposed Cholesky factor into ``out``
     (z, out and scratch have n columns; scratch is overwritten).
 
-    A length-n loading vector v stands for diag(1 - v^2) + v v^T and takes
-    its semiseparable factor row by row.  A matrix must be symmetric with a
-    unit diagonal; the comonotone matrix (all cells 1) is singular and
-    repeats the first coordinate in every column; any other matrix takes a
-    dense product on a BLOCK_ROWS x n block of its own.
+    A length-n loading vector v stands for diag(1 - sign v^2) + sign v v^T
+    and takes its semiseparable factor row by row.  A matrix must be
+    symmetric with a unit diagonal; the comonotone matrix (all cells 1) is
+    singular and repeats the first coordinate in every column; any other
+    matrix takes a dense product on a BLOCK_ROWS x n block of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if corr.ndim == 1:
         if corr.shape != (n,):
             raise ValueError(f"loading vector must have length {n}, got {corr.shape[0]}")
-        return functools.partial(_rank_one_block, corr, *rank_one_cholesky(corr))
+        return functools.partial(_rank_one_block, sign * corr, *rank_one_cholesky(corr, sign))
     if corr.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
     validate_correlation(corr)
@@ -381,16 +370,16 @@ def _copula_factor(corr, n):
     return functools.partial(_dense_block, cholesky(corr).T, *block)
 
 
-def _rank_one_block(v, d, g, z, rows, out, scratch):
-    """X_i = d_i Z_i + v_i sum_{j<i} g_j Z_j with (d, g) from
-    ``rank_one_cholesky(v)``: one exclusive cumulative sum per row, so each
-    row depends on its own draws alone."""
+def _rank_one_block(sv, d, g, z, rows, out, scratch):
+    """X_i = d_i Z_i + sv_i sum_{j<i} g_j Z_j with (d, g) from
+    ``rank_one_cholesky(v, sign)`` and sv = sign v: one exclusive cumulative
+    sum per row, so each row depends on its own draws alone."""
     z, x = z[:rows], out[:rows]
     x[:, 0] = 0.0
     tail = x[:, 1:]
     np.multiply(z[:, :-1], g[:-1], out=tail)
     np.cumsum(tail, axis=1, out=tail)
-    x *= v
+    x *= sv
     x += np.multiply(z, d, out=scratch[:rows])
 
 
@@ -495,13 +484,16 @@ def _score_blocks(n, reps, seed, groups):
     with the consumers that share its normal-scale block: callables
     (start, rows, x, scratch) such as ``_Cell.add``, which read the first
     ``rows`` rows of x and may overwrite x and scratch.  Per block of
-    replications the normals are drawn once, each factor is applied once,
-    and each of its consumers gets its own copy (the last one takes the
-    block itself).  Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
+    replications the normals are drawn once (row r from the counter-based
+    stream (seed, r)), each factor is applied once, and each of its
+    consumers gets its own copy (the last one takes the block itself).
+    Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
     shape = (min(reps, BLOCK_ROWS), n)
-    x, scratch = np.empty(shape), np.empty(shape)
+    z, x, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
     copy = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
-    for start, rows, z in _normal_blocks(n, reps, seed):
+    for start in range(0, reps, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, reps - start)
+        seeded_normals(seed, start, z[:rows])
         for factor, consumers in groups:
             factor(z, rows, x, scratch)
             for consume in consumers[:-1]:
@@ -586,10 +578,11 @@ def run_table1(config):
         if n not in TABLE1_GRID:
             raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
-        factors = [_copula_factor(_exchangeable_copula(n, phi), n) for phi in phis]
+        copulas = [_exchangeable_copula(n, phi) for phi in phis]
         cells = [_mean_cell(n, marginal, config) for _ in phis]
         _score_blocks(n, config.reps, config.master_seed,
-                      [(factor, [cell.add]) for factor, cell in zip(factors, cells)])
+                      [(_copula_factor(v, n, sign), [cell.add])
+                       for (v, sign), cell in zip(copulas, cells)])
         rows += [_mean_row(1, n, phi, marginal, config, cell) for phi, cell in zip(phis, cells)]
     return rows
 
@@ -608,7 +601,8 @@ def run_table2(config):
     if any(shape <= 0 for shape in shapes):
         raise ValueError("beta shape must be positive")
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
-    factor = _copula_factor(_exchangeable_copula(n, phi), n)
+    v, sign = _exchangeable_copula(n, phi)
+    factor = _copula_factor(v, n, sign)
     cells = [_mean_cell(n, marginal, config) for marginal in marginals]
     _score_blocks(n, config.reps, config.master_seed, [(factor, [cell.add for cell in cells])])
     return [
@@ -650,9 +644,10 @@ def run_table3(config):
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0], sigma=5.0) for phi_star in phis]
         cells = [_Cell(X, W, marginal, 0.0, config.reps, config.alpha) for _ in phis]
-        groups = [(_copula_factor(corr, n), [cell.add]) for (corr, _), cell in zip(copulas, cells)]
+        groups = [(_copula_factor(corr, n, sign), [cell.add])
+                  for (corr, sign, _), cell in zip(copulas, cells)]
         _score_blocks(n, config.reps, config.master_seed, groups)
-        for phi_star, (_, repair), cell in zip(phis, copulas, cells):
+        for phi_star, (_, _, repair), cell in zip(phis, copulas, cells):
             rows += _coverage_rows(
                 W, cell.stats, TABLE3_BETA, marginal.support, config.alpha, c_star,
                 names=("beta0", "beta1"),

@@ -541,6 +541,52 @@ class TestSettingsFailBeforeTheWork:
         assert main(["fetch-climate", "--out", str(missing / "c.csv")]) == 1
         assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--start", "abc"], "--start must be YYYY-M or YYYY-MM (month 1-12), got 'abc'"),
+            (["--start", "1979-13"],
+             "--start must be YYYY-M or YYYY-MM (month 1-12), got '1979-13'"),
+            (["--end", "2022-0"], "--end must be YYYY-M or YYYY-MM (month 1-12), got '2022-0'"),
+            (["--end", "22-12"], "--end must be YYYY-M or YYYY-MM (month 1-12), got '22-12'"),
+            (["--end", "2022-012"], "--end must be YYYY-M or YYYY-MM (month 1-12)"),
+            (["--start", "2000-1", "--end", "1999-12"], "--start must not come after --end"),
+        ],
+        ids=["start-text", "start-month-13", "end-month-0", "end-short-year", "end-long-month",
+             "start-after-end"],
+    )
+    def test_fetch_climate_checks_its_window_before_the_download(
+        self, monkeypatch, capsys, flags, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing must be downloaded")
+
+        monkeypatch.setattr(densum.cli.climate, "fetch_climate", never)
+        assert main(["fetch-climate", *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_fetch_climate_hands_the_window_on_as_tuples(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fetch(*urls, start, end):
+            seen.update(start=start, end=end)
+            return []
+
+        monkeypatch.setattr(densum.cli.climate, "fetch_climate", fetch)
+        out = tmp_path / "c.csv"
+        assert main(["fetch-climate", "--start", "1980-02", "--end", "1980-2",
+                     "--out", str(out)]) == 0
+        assert seen == {"start": (1980, 2), "end": (1980, 2)}
+
+    def test_config_value_may_hold_a_percent_sign(self, tmp_path, capsys):
+        # configparser's interpolation is off: a value is read as written
+        data = tmp_path / "pct.csv"
+        data.write_text("y%,x\n0.25,1\n0.75,2\n")
+        cfg = tmp_path / "an.ini"
+        cfg.write_text("[analysis]\ncolumn = y%\n")
+        assert main(["ci", str(data), "-c", str(cfg), "--range", "known=1"]) == 0
+        assert "mean(y%)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nalpha = 0.2\n",
                                       "[DEFAULT]\nalpha = 0.2\n[analysis]\nmethod = u\n"])
     def test_config_default_section_applies_without_a_command_section(

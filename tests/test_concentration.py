@@ -149,7 +149,7 @@ class TestCiMean:
     def test_ratio_form_rejects_negative_observations(self):
         summary = SampleSummary(n=100, mean=0.5, variance=0.01, minimum=-0.01, maximum=0.9, range=0.91)
         with pytest.raises(ValueError, match="nonnegative support"):
-            ci_mean(summary, method="ratio", nonneg_m=True)
+            ci_mean(summary, method="ratio")
 
     def test_interval_respects_duality_with_tail(self, rng):
         # the u_sharp interval at level alpha has half-width solving

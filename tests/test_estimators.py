@@ -9,7 +9,7 @@ from densum.core import Partition, sequential_partition
 from densum.estimators import (
     ConvergenceError,
     RegressionFit,
-    _exchangeable_sandwich,
+    _ExchangeableSandwich,
     acf_phi_hat,
     cluster_robust,
     gee_exchangeable_vcov,
@@ -427,9 +427,9 @@ class TestSandwichLayout:
         rng = np.random.default_rng(p)
         X = np.column_stack([np.ones(partition.n), rng.standard_normal((partition.n, p - 1))])
         E = rng.standard_normal((BLOCK_ROWS + 5, partition.n))
-        vcov, rho = _exchangeable_sandwich(X, E, partition)
+        vcov, rho = _ExchangeableSandwich(X, partition)(E)
         for reps in (1, 2, 3, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
-            vcov_r, rho_r = _exchangeable_sandwich(X, E[:reps], partition)
+            vcov_r, rho_r = _ExchangeableSandwich(X, partition)(E[:reps])
             np.testing.assert_array_equal(vcov_r, vcov[:reps])
             np.testing.assert_array_equal(rho_r, rho[:reps])
 
@@ -453,7 +453,7 @@ class TestSandwichLayout:
         E = np.random.default_rng(0).standard_normal((1, n))
         tracemalloc.start()
         try:
-            vcov, _ = _exchangeable_sandwich(X, E, partition)
+            vcov, _ = _ExchangeableSandwich(X, partition)(E)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

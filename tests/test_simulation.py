@@ -11,7 +11,7 @@ import densum.simulation
 from densum import kernels
 from densum.concentration import a5_empirical, optimal_s
 from densum.estimators import (
-    _exchangeable_sandwich,
+    _ExchangeableSandwich,
     _qr_weight_rows,
     gee_exchangeable_vcov,
     ols_fit,
@@ -282,39 +282,41 @@ class TestCopulaSample:
             copula_sample(2.0 * np.eye(2), MarginalSpec.uniform(0, 1), 2, 2, seed=0)
 
 
-def _dense(v):
-    corr = np.outer(v, v)
+def _dense(v, sign=1):
+    corr = sign * np.outer(v, v)
     np.fill_diagonal(corr, 1.0)
     return corr
 
 
-def _rank_one_normals(v, Z):
+def _rank_one_normals(v, Z, sign=1):
     """Rows of Z times the semiseparable factor, through the copula's block step."""
     out, scratch = np.empty(Z.shape), np.empty(Z.shape)
-    _copula_factor(v, Z.shape[1])(Z, Z.shape[0], out, scratch)
+    _copula_factor(v, Z.shape[1], sign)(Z, Z.shape[0], out, scratch)
     return out
 
 
 def _mosaic(n, phi_star=0.15):
+    """(loading vector, sign, PDRepair, w1) of the seed-0 design's mosaic."""
     w1 = _qr_weight_rows(table3_design(n, master_seed=0))[0]
-    v, repair = _table3_copula(phi_star, w1, sigma=5.0)
-    return v, repair, w1
+    return (*_table3_copula(phi_star, w1, sigma=5.0), w1)
 
 
 class TestStructuredSampler:
-    # Every grid correlation is diag(1 - v^2) + v v^T.  Its semiseparable
-    # factor is checked against the dense Cholesky product, and each row's
-    # arithmetic uses only that row's draws, so the determinism contract
+    # Every grid correlation is diag(1 - sign v^2) + sign v v^T.  Its
+    # semiseparable factor is checked against the dense Cholesky product, and
+    # each row's arithmetic uses only that row's draws, so the determinism contract
     # holds bit for bit: a shorter run is a prefix of a longer one, and a
     # replication can be reproduced in a run of its own.  The dense product
     # keeps both as well, since it always runs on a fixed-shape block.
 
     CELLS = {
-        "beta-exchangeable": lambda n: (_exchangeable_copula(n, 0.01), MarginalSpec.beta(10, 10)),
+        "beta-exchangeable": lambda n: (
+            _exchangeable_copula(n, 0.01)[0], MarginalSpec.beta(10, 10)
+        ),
         "truncnormal-mosaic": lambda n: (_mosaic(n)[0], MarginalSpec.truncnormal(0, 5, -20, 20)),
-        # a negative exchangeable correlation takes the dense product
+        # a matrix passed to copula_sample takes the dense product
         "truncnormal-dense": lambda n: (
-            _exchangeable_copula(n, -0.0005), MarginalSpec.truncnormal(0, 5, -20, 20)
+            exchangeable_corr(n, -0.0005), MarginalSpec.truncnormal(0, 5, -20, 20)
         ),
     }
 
@@ -351,47 +353,80 @@ class TestStructuredSampler:
     @pytest.mark.parametrize("n", sorted(TABLE1_GRID))
     def test_exchangeable_factor_matches_the_dense_cholesky(self, n):
         Z = seeded_normals(2, 0, np.empty((40, n)))
-        for rho in TABLE1_GRID[n] + (0.5,):
+        negative = tuple(rho for rho in (-0.005, -0.001, -0.0005) if rho > -1.0 / (n - 1))
+        for rho in TABLE1_GRID[n] + (0.5,) + negative:
             expected = Z @ cholesky(exchangeable_corr(n, rho)).T
-            got = _rank_one_normals(_exchangeable_copula(n, rho), Z)
+            v, sign = _exchangeable_copula(n, rho)
+            got = _rank_one_normals(v, Z, sign)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("phi_star", [0.15, -0.05, -0.15])
     @pytest.mark.parametrize("n", [100, 500, 1500])
-    def test_mosaic_factor_matches_the_dense_cholesky(self, n):
-        v, repair, w1 = _mosaic(n)
-        corr, dense_repair = table3_corr(0.15, w1, sigma=5.0)
+    def test_mosaic_factor_matches_the_dense_cholesky(self, n, phi_star):
+        v, sign, repair, w1 = _mosaic(n, phi_star)
+        assert sign == (1 if phi_star > 0 else -1)
+        corr, dense_repair = table3_corr(phi_star, w1, sigma=5.0)
         assert repair == dense_repair
         Z = seeded_normals(2, 0, np.empty((40, n)))
         np.testing.assert_allclose(
-            _rank_one_normals(v, Z), Z @ cholesky(corr).T, rtol=0, atol=1e-12
+            _rank_one_normals(v, Z, sign), Z @ cholesky(corr).T, rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize(
-        "v",
+        "v, sign",
         [
-            np.full(10, 1.00003),
-            np.full(40, 1.0005),
-            np.full(25, 1.02),
-            np.array([2.0, 0.5, 0.5]),
-            np.r_[1.004, np.full(30, 0.8)],  # one loading above 1, still PD
+            (np.full(10, 1.00003), 1),
+            (np.full(40, 1.0005), 1),
+            (np.full(25, 1.02), 1),
+            (np.array([2.0, 0.5, 0.5]), 1),
+            (np.r_[1.004, np.full(30, 0.8)], 1),  # one loading above 1, still PD
+            # sign -1: (n - 1) v^2 = 1 + 5e-7, 1.005 and 1.05 need lam 1e-6, 0.01, 0.1
+            (np.full(11, math.sqrt(0.10000005)), -1),
+            (np.full(11, math.sqrt(0.1005)), -1),
+            (np.full(21, math.sqrt(0.0525)), -1),
+            (np.r_[0.5, np.full(30, 0.15)], -1),  # already PD
+            (np.r_[0.9, np.full(5, 0.45)], -1),  # only the identity
         ],
     )
-    def test_repair_matches_ensure_pd(self, v):
-        shrunk, repair = rank_one_ensure_pd(v)
-        fixed, dense_repair = ensure_pd(_dense(v))
+    def test_repair_matches_ensure_pd(self, v, sign):
+        shrunk, repair = rank_one_ensure_pd(v, sign)
+        fixed, dense_repair = ensure_pd(_dense(v, sign))
         assert repair == dense_repair
-        np.testing.assert_allclose(_dense(shrunk), fixed, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_dense(shrunk, sign), fixed, rtol=0, atol=1e-14)
 
     def test_unclipped_mosaics_are_structured_others_dense(self):
-        assert _table3_copula(0.1, [0.1, 0.2, 0.3], sigma=5.0)[0].ndim == 1
-        for phi_star, w1 in ((25.0 / 18.0, [3.0, 1.0, 1.0]), (-0.1, [0.1, 0.2, 0.3])):
-            corr, repair = _table3_copula(phi_star, w1, sigma=5.0)
-            expected, expected_repair = table3_corr(phi_star, w1, sigma=5.0)
+        for phi_star in (0.1, -0.1):
+            v, sign, repair = _table3_copula(phi_star, [0.1, 0.2, 0.3], sigma=5.0)
+            assert v.ndim == 1 and sign == math.copysign(1, phi_star)
+            assert repair == table3_corr(phi_star, [0.1, 0.2, 0.3], sigma=5.0)[1]
+        for phi_star in (25.0 / 18.0, -25.0 / 18.0):
+            corr, sign, repair = _table3_copula(phi_star, [3.0, 1.0, 1.0], sigma=5.0)
+            expected, expected_repair = table3_corr(phi_star, [3.0, 1.0, 1.0], sigma=5.0)
             np.testing.assert_array_equal(corr, expected)
-            assert repair == expected_repair
-        np.testing.assert_array_equal(_exchangeable_copula(4, -0.2), exchangeable_corr(4, -0.2))
+            assert (sign, repair) == (1, expected_repair)
+        v, sign = _exchangeable_copula(4, -0.2)
+        np.testing.assert_array_equal(v, np.full(4, math.sqrt(0.2)))
+        assert sign == -1
         with pytest.raises(ValueError, match="-1/"):
             _exchangeable_copula(3, 1.0)
+
+    def test_only_clipped_mosaics_and_user_matrices_take_the_dense_product(self, monkeypatch):
+        class DenseProduct(Exception):
+            pass
+
+        def dense(*args):
+            raise DenseProduct
+
+        monkeypatch.setattr(densum.simulation, "_dense_block", dense)
+        monkeypatch.setattr(densum.simulation, "cholesky", dense)
+        run_table1(ExperimentConfig(table=1, n=1500, phi=-0.0005, reps=20))
+        run_table2(ExperimentConfig(table=2, phi=-0.001, reps=20))
+        run_table3(ExperimentConfig(table=3, phi=-0.05, reps=20))
+        corr, sign, _ = _table3_copula(25.0 / 18.0, [3.0, 1.0, 1.0], sigma=5.0)
+        with pytest.raises(DenseProduct):
+            _copula_factor(corr, 3, sign)
+        with pytest.raises(DenseProduct):
+            copula_sample(exchangeable_corr(5, -0.2), MarginalSpec.uniform(0, 1), 5, 3, seed=0)
 
     def test_loading_vector_is_validated(self):
         m = MarginalSpec.uniform(0, 1)
@@ -399,12 +434,13 @@ class TestStructuredSampler:
             copula_sample(np.full(2, 0.1), m, 3, 2, seed=0)
         with pytest.raises(ValueError, match="finite"):
             copula_sample(np.array([0.1, np.nan]), m, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="sign must be 1 or -1, got 0"):
+            kernels.rank_one_cholesky(np.full(2, 0.1), 0)
 
     def test_dense_path_keeps_the_prefix(self):
-        # a negative exchangeable correlation has no real rank-one form
+        # a matrix passed to copula_sample takes the dense product
         n, m = 500, MarginalSpec.truncnormal(0, 5, -20, 20)
-        corr = _exchangeable_copula(n, -0.001)
-        assert corr.shape == (n, n)
+        corr = exchangeable_corr(n, -0.001)
         short = copula_sample(corr, m, n, 300, seed=1)
         np.testing.assert_array_equal(short, copula_sample(corr, m, n, 600, seed=1)[:300])
 
@@ -455,6 +491,8 @@ class TestBlockedEngine:
         "table1": dict(table=1, phi=0.06),
         "table2": dict(table=2, phi=0.1, shape=25.0),
         "table3": dict(table=3, phi=0.15),
+        "table1-negative": dict(table=1, phi=-0.001),
+        "table3-negative": dict(table=3, phi=-0.05),
     }
 
     @settings(max_examples=5, deadline=None)
@@ -468,6 +506,8 @@ class TestBlockedEngine:
     @example(cell="table1", n=100, k=BLOCK_ROWS, seed=1)
     @example(cell="table3", n=500, k=BLOCK_ROWS + 1, seed=2)
     @example(cell="table2", n=100, k=2 * BLOCK_ROWS + 1, seed=3)
+    @example(cell="table1-negative", n=500, k=BLOCK_ROWS + 1, seed=4)
+    @example(cell="table3-negative", n=100, k=BLOCK_ROWS - 1, seed=5)
     def test_report_is_the_reduction_of_a_longer_runs_prefix(self, cell, n, k, seed):
         settings_ = dict(self.CELLS[cell], n=n, master_seed=seed)
         short_rows, short_calls = _run_capturing_statistics(ExperimentConfig(reps=k, **settings_))
@@ -498,7 +538,13 @@ class TestBlockedEngine:
                     np.testing.assert_array_equal(values, expected_values)
 
     @pytest.mark.parametrize(
-        "settings_", [dict(table=3, n=1500, phi=0.15), dict(table=1, n=1500, phi=0.02)]
+        "settings_",
+        [
+            dict(table=3, n=1500, phi=0.15),
+            dict(table=1, n=1500, phi=0.02),
+            dict(table=1, n=1500, phi=-0.0005),
+            dict(table=3, n=1500, phi=-0.05),
+        ],
     )
     def test_cell_memory_does_not_grow_with_reps(self, settings_):
         peaks = {}
@@ -523,7 +569,7 @@ class TestVectorizedSandwich:
         z = std_normal_quantile(0.975)
         fits = [ols_fit(X, y) for y in ys]
         B = np.array([fit.coefficients for fit in fits])
-        vcov, rho = _exchangeable_sandwich(X, np.array([fit.residuals for fit in fits]), partition)
+        vcov, rho = _ExchangeableSandwich(X, partition)(np.array([fit.residuals for fit in fits]))
         covered = np.abs(B - beta) <= z * np.sqrt(np.diagonal(vcov, axis1=1, axis2=2))
         for r, fit in enumerate(fits):
             vcov_r, rho_r = gee_exchangeable_vcov(fit, partition)
@@ -659,7 +705,7 @@ def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     ybar = np.mean(Y, axis=1)
     half_u = R * math.sqrt(math.log(2.0 / alpha) / (6.0 * n))
     partition = sequential_partition(n, n // 10)
-    vcov, _ = _exchangeable_sandwich(np.ones((n, 1)), Y - ybar[:, None], partition)
+    vcov, _ = _ExchangeableSandwich(np.ones((n, 1)), partition)(Y - ybar[:, None])
     half_wald = std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(vcov[:, 0, 0])
     s = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=1.0 / n, alpha=alpha)
     report = a5_empirical(Y - mu, np.full(n, 1.0 / n), s, M)
