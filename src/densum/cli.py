@@ -354,9 +354,13 @@ def resolve_settings(args):
         raise ValueError("--method must be hoeffding, u, bernstein or ratio")
     if hasattr(args, "range"):
         args.source, args.given = _parse_range_flag(args.range)
-    if getattr(args, "partitions", None) and args.partitions[0] < 2:
-        raise ValueError("--partitions: the first count sets the Wald comparator's "
-                         "clusters and must be at least 2")
+    if getattr(args, "partitions", None):
+        if len(args.partitions) < 2:
+            raise ValueError(f"--partitions needs at least two cluster counts to compare, "
+                             f"got {args.partitions[0]}")
+        if args.partitions[0] < 2:
+            raise ValueError("--partitions: the first count sets the Wald comparator's "
+                             "clusters and must be at least 2")
     if args.command in ("ci", "fit") and not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if args.command == "fetch-climate":
@@ -483,9 +487,8 @@ def _fit_frame(args):
 
 # --range source -> ci_linear keyword arguments for coefficient s of a fit
 RANGE_KWARGS = {
-    "residual": lambda fit, s, given: {
-        "range_source": "residual_range", "rhat": residual_range(fit, s), "n": fit.n
-    },
+    "residual": lambda fit, s, given: {"range_source": "residual_range",
+                                       "rhat": residual_range(fit, s)},
     "known": lambda fit, s, given: {"range_source": "known", "ranges": given},
     "marginal": lambda fit, s, given: {"range_source": "marginal_range", "ranges": given},
     "two-mean": lambda fit, s, given: {"range_source": "two_mean", "fitted": fit.fitted},

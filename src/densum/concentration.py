@@ -175,7 +175,6 @@ def ci_linear(
     ranges=None,
     fitted=None,
     rhat=None,
-    n=None,
 ):
     """Confidence set for one coefficient of an additive statistic.
 
@@ -186,7 +185,8 @@ def ci_linear(
     * "marginal_range": ``ranges`` is one common marginal range R;
     * "two_mean":       R_i = 2 * fitted_i for nonnegative outcomes;
     * "residual_range": the plug-in form B_s +- sqrt(n) * rhat *
-      sqrt(log(2/alpha) / 6) with rhat the weighted-residual range.
+      sqrt(log(2/alpha) / 6) with rhat the weighted-residual range and n
+      the length of ``w_s``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -211,8 +211,7 @@ def ci_linear(
     elif range_source == "residual_range":
         if rhat is None or rhat < 0:
             raise ValueError("range_source 'residual_range' requires rhat >= 0")
-        size = int(n) if n is not None else w.size
-        half = math.sqrt(size) * float(rhat) * root_log
+        half = math.sqrt(w.size) * float(rhat) * root_log
     else:
         raise ValueError(
             "range_source must be 'known', 'marginal_range', 'two_mean' or 'residual_range'"
@@ -267,6 +266,7 @@ def rule_of_thumb(w, variances, ranges):
 
 
 A5_VERDICTS = ("holds", "violated", "boundary")
+A5_BOUNDARY_SES = 2.0  # "boundary": |A_hat - Av*| within this many MC standard errors
 
 
 @dataclass(frozen=True)
@@ -281,14 +281,14 @@ class A5Report:
     n_reps: int
 
 
-def a5_empirical(draws, w, s, M, band_scale=2.0):
+def a5_empirical(draws, w, s, M):
     """Compare the empirical MGF maximum against the functional-average product.
 
     A_hat = max over signs of N^{-1} sum_r exp(+-s sum_i w_i e_{r,i}) over the
     N replications in ``draws`` (one row per replication), computed in
     log-sum-exp form.  Av* = prod_i Av exp(s w_i Z_i) for symmetric supports
     [-M_i, M_i].  The verdict is "boundary" when |A_hat - Av*| falls within
-    ``band_scale`` Monte Carlo standard errors of A_hat, otherwise "holds"
+    A5_BOUNDARY_SES Monte Carlo standard errors of A_hat, otherwise "holds"
     (A_hat < Av*) or "violated".  This is ``a5_from_sums`` on the
     per-replication sums draws @ w.
     """
@@ -298,10 +298,10 @@ def a5_empirical(draws, w, s, M, band_scale=2.0):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape != (draws.shape[1],):
         raise ValueError("weights must match the number of columns in draws")
-    return a5_from_sums(draws @ w, w, s, M, band_scale)
+    return a5_from_sums(draws @ w, w, s, M)
 
 
-def a5_from_sums(sums, w, s, M, band_scale=2.0):
+def a5_from_sums(sums, w, s, M):
     """``a5_empirical`` from the per-replication weighted sums
     sum_i w_i e_{r,i} (a length-N vector), so a caller that already holds
     them (the coverage grids' estimation errors) skips the reps x n product.
@@ -339,7 +339,7 @@ def a5_from_sums(sums, w, s, M, band_scale=2.0):
         verdict = "violated"
     elif math.isinf(av_star):
         verdict = "holds"
-    elif abs(a_hat - av_star) <= band_scale * se:
+    elif abs(a_hat - av_star) <= A5_BOUNDARY_SES * se:
         verdict = "boundary"
     elif a_hat < av_star:
         verdict = "holds"

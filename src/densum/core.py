@@ -15,7 +15,6 @@ import numpy as np
 CI_METHODS = ("hoeffding", "u_sharp", "bernstein", "wald")
 RANGE_SOURCES = ("known", "residual_range", "two_mean", "marginal_range")
 CONTINUITY_KINDS = ("continuous", "discrete-integer")
-GRAPH_KINDS = ("linear", "dependency")
 
 
 def _freeze(obj, name, value):
@@ -31,10 +30,9 @@ def _readonly_array(values, dtype=float):
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed outcomes, optionally tagged with per-observation ids."""
+    """Observed outcomes."""
 
     values: np.ndarray
-    ids: np.ndarray | None = None
 
     def __post_init__(self):
         values = _readonly_array(self.values)
@@ -45,12 +43,6 @@ class Sample:
         if not np.all(np.isfinite(values)):
             raise ValueError("sample values must all be finite")
         _freeze(self, "values", values)
-        if self.ids is not None:
-            ids = np.array(self.ids)
-            ids.setflags(write=False)
-            if ids.shape != values.shape:
-                raise ValueError("ids must match values in length")
-            _freeze(self, "ids", ids)
 
     @property
     def n(self):
@@ -166,15 +158,12 @@ class DependencySummary:
     mu: float
     phi: float | np.ndarray | None = None
     sigma_bar: float | np.ndarray | None = None
-    graph_kind: str = "linear"
 
     def __post_init__(self):
         mu = float(self.mu)
         if not math.isfinite(mu) or mu < 0:
             raise ValueError("mean degree mu must be finite and >= 0")
         _freeze(self, "mu", mu)
-        if self.graph_kind not in GRAPH_KINDS:
-            raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}")
         if self.phi is None and self.sigma_bar is None:
             raise ValueError("need phi or sigma_bar (or both)")
         for name in ("phi", "sigma_bar"):

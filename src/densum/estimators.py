@@ -180,19 +180,18 @@ class PartitionComparison:
         return np.argsort(-self.values, kind="stable")
 
 
-def partition_compare(fit, partitions, s, tie_tol=None):
+def partition_compare(fit, partitions, s):
     """Compare candidate partitions by estimated variance; recommend the largest.
 
     Since clustering can only shift covariance mass into the estimate, the
     partition with the highest estimate is the conservative choice.  Ties
-    within ``tie_tol`` (default 1e-12 relative to the largest value) are
-    flagged and broken by input order.
+    within 1e-12 relative to the largest value are flagged and broken by
+    input order.
     """
     if len(partitions) < 2:
         raise ValueError("need at least two partitions to compare")
     values = np.array([cluster_robust(fit, part, s).value for part in partitions])
-    if tie_tol is None:
-        tie_tol = 1e-12 * max(1.0, float(np.max(values)))
+    tie_tol = 1e-12 * max(1.0, float(np.max(values)))
     recommended = int(np.argmax(values))
     top = values[recommended]
     is_tie = bool(np.sum(np.abs(values - top) <= tie_tol) > 1)
@@ -228,6 +227,8 @@ def residual_range(fit, s):
 # ---------------------------------------------------------------------------
 
 IRWLS_LINKS = ("identity", "logit", "log")
+IRWLS_TOL = 1e-10  # the largest coordinate change that stops the iteration
+IRWLS_MAX_ITER = 50
 
 
 def _link_funcs(link):
@@ -265,20 +266,18 @@ class IRWLSFit:
     residuals: np.ndarray
     trace: tuple
     n_iter: int
-    converged: bool
 
 
-def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
+def irwls_fit(X, y, link="identity"):
     """Iteratively reweighted least squares for identity, logit or log links.
 
     Iterates weighted least squares on the working response
     z = eta + (y - mu) / mu'(eta) with weights mu'(eta)^2 / V(mu), stopping
     when the maximum absolute coordinate change between successive iterates
-    falls below ``tol``.  The identity link reduces to ``ols_fit`` on the
-    first iteration.
+    falls below IRWLS_TOL; ConvergenceError when it does not within
+    IRWLS_MAX_ITER iterations.  The identity link reduces to ``ols_fit`` on
+    the first iteration.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     mean, dmean, varf = _link_funcs(link)
@@ -293,8 +292,7 @@ def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
         # Start from the mean response so the first eta is finite.
         beta[0] = np.log(max(np.mean(y), 1e-8))
     trace = []
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(IRWLS_MAX_ITER):
         eta = X @ beta
         mu = mean(eta)
         dm = dmean(eta)
@@ -306,18 +304,12 @@ def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
         w = dm * dm / varf(mu)
         z = eta + (y - mu) / dm
         root = np.sqrt(w)
-        new_beta = _qr_weight_rows(X * root[:, None]) @ (z * root)
-        trace.append(new_beta)
-        if len(trace) > 1 and np.max(np.abs(trace[-1] - trace[-2])) < tol:
-            beta = new_beta
-            converged = True
+        beta = _qr_weight_rows(X * root[:, None]) @ (z * root)
+        trace.append(beta)
+        if len(trace) > 1 and np.max(np.abs(trace[-1] - trace[-2])) < IRWLS_TOL:
             break
-        beta = new_beta
-    if not converged:
-        if link == "identity" and len(trace) == 1:
-            converged = True  # a single weighted solve is already exact
-        else:
-            raise ConvergenceError(f"no convergence after {max_iter} iterations")
+    else:
+        raise ConvergenceError(f"no convergence after {IRWLS_MAX_ITER} iterations")
 
     eta = X @ beta
     mu = mean(eta)
@@ -337,7 +329,6 @@ def irwls_fit(X, y, link="identity", tol=1e-10, max_iter=50):
         residuals=y - mu,
         trace=tuple(trace),
         n_iter=len(trace),
-        converged=True,
     )
 
 

@@ -259,17 +259,18 @@ def truncnorm_quantile(mu, sigma, lo, hi, p, out=None):
     return np.clip(x, lo, hi, out=out)
 
 
-def validate_correlation(A, tol=1e-8):
-    """Check that A is a square symmetric matrix with unit diagonal."""
+def validate_correlation(A):
+    """Check that A is a square symmetric matrix with unit diagonal, each to
+    1e-8 (the symmetry relative to the largest |entry| when that exceeds 1)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("correlation matrix must be square")
     if not np.all(np.isfinite(A)):
         raise ValueError("correlation matrix must be finite")
     scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > tol * scale:
+    if np.abs(A - A.T).max() > 1e-8 * scale:
         raise ValueError("correlation matrix must be symmetric")
-    if np.abs(np.diagonal(A) - 1.0).max() > tol:
+    if np.abs(np.diagonal(A) - 1.0).max() > 1e-8:
         raise ValueError("correlation matrix must have a unit diagonal")
     return A
 
@@ -301,24 +302,18 @@ class PDRepair:
         return self.lam > 0.0
 
 
-def _shrinkage_grid(eps):
-    """The repair weights {0, eps, 10*eps, ..., 1} that ensure_pd tries."""
-    grid = [0.0]
-    lam = float(eps)
-    while lam < 1.0:
-        grid.append(lam)
-        lam *= 10.0
-    grid.append(1.0)
-    return grid
+# The repair weights ensure_pd tries: 0, then 1e-6 times 10, 100, ... in
+# floating point (so 1e-5 is 9.999999999999999e-06), then 1.
+SHRINKAGE_GRID = (0.0, 1e-06, 9.999999999999999e-06, 9.999999999999999e-05, 0.001, 0.01, 0.1, 1.0)
 
 
-def ensure_pd(A, eps=1e-6):
+def ensure_pd(A):
     """Shrink a symmetric matrix toward the identity until it is PD.
 
-    Tries A' = (1 - lam) * A + lam * I for lam on the geometric grid
-    {0, eps, 10*eps, ..., 1} and keeps the smallest lam whose Cholesky
-    succeeds.  lam = 1 (the identity itself) always succeeds.  A unit
-    diagonal is preserved exactly.
+    Tries A' = (1 - lam) * A + lam * I for lam on SHRINKAGE_GRID, the
+    geometric grid {0, 1e-6, 1e-5, ..., 1}, and keeps the smallest lam whose
+    Cholesky succeeds.  lam = 1 (the identity itself) always succeeds.  A
+    unit diagonal is preserved exactly.
 
     Returns (repaired matrix, PDRepair report).
     """
@@ -327,7 +322,7 @@ def ensure_pd(A, eps=1e-6):
         raise ValueError("ensure_pd needs a square matrix")
     A = 0.5 * (A + A.T)
     eye = np.eye(A.shape[0])
-    for attempts, lam in enumerate(_shrinkage_grid(eps), start=1):
+    for attempts, lam in enumerate(SHRINKAGE_GRID, start=1):
         candidate = A if lam == 0.0 else (1.0 - lam) * A + lam * eye
         try:
             np.linalg.cholesky(candidate)
@@ -374,7 +369,7 @@ def rank_one_cholesky(v, sign=1):
     return np.array(d), np.array(g)
 
 
-def rank_one_ensure_pd(v, sign=1, eps=1e-6):
+def rank_one_ensure_pd(v, sign=1):
     """``ensure_pd`` for the rank-one correlation diag(1 - sign v^2) + sign v v^T.
 
     Shrinking it toward the identity, (1 - lam) C + lam I, is the same form
@@ -382,7 +377,7 @@ def rank_one_ensure_pd(v, sign=1, eps=1e-6):
     ``rank_one_cholesky`` succeeds is kept.  Returns (shrunk v, PDRepair).
     """
     v = np.asarray(v, dtype=float)
-    for attempts, lam in enumerate(_shrinkage_grid(eps), start=1):
+    for attempts, lam in enumerate(SHRINKAGE_GRID, start=1):
         candidate = v if lam == 0.0 else math.sqrt(1.0 - lam) * v
         try:
             rank_one_cholesky(candidate, sign)

@@ -83,6 +83,7 @@ TABLE2_SHAPES = (10.0, 25.0, 50.0, 100.0)
 TABLE3_NS = (100, 500, 1500)
 TABLE3_PHIS = (0.0, 0.05, 0.1, 0.15)
 TABLE3_BETA = np.array([20.0, 10.0])
+TABLE3_SIGMA = 5.0  # the errors' scale: truncnormal(0, TABLE3_SIGMA, -20, 20)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class ExperimentConfig:
     when set; ``shape`` restricts the table-2 shape grid.  ``c_star``
     controls the diagnostic exponential's size (defaults: 10 for means, 5
     for regressions).  The conventional comparator always clusters the
-    observations sequentially into n // 10 groups.
+    observations sequentially into n // 10 groups, so n must be at least 20.
     """
 
     table: int
@@ -233,6 +234,9 @@ class ExperimentConfig:
             raise ValueError("table must be 1, 2 or 3")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.n is not None and self.n < 20:
+            raise ValueError(f"n must be at least 20 (the Wald comparator needs "
+                             f"n // 10 >= 2 clusters), got {self.n}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("phi", "shape"):
@@ -308,62 +312,59 @@ def _exchangeable_copula(n, rho):
     return np.full(_check_exchangeable(n, rho), math.sqrt(abs(rho))), -1 if rho < 0 else 1
 
 
-def table3_corr(phi_star, w1, sigma=5.0, n=None):
+def table3_corr(phi_star, w1):
     """Correlation mosaic for the regression experiment.
 
-    Off-diagonal (i, j) is phi* n^2 w1_i w1_j / sigma^2 — proportional to the
-    product of the intercept weights — clipped to [-0.999, 0.999], with unit
-    diagonal, then repaired to positive definiteness.  Returns
-    (matrix, PDRepair); the repair's shrinkage is reported in result rows.
+    Off-diagonal (i, j) is phi* n^2 w1_i w1_j / TABLE3_SIGMA^2, n the length
+    of w1 — proportional to the product of the intercept weights — clipped
+    to [-0.999, 0.999], with unit diagonal, then repaired to positive
+    definiteness.  Returns (matrix, PDRepair); the repair's shrinkage is
+    reported in result rows.
     """
     w1 = np.asarray(w1, dtype=float).ravel()
-    size = w1.shape[0] if n is None else int(n)
-    if size != w1.shape[0]:
-        raise ValueError("n disagrees with the weight row length")
-    scale = phi_star * size * size / (sigma * sigma)
+    n = w1.shape[0]
+    scale = phi_star * n * n / (TABLE3_SIGMA * TABLE3_SIGMA)
     corr = np.clip(scale * np.outer(w1, w1), -0.999, 0.999)
     np.fill_diagonal(corr, 1.0)
     return ensure_pd(corr)
 
 
-def _table3_copula(phi_star, w1, sigma):
-    """``table3_corr(phi_star, w1, sigma)`` as ``_copula_factor`` takes it:
+def _table3_copula(phi_star, w1):
+    """``table3_corr(phi_star, w1)`` as ``_copula_factor`` takes it:
     (v, sign, PDRepair) for diag(1 - sign v^2) + sign v v^T, v = sqrt(|s|) w1
-    with s = phi* n^2 / sigma^2 and sign its sign, repaired by
+    with s = phi* n^2 / TABLE3_SIGMA^2 and sign its sign, repaired by
     ``rank_one_ensure_pd``; (table3_corr's dense matrix, 1, PDRepair) when
     table3_corr would clip an off-diagonal entry."""
     w1 = np.asarray(w1, dtype=float).ravel()
     n = w1.shape[0]
-    scale = phi_star * n * n / (sigma * sigma)
+    scale = phi_star * n * n / (TABLE3_SIGMA * TABLE3_SIGMA)
     top = np.sort(np.abs(w1))[-2:]  # the largest |off-diagonal| is |scale| * (top[0] * top[1])
     if n > 1 and abs(scale) * (top[0] * top[1]) > 0.999:
-        corr, repair = table3_corr(phi_star, w1, sigma)
+        corr, repair = table3_corr(phi_star, w1)
         return corr, 1, repair
     sign = -1 if scale < 0 else 1
     v, repair = rank_one_ensure_pd(math.sqrt(abs(scale)) * w1, sign)
     return v, sign, repair
 
 
-def _copula_factor(corr, n, sign=1):
+def _copula_factor(corr, sign=1):
     """The normal-scale step of the copula for one correlation, factored and
     checked once: a function (z, rows, out, scratch) that writes the first
     ``rows`` rows of z times the transposed Cholesky factor into ``out``
-    (z, out and scratch have n columns; scratch is overwritten).
+    (z, out and scratch have as many columns as ``corr`` has rows; scratch
+    is overwritten).
 
-    A length-n loading vector v stands for diag(1 - sign v^2) + sign v v^T
-    and takes its semiseparable factor row by row.  A matrix must be
+    A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
+    its semiseparable factor row by row.  A matrix must be square and
     symmetric with a unit diagonal; the comonotone matrix (all cells 1) is
     singular and repeats the first coordinate in every column; any other
     matrix takes a dense product on a BLOCK_ROWS x n block of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if corr.ndim == 1:
-        if corr.shape != (n,):
-            raise ValueError(f"loading vector must have length {n}, got {corr.shape[0]}")
         return functools.partial(_rank_one_block, sign * corr, *rank_one_cholesky(corr, sign))
-    if corr.shape != (n, n):
-        raise ValueError(f"correlation matrix must be {n} x {n}, got {corr.shape}")
     validate_correlation(corr)
+    n = corr.shape[0]
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
     block = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
@@ -396,8 +397,9 @@ def _comonotone_block(z, rows, out, scratch):
     out[:rows] = z[:rows, :1]
 
 
-def copula_sample(corr, marginal, n, reps, seed):
-    """Draw a reps x n outcome matrix from a Gaussian copula.
+def copula_sample(corr, marginal, reps, seed):
+    """Draw a reps x n outcome matrix from a Gaussian copula, n the size of
+    ``corr``.
 
     Row r is marginal.normal_map() applied to L z_r, with L the Cholesky
     factor of the correlation and z_r standard normal from the
@@ -412,8 +414,9 @@ def copula_sample(corr, marginal, n, reps, seed):
     bit-identical prefix of a longer one and a single replication drawn
     alone equals its row in a batch.
     """
-    n, reps = int(n), int(reps)
-    factor = _copula_factor(corr, n)
+    reps = int(reps)
+    factor = _copula_factor(corr)
+    n = np.shape(corr)[0]
     to_marginal = marginal.normal_map()
     Y = np.empty((reps, n))
 
@@ -581,7 +584,7 @@ def run_table1(config):
         copulas = [_exchangeable_copula(n, phi) for phi in phis]
         cells = [_mean_cell(n, marginal, config) for _ in phis]
         _score_blocks(n, config.reps, config.master_seed,
-                      [(_copula_factor(v, n, sign), [cell.add])
+                      [(_copula_factor(v, sign), [cell.add])
                        for (v, sign), cell in zip(copulas, cells)])
         rows += [_mean_row(1, n, phi, marginal, config, cell) for phi, cell in zip(phis, cells)]
     return rows
@@ -602,7 +605,7 @@ def run_table2(config):
         raise ValueError("beta shape must be positive")
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
     v, sign = _exchangeable_copula(n, phi)
-    factor = _copula_factor(v, n, sign)
+    factor = _copula_factor(v, sign)
     cells = [_mean_cell(n, marginal, config) for marginal in marginals]
     _score_blocks(n, config.reps, config.master_seed, [(factor, [cell.add for cell in cells])])
     return [
@@ -633,7 +636,7 @@ def run_table3(config):
     set (R = 40), and the residual-range plug-in (the pooled residual range
     standing in for 2M).  One report row per coefficient per cell.
     """
-    marginal = MarginalSpec.truncnormal(0.0, 5.0, -20.0, 20.0)
+    marginal = MarginalSpec.truncnormal(0.0, TABLE3_SIGMA, -20.0, 20.0)
     c_star = config.c_star if config.c_star is not None else 5.0
     ns = (config.n,) if config.n is not None else TABLE3_NS
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
@@ -642,9 +645,9 @@ def run_table3(config):
         n = int(n)
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
-        copulas = [_table3_copula(phi_star, W[0], sigma=5.0) for phi_star in phis]
+        copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
         cells = [_Cell(X, W, marginal, 0.0, config.reps, config.alpha) for _ in phis]
-        groups = [(_copula_factor(corr, n, sign), [cell.add])
+        groups = [(_copula_factor(corr, sign), [cell.add])
                   for (corr, sign, _), cell in zip(copulas, cells)]
         _score_blocks(n, config.reps, config.master_seed, groups)
         for phi_star, (_, _, repair), cell in zip(phis, copulas, cells):

@@ -146,15 +146,15 @@ class UDiagnosticsReport:
     tolerance: float
 
 
-def check_u_class(data, support, tol=None):
+def check_u_class(data, support):
     """Check whether a variable is U (E = Av) on a regular support.
 
     ``data`` is either a sample (anything with ``__len__`` or ``__array__``)
     or a distribution-like object with a callable ``mean()``.  On regular
     supports the functional average is the midpoint (M + m) / 2, so
     membership reduces to comparing the expected value against the
-    midpoint.  The default tolerance is 1e-3 * R for analytic inputs,
-    widened by three standard errors of the mean for empirical samples.
+    midpoint.  The tolerance is 1e-3 * R for analytic inputs, widened by
+    three standard errors of the mean for empirical samples.
     ``cdf_area_gap`` reports (M - E) - (E - m), the integrated
     CDF-minus-survival gap, which is zero exactly for U variables on
     continuous regular supports.
@@ -165,15 +165,14 @@ def check_u_class(data, support, tol=None):
     is_sample = hasattr(data, "__len__") or hasattr(data, "__array__")
     if callable(getattr(data, "mean", None)) and not is_sample:
         expected = float(data.mean())
-        default_tol = 1e-3 * R
+        tolerance = 1e-3 * R
     else:
         values = np.asarray(data, dtype=float)
         if values.size == 0:
             raise ValueError("empty sample")
         expected = float(values.mean())
         se = float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
-        default_tol = 1e-3 * R + 3.0 * se
-    tolerance = float(tol) if tol is not None else default_tol
+        tolerance = 1e-3 * R + 3.0 * se
     midpoint = support.midpoint
     av = midpoint  # regular support: the functional average is the midpoint
     return UDiagnosticsReport(

@@ -104,12 +104,12 @@ def additive_variance(w, var_diag, dep):
     )
 
 
-def summaries_from_covariance(cov, w, threshold_scale=1e-12):
+def summaries_from_covariance(cov, w):
     """Extract (mu, sigma_bar, phi) from a full covariance matrix.
 
     The dependency graph places an edge between i and j iff
-    |cov_{i,j}| > threshold_scale * max|cov| (float noise must not inflate
-    the mean degree).  With a single weight row the summary constants are
+    |cov_{i,j}| > 1e-12 * max|cov| (float noise must not inflate the mean
+    degree).  With a single weight row the summary constants are
 
         sigma_bar = |L|^{-1} sum_{i<j in L} w_i w_j cov_{i,j}
         phi       = sigma_bar / (n^{-1} sum_i w_i^2 sigma_i^2),
@@ -136,8 +136,7 @@ def summaries_from_covariance(cov, w, threshold_scale=1e-12):
     if W.shape[1] != n:
         raise ValueError(f"weights must have length {n}")
 
-    threshold = threshold_scale * scale
-    adjacency = np.abs(cov) > threshold
+    adjacency = np.abs(cov) > 1e-12 * scale
     np.fill_diagonal(adjacency, False)
     degrees = adjacency.sum(axis=1)
     mu = float(degrees.mean())

@@ -273,7 +273,7 @@ def test_fit_pipeline_covers_known_coefficients(tmp_path):
     base = beta["intercept"] + beta["x1"] * x1 + beta["x2"] * x2
 
     marginal = MarginalSpec.truncnormal(0.0, 1.0, -4.0, 4.0)
-    eps = copula_sample(exchangeable_corr(n, 0.01), marginal, n, fixtures, seed=77)
+    eps = copula_sample(exchangeable_corr(n, 0.01), marginal, fixtures, seed=77)
 
     csv_path = tmp_path / "fixture.csv"
     out_path = tmp_path / "report.json"

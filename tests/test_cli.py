@@ -169,6 +169,10 @@ class TestSimulateCommand:
             (["--table", "1", "--c-star", "-1"], "c_star must be finite and positive, got -1.0"),
             (["--table", "3", "--c-star", "nan"], "c_star must be finite and positive, got nan"),
             (["--table", "1", "--seed", "-1"], "master_seed must be a nonnegative integer, got -1"),
+            (["--table", "2", "--n", "15"], "n must be at least 20 ("),
+            (["--table", "2", "--n", "1"], "n must be at least 20 ("),
+            (["--table", "3", "--n", "15"], "n must be at least 20 ("),
+            (["--table", "3", "--n", "1"], "n must be at least 20 ("),
         ],
     )
     def test_bad_settings_fail_before_the_work(self, flags, message, tmp_path, monkeypatch, capsys):
@@ -452,7 +456,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "flag, message",
-        [("50", "K=50 must satisfy 1 <= K <= n=12"), ("3,13", "K=13 must satisfy"),
+        [("50,5", "K=50 must satisfy 1 <= K <= n=12"), ("3,13", "K=13 must satisfy"),
          ("1,5", "first count sets the Wald comparator's clusters")],
     )
     def test_unusable_partitions_fail_before_the_report(self, twelve_rows, flag, message, capsys):
@@ -509,9 +513,11 @@ class TestSettingsFailBeforeTheWork:
             (["fit", "--response", "y", "--covariates", "x", "--partitions", "1,5"], None,
              "--partitions: the first count sets the Wald comparator's clusters and "
              "must be at least 2"),
+            (["fit", "--response", "y", "--covariates", "x", "--partitions", "5"], None,
+             "--partitions needs at least two cluster counts to compare, got 5"),
         ],
         ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha",
-             "diagnose-coefficient", "fit-partitions"],
+             "diagnose-coefficient", "fit-partitions", "fit-single-partition"],
     )
     def test_bad_setting_fails_before_the_input_is_read(
         self, regression_csv, tmp_path, monkeypatch, capsys, argv, config, message

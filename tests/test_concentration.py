@@ -216,15 +216,9 @@ class TestCiLinear:
             ci_linear(0.0, [0.5, 0.5], range_source="two_mean", fitted=[-1.0, 1.0])
 
     def test_residual_range_half_width(self):
-        out = ci_linear(0.0, np.zeros(25), range_source="residual_range", rhat=0.3, n=25)
+        out = ci_linear(0.0, np.zeros(25), range_source="residual_range", rhat=0.3)
         assert 0.5 * out.width == pytest.approx(1.17615041354953, abs=1e-12)
         assert out.range_source == "residual_range"
-
-    def test_residual_range_defaults_n_to_weight_length(self):
-        w = np.ones(16)
-        explicit = ci_linear(0.0, w, range_source="residual_range", rhat=0.5, n=16)
-        implicit = ci_linear(0.0, w, range_source="residual_range", rhat=0.5)
-        assert explicit.width == implicit.width
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="range_source"):

@@ -26,10 +26,6 @@ class TestSample:
         assert s.values.dtype == float
         assert not s.values.flags.writeable
 
-    def test_ids_must_align(self):
-        with pytest.raises(ValueError, match="ids must match"):
-            Sample(values=[1.0, 2.0], ids=[1, 2, 3])
-
     @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, np.nan], [np.inf]])
     def test_rejects_degenerate_input(self, bad):
         with pytest.raises(ValueError):

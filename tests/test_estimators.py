@@ -225,15 +225,6 @@ class TestIrwls:
         irwls = irwls_fit(X, y, link="identity")
         np.testing.assert_allclose(irwls.coefficients, ols.coefficients, atol=1e-10)
         np.testing.assert_allclose(irwls.weight_rows, ols.weight_rows, atol=1e-10)
-        assert irwls.converged
-
-    def test_identity_link_single_iteration_is_exact(self, rng):
-        X = np.column_stack([np.ones(10), rng.standard_normal(10)])
-        y = rng.standard_normal(10)
-        fit = irwls_fit(X, y, link="identity", max_iter=1)
-        assert fit.converged
-        assert fit.n_iter == 1
-        np.testing.assert_allclose(fit.coefficients, ols_fit(X, y).coefficients, atol=1e-12)
 
     def test_logit_matches_newton_oracle(self, rng):
         X = np.column_stack([np.ones(200), rng.standard_normal((200, 2))])
@@ -242,7 +233,6 @@ class TestIrwls:
         fit = irwls_fit(X, y, link="logit")
         oracle = newton_logit(X, y)
         np.testing.assert_allclose(fit.coefficients, oracle, atol=1e-8)
-        assert fit.converged
 
     def test_log_link_matches_newton_oracle(self, rng):
         X = np.column_stack([np.ones(300), rng.uniform(-1, 1, size=300)])
@@ -285,10 +275,6 @@ class TestIrwls:
         y = (x > 0).astype(float)
         with pytest.raises(ConvergenceError):
             irwls_fit(X, y, link="logit")
-
-    def test_max_iter_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            irwls_fit(X3, Y3, max_iter=0)
 
     def test_logit_domain_check(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

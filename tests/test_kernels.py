@@ -9,6 +9,7 @@ from scipy import special
 from conftest import random_psd
 from densum import kernels
 from densum.kernels import (
+    SHRINKAGE_GRID,
     NotPositiveDefiniteError,
     beta_normal_map,
     beta_quantile,
@@ -313,6 +314,19 @@ class TestCholeskyAndRepair:
         fixed, report = ensure_pd(A)
         assert 0.0 < report.lam <= 1e-5
         cholesky(fixed)
+
+    def test_shrinkage_grid_is_the_float_product_grid(self):
+        # The weights are 1e-6 times powers of ten as the float products
+        # give them, not the decimal literals: 1e-5 is 9.999999999999999e-06.
+        # A repaired lam lands in result rows, so each value is pinned.
+        products, lam = [0.0], 1e-6
+        while lam < 1.0:
+            products.append(lam)
+            lam *= 10.0
+        products.append(1.0)
+        expected = [0.0, 1e-06, 9.999999999999999e-06, 9.999999999999999e-05,
+                    0.001, 0.01, 0.1, 1.0]
+        assert list(SHRINKAGE_GRID) == products == expected
 
 
 class TestSeededStreams:

@@ -30,6 +30,8 @@ from densum.simulation import (
     BLOCK_ROWS,
     TABLE1_GRID,
     TABLE2_SHAPES,
+    TABLE3_BETA,
+    TABLE3_SIGMA,
     CoverageReport,
     ExperimentConfig,
     MarginalSpec,
@@ -194,7 +196,7 @@ class TestCorrelationBuilders:
 
     def test_table3_entries_follow_the_weight_products(self):
         w1 = np.array([0.1, 0.2, 0.3])
-        corr, repair = table3_corr(0.5, w1, sigma=5.0)
+        corr, repair = table3_corr(0.5, w1)
         assert repair.lam == 0.0
         scale = 0.5 * 9.0 / 25.0
         assert corr[0, 1] == pytest.approx(scale * 0.1 * 0.2)
@@ -210,37 +212,33 @@ class TestCorrelationBuilders:
         np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-12)
         cholesky(corr)  # must not raise
 
-    def test_table3_length_mismatch(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            table3_corr(0.1, [0.1, 0.2], n=3)
-
 
 class TestCopulaSample:
     def test_deterministic_and_schedule_independent(self):
         corr = exchangeable_corr(6, 0.2)
         m = MarginalSpec.beta(10, 10)
-        once = copula_sample(corr, m, 6, 12, seed=5)
-        again = copula_sample(corr, m, 6, 12, seed=5)
+        once = copula_sample(corr, m, 12, seed=5)
+        again = copula_sample(corr, m, 12, seed=5)
         np.testing.assert_array_equal(once, again)
         # each replication has its own stream, so a shorter run is a prefix
-        np.testing.assert_array_equal(copula_sample(corr, m, 6, 4, seed=5), once[:4])
+        np.testing.assert_array_equal(copula_sample(corr, m, 4, seed=5), once[:4])
 
     def test_seed_changes_the_draw(self):
         corr = exchangeable_corr(4, 0.0)
         m = MarginalSpec.uniform(0, 1)
         assert not np.array_equal(
-            copula_sample(corr, m, 4, 3, seed=1), copula_sample(corr, m, 4, 3, seed=2)
+            copula_sample(corr, m, 3, seed=1), copula_sample(corr, m, 3, seed=2)
         )
 
     def test_comonotone_columns_are_identical(self):
         m = MarginalSpec.beta(10, 10)
-        Y = copula_sample(np.ones((5, 5)), m, 5, 40, seed=9)
+        Y = copula_sample(np.ones((5, 5)), m, 40, seed=9)
         for j in range(1, 5):
             np.testing.assert_array_equal(Y[:, j], Y[:, 0])
 
     def test_independent_columns_are_uncorrelated(self):
         m = MarginalSpec.uniform(0, 1)
-        Y = copula_sample(np.eye(2), m, 2, 4000, seed=3)
+        Y = copula_sample(np.eye(2), m, 4000, seed=3)
         r = np.corrcoef(Y[:, 0], Y[:, 1])[0, 1]
         assert abs(r) < 0.05
 
@@ -248,13 +246,13 @@ class TestCopulaSample:
         # grades of a bivariate normal have Pearson correlation
         # (6/pi) arcsin(rho/2); for rho = 1/2 that is about 0.4826
         m = MarginalSpec.uniform(0, 1)
-        Y = copula_sample(exchangeable_corr(2, 0.5), m, 2, 4000, seed=11)
+        Y = copula_sample(exchangeable_corr(2, 0.5), m, 4000, seed=11)
         r = np.corrcoef(Y[:, 0], Y[:, 1])[0, 1]
         assert r == pytest.approx(6.0 / math.pi * math.asin(0.25), abs=0.05)
 
     def test_marginal_fidelity(self):
         m = MarginalSpec.beta(10, 10)
-        Y = copula_sample(exchangeable_corr(5, 0.3), m, 5, 3000, seed=7)
+        Y = copula_sample(exchangeable_corr(5, 0.3), m, 3000, seed=7)
         assert float(Y.mean()) == pytest.approx(0.5, abs=0.005)
         assert float(Y.var()) == pytest.approx(1.0 / 84.0, abs=0.001)
         assert Y.min() >= 0.0 and Y.max() <= 1.0
@@ -264,22 +262,22 @@ class TestCopulaSample:
         corr = exchangeable_corr(n, 0.1)
         Z = np.stack([seeded_stream(seed, r).standard_normal(n) for r in range(reps)])
         expected = special.betaincinv(10.0, 10.0, special.ndtr(Z @ cholesky(corr).T))
-        got = copula_sample(corr, MarginalSpec.beta(10, 10), n, reps, seed)
+        got = copula_sample(corr, MarginalSpec.beta(10, 10), reps, seed)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="must be 3 x 3"):
-            copula_sample(np.eye(2), MarginalSpec.uniform(0, 1), 3, 2, seed=0)
+        with pytest.raises(ValueError, match="square"):
+            copula_sample(np.ones((2, 3)), MarginalSpec.uniform(0, 1), 2, seed=0)
 
     def test_asymmetric_matrix_rejected(self):
         # Cholesky reads only the lower triangle, so this must fail up front
         corr = np.array([[1.0, 0.2], [0.7, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            copula_sample(corr, MarginalSpec.uniform(0, 1), 2, 2, seed=0)
+            copula_sample(corr, MarginalSpec.uniform(0, 1), 2, seed=0)
 
     def test_non_unit_diagonal_rejected(self):
         with pytest.raises(ValueError, match="unit diagonal"):
-            copula_sample(2.0 * np.eye(2), MarginalSpec.uniform(0, 1), 2, 2, seed=0)
+            copula_sample(2.0 * np.eye(2), MarginalSpec.uniform(0, 1), 2, seed=0)
 
 
 def _dense(v, sign=1):
@@ -291,14 +289,14 @@ def _dense(v, sign=1):
 def _rank_one_normals(v, Z, sign=1):
     """Rows of Z times the semiseparable factor, through the copula's block step."""
     out, scratch = np.empty(Z.shape), np.empty(Z.shape)
-    _copula_factor(v, Z.shape[1], sign)(Z, Z.shape[0], out, scratch)
+    _copula_factor(v, sign)(Z, Z.shape[0], out, scratch)
     return out
 
 
 def _mosaic(n, phi_star=0.15):
     """(loading vector, sign, PDRepair, w1) of the seed-0 design's mosaic."""
     w1 = _qr_weight_rows(table3_design(n, master_seed=0))[0]
-    return (*_table3_copula(phi_star, w1, sigma=5.0), w1)
+    return (*_table3_copula(phi_star, w1), w1)
 
 
 class TestStructuredSampler:
@@ -332,8 +330,8 @@ class TestStructuredSampler:
     @example(cell="truncnormal-dense", n=500, k=1001, seed=0)
     def test_shorter_run_is_a_bitwise_prefix(self, cell, n, k, seed):
         corr, m = self.CELLS[cell](n)
-        short = copula_sample(corr, m, n, k, seed)
-        np.testing.assert_array_equal(short, copula_sample(corr, m, n, 2 * k, seed)[:k])
+        short = copula_sample(corr, m, k, seed)
+        np.testing.assert_array_equal(short, copula_sample(corr, m, 2 * k, seed)[:k])
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -347,8 +345,8 @@ class TestStructuredSampler:
     @example(cell="truncnormal-dense", n=500, r=0, seed=0)
     def test_replication_reproduces_in_isolation(self, cell, n, r, seed):
         corr, m = self.CELLS[cell](n)
-        alone = copula_sample(corr, m, n, r + 1, seed)[r]
-        np.testing.assert_array_equal(alone, copula_sample(corr, m, n, 300, seed)[r])
+        alone = copula_sample(corr, m, r + 1, seed)[r]
+        np.testing.assert_array_equal(alone, copula_sample(corr, m, 300, seed)[r])
 
     @pytest.mark.parametrize("n", sorted(TABLE1_GRID))
     def test_exchangeable_factor_matches_the_dense_cholesky(self, n):
@@ -365,7 +363,7 @@ class TestStructuredSampler:
     def test_mosaic_factor_matches_the_dense_cholesky(self, n, phi_star):
         v, sign, repair, w1 = _mosaic(n, phi_star)
         assert sign == (1 if phi_star > 0 else -1)
-        corr, dense_repair = table3_corr(phi_star, w1, sigma=5.0)
+        corr, dense_repair = table3_corr(phi_star, w1)
         assert repair == dense_repair
         Z = seeded_normals(2, 0, np.empty((40, n)))
         np.testing.assert_allclose(
@@ -396,12 +394,12 @@ class TestStructuredSampler:
 
     def test_unclipped_mosaics_are_structured_others_dense(self):
         for phi_star in (0.1, -0.1):
-            v, sign, repair = _table3_copula(phi_star, [0.1, 0.2, 0.3], sigma=5.0)
+            v, sign, repair = _table3_copula(phi_star, [0.1, 0.2, 0.3])
             assert v.ndim == 1 and sign == math.copysign(1, phi_star)
-            assert repair == table3_corr(phi_star, [0.1, 0.2, 0.3], sigma=5.0)[1]
+            assert repair == table3_corr(phi_star, [0.1, 0.2, 0.3])[1]
         for phi_star in (25.0 / 18.0, -25.0 / 18.0):
-            corr, sign, repair = _table3_copula(phi_star, [3.0, 1.0, 1.0], sigma=5.0)
-            expected, expected_repair = table3_corr(phi_star, [3.0, 1.0, 1.0], sigma=5.0)
+            corr, sign, repair = _table3_copula(phi_star, [3.0, 1.0, 1.0])
+            expected, expected_repair = table3_corr(phi_star, [3.0, 1.0, 1.0])
             np.testing.assert_array_equal(corr, expected)
             assert (sign, repair) == (1, expected_repair)
         v, sign = _exchangeable_copula(4, -0.2)
@@ -422,18 +420,16 @@ class TestStructuredSampler:
         run_table1(ExperimentConfig(table=1, n=1500, phi=-0.0005, reps=20))
         run_table2(ExperimentConfig(table=2, phi=-0.001, reps=20))
         run_table3(ExperimentConfig(table=3, phi=-0.05, reps=20))
-        corr, sign, _ = _table3_copula(25.0 / 18.0, [3.0, 1.0, 1.0], sigma=5.0)
+        corr, sign, _ = _table3_copula(25.0 / 18.0, [3.0, 1.0, 1.0])
         with pytest.raises(DenseProduct):
-            _copula_factor(corr, 3, sign)
+            _copula_factor(corr, sign)
         with pytest.raises(DenseProduct):
-            copula_sample(exchangeable_corr(5, -0.2), MarginalSpec.uniform(0, 1), 5, 3, seed=0)
+            copula_sample(exchangeable_corr(5, -0.2), MarginalSpec.uniform(0, 1), 3, seed=0)
 
     def test_loading_vector_is_validated(self):
         m = MarginalSpec.uniform(0, 1)
-        with pytest.raises(ValueError, match="length 3"):
-            copula_sample(np.full(2, 0.1), m, 3, 2, seed=0)
         with pytest.raises(ValueError, match="finite"):
-            copula_sample(np.array([0.1, np.nan]), m, 2, 2, seed=0)
+            copula_sample(np.array([0.1, np.nan]), m, 2, seed=0)
         with pytest.raises(ValueError, match="sign must be 1 or -1, got 0"):
             kernels.rank_one_cholesky(np.full(2, 0.1), 0)
 
@@ -441,8 +437,8 @@ class TestStructuredSampler:
         # a matrix passed to copula_sample takes the dense product
         n, m = 500, MarginalSpec.truncnormal(0, 5, -20, 20)
         corr = exchangeable_corr(n, -0.001)
-        short = copula_sample(corr, m, n, 300, seed=1)
-        np.testing.assert_array_equal(short, copula_sample(corr, m, n, 600, seed=1)[:300])
+        short = copula_sample(corr, m, 300, seed=1)
+        np.testing.assert_array_equal(short, copula_sample(corr, m, 600, seed=1)[:300])
 
     def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
         calls = []
@@ -699,7 +695,7 @@ class TestTable2:
 def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     """A table 1-2 cell by direct mean arithmetic: the oracle for the coverage
     engine's intercept-only case."""
-    Y = copula_sample(exchangeable_corr(n, phi), marginal, n, reps, seed)
+    Y = copula_sample(exchangeable_corr(n, phi), marginal, reps, seed)
     mu, R = marginal.mean, marginal.support.range
     M = marginal.support.length / 2.0
     ybar = np.mean(Y, axis=1)
@@ -739,6 +735,65 @@ def test_mean_rows_match_the_direct_mean_oracle(table, n, phi, shape, reps, seed
     for key in ("mean_lower", "mean_upper", "a_hat", "av_star"):
         assert getattr(row, key) == pytest.approx(expected[key], rel=1e-12, abs=0), key
     assert row.ci_r is None and row.coefficient is None
+
+
+def _regression_cell_oracle(n, phi_star, reps, seed, alpha=0.05, c_star=5.0):
+    """A table-3 cell by direct regression arithmetic: errors drawn by
+    ``copula_sample`` through table3_corr's dense matrix, one
+    ``np.linalg.lstsq`` per replication, the exchangeable sandwich over
+    n // 10 sequential clusters, the pooled residual range (max - min of a
+    replication's residuals) and ``a5_empirical``.  The oracle for the
+    coverage engine's regression cells; returns (rows, repair lambda)."""
+    X = table3_design(n, seed)
+    W = np.linalg.pinv(X)
+    marginal = MarginalSpec.truncnormal(0.0, TABLE3_SIGMA, -20.0, 20.0)
+    R, M = marginal.support.range, marginal.support.length / 2.0
+    corr, repair = table3_corr(phi_star, W[0])
+    eps = copula_sample(corr, marginal, reps, seed)
+    Y = X @ TABLE3_BETA + eps
+    B = np.array([np.linalg.lstsq(X, y, rcond=None)[0] for y in Y])
+    resid = Y - B @ X.T
+    vcov, _ = _ExchangeableSandwich(X, sequential_partition(n, n // 10))(resid)
+    z = std_normal_quantile(1.0 - alpha / 2.0)
+    rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
+    root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
+    rows = []
+    for s in range(2):
+        err = B[:, s] - TABLE3_BETA[s]
+        sum_w2 = float(W[s] @ W[s])
+        half_u = R * math.sqrt(sum_w2) * root_log
+        s_diag = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2, alpha=alpha)
+        report = a5_empirical(eps, W[s], s_diag, M)
+        rows.append({
+            "mean_lower": float(np.mean(B[:, s]) - half_u),
+            "mean_upper": float(np.mean(B[:, s]) + half_u),
+            "ci_wald": float(np.mean(np.abs(err) <= z * np.sqrt(vcov[:, s, s]))),
+            "ci_u": float(np.mean(np.abs(err) <= half_u)),
+            "ci_r": float(np.mean(np.abs(err) <= rhat * math.sqrt(sum_w2) * root_log)),
+            "a_hat": report.a_hat,
+            "av_star": report.av_star,
+            "a5_verdict": report.verdict,
+        })
+    return rows, repair.lam
+
+
+@pytest.mark.parametrize(
+    "phi_star, reps, seed",
+    # 3.1: a clipped mosaic, repaired to lam = 0.1 and run on the dense factor
+    [(0.0, 200, 0), (0.1, 200, 3), (-0.05, 150, 1), (3.1, 200, 0)],
+)
+def test_regression_rows_match_the_direct_regression_oracle(phi_star, reps, seed):
+    config = ExperimentConfig(table=3, n=100, phi=phi_star, reps=reps, master_seed=seed)
+    rows = run_table3(config)
+    expected, lam = _regression_cell_oracle(100, phi_star, reps, seed)
+    assert [row.coefficient for row in rows] == ["beta0", "beta1"]
+    for row, want in zip(rows, expected):
+        assert row.repair_lambda == lam
+        for key in ("ci_wald", "ci_u", "ci_r", "a5_verdict"):
+            assert getattr(row, key) == want[key], (row.coefficient, key)
+        for key in ("mean_lower", "mean_upper", "a_hat", "av_star"):
+            assert getattr(row, key) == pytest.approx(want[key], rel=1e-12, abs=0), (
+                row.coefficient, key)
 
 
 class TestTable3:

@@ -197,11 +197,6 @@ class TestCheckUClass:
         large = check_u_class(rng.uniform(-1, 1, size=10), SYM)
         assert large.tolerance > small.tolerance
 
-    def test_explicit_tolerance_wins(self):
-        report = check_u_class(_Analytic(0.05), SYM, tol=0.1)
-        assert report.is_u
-        assert report.tolerance == 0.1
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             check_u_class(np.array([]), SYM)
