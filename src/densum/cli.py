@@ -30,7 +30,7 @@ import numpy as np
 
 from densum import climate
 from densum.concentration import ci_linear, ci_mean, rule_of_thumb
-from densum.core import ConfidenceSet, SupportSpec, sequential_partition, summarize
+from densum.core import SupportSpec, sequential_partition, summarize
 from densum.estimators import (
     acf_phi_hat,
     gee_exchangeable_wald,
@@ -47,6 +47,8 @@ RESULTS_HEADER = (
     "mean_lower", "mean_upper", "ci_wald", "ci_u", "ci_r",
     "a_hat", "av_star", "verdict", "seed", "repair_lambda",
 )
+# The CoverageReport field of each results column, where the names differ.
+RESULTS_FIELDS = {"verdict": "a5_verdict"}
 # The short lag window, floor(10 log10 n), must stay below n.
 MIN_SERIES_LENGTH = 11
 
@@ -68,15 +70,7 @@ def write_results_csv(rows, path):
         writer.writerow(RESULTS_HEADER)
         for row in rows:
             writer.writerow(
-                [
-                    _fmt(v)
-                    for v in (
-                        row.table, row.n, row.phi, row.alpha_shape, row.threshold,
-                        row.coefficient, row.mean_lower, row.mean_upper, row.ci_wald,
-                        row.ci_u, row.ci_r, row.a_hat, row.av_star, row.a5_verdict,
-                        row.seed, row.repair_lambda,
-                    )
-                ]
+                [_fmt(getattr(row, RESULTS_FIELDS.get(name, name))) for name in RESULTS_HEADER]
             )
 
 
@@ -409,6 +403,10 @@ def cmd_simulate(args):
             f"table {row.table} n={row.n} phi={_fmt(row.phi)}{label}"
             + f": ci_u={_fmt(row.ci_u)} ci_wald={_fmt(row.ci_wald)} verdict={row.a5_verdict}"
         )
+    repaired = {(r.table, r.n, r.phi): r.repair_lambda for r in rows if r.repair_lambda > 0}
+    for (table, n, phi), lam in repaired.items():
+        print(f"note: table {table} n={n} phi*={_fmt(phi)}: the correlation was not positive "
+              f"definite; shrunk toward the identity with lambda={_fmt(lam)}", file=sys.stderr)
     write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -453,11 +451,7 @@ def cmd_ci(args):
         if R == 0.0:
             warnings.warn("column is constant; the confidence set is degenerate")
 
-    full = CI_MEAN_METHODS[args.method]
-    if full != "ratio" and R == 0.0:
-        result = ConfidenceSet(summary.mean, summary.mean, 1 - alpha, full, "known")
-    else:
-        result = ci_mean(summary, R=R, alpha=alpha, method=full)
+    result = ci_mean(summary, R=R, alpha=alpha, method=CI_MEAN_METHODS[args.method])
 
     print(
         f"{result.level:.0%} confidence set for mean({column}): "
@@ -520,7 +514,8 @@ def cmd_fit(args):
     parts = [sequential_partition(y.shape[0], k) for k in args.partitions or ()]
     fit = ols_fit(X, y)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-noise fixtures have zero spread
+        # a zero-noise fit's weighted residuals have zero spread
+        warnings.filterwarnings("ignore", "weighted residuals have degenerate", UserWarning)
         coef_rows = _coefficient_sets(fit, columns, args.alpha, args.source, args.given)
         diagnostics = tuple(
             _series_diagnostics(name, fit.weight_rows[s] * fit.residuals)[0]

@@ -120,6 +120,7 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
                          for nonnegative variables with R bounded by twice
                          the mean; requires n > 2 log(2/alpha).
 
+    R = 0 (a constant sample) gives the first three the one-point set {Ybar}.
     ``data`` may be a raw sample or a SampleSummary.
     """
     if not 0.0 < alpha < 1.0:
@@ -129,8 +130,8 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
     log_term = math.log(2.0 / alpha)
 
     if method in ("hoeffding", "u_sharp", "bernstein"):
-        if R is None or not R > 0:
-            raise ValueError("a positive range R is required")
+        if R is None or not R >= 0:
+            raise ValueError("a positive range R, or 0 for a one-point set, is required")
         if method == "bernstein":
             # tau^2 = log(2/alpha) (2 w^2 A + (2/3) w tau M), A = n M^2 / 3
             M = R / 2.0
@@ -265,7 +266,6 @@ def rule_of_thumb(w, variances, ranges):
     return float(np.sum(w * w * R * R)) / (12.0 * denom) - 1.0
 
 
-A5_VERDICTS = ("holds", "violated", "boundary")
 A5_BOUNDARY_SES = 2.0  # "boundary": |A_hat - Av*| within this many MC standard errors
 
 
@@ -281,31 +281,17 @@ class A5Report:
     n_reps: int
 
 
-def a5_empirical(draws, w, s, M):
+def a5_from_sums(sums, w, s, M):
     """Compare the empirical MGF maximum against the functional-average product.
 
-    A_hat = max over signs of N^{-1} sum_r exp(+-s sum_i w_i e_{r,i}) over the
-    N replications in ``draws`` (one row per replication), computed in
-    log-sum-exp form.  Av* = prod_i Av exp(s w_i Z_i) for symmetric supports
-    [-M_i, M_i].  The verdict is "boundary" when |A_hat - Av*| falls within
-    A5_BOUNDARY_SES Monte Carlo standard errors of A_hat, otherwise "holds"
-    (A_hat < Av*) or "violated".  This is ``a5_from_sums`` on the
-    per-replication sums draws @ w.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a reps x n matrix")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (draws.shape[1],):
-        raise ValueError("weights must match the number of columns in draws")
-    return a5_from_sums(draws @ w, w, s, M)
-
-
-def a5_from_sums(sums, w, s, M):
-    """``a5_empirical`` from the per-replication weighted sums
-    sum_i w_i e_{r,i} (a length-N vector), so a caller that already holds
-    them (the coverage grids' estimation errors) skips the reps x n product.
-    ``w`` enters only through Av*.
+    ``sums`` holds the per-replication weighted sums sum_i w_i e_{r,i}, one
+    per replication (for a reps x n matrix of draws, draws @ w; the coverage
+    grids pass their estimation errors).  A_hat = max over signs of
+    N^{-1} sum_r exp(+-s sum_i w_i e_{r,i}) over the N replications, computed
+    in log-sum-exp form.  Av* = prod_i Av exp(s w_i Z_i) for symmetric
+    supports [-M_i, M_i]; ``w`` enters only through Av*.  The verdict is
+    "boundary" when |A_hat - Av*| falls within A5_BOUNDARY_SES Monte Carlo
+    standard errors of A_hat, otherwise "holds" (A_hat < Av*) or "violated".
     """
     if not s >= 0:
         raise ValueError("s must be nonnegative")

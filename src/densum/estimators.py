@@ -170,7 +170,6 @@ class PartitionComparison:
     """Ranked cluster-variance estimates across candidate partitions."""
 
     values: np.ndarray
-    differences: np.ndarray
     recommended: int
     is_tie: bool
 
@@ -197,7 +196,6 @@ def partition_compare(fit, partitions, s):
     is_tie = bool(np.sum(np.abs(values - top) <= tie_tol) > 1)
     return PartitionComparison(
         values=values,
-        differences=values[:, None] - values[None, :],
         recommended=recommended,
         is_tie=is_tie,
     )

@@ -307,26 +307,34 @@ class PDRepair:
 SHRINKAGE_GRID = (0.0, 1e-06, 9.999999999999999e-06, 9.999999999999999e-05, 0.001, 0.01, 0.1, 1.0)
 
 
-def ensure_pd(A):
-    """Shrink a symmetric matrix toward the identity until it is PD.
+def ensure_pd(corr, sign=1):
+    """Shrink a correlation toward the identity until it is PD.
 
-    Tries A' = (1 - lam) * A + lam * I for lam on SHRINKAGE_GRID, the
-    geometric grid {0, 1e-6, 1e-5, ..., 1}, and keeps the smallest lam whose
-    Cholesky succeeds.  lam = 1 (the identity itself) always succeeds.  A
-    unit diagonal is preserved exactly.
-
-    Returns (repaired matrix, PDRepair report).
+    ``corr`` is a matrix A, taken as 0.5 (A + A^T), or a loading vector v
+    standing for diag(1 - sign v^2) + sign v v^T, as ``_copula_factor``
+    takes it.  Tries (1 - lam) A + lam I, which for v is the same form with
+    v -> sqrt(1 - lam) v, for lam on SHRINKAGE_GRID, the geometric grid
+    {0, 1e-6, 1e-5, ..., 1}, and keeps the smallest lam whose ``cholesky``
+    (``rank_one_cholesky``) succeeds; lam = 1, the identity, always does.
+    A unit diagonal is preserved exactly.  Returns (the repaired matrix or
+    vector, PDRepair report).
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("ensure_pd needs a square matrix")
-    A = 0.5 * (A + A.T)
-    eye = np.eye(A.shape[0])
+    corr = np.asarray(corr, dtype=float)
+    if corr.ndim == 1:
+        factor = functools.partial(rank_one_cholesky, sign=sign)
+        shrink = lambda lam: math.sqrt(1.0 - lam) * corr
+    elif corr.ndim == 2 and corr.shape[0] == corr.shape[1]:
+        corr = 0.5 * (corr + corr.T)
+        eye = np.eye(corr.shape[0])
+        factor = cholesky
+        shrink = lambda lam: (1.0 - lam) * corr + lam * eye
+    else:
+        raise ValueError("ensure_pd needs a square matrix or a loading vector")
     for attempts, lam in enumerate(SHRINKAGE_GRID, start=1):
-        candidate = A if lam == 0.0 else (1.0 - lam) * A + lam * eye
+        candidate = corr if lam == 0.0 else shrink(lam)
         try:
-            np.linalg.cholesky(candidate)
-        except np.linalg.LinAlgError:
+            factor(candidate)
+        except NotPositiveDefiniteError:
             continue
         return candidate, PDRepair(lam=lam, attempts=attempts)
     raise AssertionError("unreachable: the identity is positive definite")
@@ -358,8 +366,7 @@ def rank_one_cholesky(v, sign=1):
         d2 = 1.0 - vj * vj * s
         if not d2 > 0.0:
             raise NotPositiveDefiniteError(
-                "rank-one correlation is not positive definite; repair it with "
-                "rank_one_ensure_pd"
+                "rank-one correlation is not positive definite; repair it with ensure_pd"
             )
         dj = math.sqrt(d2)
         gj = vj * (1.0 - sign * s) / dj
@@ -367,24 +374,6 @@ def rank_one_cholesky(v, sign=1):
         g.append(gj)
         s += gj * gj
     return np.array(d), np.array(g)
-
-
-def rank_one_ensure_pd(v, sign=1):
-    """``ensure_pd`` for the rank-one correlation diag(1 - sign v^2) + sign v v^T.
-
-    Shrinking it toward the identity, (1 - lam) C + lam I, is the same form
-    with v -> sqrt(1 - lam) v, so the smallest lam on ensure_pd's grid whose
-    ``rank_one_cholesky`` succeeds is kept.  Returns (shrunk v, PDRepair).
-    """
-    v = np.asarray(v, dtype=float)
-    for attempts, lam in enumerate(SHRINKAGE_GRID, start=1):
-        candidate = v if lam == 0.0 else math.sqrt(1.0 - lam) * v
-        try:
-            rank_one_cholesky(candidate, sign)
-        except NotPositiveDefiniteError:
-            continue
-        return candidate, PDRepair(lam=lam, attempts=attempts)
-    raise AssertionError("unreachable: the identity is positive definite")
 
 
 def _stream_key(master_seed, stream_index):

@@ -55,7 +55,6 @@ from densum.kernels import (
     clipped_normal_cdf,
     ensure_pd,
     rank_one_cholesky,
-    rank_one_ensure_pd,
     seeded_normals,
     seeded_stream,
     std_normal_quantile,
@@ -312,6 +311,12 @@ def _exchangeable_copula(n, rho):
     return np.full(_check_exchangeable(n, rho), math.sqrt(abs(rho))), -1 if rho < 0 else 1
 
 
+def _table3_scale(phi_star, w1):
+    """w1 as a float vector and the mosaic scale phi* n^2 / TABLE3_SIGMA^2, n = len(w1)."""
+    w1 = np.asarray(w1, dtype=float).ravel()
+    return w1, phi_star * w1.size * w1.size / (TABLE3_SIGMA * TABLE3_SIGMA)
+
+
 def table3_corr(phi_star, w1):
     """Correlation mosaic for the regression experiment.
 
@@ -321,9 +326,7 @@ def table3_corr(phi_star, w1):
     definiteness.  Returns (matrix, PDRepair); the repair's shrinkage is
     reported in result rows.
     """
-    w1 = np.asarray(w1, dtype=float).ravel()
-    n = w1.shape[0]
-    scale = phi_star * n * n / (TABLE3_SIGMA * TABLE3_SIGMA)
+    w1, scale = _table3_scale(phi_star, w1)
     corr = np.clip(scale * np.outer(w1, w1), -0.999, 0.999)
     np.fill_diagonal(corr, 1.0)
     return ensure_pd(corr)
@@ -333,26 +336,24 @@ def _table3_copula(phi_star, w1):
     """``table3_corr(phi_star, w1)`` as ``_copula_factor`` takes it:
     (v, sign, PDRepair) for diag(1 - sign v^2) + sign v v^T, v = sqrt(|s|) w1
     with s = phi* n^2 / TABLE3_SIGMA^2 and sign its sign, repaired by
-    ``rank_one_ensure_pd``; (table3_corr's dense matrix, 1, PDRepair) when
+    ``ensure_pd``; (table3_corr's dense matrix, 1, PDRepair) when
     table3_corr would clip an off-diagonal entry."""
-    w1 = np.asarray(w1, dtype=float).ravel()
-    n = w1.shape[0]
-    scale = phi_star * n * n / (TABLE3_SIGMA * TABLE3_SIGMA)
+    w1, scale = _table3_scale(phi_star, w1)
     top = np.sort(np.abs(w1))[-2:]  # the largest |off-diagonal| is |scale| * (top[0] * top[1])
-    if n > 1 and abs(scale) * (top[0] * top[1]) > 0.999:
+    if w1.size > 1 and abs(scale) * (top[0] * top[1]) > 0.999:
         corr, repair = table3_corr(phi_star, w1)
         return corr, 1, repair
     sign = -1 if scale < 0 else 1
-    v, repair = rank_one_ensure_pd(math.sqrt(abs(scale)) * w1, sign)
+    v, repair = ensure_pd(math.sqrt(abs(scale)) * w1, sign)
     return v, sign, repair
 
 
 def _copula_factor(corr, sign=1):
     """The normal-scale step of the copula for one correlation, factored and
-    checked once: a function (z, rows, out, scratch) that writes the first
-    ``rows`` rows of z times the transposed Cholesky factor into ``out``
-    (z, out and scratch have as many columns as ``corr`` has rows; scratch
-    is overwritten).
+    checked once: a function (z, x, scratch) that writes z times the
+    transposed Cholesky factor into x (z, x and scratch are views of one
+    block's rows, with as many columns as ``corr`` has rows; scratch is
+    overwritten).
 
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
     its semiseparable factor row by row.  A matrix must be square and
@@ -361,6 +362,8 @@ def _copula_factor(corr, sign=1):
     matrix takes a dense product on a BLOCK_ROWS x n block of its own.
     """
     corr = np.asarray(corr, dtype=float)
+    if not corr.size:
+        raise ValueError("a correlation needs at least one variable")
     if corr.ndim == 1:
         return functools.partial(_rank_one_block, sign * corr, *rank_one_cholesky(corr, sign))
     validate_correlation(corr)
@@ -371,30 +374,29 @@ def _copula_factor(corr, sign=1):
     return functools.partial(_dense_block, cholesky(corr).T, *block)
 
 
-def _rank_one_block(sv, d, g, z, rows, out, scratch):
+def _rank_one_block(sv, d, g, z, x, scratch):
     """X_i = d_i Z_i + sv_i sum_{j<i} g_j Z_j with (d, g) from
     ``rank_one_cholesky(v, sign)`` and sv = sign v: one exclusive cumulative
     sum per row, so each row depends on its own draws alone."""
-    z, x = z[:rows], out[:rows]
     x[:, 0] = 0.0
     tail = x[:, 1:]
     np.multiply(z[:, :-1], g[:-1], out=tail)
     np.cumsum(tail, axis=1, out=tail)
     x *= sv
-    x += np.multiply(z, d, out=scratch[:rows])
+    x += np.multiply(z, d, out=scratch)
 
 
-def _dense_block(LT, zb, xb, z, rows, out, scratch):
+def _dense_block(LT, zb, xb, z, x, scratch):
     """z @ L^T through the fixed BLOCK_ROWS x n pair (zb, xb): the BLAS
-    product's shape is the same whatever ``rows`` is, so every row's bits
-    are too."""
-    zb[:rows] = z[:rows]
+    product's shape is the same whatever the block's length is, so every
+    row's bits are too."""
+    zb[:len(z)] = z
     np.matmul(zb, LT, out=xb)
-    out[:rows] = xb[:rows]
+    x[...] = xb[:len(x)]
 
 
-def _comonotone_block(z, rows, out, scratch):
-    out[:rows] = z[:rows, :1]
+def _comonotone_block(z, x, scratch):
+    x[...] = z[:, :1]
 
 
 def copula_sample(corr, marginal, reps, seed):
@@ -406,8 +408,8 @@ def copula_sample(corr, marginal, reps, seed):
     counter-based stream (seed, r) — deterministic per replication, whatever
     the scheduling.
 
-    ``corr`` is either a length-n loading vector v, standing for the
-    correlation diag(1 - v^2) + v v^T (it must be finite, and positive
+    ``corr`` (n >= 1) is either a length-n loading vector v, standing for
+    the correlation diag(1 - v^2) + v v^T (it must be finite, and positive
     definite by ``rank_one_cholesky``), or an n x n matrix that is symmetric
     with a unit diagonal (see ``_copula_factor``).  The draw runs in the
     coverage drivers' block loop, ``_score_blocks``, so a shorter run is a
@@ -420,8 +422,8 @@ def copula_sample(corr, marginal, reps, seed):
     to_marginal = marginal.normal_map()
     Y = np.empty((reps, n))
 
-    def store(start, rows, x, scratch):
-        Y[start:start + rows] = to_marginal(x[:rows])
+    def store(start, x, scratch):
+        Y[start:start + x.shape[0]] = to_marginal(x)
 
     _score_blocks(n, reps, seed, [(factor, [store])])
     return Y
@@ -462,19 +464,19 @@ class _Cell:
             np.empty((reps, p)), np.empty((reps, p), dtype=bool), np.empty(reps)
         )
 
-    def add(self, start, rows, eps, scratch):
-        """Score replications start, ..., start + rows - 1 from their
-        normal-scale block: the first ``rows`` rows of eps (overwritten, like
-        scratch).  The least-squares products are einsum's loops, one output
-        row from one input row, so each replication's statistics do not
-        depend on reps or on the block size."""
-        e = self.to_marginal(eps[:rows])
+    def add(self, start, eps, scratch):
+        """Score replications start, start + 1, ... from their normal-scale
+        block eps, one row each (overwritten, like scratch).  The
+        least-squares products are einsum's loops, one output row from one
+        input row, so each replication's statistics do not depend on reps or
+        on the block size."""
+        e = self.to_marginal(eps)
         e -= self.shift
         err = np.einsum("rn,pn->rp", e, self.Wc)
-        fitted = np.einsum("rp,pn->rn", err, self.XT, out=scratch[:rows])
+        fitted = np.einsum("rp,pn->rn", err, self.XT, out=scratch)
         resid = np.subtract(e, fitted, out=fitted)
         vcov, _ = self.sandwich(resid)
-        done = slice(start, start + rows)
+        done = slice(start, start + e.shape[0])
         self.stats.err[done] = err
         self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
             np.diagonal(vcov, axis1=1, axis2=2)
@@ -485,24 +487,25 @@ class _Cell:
 def _score_blocks(n, reps, seed, groups):
     """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
     with the consumers that share its normal-scale block: callables
-    (start, rows, x, scratch) such as ``_Cell.add``, which read the first
-    ``rows`` rows of x and may overwrite x and scratch.  Per block of
-    replications the normals are drawn once (row r from the counter-based
-    stream (seed, r)), each factor is applied once, and each of its
-    consumers gets its own copy (the last one takes the block itself).
-    Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
+    (start, x, scratch) such as ``_Cell.add``, x holding replications start,
+    start + 1, ... one per row, which may overwrite x and scratch.  Per block
+    the normals are drawn once (row r from the counter-based stream
+    (seed, r)), each factor is applied once, and each of its consumers gets
+    its own copy (the last one takes the block itself), all views of exactly
+    the block's rows.  Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
     shape = (min(reps, BLOCK_ROWS), n)
-    z, x, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-    copy = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
+    z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
     for start in range(0, reps, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, reps - start)
-        seeded_normals(seed, start, z[:rows])
+        rows = slice(0, min(BLOCK_ROWS, reps - start))
+        z, x, scratch = z_buf[rows], x_buf[rows], scratch_buf[rows]
+        seeded_normals(seed, start, z)
         for factor, consumers in groups:
-            factor(z, rows, x, scratch)
+            factor(z, x, scratch)
             for consume in consumers[:-1]:
-                np.copyto(copy[:rows], x[:rows])
-                consume(start, rows, copy, scratch)
-            consumers[-1](start, rows, x, scratch)
+                np.copyto(copy_buf[rows], x)
+                consume(start, copy_buf[rows], scratch)
+            consumers[-1](start, x, scratch)
 
 
 def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):

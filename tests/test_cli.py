@@ -132,6 +132,20 @@ class TestSimulateCommand:
         assert [r["coefficient"] for r in rows] == ["beta0", "beta1"]
         assert all(r["phi"] == "0.1" for r in rows)
 
+    def test_repaired_cells_are_noted_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "t3.csv"
+        flags = ["simulate", "--table", "3", "--n", "100", "--reps", "20", "--out", str(out)]
+        assert main(flags + ["--phi", "-0.15"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "note: table 3 n=100 phi*=-0.15: the correlation was not positive definite; "
+            "shrunk toward the identity with lambda=0.1\n"
+        )
+        assert "shrunk" not in captured.out
+        assert {r["repair_lambda"] for r in read_results_csv(out)} == {"0.1"}
+        assert main(flags) == 0  # no cell of the default grid is repaired at n = 100
+        assert capsys.readouterr().err == ""
+
     def test_config_file_fills_in_missing_flags(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[table1]\nn = 100\nphi = 0.06\nreps = 2\nseed = 9\n")
@@ -438,6 +452,22 @@ class TestFitCommand:
         report = AnalysisReport.from_json(out.read_text())
         assert report.diagnostics[0].stationarity_note == "residuals are exactly zero"
         assert all(c.ci_lower == c.ci_upper == 0.0 for c in report.coefficients)
+
+    def test_only_the_degenerate_spread_warning_is_silenced(
+        self, regression_csv, tmp_path, monkeypatch
+    ):
+        zero = write_csv(tmp_path / "zero.csv", {"x": np.linspace(0, 1, 30), "y": np.zeros(30)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", zero, "--response", "y", "--covariates", "x"]) == 0
+
+        def noisy_acf(*args, **kwargs):
+            warnings.warn("acf trouble", RuntimeWarning)
+            return acf_phi_hat(*args, **kwargs)
+
+        monkeypatch.setattr(densum.cli, "acf_phi_hat", noisy_acf)
+        with pytest.warns(RuntimeWarning, match="acf trouble"):
+            assert main(["fit", regression_csv, "--response", "y", "--covariates", "x"]) == 0
 
     @pytest.fixture
     def twelve_rows(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densum.concentration import (
-    a5_empirical,
+    a5_from_sums,
     bernstein_tail,
     ci_linear,
     ci_mean,
@@ -172,6 +172,11 @@ class TestCiMean:
         assert out.method == "bernstein"
         assert out.range_source == "known"
 
+    @pytest.mark.parametrize("method", ["hoeffding", "u_sharp", "bernstein"])
+    def test_zero_range_gives_the_one_point_set(self, method):
+        out = ci_mean([2.5, 2.5, 2.5], R=0.0, method=method)
+        assert (out.lower, out.upper, out.method) == (2.5, 2.5, method)
+
     def test_requires_range_for_additive_methods(self):
         with pytest.raises(ValueError, match="positive range"):
             ci_mean([0.1, 0.2, 0.3], method="u_sharp")
@@ -272,7 +277,8 @@ class TestRuleOfThumb:
 class TestEmpiricalMgfDiagnostic:
     def test_zero_s_is_boundary(self, rng):
         draws = rng.uniform(-1, 1, size=(100, 10))
-        report = a5_empirical(draws, np.full(10, 0.1), 0.0, 1.0)
+        w = np.full(10, 0.1)
+        report = a5_from_sums(draws @ w, w, 0.0, 1.0)
         assert report.a_hat == pytest.approx(1.0)
         assert report.av_star == pytest.approx(1.0)
         assert report.verdict == "boundary"
@@ -285,7 +291,7 @@ class TestEmpiricalMgfDiagnostic:
         for r in range(reps):
             draws[r] = seeded_stream(5, r).uniform(-0.5, 0.5, size=n)
         w = np.full(n, 1.0 / n)
-        report = a5_empirical(draws, w, 10.0, 0.5)
+        report = a5_from_sums(draws @ w, w, 10.0, 0.5)
         assert report.verdict in ("holds", "boundary")
 
     def test_comonotone_draws_violate(self):
@@ -296,7 +302,8 @@ class TestEmpiricalMgfDiagnostic:
         for r in range(reps):
             base[r, 0] = seeded_stream(9, r).uniform(-1.0, 1.0)
         draws = np.repeat(base, n, axis=1)
-        report = a5_empirical(draws, np.full(n, 1.0 / n), 1.0, 1.0)
+        w = np.full(n, 1.0 / n)
+        report = a5_from_sums(draws @ w, w, 1.0, 1.0)
         assert report.verdict == "violated"
         assert report.a_hat > report.av_star + 2 * report.mc_se
 
@@ -305,7 +312,7 @@ class TestEmpiricalMgfDiagnostic:
         # branch dominates and a_hat must equal its plain-arithmetic mean
         draws = rng.uniform(-1, 1, size=(2000, 30)) ** 2 - 0.5
         w = np.full(30, 1.0 / 30)
-        report = a5_empirical(draws, w, 8.0, 0.5)
+        report = a5_from_sums(draws @ w, w, 8.0, 0.5)
         t = 8.0 * (draws @ w)
         assert np.exp(-t).mean() > np.exp(t).mean()
         assert report.a_hat == pytest.approx(float(np.exp(-t).mean()), rel=1e-10)
@@ -314,15 +321,14 @@ class TestEmpiricalMgfDiagnostic:
         # both sides overflow float64; the comparison must degrade to an
         # explicit "boundary" rather than crash or emit NaN
         draws = rng.uniform(-1, 1, size=(50, 4))
-        report = a5_empirical(draws, np.full(4, 0.25), 2000.0, 1.0)
+        w = np.full(4, 0.25)
+        report = a5_from_sums(draws @ w, w, 2000.0, 1.0)
         assert report.a_hat == math.inf
         assert report.av_star == math.inf
         assert report.verdict == "boundary"
 
     def test_draw_validation(self, rng):
-        with pytest.raises(ValueError, match="reps x n"):
-            a5_empirical(np.zeros(5), np.ones(5), 1.0, 1.0)
-        with pytest.raises(ValueError, match="weights must match"):
-            a5_empirical(np.zeros((5, 3)), np.ones(4), 1.0, 1.0)
+        with pytest.raises(ValueError, match="one value per replication"):
+            a5_from_sums(np.zeros((5, 3)), np.ones(3), 1.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            a5_empirical(np.zeros((5, 3)), np.ones(3), -1.0, 1.0)
+            a5_from_sums(np.zeros(5), np.ones(3), -1.0, 1.0)

@@ -139,7 +139,6 @@ class TestPartitionCompare:
         assert out.recommended == 1  # 25/648 beats 1/648 and the singletons
         assert not out.is_tie
         assert out.values.shape == (3,)
-        assert out.differences[1, 0] == pytest.approx(out.values[1] - out.values[0])
 
     def test_ranking_is_descending(self, fit3):
         parts = [Partition([1, 1, 2]), Partition([1, 2, 2]), Partition([1, 2, 3])]

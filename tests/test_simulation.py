@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import densum.simulation
 from densum import kernels
-from densum.concentration import a5_empirical, optimal_s
+from densum.concentration import a5_from_sums, optimal_s
 from densum.estimators import (
     _ExchangeableSandwich,
     _qr_weight_rows,
@@ -20,7 +20,6 @@ from densum.kernels import (
     NORMAL_MAP_BLOCK,
     cholesky,
     ensure_pd,
-    rank_one_ensure_pd,
     seeded_normals,
     seeded_stream,
     std_normal_quantile,
@@ -268,6 +267,8 @@ class TestCopulaSample:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
             copula_sample(np.ones((2, 3)), MarginalSpec.uniform(0, 1), 2, seed=0)
+        with pytest.raises(ValueError, match="at least one variable"):
+            copula_sample(np.empty((0, 0)), MarginalSpec.uniform(0, 1), 2, seed=0)
 
     def test_asymmetric_matrix_rejected(self):
         # Cholesky reads only the lower triangle, so this must fail up front
@@ -289,7 +290,7 @@ def _dense(v, sign=1):
 def _rank_one_normals(v, Z, sign=1):
     """Rows of Z times the semiseparable factor, through the copula's block step."""
     out, scratch = np.empty(Z.shape), np.empty(Z.shape)
-    _copula_factor(v, sign)(Z, Z.shape[0], out, scratch)
+    _copula_factor(v, sign)(Z, out, scratch)
     return out
 
 
@@ -387,7 +388,7 @@ class TestStructuredSampler:
         ],
     )
     def test_repair_matches_ensure_pd(self, v, sign):
-        shrunk, repair = rank_one_ensure_pd(v, sign)
+        shrunk, repair = ensure_pd(v, sign)
         fixed, dense_repair = ensure_pd(_dense(v, sign))
         assert repair == dense_repair
         np.testing.assert_allclose(_dense(shrunk, sign), fixed, rtol=0, atol=1e-14)
@@ -430,6 +431,8 @@ class TestStructuredSampler:
         m = MarginalSpec.uniform(0, 1)
         with pytest.raises(ValueError, match="finite"):
             copula_sample(np.array([0.1, np.nan]), m, 2, seed=0)
+        with pytest.raises(ValueError, match="at least one variable"):
+            copula_sample(np.array([]), m, 2, seed=0)
         with pytest.raises(ValueError, match="sign must be 1 or -1, got 0"):
             kernels.rank_one_cholesky(np.full(2, 0.1), 0)
 
@@ -704,7 +707,8 @@ def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     vcov, _ = _ExchangeableSandwich(np.ones((n, 1)), partition)(Y - ybar[:, None])
     half_wald = std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(vcov[:, 0, 0])
     s = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=1.0 / n, alpha=alpha)
-    report = a5_empirical(Y - mu, np.full(n, 1.0 / n), s, M)
+    w = np.full(n, 1.0 / n)
+    report = a5_from_sums((Y - mu) @ w, w, s, M)
     return {
         "mean_lower": float(np.mean(ybar) - half_u),
         "mean_upper": float(np.mean(ybar) + half_u),
@@ -742,7 +746,7 @@ def _regression_cell_oracle(n, phi_star, reps, seed, alpha=0.05, c_star=5.0):
     ``copula_sample`` through table3_corr's dense matrix, one
     ``np.linalg.lstsq`` per replication, the exchangeable sandwich over
     n // 10 sequential clusters, the pooled residual range (max - min of a
-    replication's residuals) and ``a5_empirical``.  The oracle for the
+    replication's residuals) and ``a5_from_sums``.  The oracle for the
     coverage engine's regression cells; returns (rows, repair lambda)."""
     X = table3_design(n, seed)
     W = np.linalg.pinv(X)
@@ -763,7 +767,7 @@ def _regression_cell_oracle(n, phi_star, reps, seed, alpha=0.05, c_star=5.0):
         sum_w2 = float(W[s] @ W[s])
         half_u = R * math.sqrt(sum_w2) * root_log
         s_diag = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2, alpha=alpha)
-        report = a5_empirical(eps, W[s], s_diag, M)
+        report = a5_from_sums(eps @ W[s], W[s], s_diag, M)
         rows.append({
             "mean_lower": float(np.mean(B[:, s]) - half_u),
             "mean_upper": float(np.mean(B[:, s]) + half_u),
