@@ -26,19 +26,26 @@ range) into length-reps vectors, reduced to the table rows after the last
 block.  Memory is O(min(reps, BLOCK_ROWS) * n) per n.  Every step is
 row-local, one output row from one input row by numpy's own loops, so a
 replication's statistics depend neither on reps nor on the block size, and a
-shorter run's are a bit-identical prefix of a longer run's.  Every grid
-correlation is diag(1 - sign v^2) + sign v v^T (v = sqrt(|phi|) 1 for the
-exchangeable tables, v proportional to the intercept weights for the mosaic,
-sign that of phi or phi*), whose semiseparable factor takes one cumulative
-sum per row; a clipped mosaic and a matrix passed to ``copula_sample`` take
-a dense Cholesky product, the one step run on a fixed-shape block.
+shorter run's are a bit-identical prefix of a longer run's.  So each
+block's rows are split into WORKERS contiguous parts, scored at the same
+time on threads (numpy's heavy loops release the GIL) on views of the
+block's own buffers: memory does not grow with the count, and no bit
+depends on it.  Every grid correlation is diag(1 - sign v^2) + sign v v^T
+(v = sqrt(|phi|) 1 for the exchangeable tables, v proportional to the
+intercept weights for the mosaic, sign that of phi or phi*), whose
+semiseparable factor takes one cumulative sum per row; a clipped mosaic and
+a matrix passed to ``copula_sample`` take a dense Cholesky product, the one
+step run on a fixed-shape block, once per block before it is split.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +79,12 @@ DESIGN_STREAM_OFFSET = 2**32
 # Replications per block.  The drivers and ``copula_sample`` run block by
 # block, so memory is O(min(reps, BLOCK_ROWS) * n) whatever reps is.
 BLOCK_ROWS = 1000
+
+# Threads that score one block's rows at the same time (``_score_blocks``):
+# one per CPU this process may run on, at most 2, the largest count
+# measured.  No output bit depends on it, so it is derived, not a setting.
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 TABLE1_GRID = {
     100: (0.0, 0.06, 0.1, 0.2),
@@ -351,9 +364,9 @@ def _table3_copula(phi_star, w1):
 def _copula_factor(corr, sign=1):
     """The normal-scale step of the copula for one correlation, factored and
     checked once: a function (z, x, scratch) that writes z times the
-    transposed Cholesky factor into x (z, x and scratch are views of one
-    block's rows, with as many columns as ``corr`` has rows; scratch is
-    overwritten).
+    transposed Cholesky factor into x (z, x and scratch are views of the
+    same rows of one block, with as many columns as ``corr`` has rows;
+    scratch is overwritten), or a ``_DenseFactor``.
 
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
     its semiseparable factor row by row.  A matrix must be square and
@@ -370,8 +383,8 @@ def _copula_factor(corr, sign=1):
     n = corr.shape[0]
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
-    block = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
-    return functools.partial(_dense_block, cholesky(corr).T, *block)
+    zb, xb = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
+    return _DenseFactor(functools.partial(_dense_block, cholesky(corr).T, zb, xb), xb)
 
 
 def _rank_one_block(sv, d, g, z, x, scratch):
@@ -386,13 +399,23 @@ def _rank_one_block(sv, d, g, z, x, scratch):
     x += np.multiply(z, d, out=scratch)
 
 
-def _dense_block(LT, zb, xb, z, x, scratch):
-    """z @ L^T through the fixed BLOCK_ROWS x n pair (zb, xb): the BLAS
-    product's shape is the same whatever the block's length is, so every
-    row's bits are too."""
+def _dense_block(LT, zb, xb, z):
+    """A whole block's z @ L^T into xb through the fixed BLOCK_ROWS x n pair
+    (zb, xb): the BLAS product's shape is the same whatever the block's
+    length is, and row i of the block sits at row i of the pair, so every
+    row's bits are the same too."""
     zb[:len(z)] = z
     np.matmul(zb, LT, out=xb)
-    x[...] = xb[:len(x)]
+
+
+class _DenseFactor(NamedTuple):
+    """A dense correlation's factor: ``multiply(z)`` writes a whole block's
+    z @ L^T into ``out``, row for row.  Its bits depend on the rows'
+    positions in the product, so ``_score_blocks`` multiplies each block
+    once, whole, and each part copies its rows of ``out``."""
+
+    multiply: functools.partial
+    out: np.ndarray
 
 
 def _comonotone_block(z, x, scratch):
@@ -416,6 +439,8 @@ def copula_sample(corr, marginal, reps, seed):
     bit-identical prefix of a longer one and a single replication drawn
     alone equals its row in a batch.
     """
+    if not isinstance(reps, numbers.Integral) or reps < 0:
+        raise ValueError(f"reps must be a nonnegative integer, got {reps!r}")
     reps = int(reps)
     factor = _copula_factor(corr)
     n = np.shape(corr)[0]
@@ -484,6 +509,24 @@ class _Cell:
         self.stats.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
 
 
+def _parts(rows):
+    """A block's rows 0 .. rows - 1 as min(WORKERS, rows) contiguous slices
+    whose lengths differ by at most one, the longer ones first."""
+    count = min(WORKERS, rows)
+    size, extra = divmod(rows, count)
+    stops = [k * size + min(k, extra) for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(stops, stops[1:])]
+
+
+def _run_parts(pool, task, parts):
+    """task(part) for every part on the pool's threads, each in a copy of the
+    caller's context (so numpy's error state carries over); re-raises the
+    first part's failure."""
+    futures = [pool.submit(contextvars.copy_context().run, task, part) for part in parts]
+    for future in futures:
+        future.result()
+
+
 def _score_blocks(n, reps, seed, groups):
     """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
     with the consumers that share its normal-scale block: callables
@@ -491,21 +534,43 @@ def _score_blocks(n, reps, seed, groups):
     start + 1, ... one per row, which may overwrite x and scratch.  Per block
     the normals are drawn once (row r from the counter-based stream
     (seed, r)), each factor is applied once, and each of its consumers gets
-    its own copy (the last one takes the block itself), all views of exactly
-    the block's rows.  Memory is a few min(reps, BLOCK_ROWS) x n buffers."""
+    its own copy (the last one takes the block itself).  Memory is a few
+    min(reps, BLOCK_ROWS) x n buffers.
+
+    Each block's rows are split into WORKERS contiguous parts (``_parts``),
+    scored at the same time on a thread pool that lives for this call: a
+    part runs every step above on views of its own rows of the same buffers,
+    so memory does not grow with WORKERS, and since every step is row-local
+    no bit depends on it.  A ``_DenseFactor`` multiplies the whole block
+    once, between the parts' draw and the rest of their steps."""
     shape = (min(reps, BLOCK_ROWS), n)
     z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
-    for start in range(0, reps, BLOCK_ROWS):
-        rows = slice(0, min(BLOCK_ROWS, reps - start))
+    dense = [factor.multiply for factor, _ in groups if isinstance(factor, _DenseFactor)]
+
+    def draw(start, rows):
+        seeded_normals(seed, start + rows.start, z_buf[rows])
+
+    def score(start, rows):
+        first = start + rows.start
         z, x, scratch = z_buf[rows], x_buf[rows], scratch_buf[rows]
-        seeded_normals(seed, start, z)
         for factor, consumers in groups:
-            factor(z, x, scratch)
+            if isinstance(factor, _DenseFactor):
+                np.copyto(x, factor.out[rows])
+            else:
+                factor(z, x, scratch)
             for consume in consumers[:-1]:
                 np.copyto(copy_buf[rows], x)
-                consume(start, copy_buf[rows], scratch)
-            consumers[-1](start, x, scratch)
+                consume(first, copy_buf[rows], scratch)
+            consumers[-1](first, x, scratch)
+
+    with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
+        for start in range(0, reps, BLOCK_ROWS):
+            parts = _parts(min(BLOCK_ROWS, reps - start))
+            _run_parts(pool, functools.partial(draw, start), parts)
+            for multiply in dense:
+                multiply(z_buf[:parts[-1].stop])
+            _run_parts(pool, functools.partial(score, start), parts)
 
 
 def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):

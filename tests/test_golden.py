@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import densum.simulation
 from densum.cli import main, read_results_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,3 +54,15 @@ def test_simulate_reproduces_the_golden_table(table, reps, tmp_path):
                 assert row[key] == value, (i, key)
             else:
                 assert agree6(value, row[key]), (i, key, row[key], value)
+
+
+@pytest.mark.parametrize("table", (1, 2, 3))
+def test_golden_tables_do_not_depend_on_the_worker_count(table, tmp_path, monkeypatch):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(densum.simulation, "WORKERS", workers)
+        out = tmp_path / f"table{table}_workers{workers}.csv"
+        assert main(["simulate", "--table", str(table), "--reps", "2000", "--seed", "0",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,10 @@
+import contextlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from densum.simulation import (
     _copula_factor,
     _coverage_rows,
     _exchangeable_copula,
+    _parts,
     _Statistics,
     _table3_copula,
     copula_sample,
@@ -49,6 +55,18 @@ from densum.simulation import (
     table3_design,
 )
 from densum.core import sequential_partition
+
+# Worker counts the determinism tests run at: 3 splits a 1000-row block
+# unevenly, 334/333/333.  Starting 3 threads on fewer CPUs is harmless.
+WORKER_COUNTS = (1, 2, 3)
+
+
+@contextlib.contextmanager
+def _workers(count):
+    """The coverage engine's thread count set to ``count`` for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densum.simulation, "WORKERS", count)
+        yield
 
 
 class TestMarginalSpec:
@@ -319,6 +337,7 @@ class TestStructuredSampler:
         ),
     }
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @settings(max_examples=6, deadline=None)
     @given(
         cell=st.sampled_from(sorted(CELLS)),
@@ -329,11 +348,13 @@ class TestStructuredSampler:
     @example(cell="beta-exchangeable", n=1500, k=1000, seed=0)
     @example(cell="truncnormal-mosaic", n=500, k=1000, seed=0)
     @example(cell="truncnormal-dense", n=500, k=1001, seed=0)
-    def test_shorter_run_is_a_bitwise_prefix(self, cell, n, k, seed):
+    def test_shorter_run_is_a_bitwise_prefix(self, workers, cell, n, k, seed):
         corr, m = self.CELLS[cell](n)
-        short = copula_sample(corr, m, k, seed)
-        np.testing.assert_array_equal(short, copula_sample(corr, m, 2 * k, seed)[:k])
+        with _workers(workers):
+            short = copula_sample(corr, m, k, seed)
+            np.testing.assert_array_equal(short, copula_sample(corr, m, 2 * k, seed)[:k])
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @settings(max_examples=6, deadline=None)
     @given(
         cell=st.sampled_from(sorted(CELLS)),
@@ -344,10 +365,11 @@ class TestStructuredSampler:
     @example(cell="beta-exchangeable", n=1500, r=0, seed=0)
     @example(cell="truncnormal-mosaic", n=1500, r=0, seed=0)
     @example(cell="truncnormal-dense", n=500, r=0, seed=0)
-    def test_replication_reproduces_in_isolation(self, cell, n, r, seed):
+    def test_replication_reproduces_in_isolation(self, workers, cell, n, r, seed):
         corr, m = self.CELLS[cell](n)
-        alone = copula_sample(corr, m, r + 1, seed)[r]
-        np.testing.assert_array_equal(alone, copula_sample(corr, m, 300, seed)[r])
+        with _workers(workers):
+            alone = copula_sample(corr, m, r + 1, seed)[r]
+            np.testing.assert_array_equal(alone, copula_sample(corr, m, 300, seed)[r])
 
     @pytest.mark.parametrize("n", sorted(TABLE1_GRID))
     def test_exchangeable_factor_matches_the_dense_cholesky(self, n):
@@ -436,12 +458,27 @@ class TestStructuredSampler:
         with pytest.raises(ValueError, match="sign must be 1 or -1, got 0"):
             kernels.rank_one_cholesky(np.full(2, 0.1), 0)
 
-    def test_dense_path_keeps_the_prefix(self):
+    @pytest.mark.parametrize("reps", [-1, 2.5, 2.0, "2"])
+    def test_reps_must_be_a_nonnegative_integer(self, reps):
+        with pytest.raises(ValueError, match=r"reps must be a nonnegative integer, got"):
+            copula_sample(np.full(2, 0.1), MarginalSpec.uniform(0, 1), reps, seed=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_reps_is_an_empty_sample(self, workers):
+        m = MarginalSpec.uniform(0, 1)
+        with _workers(workers):
+            for corr in (np.full(3, 0.1), exchangeable_corr(3, 0.1)):
+                assert copula_sample(corr, m, 0, seed=0).shape == (0, 3)
+            assert copula_sample(np.full(3, 0.1), m, np.int64(2), seed=0).shape == (2, 3)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_dense_path_keeps_the_prefix(self, workers):
         # a matrix passed to copula_sample takes the dense product
         n, m = 500, MarginalSpec.truncnormal(0, 5, -20, 20)
         corr = exchangeable_corr(n, -0.001)
-        short = copula_sample(corr, m, 300, seed=1)
-        np.testing.assert_array_equal(short, copula_sample(corr, m, 600, seed=1)[:300])
+        with _workers(workers):
+            short = copula_sample(corr, m, 300, seed=1)
+            np.testing.assert_array_equal(short, copula_sample(corr, m, 600, seed=1)[:300])
 
     def test_drivers_draw_each_replication_once_per_n(self, monkeypatch):
         calls = []
@@ -494,6 +531,7 @@ class TestBlockedEngine:
         "table3-negative": dict(table=3, phi=-0.05),
     }
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @settings(max_examples=5, deadline=None)
     @given(
         cell=st.sampled_from(sorted(CELLS)),
@@ -507,10 +545,13 @@ class TestBlockedEngine:
     @example(cell="table2", n=100, k=2 * BLOCK_ROWS + 1, seed=3)
     @example(cell="table1-negative", n=500, k=BLOCK_ROWS + 1, seed=4)
     @example(cell="table3-negative", n=100, k=BLOCK_ROWS - 1, seed=5)
-    def test_report_is_the_reduction_of_a_longer_runs_prefix(self, cell, n, k, seed):
+    def test_report_is_the_reduction_of_a_longer_runs_prefix(self, workers, cell, n, k, seed):
         settings_ = dict(self.CELLS[cell], n=n, master_seed=seed)
-        short_rows, short_calls = _run_capturing_statistics(ExperimentConfig(reps=k, **settings_))
-        _, long_calls = _run_capturing_statistics(ExperimentConfig(reps=2 * k, **settings_))
+        with _workers(workers):
+            short_rows, short_calls = _run_capturing_statistics(
+                ExperimentConfig(reps=k, **settings_)
+            )
+            _, long_calls = _run_capturing_statistics(ExperimentConfig(reps=2 * k, **settings_))
         assert len(short_calls) == len(long_calls) >= 1
         rows = []
         for (W, short, args, fields), (_, long, long_args, _) in zip(short_calls, long_calls):
@@ -521,14 +562,19 @@ class TestBlockedEngine:
             rows += _coverage_rows(W, head, *long_args, **fields)
         assert rows == short_rows
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("table", [1, 2, 3])
-    def test_statistics_do_not_depend_on_the_block_size(self, table, monkeypatch):
+    def test_statistics_do_not_depend_on_the_block_size(self, table, workers, monkeypatch):
+        # ... nor on the worker count: every run is compared with one
+        # 1000-row block on one thread.
         config = ExperimentConfig(table=table, n=100, reps=250, master_seed=5)
+        with _workers(1):
+            reference_rows, reference_calls = _run_capturing_statistics(config)
         runs = {}
+        monkeypatch.setattr(densum.simulation, "WORKERS", workers)
         for block_rows in (7, 100, 1000):
             monkeypatch.setattr(densum.simulation, "BLOCK_ROWS", block_rows)
             runs[block_rows] = _run_capturing_statistics(config)
-        reference_rows, reference_calls = runs.pop(1000)
         for report_rows, calls in runs.values():
             assert report_rows == reference_rows
             assert len(calls) == len(reference_calls) >= 1
@@ -536,27 +582,140 @@ class TestBlockedEngine:
                 for values, expected_values in zip(got, expected):
                     np.testing.assert_array_equal(values, expected_values)
 
-    @pytest.mark.parametrize(
-        "settings_",
-        [
-            dict(table=3, n=1500, phi=0.15),
-            dict(table=1, n=1500, phi=0.02),
-            dict(table=1, n=1500, phi=-0.0005),
-            dict(table=3, n=1500, phi=-0.05),
-        ],
-    )
-    def test_cell_memory_does_not_grow_with_reps(self, settings_):
-        peaks = {}
-        for reps in (20, 1000, 10000):
-            tracemalloc.start()
-            try:
-                run_table(ExperimentConfig(reps=reps, **settings_))
-                peaks[reps] = tracemalloc.get_traced_memory()[1] / 2**20
-            finally:
-                tracemalloc.stop()
+    MEMORY_CELLS = [
+        dict(table=3, n=1500, phi=0.15),
+        dict(table=1, n=1500, phi=0.02),
+        dict(table=1, n=1500, phi=-0.0005),
+        dict(table=3, n=1500, phi=-0.05),
+    ]
+
+    @pytest.mark.parametrize("settings_", MEMORY_CELLS)
+    def test_cell_memory_does_not_grow_with_reps(self, settings_, monkeypatch):
+        # One worker: with two, the peak depends on whether the parts'
+        # temporaries overlap in time, which moves a reps-1000 peak by a few
+        # MB from run to run; test_two_workers_cost_no_memory bounds that.
+        monkeypatch.setattr(densum.simulation, "WORKERS", 1)
+        peaks = {reps: _traced_peak_mb(ExperimentConfig(reps=reps, **settings_))
+                 for reps in (20, 1000, 10000)}
         assert peaks[10000] <= peaks[1000] + 4.0, peaks
         assert peaks[10000] < 64.0, peaks
         assert peaks[20] < 8.0, peaks
+
+    @pytest.mark.parametrize("settings_", MEMORY_CELLS)
+    def test_two_workers_cost_no_memory(self, settings_, monkeypatch):
+        # The parts are views of one block's buffers, so two workers add at
+        # most their temporaries' overlap, never a second block.
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(densum.simulation, "WORKERS", workers)
+            for reps in (20, 1000, 10000):
+                peaks[workers, reps] = _traced_peak_mb(ExperimentConfig(reps=reps, **settings_))
+        for reps in (20, 1000, 10000):
+            assert peaks[2, reps] <= peaks[1, reps] + 1.0, peaks
+        assert peaks[2, 10000] < 64.0, peaks
+        assert peaks[2, 20] < 8.0, peaks
+
+
+def _traced_peak_mb(config):
+    """tracemalloc's peak, in MB, over run_table(config)."""
+    tracemalloc.start()
+    try:
+        run_table(config)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkerThreads:
+    # _score_blocks splits each block's rows across WORKERS threads of a pool
+    # that lives for one call: a part's failure or warning reaches the
+    # caller, and no thread outlives the call.
+
+    def test_workers_follow_the_cpus_this_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        assert densum.simulation.WORKERS == min(2, cpus)
+
+    def test_parts_split_a_block_evenly(self):
+        with _workers(3):
+            assert [p.stop - p.start for p in _parts(1000)] == [334, 333, 333]
+            assert _parts(2) == [slice(0, 1), slice(1, 2)]
+        with _workers(2):
+            assert _parts(7) == [slice(0, 4), slice(4, 7)]
+            assert _parts(1) == [slice(0, 1)]
+
+    def test_parts_share_no_writes_under_frequent_thread_switches(self, monkeypatch):
+        # table 2's four shapes share each block through the copy buffer;
+        # three workers on 7-row blocks, switching threads every microsecond,
+        # must write exactly what one worker does
+        config = ExperimentConfig(table=2, n=100, reps=250, master_seed=5)
+        with _workers(1):
+            expected_rows, expected_calls = _run_capturing_statistics(config)
+        monkeypatch.setattr(densum.simulation, "WORKERS", 3)
+        monkeypatch.setattr(densum.simulation, "BLOCK_ROWS", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows, calls = _run_capturing_statistics(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == expected_rows
+        assert len(calls) == len(expected_calls) == 4
+        for (_, got, _, _), (_, expected, _, _) in zip(calls, expected_calls):
+            for values, expected_values in zip(got, expected):
+                np.testing.assert_array_equal(values, expected_values)
+
+    def test_a_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
+        add = densum.simulation._Cell.add
+
+        def failing_add(cell, start, eps, scratch):
+            if start >= BLOCK_ROWS:
+                raise ArithmeticError(f"replication {start} failed")
+            return add(cell, start, eps, scratch)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
+        before = threading.active_count()
+        # the second block's parts start at 1000 and 1500; the first part's
+        # failure is the one raised
+        with pytest.raises(ArithmeticError, match=r"^replication 1000 failed$"):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=2500))
+        assert threading.active_count() == before
+        run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+        assert threading.active_count() == before
+
+    def test_a_warning_in_a_worker_reaches_the_caller(self, monkeypatch):
+        add = densum.simulation._Cell.add
+        threads = set()
+
+        def warning_add(cell, start, eps, scratch):
+            threads.add(threading.current_thread())
+            warnings.warn(f"replication {start} warned", RuntimeWarning)
+            return add(cell, start, eps, scratch)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", warning_add)
+        with pytest.warns(RuntimeWarning, match=r"^replication \d+ warned$") as record:
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+        assert {str(w.message) for w in record} == {"replication 0 warned",
+                                                    "replication 500 warned"}
+        assert threads and threading.main_thread() not in threads
+
+    @pytest.mark.skipif(np.__version__.startswith("1."),
+                        reason="numpy 1.x keeps the error state per thread, not per context")
+    def test_the_callers_numpy_error_state_reaches_the_workers(self, monkeypatch):
+        add = densum.simulation._Cell.add
+
+        def dividing_add(cell, start, eps, scratch):
+            np.divide(eps[:, :1], 0.0)
+            return add(cell, start, eps, scratch)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", dividing_add)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
 
 
 class TestVectorizedSandwich:
