@@ -273,12 +273,10 @@ A5_BOUNDARY_SES = 2.0  # "boundary": |A_hat - Av*| within this many MC standard 
 class A5Report:
     """Empirical MGF-domination check: A_hat against Av*."""
 
-    s_used: float
     a_hat: float
     av_star: float
     verdict: str
     mc_se: float
-    n_reps: int
 
 
 def a5_from_sums(sums, w, s, M):
@@ -331,11 +329,4 @@ def a5_from_sums(sums, w, s, M):
         verdict = "holds"
     else:
         verdict = "violated"
-    return A5Report(
-        s_used=float(s),
-        a_hat=float(a_hat),
-        av_star=float(av_star),
-        verdict=verdict,
-        mc_se=float(se),
-        n_reps=int(reps),
-    )
+    return A5Report(a_hat=float(a_hat), av_star=float(av_star), verdict=verdict, mc_se=float(se))

@@ -484,7 +484,6 @@ class ACFReport:
 
     acf: np.ndarray
     phi_hat: float
-    lags: int
 
 
 def acf_phi_hat(series, lags):
@@ -515,4 +514,4 @@ def acf_phi_hat(series, lags):
     spectrum = np.fft.rfft(centered, size)
     power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
     acf = np.fft.irfft(power, size)[1 : lags + 1] / denom
-    return ACFReport(acf=acf, phi_hat=float(np.mean(acf)), lags=lags)
+    return ACFReport(acf=acf, phi_hat=float(np.mean(acf)))

@@ -34,8 +34,8 @@ depends on it.  Every grid correlation is diag(1 - sign v^2) + sign v v^T
 (v = sqrt(|phi|) 1 for the exchangeable tables, v proportional to the
 intercept weights for the mosaic, sign that of phi or phi*), whose
 semiseparable factor takes one cumulative sum per row; a clipped mosaic and
-a matrix passed to ``copula_sample`` take a dense Cholesky product, the one
-step run on a fixed-shape block, once per block before it is split.
+a matrix passed to ``copula_sample`` take a dense Cholesky product, whose
+bits fix its rows' positions, so their blocks are scored whole.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ class MarginalSpec:
         if self.family not in MARGINAL_FAMILIES:
             raise ValueError(f"family must be one of {MARGINAL_FAMILIES}")
         p = self.params
+        if not all(map(math.isfinite, p)):
+            raise ValueError(f"{self.family} parameters must be finite, got {p}")
         if self.family == "beta":
             if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
                 raise ValueError("beta needs two positive shape parameters")
@@ -244,8 +246,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.table not in (1, 2, 3):
             raise ValueError("table must be 1, 2 or 3")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        if not isinstance(self.reps, numbers.Integral) or self.reps < 1:
+            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
+        if self.n is not None and not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n is not None and self.n < 20:
             raise ValueError(f"n must be at least 20 (the Wald comparator needs "
                              f"n // 10 >= 2 clusters), got {self.n}")
@@ -366,13 +370,13 @@ def _copula_factor(corr, sign=1):
     checked once: a function (z, x, scratch) that writes z times the
     transposed Cholesky factor into x (z, x and scratch are views of the
     same rows of one block, with as many columns as ``corr`` has rows;
-    scratch is overwritten), or a ``_DenseFactor``.
+    scratch is overwritten).
 
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
     its semiseparable factor row by row.  A matrix must be square and
     symmetric with a unit diagonal; the comonotone matrix (all cells 1) is
     singular and repeats the first coordinate in every column; any other
-    matrix takes a dense product on a BLOCK_ROWS x n block of its own.
+    matrix takes a dense product on a BLOCK_ROWS x n pair of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if not corr.size:
@@ -384,7 +388,7 @@ def _copula_factor(corr, sign=1):
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
     zb, xb = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
-    return _DenseFactor(functools.partial(_dense_block, cholesky(corr).T, zb, xb), xb)
+    return functools.partial(_dense_block, cholesky(corr).T, zb, xb)
 
 
 def _rank_one_block(sv, d, g, z, x, scratch):
@@ -399,23 +403,14 @@ def _rank_one_block(sv, d, g, z, x, scratch):
     x += np.multiply(z, d, out=scratch)
 
 
-def _dense_block(LT, zb, xb, z):
-    """A whole block's z @ L^T into xb through the fixed BLOCK_ROWS x n pair
-    (zb, xb): the BLAS product's shape is the same whatever the block's
-    length is, and row i of the block sits at row i of the pair, so every
-    row's bits are the same too."""
+def _dense_block(LT, zb, xb, z, x, scratch):
+    """z @ L^T into x through the fixed BLOCK_ROWS x n pair (zb, xb): the
+    BLAS product's shape is the same whatever the block's length is, and
+    row i of a whole block sits at row i of the pair, so every row's bits
+    are the same too (``_score_blocks`` hands a dense factor whole blocks)."""
     zb[:len(z)] = z
     np.matmul(zb, LT, out=xb)
-
-
-class _DenseFactor(NamedTuple):
-    """A dense correlation's factor: ``multiply(z)`` writes a whole block's
-    z @ L^T into ``out``, row for row.  Its bits depend on the rows'
-    positions in the product, so ``_score_blocks`` multiplies each block
-    once, whole, and each part copies its rows of ``out``."""
-
-    multiply: functools.partial
-    out: np.ndarray
+    x[...] = xb[:len(z)]
 
 
 def _comonotone_block(z, x, scratch):
@@ -518,15 +513,6 @@ def _parts(rows):
     return [slice(a, b) for a, b in zip(stops, stops[1:])]
 
 
-def _run_parts(pool, task, parts):
-    """task(part) for every part on the pool's threads, each in a copy of the
-    caller's context (so numpy's error state carries over); re-raises the
-    first part's failure."""
-    futures = [pool.submit(contextvars.copy_context().run, task, part) for part in parts]
-    for future in futures:
-        future.result()
-
-
 def _score_blocks(n, reps, seed, groups):
     """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
     with the consumers that share its normal-scale block: callables
@@ -538,27 +524,23 @@ def _score_blocks(n, reps, seed, groups):
     min(reps, BLOCK_ROWS) x n buffers.
 
     Each block's rows are split into WORKERS contiguous parts (``_parts``),
-    scored at the same time on a thread pool that lives for this call: a
-    part runs every step above on views of its own rows of the same buffers,
-    so memory does not grow with WORKERS, and since every step is row-local
-    no bit depends on it.  A ``_DenseFactor`` multiplies the whole block
-    once, between the parts' draw and the rest of their steps."""
+    scored in one round on a thread pool that lives for this call, each in a
+    copy of the caller's context (numpy's error state carries over).  A part
+    runs every step above on views of its own rows of the same buffers, so
+    memory does not grow with WORKERS, and since every step is row-local no
+    bit depends on it.  A dense product's bits depend on its rows' positions
+    in its fixed pair, so with a dense factor each block is one part."""
     shape = (min(reps, BLOCK_ROWS), n)
     z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
-    dense = [factor.multiply for factor, _ in groups if isinstance(factor, _DenseFactor)]
-
-    def draw(start, rows):
-        seeded_normals(seed, start + rows.start, z_buf[rows])
+    whole = any(getattr(factor, "func", None) is _dense_block for factor, _ in groups)
 
     def score(start, rows):
         first = start + rows.start
         z, x, scratch = z_buf[rows], x_buf[rows], scratch_buf[rows]
+        seeded_normals(seed, first, z)
         for factor, consumers in groups:
-            if isinstance(factor, _DenseFactor):
-                np.copyto(x, factor.out[rows])
-            else:
-                factor(z, x, scratch)
+            factor(z, x, scratch)
             for consume in consumers[:-1]:
                 np.copyto(copy_buf[rows], x)
                 consume(first, copy_buf[rows], scratch)
@@ -566,11 +548,12 @@ def _score_blocks(n, reps, seed, groups):
 
     with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
         for start in range(0, reps, BLOCK_ROWS):
-            parts = _parts(min(BLOCK_ROWS, reps - start))
-            _run_parts(pool, functools.partial(draw, start), parts)
-            for multiply in dense:
-                multiply(z_buf[:parts[-1].stop])
-            _run_parts(pool, functools.partial(score, start), parts)
+            rows = min(BLOCK_ROWS, reps - start)
+            parts = [slice(0, rows)] if whole else _parts(rows)
+            futures = [pool.submit(contextvars.copy_context().run, score, start, part)
+                       for part in parts]
+            for future in futures:
+                future.result()  # re-raises the first part's failure
 
 
 def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
@@ -710,7 +693,6 @@ def run_table3(config):
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
     rows = []
     for n in ns:
-        n = int(n)
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
@@ -729,8 +711,4 @@ def run_table3(config):
 
 def run_table(config):
     """Dispatch a config to its table driver."""
-    if config.table == 1:
-        return run_table1(config)
-    if config.table == 2:
-        return run_table2(config)
-    return run_table3(config)
+    return {1: run_table1, 2: run_table2, 3: run_table3}[config.table](config)

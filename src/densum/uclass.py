@@ -138,8 +138,6 @@ class UDiagnosticsReport:
 
     expected_value: float
     functional_average: float
-    midpoint: float
-    is_regular: bool
     is_u: bool
     is_sub_u: bool
     cdf_area_gap: float
@@ -173,13 +171,10 @@ def check_u_class(data, support):
         expected = float(values.mean())
         se = float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
         tolerance = 1e-3 * R + 3.0 * se
-    midpoint = support.midpoint
-    av = midpoint  # regular support: the functional average is the midpoint
+    av = support.midpoint  # regular support: the functional average is the midpoint
     return UDiagnosticsReport(
         expected_value=expected,
         functional_average=av,
-        midpoint=midpoint,
-        is_regular=True,
         is_u=abs(expected - av) <= tolerance,
         is_sub_u=(av - expected) <= tolerance,
         cdf_area_gap=(support.upper - expected) - (expected - support.lower),

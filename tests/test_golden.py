@@ -1,9 +1,12 @@
 """Golden outputs: the coverage tables at reps=2000 and 10000, seed 0.
 
 ``tests/golden/table{1,2,3}_reps{2000,10000}_seed0.csv`` are the results
-CSVs of ``densum simulate --table T --reps R --seed 0``.  A rerun must
-reproduce every coverage rate and verdict exactly and every other cell at
-six significant digits.
+CSVs of ``densum simulate --table T --reps R --seed 0``, and
+``table3_phi3.1_reps2000_seed0.csv`` that of ``densum simulate --table 3
+--phi 3.1 --reps 2000 --seed 0``, whose clipped mosaics take the dense
+correlation product (repaired to lambda = 0.1 at n = 100, to the identity at
+n = 500 and 1500).  A rerun must reproduce every coverage rate and verdict
+exactly and every other cell at six significant digits.
 """
 
 import math
@@ -36,15 +39,18 @@ def agree6(ref, got):
 
 # The reps=2000 cases keep their original ids.
 @pytest.mark.parametrize(
-    "table, reps",
-    [pytest.param(table, 2000, id=str(table)) for table in (1, 2, 3)]
-    + [pytest.param(table, 10000, id=f"{table}-reps10000") for table in (1, 2, 3)],
+    "table, reps, phi",
+    [pytest.param(table, 2000, None, id=str(table)) for table in (1, 2, 3)]
+    + [pytest.param(table, 10000, None, id=f"{table}-reps10000") for table in (1, 2, 3)]
+    + [pytest.param(3, 2000, "3.1", id="3-phi3.1-dense")],
 )
-def test_simulate_reproduces_the_golden_table(table, reps, tmp_path):
+def test_simulate_reproduces_the_golden_table(table, reps, phi, tmp_path):
     out = tmp_path / f"table{table}.csv"
+    restrict = ["--phi", phi] if phi else []
     assert main(["simulate", "--table", str(table), "--reps", str(reps), "--seed", "0",
-                 "--out", str(out)]) == 0
-    expected = read_results_csv(GOLDEN / f"table{table}_reps{reps}_seed0.csv")
+                 *restrict, "--out", str(out)]) == 0
+    name = f"table{table}_phi{phi}" if phi else f"table{table}"
+    expected = read_results_csv(GOLDEN / f"{name}_reps{reps}_seed0.csv")
     got = read_results_csv(out)
     assert len(got) == len(expected)
     for i, (ref, row) in enumerate(zip(expected, got)):

@@ -135,6 +135,21 @@ class TestMarginalSpec:
             bad()
 
     @pytest.mark.parametrize(
+        "bad, family",
+        [
+            (lambda: MarginalSpec.uniform(math.nan, 1.0), "uniform"),
+            (lambda: MarginalSpec.uniform(0.0, math.inf), "uniform"),
+            (lambda: MarginalSpec.beta(math.nan, 2.0), "beta"),
+            (lambda: MarginalSpec.beta(2.0, math.inf), "beta"),
+            (lambda: MarginalSpec.truncnormal(0, math.nan, -1, 1), "truncnormal"),
+            (lambda: MarginalSpec.truncnormal(0, 1, -math.inf, 1), "truncnormal"),
+        ],
+    )
+    def test_non_finite_parameters_name_the_family(self, bad, family):
+        with pytest.raises(ValueError, match=f"^{family} parameters must be finite"):
+            bad()
+
+    @pytest.mark.parametrize(
         "m",
         [
             MarginalSpec.beta(10, 10),
@@ -703,6 +718,34 @@ class TestWorkerThreads:
                                                     "replication 500 warned"}
         assert threads and threading.main_thread() not in threads
 
+    @pytest.mark.parametrize(
+        "corr, starts",
+        [
+            # a dense factor's bits fix its rows' positions: whole blocks
+            (exchangeable_corr(50, 0.1), {0, 1000, 2000}),
+            # a loading vector's blocks split into two parts each
+            (np.full(50, math.sqrt(0.1)), {0, 500, 1000, 1500, 2000, 2250}),
+        ],
+    )
+    def test_dense_blocks_are_scored_whole(self, corr, starts, monkeypatch):
+        seen = set()
+        score_blocks = densum.simulation._score_blocks
+
+        def recording(consume):
+            def record(start, x, scratch):
+                seen.add(start)
+                return consume(start, x, scratch)
+            return record
+
+        def recording_score_blocks(n, reps, seed, groups):
+            groups = [(factor, [recording(c) for c in consumers]) for factor, consumers in groups]
+            return score_blocks(n, reps, seed, groups)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation, "_score_blocks", recording_score_blocks)
+        copula_sample(corr, MarginalSpec.uniform(0, 1), 2500, seed=0)
+        assert seen == starts
+
     @pytest.mark.skipif(np.__version__.startswith("1."),
                         reason="numpy 1.x keeps the error state per thread, not per context")
     def test_the_callers_numpy_error_state_reaches_the_workers(self, monkeypatch):
@@ -760,6 +803,21 @@ class TestConfigAndReport:
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"table": 3, "n": 100.5, "phi": 0.05, "reps": 20}, "n"),
+            ({"table": 2, "n": 100.5, "reps": 20}, "n"),
+            ({"table": 1, "n": 100.0}, "n"),
+            ({"table": 1, "n": 100, "reps": 2.5}, "reps"),
+            ({"table": 1, "reps": 20.0}, "reps"),
+            ({"table": 1, "reps": None}, "reps"),
+        ],
+    )
+    def test_non_integral_sizes_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize(
