@@ -400,6 +400,9 @@ class _ExchangeableSandwich:
         layout[0, slot] = 1.0
         layout[1:, slot] = X.T
         self.layout = layout.reshape(p + 1, *self.shape)  # [1, X] in the slots
+        # per layout row, the first row equal to it: an intercept repeats the ones row
+        self.source = tuple(next(i for i in range(j + 1) if np.array_equal(layout[i], row))
+                            for j, row in enumerate(layout))
 
         self.Sx = np.add.reduceat(X[order], first_obs, axis=0)  # K x p cluster sums of columns
         self.SxSx = (self.Sx[:, :, None] * self.Sx[:, None, :]).reshape(K, p * p)
@@ -418,8 +421,11 @@ class _ExchangeableSandwich:
             G[:, self.slot] = E
         G = G.reshape(reps, *self.shape)
         S = np.empty((p + 1, reps, self.shape[0]))  # per-row sums of e and of e X_j
-        for column, sums in zip(self.layout, S):
-            np.einsum("rkm,km->rk", G, column, out=sums)
+        for j, i in enumerate(self.source):  # a repeated row copies its first's sums
+            if i < j:
+                np.copyto(S[j], S[i])
+            else:
+                np.einsum("rkm,km->rk", G, self.layout[j], out=S[j])
         if self.fold is not None:
             S = np.add.reduceat(S, self.fold, axis=2)
         Se = S[0]  # reps x K

@@ -4,12 +4,13 @@ rank-one correlation's semiseparable factor, and deterministic
 counter-based uniform streams.
 
 These back the copula simulator.  The quantile transforms wrap scipy's
-high-accuracy special functions and serve as the oracles for the fast
-normal-scale maps ``beta_normal_map`` and ``truncnorm_normal_map``: one
-cubic Hermite interpolant of x -> F^{-1}(Phi(x)) on a uniform normal-scale
-grid, built once per map from the family's exact map and the closed-form
-slope of that map, checked against the exact map at every interval midpoint
-and replaced by it where that check or the grid's range does not hold.
+special functions and are the oracles for the fast normal-scale maps
+``beta_normal_map`` and ``truncnorm_normal_map``: one cubic Hermite
+interpolant of x -> F^{-1}(Phi(x)) on a uniform normal-scale grid, built
+once per map from the exact map and its closed-form slope, checked against
+the exact map at every interval midpoint and replaced by it where that check
+or the grid's range does not hold (a chunk's min and max clear the range
+before any value is selected; the interval index is a floor).
 Every correlation the coverage grids use is diag(1 - sign v^2) + sign v v^T,
 sign = +1 or -1, whose Cholesky factor ``rank_one_cholesky`` gives in O(n)
 without forming the matrix.  The random streams are Philox counter-based
@@ -208,25 +209,29 @@ def _apply_normal_map(exact, table, x):
         block = flat[start:start + NORMAL_MAP_BLOCK]
         k = block.size
         t, c, i = t_buf[:k], c_buf[:k], i_buf[:k]
-        # Values beyond the knots, and NaN, take the exact map; their slots
-        # are zeroed so that the index cast below sees finite values only.
-        far = np.flatnonzero(~(np.abs(block) <= NORMAL_MAP_EDGE))
-        if far.size:
+        # Values beyond the knots, and NaN (which fails both comparisons), take
+        # the exact map; their slots are zeroed, so the index sees knot values.
+        far = None
+        if not (block.min() >= -NORMAL_MAP_EDGE and block.max() <= NORMAL_MAP_EDGE):
+            far = np.flatnonzero(~(np.abs(block) <= NORMAL_MAP_EDGE))
             tails = exact(block[far])
             block[far] = 0.0
         np.subtract(block, x0, out=t)
         t /= h
-        np.copyto(i, t, casting="unsafe")
-        np.clip(i, 0, c0.size - 1, out=i)
-        t -= i
+        # t = (x + EDGE) / h >= 0, so floor is the int cast and needs no lower
+        # clip; x = +EDGE gives t = knots - 1, moved to the last interval (t = 1).
+        np.floor(t, out=c)
+        np.minimum(c, c0.size - 1, out=c)
+        t -= c
+        np.copyto(i, c, casting="unsafe")
         # mode="clip" spares take()'s buffered out= copy (mode="raise" makes
-        # one); i is already clipped above, as t -= i needs, so no index moves.
+        # one); i already lies on the table, so no index moves.
         np.take(c3, i, out=block, mode="clip")
         for coef in (c2, c1, c0):
             block *= t
             np.take(coef, i, out=c, mode="clip")
             block += c
-        if far.size:
+        if far is not None:
             block[far] = tails
     return x
 
@@ -482,12 +487,11 @@ def seeded_normals(master_seed, start, out):
     keys = _philox_keys(master_seed, (start + np.arange(rows)).astype(np.uint32))
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
-    counter, buffer = np.zeros(4, dtype=np.uint64), np.zeros(4, dtype=np.uint64)
-    for key, row in zip(keys, out):
+    for key, row in zip(keys.tolist(), out):  # Python ints: the setter indexes each entry
         bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": buffer,
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -19,11 +19,12 @@ stream keyed by (master_seed, r).  The drivers loop, per n, over blocks of
 at most BLOCK_ROWS replications: a block's normals are drawn once and read
 by every cell at that n, so grid cells share common random numbers (table
 2's shapes also share the normal-scale block).  Each cell applies its
-correlation factor and marginal map (for Beta and truncated-normal marginals
-a normal-scale table from ``kernels``, built once per cell) and writes its
-per-replication statistics (estimation errors, Wald cover flags, residual
-range) into length-reps vectors, reduced to the table rows after the last
-block.  Memory is O(min(reps, BLOCK_ROWS) * n) per n.  Every step is
+correlation factor (a copy of the draw at phi = 0) and marginal map (for
+Beta and truncated-normal marginals a normal-scale table from ``kernels``,
+built once per marginal per driver call) and writes its per-replication
+statistics (estimation errors, Wald cover flags, and the residual range where
+a table reports it) into length-reps vectors, reduced to the table rows
+after the last block.  Memory is O(min(reps, BLOCK_ROWS) * n) per n.  Every step is
 row-local, one output row from one input row by numpy's own loops, so a
 replication's statistics depend neither on reps nor on the block size, and a
 shorter run's are a bit-identical prefix of a longer run's.  So each
@@ -300,6 +301,8 @@ class CoverageReport:
 
 
 def _check_exchangeable(n, rho):
+    if not isinstance(n, numbers.Integral):  # refused, not truncated
+        raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
@@ -373,7 +376,9 @@ def _copula_factor(corr, sign=1):
     scratch is overwritten).
 
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
-    its semiseparable factor row by row.  A matrix must be square and
+    its semiseparable factor row by row, or for v = 0 (phi = 0) a copy of z
+    (that factor's +-0 + z differs only in a zero's sign, which no marginal
+    map sees).  A matrix must be square and
     symmetric with a unit diagonal; the comonotone matrix (all cells 1) is
     singular and repeats the first coordinate in every column; any other
     matrix takes a dense product on a BLOCK_ROWS x n pair of its own.
@@ -382,7 +387,10 @@ def _copula_factor(corr, sign=1):
     if not corr.size:
         raise ValueError("a correlation needs at least one variable")
     if corr.ndim == 1:
-        return functools.partial(_rank_one_block, sign * corr, *rank_one_cholesky(corr, sign))
+        d, g = rank_one_cholesky(corr, sign)  # checks v
+        if not corr.any():
+            return _identity_block
+        return functools.partial(_rank_one_block, sign * corr, d, g)
     validate_correlation(corr)
     n = corr.shape[0]
     if n > 1 and np.all(corr == 1.0):
@@ -415,6 +423,10 @@ def _dense_block(LT, zb, xb, z, x, scratch):
 
 def _comonotone_block(z, x, scratch):
     x[...] = z[:, :1]
+
+
+def _identity_block(z, x, scratch):
+    np.copyto(x, z)
 
 
 def copula_sample(corr, marginal, reps, seed):
@@ -457,31 +469,32 @@ def copula_sample(corr, marginal, reps, seed):
 class _Statistics(NamedTuple):
     """Per-replication statistics of one coverage cell: the estimation
     errors eps W^T (reps x p), the Wald comparator's cover flags (reps x p)
-    and the pooled residual range (reps)."""
+    and the pooled residual range (reps), None where no row reports it."""
 
     err: np.ndarray
     covered_wald: np.ndarray
-    rhat: np.ndarray
+    rhat: np.ndarray | None
 
 
 class _Cell:
     """One coverage cell, scored block by block: the least-squares fit
-    beta_hat = W y on the design X, with errors eps = marginal draw - shift.
+    beta_hat = W y on the design X, with errors eps = to_marginal(draw) -
+    shift, to_marginal the marginal's ``normal_map()``, built once per driver.
 
-    The setup that does not change from block to block (the marginal map,
-    the sandwich's design side over n // 10 sequential clusters) is built
-    here once; ``add`` fills the cell's length-reps statistics.
+    The sandwich's design side over n // 10 sequential clusters is built here
+    once; ``add`` fills the cell's length-reps statistics, the residual range
+    only with ``ranges`` (the regression rows report it, the mean rows not).
     """
 
-    def __init__(self, X, W, marginal, shift, reps, alpha):
+    def __init__(self, X, W, to_marginal, shift, reps, alpha, ranges=True):
         n, p = X.shape
-        self.W, self.shift = W, shift
+        self.W, self.shift, self.to_marginal = W, shift, to_marginal
         self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
-        self.to_marginal = marginal.normal_map()
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
         self.z = std_normal_quantile(1.0 - alpha / 2.0)
         self.stats = _Statistics(
-            np.empty((reps, p)), np.empty((reps, p), dtype=bool), np.empty(reps)
+            np.empty((reps, p)), np.empty((reps, p), dtype=bool),
+            np.empty(reps) if ranges else None,
         )
 
     def add(self, start, eps, scratch):
@@ -491,7 +504,8 @@ class _Cell:
         input row, so each replication's statistics do not depend on reps or
         on the block size."""
         e = self.to_marginal(eps)
-        e -= self.shift
+        if self.shift != 0.0:  # x - 0.0 is x, -0.0 and NaN included
+            e -= self.shift
         err = np.einsum("rn,pn->rp", e, self.Wc)
         fitted = np.einsum("rp,pn->rn", err, self.XT, out=scratch)
         resid = np.subtract(e, fitted, out=fitted)
@@ -501,7 +515,8 @@ class _Cell:
         self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
             np.diagonal(vcov, axis1=1, axis2=2)
         )
-        self.stats.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
+        if self.stats.rhat is not None:
+            self.stats.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
 
 
 def _parts(rows):
@@ -564,9 +579,9 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
     conventional Wald comparator (exchangeable sandwich over n // 10
     sequential clusters), the known-range set R sqrt(sum w^2)
     sqrt(log(2/alpha)/6), its residual-range plug-in (the pooled residual
-    range standing in for 2M) and the MGF diagnostic.  ``fields`` fill the
-    remaining report columns and take precedence (``ci_r=None`` drops the
-    plug-in).
+    range standing in for 2M; None when the cell kept no range) and the MGF
+    diagnostic.  ``fields`` fill the remaining report columns and take
+    precedence.
     """
     n = W.shape[1]
     R = support.range
@@ -579,7 +594,6 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
         err = stats.err[:, s_idx]
         abs_err = np.abs(err)
         half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
-        half_r = stats.rhat * math.sqrt(sum_w2[s_idx]) * root_log
         s_diag = optimal_s(
             theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=alpha
         )
@@ -590,7 +604,8 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
             mean_upper=float(np.mean(B[:, s_idx]) + half_u),
             ci_wald=float(np.mean(stats.covered_wald[:, s_idx])),
             ci_u=float(np.mean(abs_err <= half_u)),
-            ci_r=float(np.mean(abs_err <= half_r)),
+            ci_r=None if stats.rhat is None else float(
+                np.mean(abs_err <= stats.rhat * math.sqrt(sum_w2[s_idx]) * root_log)),
             a_hat=report.a_hat,
             av_star=report.av_star,
             a5_verdict=report.verdict,
@@ -600,11 +615,12 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
     return rows
 
 
-def _mean_cell(n, marginal, config):
+def _mean_cell(n, marginal, to_marginal, config):
     """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n,
-    errors centred at the marginal mean."""
+    errors centred at the marginal mean, and no residual range."""
     W = np.full((1, n), 1.0 / n)
-    return _Cell(np.ones((n, 1)), W, marginal, marginal.mean, config.reps, config.alpha)
+    return _Cell(np.ones((n, 1)), W, to_marginal, marginal.mean, config.reps, config.alpha,
+                 ranges=False)
 
 
 def _mean_row(table, n, phi, marginal, config, cell, alpha_shape=None):
@@ -613,7 +629,7 @@ def _mean_row(table, n, phi, marginal, config, cell, alpha_shape=None):
     (row,) = _coverage_rows(
         cell.W, cell.stats, np.array([marginal.mean]), marginal.support, config.alpha,
         c_star, names=(None,), table=table, phi=phi, seed=config.master_seed,
-        alpha_shape=alpha_shape, threshold=bound / (n - 1), ci_r=None,
+        alpha_shape=alpha_shape, threshold=bound / (n - 1),
     )
     return row
 
@@ -628,12 +644,13 @@ def run_table1(config):
     marginal = MarginalSpec.beta(10, 10)
     rows = []
     ns = (config.n,) if config.n is not None else tuple(TABLE1_GRID)
+    if any(n not in TABLE1_GRID for n in ns):
+        raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
+    to_marginal = marginal.normal_map()
     for n in ns:
-        if n not in TABLE1_GRID:
-            raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
         copulas = [_exchangeable_copula(n, phi) for phi in phis]
-        cells = [_mean_cell(n, marginal, config) for _ in phis]
+        cells = [_mean_cell(n, marginal, to_marginal, config) for _ in phis]
         _score_blocks(n, config.reps, config.master_seed,
                       [(_copula_factor(v, sign), [cell.add])
                        for (v, sign), cell in zip(copulas, cells)])
@@ -657,7 +674,7 @@ def run_table2(config):
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
     v, sign = _exchangeable_copula(n, phi)
     factor = _copula_factor(v, sign)
-    cells = [_mean_cell(n, marginal, config) for marginal in marginals]
+    cells = [_mean_cell(n, marginal, marginal.normal_map(), config) for marginal in marginals]
     _score_blocks(n, config.reps, config.master_seed, [(factor, [cell.add for cell in cells])])
     return [
         _mean_row(2, n, phi, marginal, config, cell, alpha_shape=float(shape))
@@ -672,10 +689,11 @@ def table3_design(n, master_seed):
     stream disjoint from every replication stream, then reused across all
     replications and phi* values at that n.
     """
-    stream = seeded_stream(master_seed, DESIGN_STREAM_OFFSET + int(n))
-    u = ndtr(stream.standard_normal(int(n)))  # open-interval uniforms
+    n = _check_exchangeable(n, 0.0)  # an integer n >= 1
+    stream = seeded_stream(master_seed, DESIGN_STREAM_OFFSET + n)
+    u = ndtr(stream.standard_normal(n))  # open-interval uniforms
     t = truncnorm_quantile(1.0, 1.0, -5.0, 5.0, u)
-    return np.column_stack([np.ones(int(n)), t])
+    return np.column_stack([np.ones(n), t])
 
 
 def run_table3(config):
@@ -691,12 +709,13 @@ def run_table3(config):
     c_star = config.c_star if config.c_star is not None else 5.0
     ns = (config.n,) if config.n is not None else TABLE3_NS
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
+    to_marginal = marginal.normal_map()
     rows = []
     for n in ns:
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
-        cells = [_Cell(X, W, marginal, 0.0, config.reps, config.alpha) for _ in phis]
+        cells = [_Cell(X, W, to_marginal, 0.0, config.reps, config.alpha) for _ in phis]
         groups = [(_copula_factor(corr, sign), [cell.add])
                   for (corr, sign, _), cell in zip(copulas, cells)]
         _score_blocks(n, config.reps, config.master_seed, groups)

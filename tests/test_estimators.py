@@ -418,6 +418,35 @@ class TestSandwichLayout:
             np.testing.assert_array_equal(vcov_r, vcov[:reps])
             np.testing.assert_array_equal(rho_r, rho[:reps])
 
+    @pytest.mark.parametrize("name", ["equal", "shuffled", "lopsided"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_each_distinct_layout_row_is_summed_once(self, name, p, monkeypatch):
+        # X = 1 and [1, t] repeat the ones row; its sums are copied, to the
+        # bit what the einsum recomputing them gives
+        partition = SANDWICH_PARTITIONS[name]
+        rng = np.random.default_rng(p)
+        X = np.column_stack([np.ones(partition.n), rng.standard_normal((partition.n, p - 1))])
+        E = rng.standard_normal((9, partition.n))
+        sums = []
+        einsum = np.einsum
+
+        def counting_einsum(subscripts, *operands, **kwargs):
+            if subscripts == "rkm,km->rk":
+                sums.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        sandwich = _ExchangeableSandwich(X, partition)
+        assert sandwich.source == (0, 0) + tuple(range(2, p + 1))
+        vcov, rho = sandwich(E)
+        assert len(sums) == p
+        sums.clear()
+        monkeypatch.setattr(sandwich, "source", tuple(range(p + 1)))
+        vcov_all, rho_all = sandwich(E)
+        assert len(sums) == p + 1
+        np.testing.assert_array_equal(vcov.view(np.uint64), vcov_all.view(np.uint64))
+        np.testing.assert_array_equal(rho.view(np.uint64), rho_all.view(np.uint64))
+
     def test_lopsided_partition_matches_oracle(self, rng):
         partition = SANDWICH_PARTITIONS["lopsided"]
         X = np.column_stack([np.ones(partition.n), rng.standard_normal(partition.n)])

@@ -234,6 +234,64 @@ class TestNormalMapEvaluation:
         assert err.max() <= kernels.NORMAL_MAP_TOL
 
 
+def _reference_normal_map(exact, table, x):
+    """The table evaluation with an int-cast index clipped to the table and
+    a selection of the far values in every chunk: the oracle for
+    ``_apply_normal_map``'s range check and floor index."""
+    x0, h, (c0, c1, c2, c3) = table
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, kernels.NORMAL_MAP_BLOCK):
+        block = flat[start:start + kernels.NORMAL_MAP_BLOCK]
+        far = np.flatnonzero(~(np.abs(block) <= kernels.NORMAL_MAP_EDGE))
+        tails = exact(block[far]) if far.size else None
+        block[far] = 0.0
+        t = (block - x0) / h
+        i = np.clip(t.astype(np.intp), 0, c0.size - 1)
+        t -= i
+        y = np.take(c3, i)
+        for coef in (c2, c1, c0):
+            y *= t
+            y += np.take(coef, i)
+        block[...] = y
+        if far.size:
+            block[far] = tails
+    return x
+
+
+class TestNormalMapIndex:
+    # Chunks of NORMAL_MAP_BLOCK values: one with every edge case, one with
+    # no far value, and one each whose only far value lies just below or
+    # just above the knots (so neither side of the range check can be lost).
+    EDGE = kernels.NORMAL_MAP_EDGE
+    SPECIAL = [-EDGE, EDGE, np.nextafter(-EDGE, -np.inf), np.nextafter(EDGE, np.inf),
+               np.nextafter(-EDGE, 0.0), np.nextafter(EDGE, 0.0), -np.inf, np.inf, np.nan,
+               -0.0, 0.0, -9.0, 40.0]
+
+    def grid(self):
+        inside = np.random.default_rng(20).uniform(-self.EDGE, self.EDGE,
+                                                   4 * kernels.NORMAL_MAP_BLOCK)
+        chunks = inside.reshape(4, -1)
+        chunks[0, :len(self.SPECIAL)] = self.SPECIAL
+        chunks[2, 7] = np.nextafter(-self.EDGE, -np.inf)
+        chunks[3, 11] = np.nextafter(self.EDGE, np.inf)
+        chunks[1, 5] = self.EDGE
+        return inside
+
+    @pytest.mark.parametrize("family, params", [
+        (beta_normal_map, (10.0, 10.0)), (truncnorm_normal_map, TestTruncnormFromNormal.PARAMS),
+    ])
+    def test_matches_the_clipped_cast_bit_for_bit(self, family, params):
+        to_outcome = family(*params)
+        exact, table = to_outcome.args
+        assert table is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = to_outcome(self.grid())
+        expected = _reference_normal_map(exact, table, self.grid())
+        assert np.isnan(got).sum() == 1
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestTruncnormQuantile:
     def test_symmetric_median_is_mu(self):
         assert truncnorm_quantile(1.0, 2.0, -3.0, 5.0, 0.5) == pytest.approx(1.0, abs=1e-12)

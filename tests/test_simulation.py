@@ -1,6 +1,7 @@
 import contextlib
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -221,6 +222,16 @@ class TestCorrelationBuilders:
         with pytest.raises(ValueError):
             exchangeable_corr(0, 0.0)
 
+    @pytest.mark.parametrize("n", [10.7, 10.0, "10", None])
+    def test_a_non_integral_size_is_refused_not_truncated(self, n):
+        message = re.escape(f"n must be an integer, got {n!r}")
+        with pytest.raises(ValueError, match=message):
+            exchangeable_corr(n, 0.1)
+        with pytest.raises(ValueError, match=message):
+            table3_design(n, 0)
+        # numpy integers are integers
+        assert exchangeable_corr(np.int64(3), 0.1).shape == (3, 3)
+
     def test_table3_zero_scale_is_identity(self):
         corr, repair = table3_corr(0.0, [0.1, -0.2, 0.3])
         np.testing.assert_array_equal(corr, np.eye(3))
@@ -261,6 +272,20 @@ class TestCopulaSample:
         assert not np.array_equal(
             copula_sample(corr, m, 3, seed=1), copula_sample(corr, m, 3, seed=2)
         )
+
+    @pytest.mark.parametrize("marginal", [
+        MarginalSpec.beta(10, 10), MarginalSpec.truncnormal(0, 5, -20, 20),
+        MarginalSpec.uniform(-1, 2),
+    ])
+    def test_a_zero_loading_vector_maps_the_normals_alone(self, marginal):
+        # phi = 0 takes the copying factor: each row is the map of its own
+        # stream's normals, bit for bit, over a full block and a partial one
+        n, reps = 30, BLOCK_ROWS + 300
+        for sign in (1, -1):
+            assert _copula_factor(np.zeros(n), sign) is densum.simulation._identity_block
+        Y = copula_sample(np.zeros(n), marginal, reps, seed=4)
+        expected = marginal.normal_map()(seeded_normals(4, 0, np.empty((reps, n))))
+        np.testing.assert_array_equal(Y.view(np.uint64), expected.view(np.uint64))
 
     def test_comonotone_columns_are_identical(self):
         m = MarginalSpec.beta(10, 10)
@@ -570,10 +595,14 @@ class TestBlockedEngine:
         assert len(short_calls) == len(long_calls) >= 1
         rows = []
         for (W, short, args, fields), (_, long, long_args, _) in zip(short_calls, long_calls):
+            # a mean cell keeps no residual range: its rows report no plug-in
+            assert (short.rhat is None) == (long.rhat is None) == (settings_["table"] != 3)
             for got, longer in zip(short, long):
+                if got is None:
+                    continue
                 assert got.shape[0] == k
                 np.testing.assert_array_equal(got, longer[:k])
-            head = _Statistics(*(values[:k] for values in long))
+            head = _Statistics(*(None if values is None else values[:k] for values in long))
             rows += _coverage_rows(W, head, *long_args, **fields)
         assert rows == short_rows
 
