@@ -15,31 +15,21 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import itertools
 import json
 import math
 import os
 import re
 import sys
-import warnings
-from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from densum import climate
-from densum.concentration import ci_linear, ci_mean, rule_of_thumb
-from densum.core import SupportSpec, sequential_partition, summarize
-from densum.estimators import (
-    acf_phi_hat,
-    gee_exchangeable_wald,
-    ols_fit,
-    partition_compare,
-    residual_range,
+from densum.analysis import (
+    _series_diagnostics, file_sha256, fit_frame, fit_report, load_columns, mean_set,
 )
-from densum.simulation import ExperimentConfig, run_table
-from densum.uclass import check_u_class
+from densum.core import sequential_partition, summarize
+from densum.estimators import gee_exchangeable_wald, ols_fit, partition_compare
 
 RESULTS_VERSION = "# densum-results v1"
 RESULTS_HEADER = (
@@ -49,8 +39,6 @@ RESULTS_HEADER = (
 )
 # The CoverageReport field of each results column, where the names differ.
 RESULTS_FIELDS = {"verdict": "a5_verdict"}
-# The short lag window, floor(10 log10 n), must stay below n.
-MIN_SERIES_LENGTH = 11
 
 
 def _fmt(value):
@@ -81,200 +69,6 @@ def read_results_csv(path):
         if not first.startswith("#"):
             raise ValueError("missing version comment line")
         return list(csv.DictReader(handle))
-
-
-# ---------------------------------------------------------------------------
-# analysis report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoefficientRow:
-    name: str
-    estimate: float
-    ci_lower: float
-    ci_upper: float
-    method: str
-    range_source: str
-
-
-@dataclass(frozen=True)
-class SeriesDiagnostics:
-    """U-class and autocorrelation diagnostics for one weighted-residual series."""
-
-    name: str
-    is_u: bool
-    is_sub_u: bool
-    expected_value: float
-    functional_average: float
-    tolerance: float
-    rule_of_thumb_bound: float
-    phi_hat_short: float
-    phi_hat_long: float
-    lags_short: int
-    lags_long: int
-    stationarity_note: str
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Full output of the fit command: model, coefficient table, diagnostics,
-    provenance.  Serializes to JSON and re-parses to an equal value."""
-
-    model: str
-    coefficients: tuple
-    diagnostics: tuple
-    provenance: dict
-
-    def __post_init__(self):
-        if not self.diagnostics:
-            raise ValueError("diagnostics block must be present")
-        for row in self.coefficients:
-            if not row.range_source:
-                raise ValueError(f"coefficient {row.name} is missing its range_source")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        return cls(
-            model=raw["model"],
-            coefficients=tuple(CoefficientRow(**c) for c in raw["coefficients"]),
-            diagnostics=tuple(SeriesDiagnostics(**d) for d in raw["diagnostics"]),
-            provenance=raw["provenance"],
-        )
-
-
-def _series_diagnostics(name, series):
-    """Diagnostics for one weighted-residual (or raw) series.
-
-    Returns the SeriesDiagnostics and the sample autocorrelations up to the
-    longer of the two lag windows; each window's r_l are a prefix of them.
-    """
-    z = np.asarray(series, dtype=float)
-    n = z.shape[0]
-    if n < MIN_SERIES_LENGTH:
-        raise ValueError(
-            f"series {name} has {n} observations; diagnostics need n >= {MIN_SERIES_LENGTH}"
-        )
-    if float(np.min(z)) == float(np.max(z)):
-        raise ValueError(f"series {name} is constant; diagnostics are undefined")
-    support = SupportSpec(float(np.min(z)), float(np.max(z)))
-    u_report = check_u_class(z, support)
-    bound = rule_of_thumb(np.ones(n), float(np.var(z)), support.length)
-    short, long_ = climate.lag_windows(n)
-    acf = acf_phi_hat(z, max(short, long_)).acf
-    half = n // 2
-    drift = abs(float(np.mean(z[:half]) - np.mean(z[half:])))
-    drift_se = math.sqrt(np.var(z) * (1.0 / half + 1.0 / (n - half)))
-    note = (
-        "halves differ by more than 3 standard errors; inspect for drift"
-        if drift > 3.0 * drift_se
-        else "no mean drift detected between sample halves"
-    )
-    return SeriesDiagnostics(
-        name=name,
-        is_u=u_report.is_u,
-        is_sub_u=u_report.is_sub_u,
-        expected_value=u_report.expected_value,
-        functional_average=u_report.functional_average,
-        tolerance=u_report.tolerance,
-        rule_of_thumb_bound=bound,
-        phi_hat_short=float(np.mean(acf[:short])),
-        phi_hat_long=float(np.mean(acf[:long_])),
-        lags_short=short,
-        lags_long=long_,
-        stationarity_note=note,
-    ), acf
-
-
-# ---------------------------------------------------------------------------
-# tabular input
-# ---------------------------------------------------------------------------
-
-
-def _read_header(reader, names):
-    """Read the header record; return each column's position (a repeated
-    header name: the last one wins)."""
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("input file is empty")
-    missing = [c for c in names if c not in header]
-    if missing:
-        raise ValueError(f"missing column(s) {missing}; available: {header}")
-    return {c: j for j, c in enumerate(header)}
-
-
-def _load_columns_csv(handle, names):
-    """The csv-module loader: one ``float()`` per cell.
-
-    It takes every input ``float()`` takes and names the column and file
-    line (``line_num``) of the first bad or non-finite cell, so blank lines
-    and quoted line breaks are counted as the file has them.
-    """
-    reader = csv.reader(handle)
-    position = _read_header(reader, names)
-    data = {c: array("d") for c in names}  # repeated names collapse to one read
-    fields = [(c, data[c].append, position[c]) for c in data]
-    lines = array("q")  # file line of each record
-    for record in reader:
-        if not record:  # blank line
-            continue
-        for c, append, j in fields:
-            try:
-                append(float(record[j]))
-            except (IndexError, ValueError) as exc:  # short row or bad cell
-                raise ValueError(
-                    f"column '{c}' is not numeric (line {reader.line_num})"
-                ) from exc
-        lines.append(reader.line_num)
-    table = np.array(list(data.values()), dtype=float)  # one row per column
-    rows, cols = np.nonzero(~np.isfinite(table.T))
-    if rows.size:
-        c = list(data)[cols[0]]
-        raise ValueError(f"column '{c}' is not finite (line {lines[rows[0]]})")
-    return dict(zip(data, table))
-
-
-def load_columns(path, names):
-    """Read the named numeric columns from a UTF-8 CSV with a header row.
-
-    The data rows go to numpy's C reader (``np.loadtxt``), which reads only
-    the named columns.  When it rejects the file, finds no data row or
-    reads a non-finite value, the csv-module loader ``_load_columns_csv``
-    reads the file again: it accepts what ``float()`` accepts (``1_000``,
-    non-ASCII digits) and otherwise raises the error that names the column
-    and file line.  The two agree bit for bit wherever both accept.  A
-    UTF-8 byte-order mark before the header is dropped.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        if not handle.seekable():  # a pipe cannot be reread: one csv-module pass
-            return _load_columns_csv(handle, names)
-        position = _read_header(csv.reader(handle), names)
-        names = list(dict.fromkeys(names))  # repeated names collapse to one read
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows
-                table = np.loadtxt(
-                    handle, dtype=float, comments=None, delimiter=",",
-                    quotechar='"', usecols=[position[c] for c in names], ndmin=2,
-                )
-        except (IndexError, ValueError):  # a bad cell, a short row
-            table = None
-        if table is None or not len(table) or not np.isfinite(table).all():
-            handle.seek(0)
-            return _load_columns_csv(handle, names)
-    return dict(zip(names, np.ascontiguousarray(table.T)))
-
-
-def _file_sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +115,17 @@ def resolve_settings(args):
                 setattr(args, key, cast(text))
             except ValueError:
                 raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {text!r}") from None
+    # Checked before the defaults fill in, so only a range that was set counts.
+    if args.command == "ci" and args.method == "ratio" and args.range not in (None, "two-mean"):
+        raise ValueError(f"--method ratio bounds the range by twice the mean (two-mean); "
+                         f"it cannot take --range {args.range}")
     for key, default in ANALYSIS_DEFAULTS.items():
         if args.command != "simulate" and getattr(args, key, False) is None:
             setattr(args, key, default)
 
     if args.command == "simulate":
+        from densum.simulation import ExperimentConfig  # only simulate needs the grids
+
         settings = {k: getattr(args, k) for k in SIMULATE_SETTINGS if getattr(args, k) is not None}
         if args.seed is not None:
             settings["master_seed"] = args.seed
@@ -333,6 +133,9 @@ def resolve_settings(args):
         args.out = args.out or f"table{args.table}_results.csv"
     if args.command == "ci" and args.column is None:
         raise ValueError("--column is required")
+    if args.command == "diagnose" and args.column is not None and args.coefficient is not None:
+        raise ValueError(f"column {args.column!r} and --coefficient {args.coefficient!r} name two "
+                         f"series to diagnose; give one (a column may come from the config)")
     if args.command in ("fit", "diagnose") and getattr(args, "column", None) is None:
         if not args.climate:
             if args.response is None or args.covariates is None:
@@ -390,8 +193,10 @@ def _cluster_counts(text):
 
 
 def cmd_simulate(args):
+    from densum import simulation
+
     rows = []
-    for row in run_table(args.experiment):
+    for row in simulation.run_table(args.experiment):
         rows.append(row)
         if row.coefficient:
             label = f" {row.coefficient}"
@@ -412,11 +217,16 @@ def cmd_simulate(args):
     return 0
 
 
+# --range word -> its range source, in the library's labels (core.RANGE_SOURCES)
+RANGE_FLAG_SOURCES = {"known": "known", "marginal": "marginal_range",
+                      "residual": "residual_range", "two-mean": "two_mean"}
+
+
 def _parse_range_flag(text):
-    """--range known=R | marginal=R | residual | two-mean."""
-    if text is None:
-        return ("residual", None)
-    head, _, tail = text.partition("=")
+    """--range known=R | marginal=R | residual | two-mean, as the pair
+    (range source, R); R is None unless the flag gives it.  Unset is residual."""
+    head, _, tail = ("residual" if text is None else text).partition("=")
+    source = RANGE_FLAG_SOURCES.get(head)
     if head in ("known", "marginal"):
         try:
             R = float(tail)
@@ -424,9 +234,9 @@ def _parse_range_flag(text):
             R = math.nan
         if not 0.0 < R < math.inf:
             raise ValueError(f"--range {head}=R needs a finite positive number, got {tail!r}")
-        return (head, R)
-    if head in ("residual", "two-mean") and not tail:
-        return (head, None)
+        return (source, R)
+    if source and not tail:
+        return (source, None)
     raise ValueError("--range must be known=R, marginal=R, residual or two-mean")
 
 
@@ -437,24 +247,10 @@ CI_MEAN_METHODS = {
 
 
 def cmd_ci(args):
-    alpha, column = args.alpha, args.column
-    summary = summarize(load_columns(args.file, [column])[column])
-
-    if args.source == "known" or args.source == "marginal":
-        R = args.given
-    elif args.source == "two-mean":
-        if summary.minimum < 0:
-            raise ValueError("two-mean range needs nonnegative data")
-        R = 2.0 * summary.mean
-    else:
-        R = summary.range
-        if R == 0.0:
-            warnings.warn("column is constant; the confidence set is degenerate")
-
-    result = ci_mean(summary, R=R, alpha=alpha, method=CI_MEAN_METHODS[args.method])
-
+    summary = summarize(load_columns(args.file, [args.column])[args.column])
+    result = mean_set(summary, args.alpha, CI_MEAN_METHODS[args.method], args.source, args.given)
     print(
-        f"{result.level:.0%} confidence set for mean({column}): "
+        f"{result.level:.0%} confidence set for mean({args.column}): "
         f"[{result.lower:.6g}, {result.upper:.6g}] "
         f"(method={result.method}, range_source={result.range_source}, n={summary.n})"
     )
@@ -467,75 +263,15 @@ def cmd_ci(args):
     return 0
 
 
-def _fit_frame(args):
-    """Read the (response, design, columns) triple for fit/diagnose."""
-    if args.climate:
-        rows = climate.load_climate_csv(args.file)
-        frame = climate.climate_prepare(rows, unit=args.climate)
-        return frame.response, frame.design, frame.columns
-    response, names = args.response, args.covariates
-    data = load_columns(args.file, [response] + names)
-    design = np.column_stack([np.ones(data[response].shape[0])] + [data[c] for c in names])
-    return data[response], design, tuple(["intercept"] + names)
-
-
-# --range source -> ci_linear keyword arguments for coefficient s of a fit
-RANGE_KWARGS = {
-    "residual": lambda fit, s, given: {"range_source": "residual_range",
-                                       "rhat": residual_range(fit, s)},
-    "known": lambda fit, s, given: {"range_source": "known", "ranges": given},
-    "marginal": lambda fit, s, given: {"range_source": "marginal_range", "ranges": given},
-    "two-mean": lambda fit, s, given: {"range_source": "two_mean", "fitted": fit.fitted},
-}
-
-
-def _coefficient_sets(fit, columns, alpha, source, given):
-    rows = []
-    for s, name in enumerate(columns):
-        cs = ci_linear(
-            fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-            **RANGE_KWARGS[source](fit, s, given),
-        )
-        rows.append(
-            CoefficientRow(
-                name=name,
-                estimate=float(fit.coefficients[s]),
-                ci_lower=cs.lower,
-                ci_upper=cs.upper,
-                method=cs.method,
-                range_source=cs.range_source,
-            )
-        )
-    return tuple(rows)
-
-
 def cmd_fit(args):
-    y, X, columns = _fit_frame(args)
+    y, X, columns = fit_frame(args.file, args.response, args.covariates, args.climate)
     parts = [sequential_partition(y.shape[0], k) for k in args.partitions or ()]
     fit = ols_fit(X, y)
-    with warnings.catch_warnings():
-        # a zero-noise fit's weighted residuals have zero spread
-        warnings.filterwarnings("ignore", "weighted residuals have degenerate", UserWarning)
-        coef_rows = _coefficient_sets(fit, columns, args.alpha, args.source, args.given)
-        diagnostics = tuple(
-            _series_diagnostics(name, fit.weight_rows[s] * fit.residuals)[0]
-            for s, name in enumerate(columns)
-            if float(np.ptp(fit.weight_rows[s] * fit.residuals)) > 0.0
-        )
-    if not diagnostics:
-        # Degenerate (zero-residual) fits still need a diagnostics block.
-        diagnostics = tuple([_zero_residual_diagnostics(columns[0], fit.n)])
-
-    report = AnalysisReport(
-        model=f"least squares: {columns[0]} + " + " + ".join(columns[1:]),
-        coefficients=coef_rows,
-        diagnostics=diagnostics,
-        provenance={
-            "input_sha256": _file_sha256(args.file),
-            "seed": None,
-            "config": {"alpha": args.alpha, "range": args.range, "n": fit.n},
-        },
-    )
+    report = fit_report(fit, columns, args.alpha, args.source, args.given, provenance={
+        "input_sha256": file_sha256(args.file),
+        "seed": None,
+        "config": {"alpha": args.alpha, "range": args.range, "n": fit.n},
+    })
 
     print(f"model: {report.model}  (n={fit.n})")
     for row in report.coefficients:
@@ -574,23 +310,6 @@ def cmd_fit(args):
     return 0
 
 
-def _zero_residual_diagnostics(name, n):
-    return SeriesDiagnostics(
-        name=name,
-        is_u=True,
-        is_sub_u=True,
-        expected_value=0.0,
-        functional_average=0.0,
-        tolerance=0.0,
-        rule_of_thumb_bound=0.0,
-        phi_hat_short=0.0,
-        phi_hat_long=0.0,
-        lags_short=0,
-        lags_long=0,
-        stationarity_note="residuals are exactly zero",
-    )
-
-
 def _print_screen(screen_column, full, columns):
     """The with/without covariate-retention comparison (reported, not automated)."""
     if screen_column not in columns:
@@ -618,12 +337,11 @@ def cmd_diagnose(args):
         series = load_columns(args.file, [args.column])[args.column]
         name = args.column
     else:
-        y, X, columns = _fit_frame(args)
+        y, X, columns = fit_frame(args.file, args.response, args.covariates, args.climate)
         if args.coefficient not in columns:
             raise ValueError(f"unknown coefficient {args.coefficient!r}")
         fit = ols_fit(X, y)
-        s = columns.index(args.coefficient)
-        series = fit.weight_rows[s] * fit.residuals
+        series = fit.weight_rows[columns.index(args.coefficient)] * fit.residuals
         name = f"weighted residuals: {args.coefficient}"
 
     diag, acf = _series_diagnostics(name, series)
@@ -675,9 +393,13 @@ def _write_plot_csvs(prefix, series, diag, acf):
 
 
 def cmd_fetch_climate(args):
+    from densum import climate
+
     try:
         rows = climate.fetch_climate(
-            args.temp_url, args.co2_url, args.index_url,
+            climate.DEFAULT_TEMP_URL if args.temp_url is None else args.temp_url,
+            climate.DEFAULT_CO2_URL if args.co2_url is None else args.co2_url,
+            args.index_url,
             start=args.start, end=args.end,
         )
     except OSError as exc:  # urllib's URLError is an OSError
@@ -749,8 +471,8 @@ def build_parser():
     diag.set_defaults(func=cmd_diagnose)
 
     fetch = sub.add_parser("fetch-climate", help="download and normalize the public series")
-    fetch.add_argument("--temp-url", default=climate.DEFAULT_TEMP_URL)
-    fetch.add_argument("--co2-url", default=climate.DEFAULT_CO2_URL)
+    fetch.add_argument("--temp-url")  # default climate.DEFAULT_TEMP_URL
+    fetch.add_argument("--co2-url")  # default climate.DEFAULT_CO2_URL
     fetch.add_argument("--index-url")
     fetch.add_argument("--start", default="1979-1")
     fetch.add_argument("--end", default="2022-12")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +286,8 @@ def merge_series(temp, co2, index=None, start=None, end=None):
 
 def fetch_text(url, timeout=30):
     """Download a small text resource; network errors raise URLError."""
+    import urllib.request  # only downloads need it
+
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8", errors="replace")
 
@@ -297,8 +298,3 @@ def fetch_climate(temp_url, co2_url, index_url=None, start=(1979, 1), end=(2022,
     co2 = parse_gml_monthly(fetch_text(co2_url))
     index = parse_index_csv(fetch_text(index_url)) if index_url else None
     return merge_series(temp, co2, index, start=start, end=end)
-
-
-def lag_windows(n):
-    """The two autocorrelation windows used by the diagnostics."""
-    return int(math.floor(10.0 * math.log10(n))), (n - 1) // 2

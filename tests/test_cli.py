@@ -4,30 +4,38 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densum.analysis
 import densum.cli
-from densum.cli import (
-    RESULTS_HEADER,
-    RESULTS_VERSION,
+import densum.climate
+import densum.simulation
+from densum.analysis import (
     AnalysisReport,
     CoefficientRow,
     SeriesDiagnostics,
     _load_columns_csv,
-    _parse_range_flag,
     _series_diagnostics,
-    _write_plot_csvs,
     load_columns,
+)
+from densum.cli import (
+    RESULTS_HEADER,
+    RESULTS_VERSION,
+    _parse_range_flag,
+    _write_plot_csvs,
     main,
     read_results_csv,
     write_results_csv,
 )
-from densum.concentration import bernstein_tail
-from densum.estimators import acf_phi_hat
+from densum.climate import write_climate_csv
+from densum.concentration import bernstein_tail, ci_linear
+from densum.estimators import acf_phi_hat, ols_fit
 from densum.simulation import CoverageReport
 
 LOG40 = math.log(40.0)
@@ -168,7 +176,7 @@ class TestSimulateCommand:
         def never(config):
             raise AssertionError("run_table must not run")
 
-        monkeypatch.setattr(densum.cli, "run_table", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
         missing = tmp_path / "missing" / "dir"
         rc = main(["simulate", "--table", "1", "--reps", "300", "--out", str(missing / "x.csv")])
         assert rc == 1
@@ -193,7 +201,7 @@ class TestSimulateCommand:
         def never(config):
             raise AssertionError("run_table must not run")
 
-        monkeypatch.setattr(densum.cli, "run_table", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
         out = tmp_path / "x.csv"
         rc = main(["simulate", *flags, "--reps", "2", "--out", str(out)])
         assert rc == 1
@@ -204,7 +212,7 @@ class TestSimulateCommand:
         def never(config):
             raise AssertionError("run_table must not run")
 
-        monkeypatch.setattr(densum.cli, "run_table", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
         monkeypatch.setenv("DENSUM_SEED", "abc")
         out = tmp_path / "x.csv"
         assert main(["simulate", "--table", "1", "--reps", "2", "--out", str(out)]) == 1
@@ -281,6 +289,39 @@ class TestCiCommand:
         assert rc == 1
         assert "7.378" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, config, given",
+        [(["--method", "ratio", "--range", "known=3"], None, "known=3"),
+         (["--method", "ratio", "--range", "residual"], None, "residual"),
+         (["--method", "ratio"], "range = marginal=2", "marginal=2"),
+         (["--range", "known=3"], "method = ratio", "known=3")],
+        ids=["flags", "flag-residual", "config-range", "config-method"],
+    )
+    def test_ratio_rejects_a_range_before_the_load(
+        self, unit_column, tmp_path, monkeypatch, capsys, flags, config, given
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        monkeypatch.setattr(densum.cli, "load_columns", never)
+        argv = ["ci", unit_column, "--column", "y", *flags]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--method ratio" in captured.err and f"--range {given}" in captured.err
+
+    def test_ratio_accepts_the_two_mean_range(self, unit_column, tmp_path):
+        out, bare = tmp_path / "ci.json", tmp_path / "bare.json"
+        assert main(["ci", unit_column, "--column", "y", "--method", "ratio",
+                     "--range", "two-mean", "--out", str(out)]) == 0
+        assert main(["ci", unit_column, "--column", "y", "--method", "ratio",
+                     "--out", str(bare)]) == 0
+        assert out.read_text() == bare.read_text()
+
     def test_two_mean_range_rejects_negative_data(self, tmp_path, capsys):
         path = write_csv(tmp_path / "neg.csv", {"y": [-0.2, 0.5, 0.8, 0.1]})
         rc = main(["ci", path, "--column", "y", "--range", "two-mean"])
@@ -315,6 +356,18 @@ class TestCiCommand:
         payload = self.read_payload(out)
         assert payload["lower"] == payload["upper"] == 2.0
 
+    def test_ratio_on_a_constant_column_is_not_degenerate(self, tmp_path):
+        path = write_csv(tmp_path / "const.csv", {"y": [2.0] * 12})
+        out = tmp_path / "ci.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["ci", path, "--column", "y", "--method", "ratio", "--out", str(out)])
+        assert rc == 0
+        payload = self.read_payload(out)
+        c = math.sqrt(2.0 * LOG40 / 12.0)
+        assert payload["lower"] == pytest.approx(2.0 / (1 + c), abs=1e-12)
+        assert payload["upper"] == pytest.approx(2.0 / (1 - c), abs=1e-12)
+
     def test_column_required(self, unit_column, capsys):
         assert main(["ci", unit_column]) == 1
         assert "--column is required" in capsys.readouterr().err
@@ -341,11 +394,11 @@ class TestParseRangeFlag:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            (None, ("residual", None)),
+            (None, ("residual_range", None)),
             ("known=2.5", ("known", 2.5)),
-            ("marginal=1", ("marginal", 1.0)),
-            ("residual", ("residual", None)),
-            ("two-mean", ("two-mean", None)),
+            ("marginal=1", ("marginal_range", 1.0)),
+            ("residual", ("residual_range", None)),
+            ("two-mean", ("two_mean", None)),
         ],
     )
     def test_accepted_forms(self, text, expected):
@@ -415,6 +468,30 @@ class TestFitCommand:
         report = AnalysisReport.from_json(out.read_text())
         assert all(c.range_source == "known" for c in report.coefficients)
 
+    @pytest.mark.parametrize(
+        "flag, source, ranges",
+        [("residual", "residual_range", None), ("known=2", "known", 2.0),
+         ("marginal=5", "marginal_range", 5.0), ("two-mean", "two_mean", None)],
+    )
+    def test_each_range_source_is_ci_linear_on_the_weight_rows(
+        self, tmp_path, flag, source, ranges
+    ):
+        x = np.linspace(0.0, 1.0, 60)
+        y = 1.0 + x + 0.5 * np.random.default_rng(3).uniform(size=60)  # nonnegative
+        path = write_csv(tmp_path / "pos.csv", {"x": x, "y": y})
+        out = tmp_path / "report.json"
+        assert main(["fit", path, "--response", "y", "--covariates", "x",
+                     "--range", flag, "--out", str(out)]) == 0
+        report = AnalysisReport.from_json(out.read_text())
+        fit = ols_fit(np.column_stack([np.ones(60), x]), y)
+        assert np.all(fit.fitted >= 0.0)
+        for s, row in enumerate(report.coefficients):
+            w = fit.weight_rows[s]
+            want = ci_linear(fit.coefficients[s], w, range_source=source, ranges=ranges,
+                             fitted=fit.fitted, rhat=float(np.ptp(w * fit.residuals)))
+            assert row.range_source == source
+            assert (row.ci_lower, row.ci_upper) == (want.lower, want.upper)
+
     def test_partition_and_comparator_output(self, regression_csv, capsys):
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
                    "--partitions", "10,24"])
@@ -465,7 +542,7 @@ class TestFitCommand:
             warnings.warn("acf trouble", RuntimeWarning)
             return acf_phi_hat(*args, **kwargs)
 
-        monkeypatch.setattr(densum.cli, "acf_phi_hat", noisy_acf)
+        monkeypatch.setattr(densum.analysis, "acf_phi_hat", noisy_acf)
         with pytest.warns(RuntimeWarning, match="acf trouble"):
             assert main(["fit", regression_csv, "--response", "y", "--covariates", "x"]) == 0
 
@@ -514,7 +591,8 @@ class TestFitCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        monkeypatch.setattr(densum.cli, "load_columns", never)
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
         missing = tmp_path / "missing" / "dir"
         argv = {
             "ci": ["ci", regression_csv, "--column", "y"],
@@ -555,7 +633,8 @@ class TestSettingsFailBeforeTheWork:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        monkeypatch.setattr(densum.cli, "load_columns", never)
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
         argv = argv[:1] + [regression_csv] + argv[1:]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -572,7 +651,7 @@ class TestSettingsFailBeforeTheWork:
         def never(*args, **kwargs):
             raise AssertionError("nothing must be downloaded")
 
-        monkeypatch.setattr(densum.cli.climate, "fetch_climate", never)
+        monkeypatch.setattr(densum.climate, "fetch_climate", never)
         missing = tmp_path / "missing" / "dir"
         assert main(["fetch-climate", "--out", str(missing / "c.csv")]) == 1
         assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
@@ -597,7 +676,7 @@ class TestSettingsFailBeforeTheWork:
         def never(*args, **kwargs):
             raise AssertionError("nothing must be downloaded")
 
-        monkeypatch.setattr(densum.cli.climate, "fetch_climate", never)
+        monkeypatch.setattr(densum.climate, "fetch_climate", never)
         assert main(["fetch-climate", *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -608,7 +687,7 @@ class TestSettingsFailBeforeTheWork:
             seen.update(start=start, end=end)
             return []
 
-        monkeypatch.setattr(densum.cli.climate, "fetch_climate", fetch)
+        monkeypatch.setattr(densum.climate, "fetch_climate", fetch)
         out = tmp_path / "c.csv"
         assert main(["fetch-climate", "--start", "1980-02", "--end", "1980-2",
                      "--out", str(out)]) == 0
@@ -735,6 +814,30 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", regression_csv, "--response", "y", "--covariates", "x"])
         assert rc == 1
         assert "--coefficient is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--column", "y", "--coefficient", "x"], None),
+         (["--response", "y", "--covariates", "x", "--coefficient", "x"], "column = y")],
+        ids=["flags", "config-column"],
+    )
+    def test_a_column_and_a_coefficient_are_rejected_before_the_load(
+        self, regression_csv, tmp_path, monkeypatch, capsys, flags, config
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
+        argv = ["diagnose", regression_csv, *flags]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column 'y' and --coefficient 'x'" in captured.err
 
     def test_unknown_coefficient(self, regression_csv, capsys):
         rc = main(["diagnose", regression_csv, "--response", "y",
@@ -932,7 +1035,7 @@ class TestLoadColumns:
             calls.append(names)
             return _load_columns_csv(handle, names)
 
-        monkeypatch.setattr(densum.cli, "_load_columns_csv", counted)
+        monkeypatch.setattr(densum.analysis, "_load_columns_csv", counted)
         path = tmp_path / "cells.csv"
         path.write_bytes(content)
         try:
@@ -956,7 +1059,7 @@ class TestLoadColumns:
             raise AssertionError("the csv-module loader ran on a well-formed file")
 
         want = self.oracle(path, ["c", "a", "b"])
-        monkeypatch.setattr(densum.cli, "_load_columns_csv", never)
+        monkeypatch.setattr(densum.analysis, "_load_columns_csv", never)
         got = load_columns(path, ["c", "a", "b"])
         self.assert_same_columns(got, want)
         for j, name in enumerate("abc"):
@@ -997,6 +1100,53 @@ class TestLoadColumns:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_columns(path, ["a"])
+
+
+def _modules_imported_by(argv, cwd):
+    """Every module a fresh ``python -m densum.cli`` process imports, as
+    ``-X importtime`` reports them."""
+    package_root = str(Path(densum.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "densum.cli", *argv],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+GOLDEN_FRAME = str(Path(__file__).parent / "golden" / "analysis_200.csv")
+GOLDEN_FIT = ["--response", "y", "--covariates", "x1,x2,x3"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["ci", "--column", "y"], set()),
+     (["fit", "--response", "y", "--covariates", "x"], set()),
+     (["diagnose", "--column", "y"], set()),
+     (["fit", "--climate", "monthly"], {"densum.climate"}),
+     (["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10,25", "--screen", "x3",
+       "--out", "fit.json"], set()),
+     (["diagnose", GOLDEN_FRAME, *GOLDEN_FIT, "--coefficient", "x1", "--out", "diag"], set())],
+    ids=["ci", "fit", "diagnose", "fit-climate", "fit-partitions-screen", "diagnose-coefficient"],
+)
+def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, loaded):
+    if "--climate" in argv:
+        data = str(tmp_path / "climate.csv")
+        write_climate_csv(
+            [densum.climate.ClimateRow(1979 + i // 12, i % 12 + 1, 0.01 * (i % 7), 340.0 + i)
+             for i in range(48)],
+            data,
+        )
+        argv = [argv[0], data, *argv[1:]]
+    elif GOLDEN_FRAME not in argv:
+        argv = [argv[0], regression_csv, *argv[1:]]
+    imported = _modules_imported_by(argv, tmp_path)
+    assert "densum.analysis" in imported  # the probe sees densum's own imports
+    unused = {"densum.simulation", "densum.climate", "urllib.request"} - loaded
+    assert imported & (unused | loaded) == loaded
 
 
 def test_fetch_climate_reports_network_failures(tmp_path, capsys):

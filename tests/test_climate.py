@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from densum.analysis import lag_windows
 from densum.cli import main
 from densum.climate import (
     ClimateRow,
     climate_prepare,
     fetch_climate,
-    lag_windows,
     load_climate_csv,
     merge_series,
     parse_gistemp_monthly,

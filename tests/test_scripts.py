@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import densum.cli
+import densum.simulation
 from densum.cli import main, read_results_csv
 from densum.climate import write_climate_csv
 from test_climate import make_rows
@@ -45,7 +45,7 @@ def test_missing_prefix_directory_fails_before_the_work(
     def never(config):
         raise AssertionError("run_table must not run")
 
-    monkeypatch.setattr(densum.cli, "run_table", never)
+    monkeypatch.setattr(densum.simulation, "run_table", never)
     missing = tmp_path / "missing"
     assert coverage_tables.main(["--tables", "1", "--prefix", str(missing / "cov")]) == 1
     assert f"output directory {missing} does not exist" in capsys.readouterr().err
