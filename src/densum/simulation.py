@@ -29,14 +29,15 @@ row-local, one output row from one input row by numpy's own loops, so a
 replication's statistics depend neither on reps nor on the block size, and a
 shorter run's are a bit-identical prefix of a longer run's.  So each
 block's rows are split into WORKERS contiguous parts, scored at the same
-time on threads (numpy's heavy loops release the GIL) on views of the
-block's own buffers: memory does not grow with the count, and no bit
-depends on it.  Every grid correlation is diag(1 - sign v^2) + sign v v^T
-(v = sqrt(|phi|) 1 for the exchangeable tables, v proportional to the
-intercept weights for the mosaic, sign that of phi or phi*), whose
-semiseparable factor takes one cumulative sum per row; a clipped mosaic and
-a matrix passed to ``copula_sample`` take a dense Cholesky product, whose
-bits fix its rows' positions, so their blocks are scored whole.
+time by the caller and WORKERS - 1 helper threads (numpy's heavy loops
+release the GIL) on views of the block's own buffers: memory does not grow
+with the count, and no bit depends on it.  Every grid correlation is
+diag(1 - sign v^2) + sign v v^T (v = sqrt(|phi|) 1 for the exchangeable
+tables, v proportional to the intercept weights, sign that of phi or phi*),
+whose semiseparable factor takes one cumulative sum per row; a clipped
+mosaic not repaired to the identity and a matrix passed to ``copula_sample``
+take a dense Cholesky product, whose bits fix its rows' positions, so their
+blocks are scored whole.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ DESIGN_STREAM_OFFSET = 2**32
 # block, so memory is O(min(reps, BLOCK_ROWS) * n) whatever reps is.
 BLOCK_ROWS = 1000
 
-# Threads that score one block's rows at the same time (``_score_blocks``):
-# one per CPU this process may run on, at most 2, the largest count
-# measured.  No output bit depends on it, so it is derived, not a setting.
+# Parts of a block scored at once, the first on the calling thread
+# (``_score_blocks``): one per CPU this process may run on, at most 2, the
+# largest count measured.  No output bit depends on it, so it is derived.
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 
@@ -260,6 +261,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.shape is not None and self.table != 2:
+            raise ValueError(f"shape sets table 2's Beta shapes; table {self.table} has none")
         if self.c_star is not None and not 0.0 < self.c_star < math.inf:
             raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
         if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
@@ -378,10 +381,10 @@ def _copula_factor(corr, sign=1):
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
     its semiseparable factor row by row, or for v = 0 (phi = 0) a copy of z
     (that factor's +-0 + z differs only in a zero's sign, which no marginal
-    map sees).  A matrix must be square and
-    symmetric with a unit diagonal; the comonotone matrix (all cells 1) is
-    singular and repeats the first coordinate in every column; any other
-    matrix takes a dense product on a BLOCK_ROWS x n pair of its own.
+    map sees).  A matrix must be square and symmetric with a unit diagonal;
+    the identity takes the same copy, the comonotone matrix (all cells 1)
+    repeats the first coordinate in every column, and any other matrix
+    takes a dense product on a BLOCK_ROWS x n pair of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if not corr.size:
@@ -393,6 +396,8 @@ def _copula_factor(corr, sign=1):
         return functools.partial(_rank_one_block, sign * corr, d, g)
     validate_correlation(corr)
     n = corr.shape[0]
+    if np.count_nonzero(corr) == n and np.all(np.diagonal(corr) == 1.0):  # the identity
+        return _identity_block
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
     zb, xb = np.zeros((BLOCK_ROWS, n)), np.zeros((BLOCK_ROWS, n))
@@ -538,13 +543,14 @@ def _score_blocks(n, reps, seed, groups):
     its own copy (the last one takes the block itself).  Memory is a few
     min(reps, BLOCK_ROWS) x n buffers.
 
-    Each block's rows are split into WORKERS contiguous parts (``_parts``),
-    scored in one round on a thread pool that lives for this call, each in a
-    copy of the caller's context (numpy's error state carries over).  A part
-    runs every step above on views of its own rows of the same buffers, so
-    memory does not grow with WORKERS, and since every step is row-local no
-    bit depends on it.  A dense product's bits depend on its rows' positions
-    in its fixed pair, so with a dense factor each block is one part."""
+    Each block's rows are split into WORKERS contiguous parts (``_parts``)
+    scored in one round: the caller scores the first itself and helper
+    threads the rest, each in a copy of the caller's context (numpy's error
+    state carries over), so a one-part block starts no thread.  A part runs every
+    step above on views of its own rows of the same buffers, so memory does
+    not grow with WORKERS, and since every step is row-local no bit depends
+    on it.  A dense product's bits depend on its rows' positions in its
+    fixed pair, so with a dense factor each block is one part."""
     shape = (min(reps, BLOCK_ROWS), n)
     z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
@@ -561,14 +567,14 @@ def _score_blocks(n, reps, seed, groups):
                 consume(first, copy_buf[rows], scratch)
             consumers[-1](first, x, scratch)
 
-    with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max(1, WORKERS - 1)) as pool:
         for start in range(0, reps, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, reps - start)
-            parts = [slice(0, rows)] if whole else _parts(rows)
-            futures = [pool.submit(contextvars.copy_context().run, score, start, part)
-                       for part in parts]
-            for future in futures:
-                future.result()  # re-raises the first part's failure
+            head, *rest = [slice(0, rows)] if whole else _parts(rows)
+            helpers = [pool.submit(contextvars.copy_context().run, score, start, part) for part in rest]
+            score(start, head)  # a failure here is raised when the with block has joined the helpers
+            for future in helpers:
+                future.result()
 
 
 def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):

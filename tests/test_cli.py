@@ -188,6 +188,8 @@ class TestSimulateCommand:
             (["--table", "3", "--phi", "inf"], "phi must be finite, got inf"),
             (["--table", "3", "--phi-star", "nan"], "phi must be finite, got nan"),
             (["--table", "2", "--shape", "inf"], "shape must be finite, got inf"),
+            (["--table", "1", "--shape", "5"], "shape sets table 2's Beta shapes; table 1 has none"),
+            (["--table", "3", "--shape", "5"], "shape sets table 2's Beta shapes; table 3 has none"),
             (["--table", "1", "--c-star", "-1"], "c_star must be finite and positive, got -1.0"),
             (["--table", "3", "--c-star", "nan"], "c_star must be finite and positive, got nan"),
             (["--table", "1", "--seed", "-1"], "master_seed must be a nonnegative integer, got -1"),
@@ -225,6 +227,14 @@ class TestSimulateCommand:
         out = tmp_path / "x.csv"
         assert main(["simulate", "-c", str(config), "--table", "1", "--out", str(out)]) == 1
         assert "error: [table1] seed must be int, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_shape_outside_table_2_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text("[table3]\nshape = 5\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "-c", str(config), "--table", "3", "--out", str(out)]) == 1
+        assert "error: shape sets table 2's Beta shapes; table 3 has none" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_seed_beats_everything(self, tmp_path, monkeypatch):

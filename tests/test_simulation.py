@@ -1,6 +1,8 @@
 import contextlib
+import cProfile
 import math
 import os
+import pstats
 import re
 import sys
 import threading
@@ -483,7 +485,13 @@ class TestStructuredSampler:
         run_table1(ExperimentConfig(table=1, n=1500, phi=-0.0005, reps=20))
         run_table2(ExperimentConfig(table=2, phi=-0.001, reps=20))
         run_table3(ExperimentConfig(table=3, phi=-0.05, reps=20))
-        corr, sign, _ = _table3_copula(25.0 / 18.0, [3.0, 1.0, 1.0])
+        # a clipped mosaic repaired all the way to the identity takes the copy
+        corr, sign, repair = _table3_copula(25.0 / 18.0, [3.0, 1.0, 1.0])
+        assert repair.lam == 1.0
+        assert _copula_factor(corr, sign) is densum.simulation._identity_block
+        # the seed-0 n = 100 mosaic at phi* = 3.1 clips and is repaired with lambda = 0.1
+        corr, sign, repair = _table3_copula(3.1, _qr_weight_rows(table3_design(100, 0))[0])
+        assert corr.ndim == 2 and repair.lam == 0.1
         with pytest.raises(DenseProduct):
             _copula_factor(corr, sign)
         with pytest.raises(DenseProduct):
@@ -534,7 +542,7 @@ class TestStructuredSampler:
         monkeypatch.setattr(densum.simulation, "seeded_stream", counting_stream)
         monkeypatch.setattr(densum.simulation, "seeded_normals", counting_normals)
         run_table1(ExperimentConfig(table=1, n=100, reps=3))
-        assert calls == [0, 1, 2]  # four phi cells share one draw
+        assert sorted(calls) == [0, 1, 2]  # four phi cells share one draw
         calls.clear()
         run_table3(ExperimentConfig(table=3, n=100, reps=3))
         assert sorted(calls) == [0, 1, 2, 2**32 + 100]  # plus the design draw
@@ -671,9 +679,10 @@ def _traced_peak_mb(config):
 
 
 class TestWorkerThreads:
-    # _score_blocks splits each block's rows across WORKERS threads of a pool
-    # that lives for one call: a part's failure or warning reaches the
-    # caller, and no thread outlives the call.
+    # _score_blocks splits each block's rows into WORKERS parts: the calling
+    # thread scores the first, helper threads of a pool that lives for one
+    # call the rest.  A part's failure or warning reaches the caller, a
+    # one-part block starts no thread, and no thread outlives the call.
 
     def test_workers_follow_the_cpus_this_process_may_use(self):
         if hasattr(os, "sched_getaffinity"):
@@ -732,10 +741,10 @@ class TestWorkerThreads:
 
     def test_a_warning_in_a_worker_reaches_the_caller(self, monkeypatch):
         add = densum.simulation._Cell.add
-        threads = set()
+        threads = {}
 
         def warning_add(cell, start, eps, scratch):
-            threads.add(threading.current_thread())
+            threads[start] = threading.current_thread()
             warnings.warn(f"replication {start} warned", RuntimeWarning)
             return add(cell, start, eps, scratch)
 
@@ -745,7 +754,55 @@ class TestWorkerThreads:
             run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
         assert {str(w.message) for w in record} == {"replication 0 warned",
                                                     "replication 500 warned"}
-        assert threads and threading.main_thread() not in threads
+        # the caller scores the first part, a helper thread the second
+        assert threads[0] is threading.main_thread()
+        assert threads[500] is not threading.main_thread()
+
+    def test_a_failure_in_a_helper_reaches_the_caller(self, monkeypatch):
+        add = densum.simulation._Cell.add
+
+        def failing_add(cell, start, eps, scratch):
+            if start == BLOCK_ROWS // 2:  # the second part, a helper's
+                raise ArithmeticError(f"replication {start} failed")
+            return add(cell, start, eps, scratch)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
+        with pytest.raises(ArithmeticError, match=r"^replication 500 failed$"):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+
+    @pytest.mark.parametrize(
+        "workers, config, count",
+        [
+            (1, ExperimentConfig(table=1, n=100, reps=BLOCK_ROWS + 1), 8),  # 4 cells x 2 blocks
+            # phi* = 3.1 clips the seed-0 n = 100 mosaic: a dense factor, whole blocks
+            (2, ExperimentConfig(table=3, n=100, phi=3.1, reps=BLOCK_ROWS + 1), 2),
+        ],
+        ids=["one-worker", "dense"],
+    )
+    def test_one_part_blocks_start_no_thread(self, workers, config, count, monkeypatch):
+        add = densum.simulation._Cell.add
+        calls = []
+
+        def recording_add(cell, start, eps, scratch):
+            calls.append((threading.current_thread(), threading.active_count()))
+            return add(cell, start, eps, scratch)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", workers)
+        monkeypatch.setattr(densum.simulation._Cell, "add", recording_add)
+        before = threading.active_count()
+        run_table(config)
+        assert len(calls) == count
+        for thread, active in calls:
+            assert thread is threading.main_thread() and active <= before
+
+    def test_a_one_worker_run_is_seen_by_cprofile(self, monkeypatch):
+        monkeypatch.setattr(densum.simulation, "WORKERS", 1)
+        profile = cProfile.Profile()
+        profile.runcall(run_table1, ExperimentConfig(table=1, n=100, reps=BLOCK_ROWS + 1))
+        code = densum.simulation._Cell.add.__code__
+        calls = pstats.Stats(profile).stats[code.co_filename, code.co_firstlineno, code.co_name][1]
+        assert calls == 8  # 4 cells x 2 blocks
 
     @pytest.mark.parametrize(
         "corr, starts",
@@ -977,7 +1034,8 @@ def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     ],
 )
 def test_mean_rows_match_the_direct_mean_oracle(table, n, phi, shape, reps, seed):
-    config = ExperimentConfig(table=table, n=n, phi=phi, shape=shape, reps=reps, master_seed=seed)
+    config = ExperimentConfig(table=table, n=n, phi=phi, shape=shape if table == 2 else None,
+                              reps=reps, master_seed=seed)  # table 1's Beta(10, 10) has no shape
     (row,) = run_table1(config) if table == 1 else run_table2(config)
     expected = _mean_cell_oracle(n, phi, MarginalSpec.beta(shape, shape), reps, seed)
     for key in ("ci_wald", "ci_u", "a5_verdict"):
