@@ -233,9 +233,12 @@ def fit_frame(path, response, covariates, climate_unit):
 
 def mean_set(summary, alpha, method, source, given):
     """The confidence set for a column mean, ``ci_mean``'s ``method`` with R
-    resolved from the range source (``given`` is R for known and
-    marginal_range).  ``ci_mean`` labels every set that takes R "known"."""
+    resolved from the range source (``given``, R for known and marginal_range,
+    bounds the column's range).  ``ci_mean`` labels every R-based set "known"."""
     R = given
+    if given is not None and given < summary.range:
+        raise ValueError(f"range R = {given:g} ({source}) is smaller than the column's "
+                         f"observed range {summary.range:.6g}, which contradicts it")
     if source == "two_mean":
         if summary.minimum < 0:
             raise ValueError("two-mean range needs nonnegative data")

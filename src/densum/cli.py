@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import itertools
 import json
 import math
@@ -31,61 +30,23 @@ from densum.analysis import (
 from densum.core import sequential_partition, summarize
 from densum.estimators import gee_exchangeable_wald, ols_fit, partition_compare
 
-RESULTS_VERSION = "# densum-results v1"
-RESULTS_HEADER = (
-    "table", "n", "phi", "alpha_shape", "threshold", "coefficient",
-    "mean_lower", "mean_upper", "ci_wald", "ci_u", "ci_r",
-    "a_hat", "av_star", "verdict", "seed", "repair_lambda",
-)
-# The CoverageReport field of each results column, where the names differ.
-RESULTS_FIELDS = {"verdict": "a5_verdict"}
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def write_results_csv(rows, path):
-    """Write CoverageReports in the fixed table-result schema (6 significant
-    digits, version-stamped header)."""
-    with open(path, "w", newline="") as handle:
-        handle.write(RESULTS_VERSION + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow(
-                [_fmt(getattr(row, RESULTS_FIELDS.get(name, name))) for name in RESULTS_HEADER]
-            )
-
-
-def read_results_csv(path):
-    """Read a results CSV back into a list of plain dicts (strings preserved)."""
-    with open(path, newline="") as handle:
-        first = handle.readline().rstrip("\n")
-        if not first.startswith("#"):
-            raise ValueError("missing version comment line")
-        return list(csv.DictReader(handle))
-
-
 # ---------------------------------------------------------------------------
 # settings resolution
 # ---------------------------------------------------------------------------
 
 
-# Config keys and their casts.  A command reads only the keys it has flags
-# for: simulate from [table1]..[table3], the others from [analysis].
-CONFIG_CASTS = {
-    "n": int, "phi": float, "shape": float, "reps": int, "alpha": float, "c_star": float,
-    "seed": int, "method": str, "range": str, "column": str, "response": str,
-    "covariates": str,
-}
+# Config keys and their casts.
+CONFIG_CASTS = {"n": int, "phi": float, "shape": float, "reps": int, "seed": int, "alpha": float,
+                "method": str, "range": str, "column": str, "response": str, "covariates": str}
 # Defaults of the analysis commands' settings; simulate's are ExperimentConfig's.
 ANALYSIS_DEFAULTS = {"alpha": 0.05, "method": "u", "range": "residual"}
-SIMULATE_SETTINGS = ("n", "phi", "shape", "reps", "alpha", "c_star")
+SIMULATE_SETTINGS = ("n", "phi", "shape", "reps")
+# Who reads each section, and the keys it takes; any other section, [DEFAULT]
+# included, may hold any command's key.
+SECTION_KEYS = {
+    **{f"table{t}": ("simulate", (*SIMULATE_SETTINGS, "seed")) for t in (1, 2, 3)},
+    "analysis": ("ci, fit or diagnose", (*ANALYSIS_DEFAULTS, "column", "response", "covariates")),
+}
 
 
 def resolve_settings(args):
@@ -101,13 +62,20 @@ def resolve_settings(args):
             args.seed = int(env)
         except ValueError:
             raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
-    config = configparser.ConfigParser(interpolation=None)
+    # [DEFAULT] is read as a plain section (no name is empty) to check its own keys.
+    config = configparser.ConfigParser(interpolation=None, default_section="")
     if getattr(args, "config", None):
         with open(args.config) as handle:
             config.read_file(handle)
+    for name in config.sections():
+        takers, keys = SECTION_KEYS.get(name, ("any command", CONFIG_CASTS))
+        for key in config[name]:
+            if key not in keys:
+                raise ValueError(f"[{name}] {key} is not a setting of {takers}")
     section = f"table{args.table}" if args.command == "simulate" else "analysis"
-    # Without its own section a command still reads the file's [DEFAULT] keys.
-    values = config[section if config.has_section(section) else config.default_section]
+    # A command reads its section's keys over the file's [DEFAULT] keys.
+    values = {key: text for name in ("DEFAULT", section) if config.has_section(name)
+              for key, text in config[name].items()}
     for key, cast in CONFIG_CASTS.items():
         if getattr(args, key, False) is None and key in values:
             text = values[key]
@@ -120,7 +88,7 @@ def resolve_settings(args):
         raise ValueError(f"--method ratio bounds the range by twice the mean (two-mean); "
                          f"it cannot take --range {args.range}")
     for key, default in ANALYSIS_DEFAULTS.items():
-        if args.command != "simulate" and getattr(args, key, False) is None:
+        if getattr(args, key, False) is None:
             setattr(args, key, default)
 
     if args.command == "simulate":
@@ -193,10 +161,10 @@ def _cluster_counts(text):
 
 
 def cmd_simulate(args):
-    from densum import simulation
+    from densum.simulation import _fmt, run_table, write_results_csv
 
     rows = []
-    for row in simulation.run_table(args.experiment):
+    for row in run_table(args.experiment):
         rows.append(row)
         if row.coefficient:
             label = f" {row.coefficient}"
@@ -206,7 +174,7 @@ def cmd_simulate(args):
             label = ""
         print(
             f"table {row.table} n={row.n} phi={_fmt(row.phi)}{label}"
-            + f": ci_u={_fmt(row.ci_u)} ci_wald={_fmt(row.ci_wald)} verdict={row.a5_verdict}"
+            + f": ci_u={_fmt(row.ci_u)} ci_wald={_fmt(row.ci_wald)} verdict={row.verdict}"
         )
     repaired = {(r.table, r.n, r.phi): r.repair_lambda for r in rows if r.repair_lambda > 0}
     for (table, n, phi), lam in repaired.items():
@@ -433,10 +401,8 @@ def build_parser():
     sim.add_argument("--n", type=int)
     sim.add_argument("--phi", "--phi-star", type=float)
     sim.add_argument("--shape", type=float)
-    sim.add_argument("--alpha", type=float)
     sim.add_argument("--reps", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--c-star", dest="c_star", type=float)
     sim.add_argument("--out")
     sim.add_argument("-c", "--config")
     sim.set_defaults(func=cmd_simulate)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from densum.core import ConfidenceSet, SampleSummary, summarize
 from densum.uclass import log_av_product
@@ -291,6 +290,8 @@ def a5_from_sums(sums, w, s, M):
     "boundary" when |A_hat - Av*| falls within A5_BOUNDARY_SES Monte Carlo
     standard errors of A_hat, otherwise "holds" (A_hat < Av*) or "violated".
     """
+    from scipy.special import logsumexp  # here, so ``densum ci`` loads no scipy
+
     if not s >= 0:
         raise ValueError("s must be nonnegative")
     sums = np.asarray(sums, dtype=float)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from densum.core import ConfidenceSet, Partition
-from densum.kernels import std_normal_quantile
 
 
 class ConvergenceError(RuntimeError):
@@ -465,6 +464,8 @@ def gee_exchangeable_vcov(fit, partition):
 
 def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
+    from densum.kernels import std_normal_quantile  # here, so ``densum ci`` loads no scipy
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     vcov, _ = gee_exchangeable_vcov(fit, partition)

@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextvars
+import csv
+import dataclasses
 import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,8 +100,12 @@ TABLE3_PHIS = (0.0, 0.05, 0.1, 0.15)
 TABLE3_BETA = np.array([20.0, 10.0])
 TABLE3_SIGMA = 5.0  # the errors' scale: truncnormal(0, TABLE3_SIGMA, -20, 20)
 
+# Every table's level is 1 - ALPHA; the MGF diagnostic's size c* is fixed per experiment.
+ALPHA = 0.05
+MEAN_C_STAR, REGRESSION_C_STAR = 10.0, 5.0
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class MarginalSpec:
     """A bounded one-dimensional marginal with a closed-form quantile.
 
@@ -224,16 +229,16 @@ def _norm_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one coverage experiment.
+    """Settings for one coverage experiment, all checked before any replication.
 
     ``n`` and ``phi`` (the exchangeable correlation for the mean tables, the
     mosaic scale phi* for the regression table) restrict the table's grid
-    when set; ``shape`` restricts the table-2 shape grid.  ``c_star``
-    controls the diagnostic exponential's size (defaults: 10 for means, 5
-    for regressions).  The conventional comparator always clusters the
-    observations sequentially into n // 10 groups, so n must be at least 20.
+    when set; ``shape`` restricts the table-2 shape grid.  A table 1-2 phi
+    must keep the exchangeable matrix positive definite at each n the table
+    runs.  The conventional comparator clusters the observations
+    sequentially into n // 10 groups, so n must be at least 20.
     """
 
     table: int
@@ -241,8 +246,6 @@ class ExperimentConfig:
     phi: float | None = None
     shape: float | None = None
     reps: int = 2000
-    alpha: float = 0.05
-    c_star: float | None = None
     master_seed: int = 0
 
     def __post_init__(self):
@@ -255,27 +258,39 @@ class ExperimentConfig:
         if self.n is not None and self.n < 20:
             raise ValueError(f"n must be at least 20 (the Wald comparator needs "
                              f"n // 10 >= 2 clusters), got {self.n}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        if self.table == 1 and self.n is not None and self.n not in TABLE1_GRID:
+            raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
         for name in ("phi", "shape"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.shape is not None and self.table != 2:
             raise ValueError(f"shape sets table 2's Beta shapes; table {self.table} has none")
-        if self.c_star is not None and not 0.0 < self.c_star < math.inf:
-            raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
+        if self.shape is not None and self.shape <= 0:
+            raise ValueError(f"beta shape must be positive, got {self.shape}")
+        for n in self.ns if self.phi is not None and self.table != 3 else ():
+            _check_exchangeable(n, self.phi, "phi")
         if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
 
+    @property
+    def ns(self):
+        """The sample sizes the table runs: n if set, else its grid's."""
+        return (self.n,) if self.n is not None else {1: tuple(TABLE1_GRID), 2: (500,),
+                                                    3: TABLE3_NS}[self.table]
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class CoverageReport:
-    """One table row: average endpoints, coverage rates, MGF diagnostics."""
+    """One table row: average endpoints, coverage rates, MGF diagnostics.  Its
+    fields are the results CSV's columns, in order (``write_results_csv``)."""
 
     table: int
     n: int
     phi: float
+    alpha_shape: float | None = None
+    threshold: float | None = None
+    coefficient: str | None = None
     mean_lower: float
     mean_upper: float
     ci_wald: float
@@ -283,10 +298,7 @@ class CoverageReport:
     ci_r: float | None
     a_hat: float
     av_star: float
-    a5_verdict: str
-    alpha_shape: float | None = None
-    threshold: float | None = None
-    coefficient: str | None = None
+    verdict: str
     seed: int = 0
     repair_lambda: float = 0.0
 
@@ -298,21 +310,47 @@ class CoverageReport:
             raise ValueError("mean_lower must not exceed mean_upper")
 
 
+RESULTS_VERSION = "# densum-results v1"
+
+
+def _fmt(value):
+    """A results-CSV field: a float to 6 significant digits, None empty."""
+    return "" if value is None else f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def write_results_csv(rows, path):
+    """Write CoverageReports as a results CSV: the version line, then one
+    column per ``CoverageReport`` field, in field order."""
+    names = [field.name for field in dataclasses.fields(CoverageReport)]
+    with open(path, "w", newline="") as handle:
+        handle.write(RESULTS_VERSION + "\n")
+        writer = csv.writer(handle)
+        writer.writerow(names)
+        writer.writerows([_fmt(getattr(row, name)) for name in names] for row in rows)
+
+
+def read_results_csv(path):
+    """Read a results CSV back into a list of plain dicts (strings preserved)."""
+    with open(path, newline="") as handle:
+        if not handle.readline().startswith("#"):
+            raise ValueError("missing version comment line")
+        return list(csv.DictReader(handle))
+
+
 # ---------------------------------------------------------------------------
 # correlation matrices and the copula sampler
 # ---------------------------------------------------------------------------
 
 
-def _check_exchangeable(n, rho):
+def _check_exchangeable(n, rho, name="rho"):
     if not isinstance(n, numbers.Integral):  # refused, not truncated
         raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     if n > 1 and not -1.0 / (n - 1) < rho < 1.0:
-        raise ValueError(
-            f"exchangeable correlation needs -1/(n-1) = {-1.0 / (n - 1):.6f} < rho < 1"
-        )
+        raise ValueError(f"{name} = {rho} needs -1/(n-1) = {-1.0 / (n - 1):.6f} < {name} < 1 "
+                         f"for an exchangeable correlation at n = {n}")
     return n
 
 
@@ -491,12 +529,12 @@ class _Cell:
     only with ``ranges`` (the regression rows report it, the mean rows not).
     """
 
-    def __init__(self, X, W, to_marginal, shift, reps, alpha, ranges=True):
+    def __init__(self, X, W, to_marginal, shift, reps, ranges=True):
         n, p = X.shape
         self.W, self.shift, self.to_marginal = W, shift, to_marginal
         self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
-        self.z = std_normal_quantile(1.0 - alpha / 2.0)
+        self.z = std_normal_quantile(1.0 - ALPHA / 2.0)
         self.stats = _Statistics(
             np.empty((reps, p)), np.empty((reps, p), dtype=bool),
             np.empty(reps) if ranges else None,
@@ -577,14 +615,14 @@ def _score_blocks(n, reps, seed, groups):
                 future.result()
 
 
-def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
+def _coverage_rows(W, stats, beta, support, c_star, names, **fields):
     """One CoverageReport per coefficient of the least-squares fit beta_hat = W y,
     reduced from the cell's per-replication ``_Statistics``.
 
     A mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
     conventional Wald comparator (exchangeable sandwich over n // 10
     sequential clusters), the known-range set R sqrt(sum w^2)
-    sqrt(log(2/alpha)/6), its residual-range plug-in (the pooled residual
+    sqrt(log(2/ALPHA)/6), its residual-range plug-in (the pooled residual
     range standing in for 2M; None when the cell kept no range) and the MGF
     diagnostic.  ``fields`` fill the remaining report columns and take
     precedence.
@@ -592,7 +630,7 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
     n = W.shape[1]
     R = support.range
     M = support.length / 2.0
-    root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
+    root_log = math.sqrt(math.log(2.0 / ALPHA) / 6.0)
     sum_w2 = np.sum(W * W, axis=1)
     B = beta[None, :] + stats.err
     rows = []
@@ -601,7 +639,7 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
         abs_err = np.abs(err)
         half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
         s_diag = optimal_s(
-            theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=alpha
+            theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=ALPHA
         )
         report = a5_from_sums(err, W[s_idx], s_diag, M)
         row = dict(
@@ -614,7 +652,7 @@ def _coverage_rows(W, stats, beta, support, alpha, c_star, names, **fields):
                 np.mean(abs_err <= stats.rhat * math.sqrt(sum_w2[s_idx]) * root_log)),
             a_hat=report.a_hat,
             av_star=report.av_star,
-            a5_verdict=report.verdict,
+            verdict=report.verdict,
             coefficient=name,
         )
         rows.append(CoverageReport(**{**row, **fields}))
@@ -625,16 +663,14 @@ def _mean_cell(n, marginal, to_marginal, config):
     """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n,
     errors centred at the marginal mean, and no residual range."""
     W = np.full((1, n), 1.0 / n)
-    return _Cell(np.ones((n, 1)), W, to_marginal, marginal.mean, config.reps, config.alpha,
-                 ranges=False)
+    return _Cell(np.ones((n, 1)), W, to_marginal, marginal.mean, config.reps, ranges=False)
 
 
 def _mean_row(table, n, phi, marginal, config, cell, alpha_shape=None):
     bound = rule_of_thumb(cell.W[0], marginal.variance, marginal.support.range)
-    c_star = config.c_star if config.c_star is not None else 10.0
     (row,) = _coverage_rows(
-        cell.W, cell.stats, np.array([marginal.mean]), marginal.support, config.alpha,
-        c_star, names=(None,), table=table, phi=phi, seed=config.master_seed,
+        cell.W, cell.stats, np.array([marginal.mean]), marginal.support, MEAN_C_STAR,
+        names=(None,), table=table, phi=phi, seed=config.master_seed,
         alpha_shape=alpha_shape, threshold=bound / (n - 1),
     )
     return row
@@ -644,16 +680,13 @@ def run_table1(config):
     """Beta(10,10) mean coverage over the (n, phi) grid.
 
     ``config.n`` / ``config.phi`` restrict the grid; a phi override outside
-    the standard grid runs as its own cell (it must keep the exchangeable
-    matrix positive definite).
+    the standard grid runs as its own cell (``ExperimentConfig`` has checked
+    that it keeps the exchangeable matrix positive definite).
     """
     marginal = MarginalSpec.beta(10, 10)
     rows = []
-    ns = (config.n,) if config.n is not None else tuple(TABLE1_GRID)
-    if any(n not in TABLE1_GRID for n in ns):
-        raise ValueError(f"table 1 is defined for n in {tuple(TABLE1_GRID)}")
     to_marginal = marginal.normal_map()
-    for n in ns:
+    for n in config.ns:
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
         copulas = [_exchangeable_copula(n, phi) for phi in phis]
         cells = [_mean_cell(n, marginal, to_marginal, config) for _ in phis]
@@ -672,11 +705,9 @@ def run_table2(config):
     The shapes share one correlation, so they share each block's
     normal-scale draw and differ only in the marginal map.
     """
-    n = config.n if config.n is not None else 500
+    (n,) = config.ns
     phi = config.phi if config.phi is not None else 0.1
     shapes = (config.shape,) if config.shape is not None else TABLE2_SHAPES
-    if any(shape <= 0 for shape in shapes):
-        raise ValueError("beta shape must be positive")
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
     v, sign = _exchangeable_copula(n, phi)
     factor = _copula_factor(v, sign)
@@ -712,22 +743,20 @@ def run_table3(config):
     standing in for 2M).  One report row per coefficient per cell.
     """
     marginal = MarginalSpec.truncnormal(0.0, TABLE3_SIGMA, -20.0, 20.0)
-    c_star = config.c_star if config.c_star is not None else 5.0
-    ns = (config.n,) if config.n is not None else TABLE3_NS
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
     to_marginal = marginal.normal_map()
     rows = []
-    for n in ns:
+    for n in config.ns:
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
-        cells = [_Cell(X, W, to_marginal, 0.0, config.reps, config.alpha) for _ in phis]
+        cells = [_Cell(X, W, to_marginal, 0.0, config.reps) for _ in phis]
         groups = [(_copula_factor(corr, sign), [cell.add])
                   for (corr, sign, _), cell in zip(copulas, cells)]
         _score_blocks(n, config.reps, config.master_seed, groups)
         for phi_star, (_, _, repair), cell in zip(phis, copulas, cells):
             rows += _coverage_rows(
-                W, cell.stats, TABLE3_BETA, marginal.support, config.alpha, c_star,
+                W, cell.stats, TABLE3_BETA, marginal.support, REGRESSION_C_STAR,
                 names=("beta0", "beta1"),
                 table=3, phi=phi_star, seed=config.master_seed, repair_lambda=repair.lam,
             )

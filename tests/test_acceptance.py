@@ -142,7 +142,7 @@ def test_mgf_diagnostic_verdict_direction_tracks_dependence(mean_grid_rows):
         (1500, 0.01): "violated", (1500, 0.02): "violated",
     }
     hits = sum(
-        mean_grid_rows[cell].a5_verdict == verdict for cell, verdict in expected.items()
+        mean_grid_rows[cell].verdict == verdict for cell, verdict in expected.items()
     )
     assert hits >= 10
 

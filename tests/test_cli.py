@@ -24,19 +24,16 @@ from densum.analysis import (
     _series_diagnostics,
     load_columns,
 )
-from densum.cli import (
-    RESULTS_HEADER,
-    RESULTS_VERSION,
-    _parse_range_flag,
-    _write_plot_csvs,
-    main,
-    read_results_csv,
-    write_results_csv,
-)
+from densum.cli import _parse_range_flag, _write_plot_csvs, main
 from densum.climate import write_climate_csv
 from densum.concentration import bernstein_tail, ci_linear
 from densum.estimators import acf_phi_hat, ols_fit
-from densum.simulation import CoverageReport
+from densum.simulation import (
+    RESULTS_VERSION,
+    CoverageReport,
+    read_results_csv,
+    write_results_csv,
+)
 
 LOG40 = math.log(40.0)
 
@@ -71,7 +68,7 @@ def sample_report(**overrides):
     row = dict(
         table=1, n=100, phi=0.06, mean_lower=0.41, mean_upper=0.58,
         ci_wald=0.5045, ci_u=0.995, ci_r=None, a_hat=1.41, av_star=1.4457,
-        a5_verdict="boundary", seed=3,
+        verdict="boundary", seed=3,
     )
     row.update(overrides)
     return CoverageReport(**row)
@@ -80,10 +77,14 @@ def sample_report(**overrides):
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_results_csv([sample_report(), sample_report(phi=0.1, a5_verdict="violated")], path)
+        write_results_csv([sample_report(), sample_report(phi=0.1, verdict="violated")], path)
         lines = path.read_text().splitlines()
         assert lines[0] == RESULTS_VERSION
-        assert lines[1].split(",") == list(RESULTS_HEADER)
+        assert lines[1].split(",") == [
+            "table", "n", "phi", "alpha_shape", "threshold", "coefficient",
+            "mean_lower", "mean_upper", "ci_wald", "ci_u", "ci_r",
+            "a_hat", "av_star", "verdict", "seed", "repair_lambda",
+        ]
         rows = read_results_csv(path)
         assert len(rows) == 2
         assert rows[0]["phi"] == "0.06"
@@ -190,9 +191,12 @@ class TestSimulateCommand:
             (["--table", "2", "--shape", "inf"], "shape must be finite, got inf"),
             (["--table", "1", "--shape", "5"], "shape sets table 2's Beta shapes; table 1 has none"),
             (["--table", "3", "--shape", "5"], "shape sets table 2's Beta shapes; table 3 has none"),
-            (["--table", "1", "--c-star", "-1"], "c_star must be finite and positive, got -1.0"),
-            (["--table", "3", "--c-star", "nan"], "c_star must be finite and positive, got nan"),
             (["--table", "1", "--seed", "-1"], "master_seed must be a nonnegative integer, got -1"),
+            (["--table", "1", "--n", "200"], "table 1 is defined for n in (100, 500, 1500)"),
+            (["--table", "2", "--shape", "-1"], "beta shape must be positive, got -1.0"),
+            # -0.005 keeps table 1's n = 100 matrix positive definite, not n = 500's
+            (["--table", "1", "--phi", "-0.005"], "phi = -0.005 needs -1/(n-1) = -0.002004 < "
+                                                  "phi < 1 for an exchangeable correlation at n = 500"),
             (["--table", "2", "--n", "15"], "n must be at least 20 ("),
             (["--table", "2", "--n", "1"], "n must be at least 20 ("),
             (["--table", "3", "--n", "15"], "n must be at least 20 ("),
@@ -377,6 +381,16 @@ class TestCiCommand:
         c = math.sqrt(2.0 * LOG40 / 12.0)
         assert payload["lower"] == pytest.approx(2.0 / (1 + c), abs=1e-12)
         assert payload["upper"] == pytest.approx(2.0 / (1 - c), abs=1e-12)
+
+    @pytest.mark.parametrize("given", ["known=0.01", "marginal=2.4"])
+    def test_a_range_below_the_columns_own_is_refused(self, tmp_path, capsys, given):
+        path = write_csv(tmp_path / "wide.csv", {"y": np.linspace(0.0, 2.49, 120)})
+        assert main(["ci", path, "--column", "y", "--range", given]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        R = given.partition("=")[2]
+        assert f"error: range R = {R} (" in captured.err
+        assert "the column's observed range 2.49," in captured.err
 
     def test_column_required(self, unit_column, capsys):
         assert main(["ci", unit_column]) == 1
@@ -654,6 +668,58 @@ class TestSettingsFailBeforeTheWork:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("simulate", "[table1]\nalpha = 0.5\nbogus = 3\n",
+             "[table1] alpha is not a setting of simulate"),
+            ("simulate", "[table3]\nc_star = 5\n", "[table3] c_star is not a setting of simulate"),
+            ("fit", "[table2]\nmethod = u\n", "[table2] method is not a setting of simulate"),
+            ("ci", "[analysis]\nseed = 3\n",
+             "[analysis] seed is not a setting of ci, fit or diagnose"),
+            ("ci", "[DEFAULT]\nalpha = 0.2\nbogus = 3\n",
+             "[DEFAULT] bogus is not a setting of any command"),
+            ("diagnose", "[notes]\nc_star = 5\n", "[notes] c_star is not a setting of any command"),
+        ],
+        ids=["table-alpha", "table-c-star", "table-from-fit", "analysis-seed", "default-bogus",
+             "other-section"],
+    )
+    def test_config_keys_a_section_cannot_take_fail_before_the_input_is_read(
+        self, regression_csv, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
+        cfg = tmp_path / "keys.ini"
+        cfg.write_text(text)
+        argv = {
+            "simulate": ["simulate", "--table", "1", "--reps", "2",
+                         "--out", str(tmp_path / "t.csv")],
+            "ci": ["ci", regression_csv, "--column", "y"],
+            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
+            "diagnose": ["diagnose", regression_csv, "--column", "y"],
+        }[command]
+        assert main(argv + ["-c", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_one_config_file_serves_every_command(self, unit_column, tmp_path):
+        # [DEFAULT] may hold any command's key; each command reads its own
+        # section's keys over it
+        cfg = tmp_path / "all.ini"
+        cfg.write_text("[DEFAULT]\nseed = 4\nalpha = 0.2\n"
+                       "[table1]\nn = 100\nphi = 0\nreps = 2\n[analysis]\nalpha = 0.1\n")
+        out = tmp_path / "t1.csv"
+        assert main(["simulate", "--table", "1", "-c", str(cfg), "--out", str(out)]) == 0
+        assert [(r["n"], r["phi"], r["seed"]) for r in read_results_csv(out)] == [("100", "0", "4")]
+        out = tmp_path / "ci.json"
+        assert main(["ci", unit_column, "--column", "y", "-c", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["level"] == pytest.approx(0.9)
 
     def test_fetch_climate_checks_its_output_directory_before_the_download(
         self, tmp_path, monkeypatch, capsys
@@ -1155,6 +1221,8 @@ def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, 
         argv = [argv[0], regression_csv, *argv[1:]]
     imported = _modules_imported_by(argv, tmp_path)
     assert "densum.analysis" in imported  # the probe sees densum's own imports
+    if argv[0] == "ci":  # a column's mean set needs no scipy
+        assert not {name for name in imported if name.partition(".")[0] == "scipy"}
     unused = {"densum.simulation", "densum.climate", "urllib.request"} - loaded
     assert imported & (unused | loaded) == loaded
 

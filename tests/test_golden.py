@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import densum.simulation
-from densum.cli import main, read_results_csv
+from densum.cli import main
+from densum.simulation import read_results_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 EXACT = ("table", "n", "phi", "alpha_shape", "coefficient", "ci_wald", "ci_u", "ci_r",

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import densum.simulation
-from densum.cli import main, read_results_csv
+from densum.cli import main
+from densum.simulation import read_results_csv
 from densum.climate import write_climate_csv
 from test_climate import make_rows
 
