@@ -3,11 +3,12 @@
 Settings resolve in priority order: built-in defaults, then the config file
 (``-c/--config``, accepted by simulate, ci, fit and diagnose; INI sections
 [table1]/[table2]/[table3]/[analysis]), then command-line flags, then the
-DENSUM_SEED environment variable (which overrides any seed).  ``main`` fills
-and checks every setting in ``resolve_settings`` before any input is read,
-grid run or download made.  Exit codes: 0 success, 1 setting, config or data
-error, 2 network failure or a usage error that argparse rejects (an unknown
-flag, a bad --table or --partitions).
+DENSUM_SEED environment variable (which overrides any seed).  Each command
+calls ``resolve_settings`` for the steps all share (DENSUM_SEED, the config
+file, the output directory), then checks its own settings, before any input
+is read, grid run or download made.  Exit codes: 0 success, 1 setting, config
+or data error, 2 network failure or a usage error that argparse rejects (an
+unknown flag, a bad --table or --partitions).
 """
 
 from __future__ import annotations
@@ -35,108 +36,48 @@ from densum.estimators import gee_exchangeable_wald, ols_fit, partition_compare
 # ---------------------------------------------------------------------------
 
 
-# Config keys and their casts.
-CONFIG_CASTS = {"n": int, "phi": float, "shape": float, "reps": int, "seed": int, "alpha": float,
-                "method": str, "range": str, "column": str, "response": str, "covariates": str}
-# Defaults of the analysis commands' settings; simulate's are ExperimentConfig's.
-ANALYSIS_DEFAULTS = {"alpha": 0.05, "method": "u", "range": "residual"}
-SIMULATE_SETTINGS = ("n", "phi", "shape", "reps")
-# Who reads each section, and the keys it takes; any other section, [DEFAULT]
-# included, may hold any command's key.
-SECTION_KEYS = {
-    **{f"table{t}": ("simulate", (*SIMULATE_SETTINGS, "seed")) for t in (1, 2, 3)},
-    "analysis": ("ci, fit or diagnose", (*ANALYSIS_DEFAULTS, "column", "response", "covariates")),
-}
+# The keys of each config section, with their casts: [table1]-[table3] hold
+# simulate's, [analysis] those of ci, fit and diagnose, and [DEFAULT] or any
+# other section any command's.
+TABLE_KEYS = {"n": int, "phi": float, "shape": float, "reps": int, "seed": int}
+ANALYSIS_KEYS = {"alpha": float, "method": str, "range": str,
+                 "column": str, "response": str, "covariates": str}
 
 
-def resolve_settings(args):
-    """Fill every setting the command line left unset, in place, and check
-    them all before any input is read, grid run or download made.
-
-    A setting comes from its flag, else from the config file, else from its
-    default; DENSUM_SEED overrides any seed.
-    """
+def resolve_settings(args, section=None):
+    """Fill, in place, each setting of config ``section`` that no flag set
+    (from the section, else from [DEFAULT], a bad value named under the one
+    it came from; DENSUM_SEED overrides any seed), and make the checks every
+    command shares.  Without a section no config file is read."""
+    readers = {"analysis": ("ci, fit or diagnose", ANALYSIS_KEYS),
+               **dict.fromkeys(("table1", "table2", "table3"), ("simulate", TABLE_KEYS))}
+    keys = readers[section][1] if section else {}
     env = os.environ.get("DENSUM_SEED")
-    if env is not None and hasattr(args, "seed"):
+    if env is not None and "seed" in keys:
         try:
             args.seed = int(env)
         except ValueError:
             raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
-    # [DEFAULT] is read as a plain section (no name is empty) to check its own keys.
-    config = configparser.ConfigParser(interpolation=None, default_section="")
-    if getattr(args, "config", None):
+    if section and args.config:
+        # [DEFAULT] is read as a plain section (no name is empty) to check its own keys.
+        config = configparser.ConfigParser(interpolation=None, default_section="")
         with open(args.config) as handle:
             config.read_file(handle)
-    for name in config.sections():
-        takers, keys = SECTION_KEYS.get(name, ("any command", CONFIG_CASTS))
-        for key in config[name]:
-            if key not in keys:
-                raise ValueError(f"[{name}] {key} is not a setting of {takers}")
-    section = f"table{args.table}" if args.command == "simulate" else "analysis"
-    # A command reads its section's keys over the file's [DEFAULT] keys.
-    values = {key: text for name in ("DEFAULT", section) if config.has_section(name)
-              for key, text in config[name].items()}
-    for key, cast in CONFIG_CASTS.items():
-        if getattr(args, key, False) is None and key in values:
-            text = values[key]
-            try:
-                setattr(args, key, cast(text))
-            except ValueError:
-                raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {text!r}") from None
-    # Checked before the defaults fill in, so only a range that was set counts.
-    if args.command == "ci" and args.method == "ratio" and args.range not in (None, "two-mean"):
-        raise ValueError(f"--method ratio bounds the range by twice the mean (two-mean); "
-                         f"it cannot take --range {args.range}")
-    for key, default in ANALYSIS_DEFAULTS.items():
-        if getattr(args, key, False) is None:
-            setattr(args, key, default)
-
-    if args.command == "simulate":
-        from densum.simulation import ExperimentConfig  # only simulate needs the grids
-
-        settings = {k: getattr(args, k) for k in SIMULATE_SETTINGS if getattr(args, k) is not None}
-        if args.seed is not None:
-            settings["master_seed"] = args.seed
-        args.experiment = ExperimentConfig(table=args.table, **settings)
-        args.out = args.out or f"table{args.table}_results.csv"
-    if args.command == "ci" and args.column is None:
-        raise ValueError("--column is required")
-    if args.command == "diagnose" and args.column is not None and args.coefficient is not None:
-        raise ValueError(f"column {args.column!r} and --coefficient {args.coefficient!r} name two "
-                         f"series to diagnose; give one (a column may come from the config)")
-    if args.command in ("fit", "diagnose") and getattr(args, "column", None) is None:
-        if not args.climate:
-            if args.response is None or args.covariates is None:
-                raise ValueError("--response and --covariates are required (or use --climate)")
-            args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
-            if args.response in args.covariates:
-                raise ValueError(
-                    f"response {args.response!r} is also listed among the covariates"
-                )
-        if args.command == "diagnose" and args.coefficient is None:
-            raise ValueError("--coefficient is required when diagnosing a fit")
-    if args.command == "ci" and args.method not in CI_MEAN_METHODS:
-        raise ValueError("--method must be hoeffding, u, bernstein or ratio")
-    if hasattr(args, "range"):
-        args.source, args.given = _parse_range_flag(args.range)
-    if getattr(args, "partitions", None):
-        if len(args.partitions) < 2:
-            raise ValueError(f"--partitions needs at least two cluster counts to compare, "
-                             f"got {args.partitions[0]}")
-        if args.partitions[0] < 2:
-            raise ValueError("--partitions: the first count sets the Wald comparator's "
-                             "clusters and must be at least 2")
-    if args.command in ("ci", "fit") and not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if args.command == "fetch-climate":
-        for flag in ("start", "end"):  # YYYY-M or YYYY-MM, kept as (year, month)
-            text = getattr(args, flag)
-            match = re.fullmatch(r"([0-9]{4})-(0?[1-9]|1[0-2])", text)
-            if not match:
-                raise ValueError(f"--{flag} must be YYYY-M or YYYY-MM (month 1-12), got {text!r}")
-            setattr(args, flag, (int(match[1]), int(match[2])))
-        if args.start > args.end:
-            raise ValueError("--start must not come after --end")
+        for name in config.sections():
+            takers, takes = readers.get(name, ("any command", {**TABLE_KEYS, **ANALYSIS_KEYS}))
+            for key in config[name]:
+                if key not in takes:
+                    raise ValueError(f"[{name}] {key} is not a setting of {takers}")
+        for key, cast in keys.items():
+            found = [name for name in (section, "DEFAULT") if config.has_option(name, key)]
+            # A flag's value stays, as does a key only another reader of the section takes.
+            if found and key in vars(args) and getattr(args, key) is None:
+                text = config[found[0]][key]
+                try:
+                    setattr(args, key, cast(text))
+                except ValueError:
+                    raise ValueError(f"[{found[0]}] {key} must be {cast.__name__}, "
+                                     f"got {text!r}") from None
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")
@@ -161,10 +102,15 @@ def _cluster_counts(text):
 
 
 def cmd_simulate(args):
-    from densum.simulation import _fmt, run_table, write_results_csv
+    resolve_settings(args, f"table{args.table}")
+    from densum.simulation import ExperimentConfig, _fmt, run_table, write_results_csv
 
+    settings = {("master_seed" if key == "seed" else key): getattr(args, key)
+                for key in TABLE_KEYS if getattr(args, key) is not None}
+    experiment = ExperimentConfig(table=args.table, **settings)
+    out = args.out or f"table{args.table}_results.csv"
     rows = []
-    for row in run_table(args.experiment):
+    for row in run_table(experiment):
         rows.append(row)
         if row.coefficient:
             label = f" {row.coefficient}"
@@ -180,8 +126,8 @@ def cmd_simulate(args):
     for (table, n, phi), lam in repaired.items():
         print(f"note: table {table} n={n} phi*={_fmt(phi)}: the correlation was not positive "
               f"definite; shrunk toward the identity with lambda={_fmt(lam)}", file=sys.stderr)
-    write_results_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    write_results_csv(rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -208,15 +154,33 @@ def _parse_range_flag(text):
     raise ValueError("--range must be known=R, marginal=R, residual or two-mean")
 
 
+def _level(alpha):
+    """ci's and fit's alpha: 0.05 unless set, and inside (0, 1)."""
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return 0.05 if alpha is None else alpha
+
+
 # --method value -> ci_mean method
-CI_MEAN_METHODS = {
-    "hoeffding": "hoeffding", "u": "u_sharp", "bernstein": "bernstein", "ratio": "ratio",
-}
+CI_MEAN_METHODS = {"hoeffding": "hoeffding", "u": "u_sharp",
+                   "bernstein": "bernstein", "ratio": "ratio"}
 
 
 def cmd_ci(args):
+    resolve_settings(args, "analysis")
+    if args.method == "ratio" and args.range not in (None, "two-mean"):
+        raise ValueError(f"--method ratio bounds the range by twice the mean (two-mean); "
+                         f"it cannot take --range {args.range}")
+    if args.column is None:
+        raise ValueError("--column is required")
+    method = "u" if args.method is None else args.method
+    if method not in CI_MEAN_METHODS:
+        raise ValueError("--method must be hoeffding, u, bernstein or ratio")
+    source, given = _parse_range_flag(args.range)
+    alpha = _level(args.alpha)
+
     summary = summarize(load_columns(args.file, [args.column])[args.column])
-    result = mean_set(summary, args.alpha, CI_MEAN_METHODS[args.method], args.source, args.given)
+    result = mean_set(summary, alpha, CI_MEAN_METHODS[method], source, given)
     print(
         f"{result.level:.0%} confidence set for mean({args.column}): "
         f"[{result.lower:.6g}, {result.upper:.6g}] "
@@ -231,14 +195,41 @@ def cmd_ci(args):
     return 0
 
 
+def _covariates(args):
+    """fit's and diagnose's checked covariate list; None for --climate's frame."""
+    if args.climate:
+        return None
+    if args.response is None or args.covariates is None:
+        raise ValueError("--response and --covariates are required (or use --climate)")
+    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    if args.response in covariates:
+        raise ValueError(f"response {args.response!r} is also listed among the covariates")
+    for i, c in enumerate(covariates):
+        if c in covariates[:i]:
+            raise ValueError(f"covariate {c!r} is listed twice, making the design rank deficient")
+    return covariates
+
+
 def cmd_fit(args):
-    y, X, columns = fit_frame(args.file, args.response, args.covariates, args.climate)
-    parts = [sequential_partition(y.shape[0], k) for k in args.partitions or ()]
+    resolve_settings(args, "analysis")
+    covariates = _covariates(args)
+    source, given = _parse_range_flag(args.range)
+    counts = args.partitions or []
+    if len(counts) == 1:
+        raise ValueError(f"--partitions needs at least two cluster counts to compare, "
+                         f"got {counts[0]}")
+    if counts and counts[0] < 2:
+        raise ValueError("--partitions: the first count sets the Wald comparator's "
+                         "clusters and must be at least 2")
+    alpha = _level(args.alpha)
+
+    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
+    parts = [sequential_partition(y.shape[0], k) for k in counts]
     fit = ols_fit(X, y)
-    report = fit_report(fit, columns, args.alpha, args.source, args.given, provenance={
+    report = fit_report(fit, columns, alpha, source, given, provenance={
         "input_sha256": file_sha256(args.file),
         "seed": None,
-        "config": {"alpha": args.alpha, "range": args.range, "n": fit.n},
+        "config": {"alpha": alpha, "range": args.range or "residual", "n": fit.n},
     })
 
     print(f"model: {report.model}  (n={fit.n})")
@@ -256,13 +247,12 @@ def cmd_fit(args):
         )
 
     if parts:
-        counts = args.partitions
         for s, name in enumerate(columns):
             comparison = partition_compare(fit, parts, s)
             chosen = counts[comparison.recommended]
             tie = " (tie)" if comparison.is_tie else ""
             print(f"  partition check {name}: recommend K={chosen}{tie}")
-        wald = gee_exchangeable_wald(fit, parts[0], alpha=args.alpha, s=len(columns) - 1)
+        wald = gee_exchangeable_wald(fit, parts[0], alpha=alpha, s=len(columns) - 1)
         print(
             f"  comparator Wald ({columns[-1]}, K={counts[0]}): "
             f"[{wald.lower:.6g}, {wald.upper:.6g}]"
@@ -301,11 +291,19 @@ def _print_screen(screen_column, full, columns):
 
 
 def cmd_diagnose(args):
+    resolve_settings(args, "analysis")
     if args.column is not None:
+        for flag, value in (("--coefficient", args.coefficient), ("--climate", args.climate)):
+            if value is not None:
+                raise ValueError(f"column {args.column!r} and {flag} {value!r} name two series "
+                                 f"to diagnose; give one (a column may come from the config)")
         series = load_columns(args.file, [args.column])[args.column]
         name = args.column
     else:
-        y, X, columns = fit_frame(args.file, args.response, args.covariates, args.climate)
+        covariates = _covariates(args)
+        if args.coefficient is None:
+            raise ValueError("--coefficient is required when diagnosing a fit")
+        y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
         if args.coefficient not in columns:
             raise ValueError(f"unknown coefficient {args.coefficient!r}")
         fit = ols_fit(X, y)
@@ -361,6 +359,16 @@ def _write_plot_csvs(prefix, series, diag, acf):
 
 
 def cmd_fetch_climate(args):
+    resolve_settings(args)
+    window = {}
+    for flag in ("start", "end"):  # YYYY-M or YYYY-MM, kept as (year, month)
+        text = getattr(args, flag)
+        match = re.fullmatch(r"([0-9]{4})-(0?[1-9]|1[0-2])", text)
+        if not match:
+            raise ValueError(f"--{flag} must be YYYY-M or YYYY-MM (month 1-12), got {text!r}")
+        window[flag] = (int(match[1]), int(match[2]))
+    if window["start"] > window["end"]:
+        raise ValueError("--start must not come after --end")
     from densum import climate
 
     try:
@@ -368,7 +376,7 @@ def cmd_fetch_climate(args):
             climate.DEFAULT_TEMP_URL if args.temp_url is None else args.temp_url,
             climate.DEFAULT_CO2_URL if args.co2_url is None else args.co2_url,
             args.index_url,
-            start=args.start, end=args.end,
+            **window,
         )
     except OSError as exc:  # urllib's URLError is an OSError
         print(f"network failure: {exc}", file=sys.stderr)
@@ -411,7 +419,7 @@ def build_parser():
     ci.add_argument("file")
     ci.add_argument("--column")
     ci.add_argument("--alpha", type=float)
-    ci.add_argument("--method", choices=("hoeffding", "u", "bernstein", "ratio"))
+    ci.add_argument("--method", choices=CI_MEAN_METHODS)
     ci.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
     ci.add_argument("--out")
     ci.add_argument("-c", "--config")
@@ -451,7 +459,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        resolve_settings(args)
         return args.func(args)
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -608,6 +608,32 @@ class TestFitCommand:
         assert captured.out == ""
         assert "response 'y' is also listed among the covariates" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [("fit", ["--response", "y", "--covariates", "x, x"], None),
+         ("diagnose", ["--response", "y", "--covariates", "x,x", "--coefficient", "x"], None),
+         ("fit", [], "response = y\ncovariates = x,x"),
+         ("diagnose", ["--coefficient", "x"], "response = y\ncovariates = x,x")],
+        ids=["fit-flags", "diagnose-flags", "fit-config", "diagnose-config"],
+    )
+    def test_a_repeated_covariate_is_rejected_before_the_load(
+        self, regression_csv, tmp_path, monkeypatch, capsys, command, flags, config
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
+        argv = [command, regression_csv, *flags]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: covariate 'x' is listed twice" in captured.err
+
     @pytest.mark.parametrize("command", ["ci", "fit", "diagnose"])
     def test_missing_output_directory_fails_before_the_work(
         self, regression_csv, tmp_path, monkeypatch, capsys, command
@@ -702,6 +728,33 @@ class TestSettingsFailBeforeTheWork:
             "ci": ["ci", regression_csv, "--column", "y"],
             "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
             "diagnose": ["diagnose", regression_csv, "--column", "y"],
+        }[command]
+        assert main(argv + ["-c", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [("simulate", "[DEFAULT]\nseed = abc\n", "[DEFAULT] seed must be int, got 'abc'"),
+         ("simulate", "[table1]\nn = 100\n[DEFAULT]\nreps = many\n",
+          "[DEFAULT] reps must be int, got 'many'"),
+         ("ci", "[DEFAULT]\nalpha = x\n", "[DEFAULT] alpha must be float, got 'x'")],
+        ids=["simulate-seed", "simulate-beside-its-section", "ci-alpha"],
+    )
+    def test_a_bad_config_value_names_the_section_it_came_from(
+        self, unit_column, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        monkeypatch.setattr(densum.cli, "load_columns", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        argv = {
+            "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
+            "ci": ["ci", unit_column, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -914,6 +967,32 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "column 'y' and --coefficient 'x'" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--column", "y", "--climate", "monthly"], None),
+         (["--climate", "yearly"], "column = y")],
+        ids=["flags", "config-column"],
+    )
+    def test_a_column_and_climate_are_rejected_before_the_load(
+        self, regression_csv, tmp_path, monkeypatch, capsys, flags, config
+    ):
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.climate, "load_climate_csv", never)
+        argv = ["diagnose", regression_csv, *flags]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        climate = flags[flags.index("--climate") + 1]
+        assert f"column 'y' and --climate '{climate}'" in captured.err
 
     def test_unknown_coefficient(self, regression_csv, capsys):
         rc = main(["diagnose", regression_csv, "--response", "y",
