@@ -250,13 +250,19 @@ def mean_set(summary, alpha, method, source, given):
     return ci_mean(summary, R=R, alpha=alpha, method=method)
 
 
-def _ranges(fit, s, source, given):
-    """``ci_linear``'s range argument for coefficient s, by range source."""
+def _weights_and_ranges(fit, s, source, given):
+    """Coefficient s's weights and ranges R_i for ``ci_linear``, by range
+    source: the weight row with the given R (known, marginal_range) or with
+    twice the fitted means (two_mean); for residual_range, unit weights with
+    the range of W_s e, since those weighted residuals are the summands the
+    plug-in bounds."""
     if source == "residual_range":
-        return {"rhat": residual_range(fit, s)}
+        return np.ones(fit.n), residual_range(fit, s)
     if source == "two_mean":
-        return {"fitted": fit.fitted}
-    return {"ranges": given}
+        if np.any(fit.fitted < 0):
+            raise ValueError("two_mean ranges need nonnegative fitted means")
+        return fit.weight_rows[s], 2.0 * fit.fitted
+    return fit.weight_rows[s], given
 
 
 def fit_report(fit, columns, alpha, source, given, provenance):
@@ -267,8 +273,8 @@ def fit_report(fit, columns, alpha, source, given, provenance):
         # a zero-noise fit's weighted residuals have zero spread
         warnings.filterwarnings("ignore", "weighted residuals have degenerate", UserWarning)
         for s, name in enumerate(columns):
-            cs = ci_linear(fit.coefficients[s], fit.weight_rows[s], alpha=alpha,
-                           range_source=source, **_ranges(fit, s, source, given))
+            w, ranges = _weights_and_ranges(fit, s, source, given)
+            cs = ci_linear(fit.coefficients[s], w, ranges, alpha, source)
             rows.append(CoefficientRow(name, float(fit.coefficients[s]), cs.lower, cs.upper,
                                        cs.method, cs.range_source))
         for name, w in zip(columns, fit.weight_rows):

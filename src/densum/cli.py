@@ -46,9 +46,10 @@ ANALYSIS_KEYS = {"alpha": float, "method": str, "range": str,
 
 def resolve_settings(args, section=None):
     """Fill, in place, each setting of config ``section`` that no flag set
-    (from the section, else from [DEFAULT], a bad value named under the one
-    it came from; DENSUM_SEED overrides any seed), and make the checks every
-    command shares.  Without a section no config file is read."""
+    (from the section, else from [DEFAULT]; DENSUM_SEED overrides any seed),
+    and make the checks every command shares.  Every key and value of the
+    config file is checked when it is read, whichever command reads it, a bad
+    value named under its section.  Without a section no config file is read."""
     readers = {"analysis": ("ci, fit or diagnose", ANALYSIS_KEYS),
                **dict.fromkeys(("table1", "table2", "table3"), ("simulate", TABLE_KEYS))}
     keys = readers[section][1] if section else {}
@@ -63,21 +64,22 @@ def resolve_settings(args, section=None):
         config = configparser.ConfigParser(interpolation=None, default_section="")
         with open(args.config) as handle:
             config.read_file(handle)
+        values = {}  # (section, key) -> the cast value, every section's checked
         for name in config.sections():
             takers, takes = readers.get(name, ("any command", {**TABLE_KEYS, **ANALYSIS_KEYS}))
-            for key in config[name]:
+            for key, text in config[name].items():
                 if key not in takes:
                     raise ValueError(f"[{name}] {key} is not a setting of {takers}")
-        for key, cast in keys.items():
-            found = [name for name in (section, "DEFAULT") if config.has_option(name, key)]
+                try:
+                    values[name, key] = takes[key](text)
+                except ValueError:
+                    raise ValueError(f"[{name}] {key} must be {takes[key].__name__}, "
+                                     f"got {text!r}") from None
+        for key in keys:
+            found = [values[name, key] for name in (section, "DEFAULT") if (name, key) in values]
             # A flag's value stays, as does a key only another reader of the section takes.
             if found and key in vars(args) and getattr(args, key) is None:
-                text = config[found[0]][key]
-                try:
-                    setattr(args, key, cast(text))
-                except ValueError:
-                    raise ValueError(f"[{found[0]}] {key} must be {cast.__name__}, "
-                                     f"got {text!r}") from None
+                setattr(args, key, found[0])
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")

@@ -26,7 +26,8 @@ import numpy as np
 from densum.core import ConfidenceSet, SampleSummary, summarize
 from densum.uclass import log_av_product
 
-TAIL_THEOREMS = ("hoeffding", "u_sharp", "bernstein_h", "bernstein_simple")
+# Each range-based theorem's constant c: its tail is 2 exp(-c tau^2 / sum w_i^2 R_i^2).
+TAIL_CONSTANTS = {"hoeffding": 2.0, "u_sharp": 6.0}
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,25 @@ class TailBound:
     value: float
     theorem: str
 
-    def __post_init__(self):
-        if self.theorem not in TAIL_THEOREMS:
-            raise ValueError(f"theorem must be one of {TAIL_THEOREMS}")
+
+def _log_level(alpha):
+    """log(2/alpha) for a level alpha in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return math.log(2.0 / alpha)
+
+
+def _tail_constant(theorem):
+    if theorem not in TAIL_CONSTANTS:
+        raise ValueError(f"theorem must be one of {tuple(TAIL_CONSTANTS)}")
+    return TAIL_CONSTANTS[theorem]
+
+
+def half_width(scale, alpha, theorem="u_sharp"):
+    """The range-based set's half-width scale * sqrt(log(2/alpha) / c): the
+    tau at which ``theorem``'s tail equals alpha, for scale =
+    sqrt(sum w_i^2 R_i^2) (a float or an array) and c = TAIL_CONSTANTS[theorem]."""
+    return scale * math.sqrt(_log_level(alpha) / _tail_constant(theorem))
 
 
 def _weighted_range_sum(w, ranges):
@@ -51,20 +68,22 @@ def _weighted_range_sum(w, ranges):
     return total
 
 
-def hoeffding_tail(tau, w, ranges):
-    """Two-sided tail bound 2 exp(-2 tau^2 / sum w_i^2 R_i^2), capped at 1."""
+def _range_tail(tau, w, ranges, theorem):
+    """2 exp(-c tau^2 / sum w_i^2 R_i^2), capped at 1, c = TAIL_CONSTANTS[theorem]."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    s = _weighted_range_sum(w, ranges)
-    return TailBound(tau=float(tau), value=min(1.0, 2.0 * math.exp(-2.0 * tau * tau / s)), theorem="hoeffding")
+    exponent = TAIL_CONSTANTS[theorem] * tau * tau / _weighted_range_sum(w, ranges)
+    return TailBound(tau=float(tau), value=min(1.0, 2.0 * math.exp(-exponent)), theorem=theorem)
+
+
+def hoeffding_tail(tau, w, ranges):
+    """Two-sided tail bound 2 exp(-2 tau^2 / sum w_i^2 R_i^2), capped at 1."""
+    return _range_tail(tau, w, ranges, "hoeffding")
 
 
 def u_tail(tau, w, ranges):
     """Sharpened tail bound 2 exp(-6 tau^2 / sum w_i^2 R_i^2) for U errors."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    s = _weighted_range_sum(w, ranges)
-    return TailBound(tau=float(tau), value=min(1.0, 2.0 * math.exp(-6.0 * tau * tau / s)), theorem="u_sharp")
+    return _range_tail(tau, w, ranges, "u_sharp")
 
 
 def _h(u):
@@ -101,12 +120,6 @@ def bernstein_tail(tau, w, M, av_z2, form="h"):
     return TailBound(tau=float(tau), value=min(1.0, value), theorem=theorem)
 
 
-def _as_summary(data):
-    if isinstance(data, SampleSummary):
-        return data
-    return summarize(data)
-
-
 def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
     """Confidence set for a mean from n bounded observations.
 
@@ -122,11 +135,9 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
     R = 0 (a constant sample) gives the first three the one-point set {Ybar}.
     ``data`` may be a raw sample or a SampleSummary.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    summary = _as_summary(data)
+    log_term = _log_level(alpha)
+    summary = data if isinstance(data, SampleSummary) else summarize(data)
     n = summary.n
-    log_term = math.log(2.0 / alpha)
 
     if method in ("hoeffding", "u_sharp", "bernstein"):
         if R is None or not R >= 0:
@@ -139,15 +150,8 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
             b = log_term * (2.0 / 3.0) * w * M
             half = 0.5 * (b + math.sqrt(b * b + 8.0 * log_term * w * w * A))
         else:
-            denom = 2.0 if method == "hoeffding" else 6.0
-            half = R * math.sqrt(log_term / (denom * n))
-        return ConfidenceSet(
-            lower=summary.mean - half,
-            upper=summary.mean + half,
-            level=1.0 - alpha,
-            method=method,
-            range_source="known",
-        )
+            half = half_width(R / math.sqrt(n), alpha, method)
+        return ConfidenceSet(summary.mean - half, summary.mean + half, 1.0 - alpha, method, "known")
     if method == "ratio":
         if summary.minimum < 0:
             raise ValueError("the ratio form requires a nonnegative support (m >= 0)")
@@ -157,96 +161,50 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
                 f"the ratio form requires n > 2 log(2/alpha) = {threshold:.3f}; got n = {n}"
             )
         c = math.sqrt(2.0 * log_term / n)
-        return ConfidenceSet(
-            lower=summary.mean / (1.0 + c),
-            upper=summary.mean / (1.0 - c),
-            level=1.0 - alpha,
-            method="hoeffding",
-            range_source="two_mean",
-        )
+        return ConfidenceSet(summary.mean / (1.0 + c), summary.mean / (1.0 - c), 1.0 - alpha,
+                             "hoeffding", "two_mean")
     raise ValueError("method must be 'hoeffding', 'u_sharp', 'bernstein' or 'ratio'")
 
 
-def ci_linear(
-    estimate,
-    w_s,
-    alpha=0.05,
-    range_source="known",
-    ranges=None,
-    fitted=None,
-    rhat=None,
-):
-    """Confidence set for one coefficient of an additive statistic.
+def ci_linear(estimate, w_s, ranges, alpha=0.05, range_source="known"):
+    """Confidence set for one coefficient of an additive statistic,
+    estimate +- half_width(sqrt(sum_i w_{s,i}^2 R_i^2), alpha): the U-sharp set.
 
-    The half-width is sqrt(sum_i w_{s,i}^2 R_i^2) * sqrt(log(2/alpha) / 6),
-    with the per-variable ranges R_i resolved by ``range_source``:
-
-    * "known":          ``ranges`` gives R_i (scalar or per-variable);
-    * "marginal_range": ``ranges`` is one common marginal range R;
-    * "two_mean":       R_i = 2 * fitted_i for nonnegative outcomes;
-    * "residual_range": the plug-in form B_s +- sqrt(n) * rhat *
-      sqrt(log(2/alpha) / 6) with rhat the weighted-residual range and n
-      the length of ``w_s``.
+    ``ranges`` gives R_i (a scalar or one per weight, each >= 0).  The caller
+    resolves the range source into the weights and ranges; ``range_source``
+    (``core.RANGE_SOURCES``) only labels the set.  The residual-range plug-in
+    (``analysis.fit_report``) passes unit weights and the range of the weighted
+    residuals W_s e, since those are the summands it bounds: sqrt(n) times that
+    range.  This differs from table 3's ``ci_r``, which scales the pooled range
+    of the residuals e by ||w_s||.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     w = np.atleast_1d(np.asarray(w_s, dtype=float))
-    root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
-
-    if range_source in ("known", "marginal_range"):
-        if ranges is None:
-            raise ValueError(f"range_source '{range_source}' requires ranges")
-        R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
-        if np.any(R < 0):
-            raise ValueError("ranges must be nonnegative")
-        half = math.sqrt(float(np.sum(w * w * R * R))) * root_log
-    elif range_source == "two_mean":
-        if fitted is None:
-            raise ValueError("range_source 'two_mean' requires fitted means")
-        mu = np.broadcast_to(np.asarray(fitted, dtype=float), w.shape)
-        if np.any(mu < 0):
-            raise ValueError("two_mean ranges need nonnegative fitted means")
-        R = 2.0 * mu
-        half = math.sqrt(float(np.sum(w * w * R * R))) * root_log
-    elif range_source == "residual_range":
-        if rhat is None or rhat < 0:
-            raise ValueError("range_source 'residual_range' requires rhat >= 0")
-        half = math.sqrt(w.size) * float(rhat) * root_log
-    else:
-        raise ValueError(
-            "range_source must be 'known', 'marginal_range', 'two_mean' or 'residual_range'"
-        )
-    return ConfidenceSet(
-        lower=float(estimate) - half,
-        upper=float(estimate) + half,
-        level=1.0 - alpha,
-        method="u_sharp",
-        range_source=range_source,
-    )
+    R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
+    if not np.all(R >= 0):
+        raise ValueError("ranges must be nonnegative")
+    half = half_width(math.sqrt(float(np.sum(w * w * R * R))), alpha)
+    return ConfidenceSet(float(estimate) - half, float(estimate) + half, 1.0 - alpha, "u_sharp",
+                         range_source)
 
 
-def optimal_s(tau=None, w=None, ranges=None, theorem="u_sharp", M=None, c_star=None, sum_w2=None, alpha=None):
-    """The exponent scale s minimizing (or sizing) the MGF bounds.
+def optimal_s(tau, w, ranges, theorem="u_sharp"):
+    """The exponent scale s = 2c tau / sum w_i^2 R_i^2 that minimizes the MGF
+    bound of ``theorem`` (c = TAIL_CONSTANTS[theorem]): 4 tau / sum w_i^2 R_i^2
+    for hoeffding, 12 tau / sum w_i^2 R_i^2 for u_sharp."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    return 2.0 * _tail_constant(theorem) * tau / _weighted_range_sum(w, ranges)
 
-    theorem="hoeffding": s = 4 tau / sum w_i^2 R_i^2
-    theorem="u_sharp":   s = 12 tau / sum w_i^2 R_i^2
-    theorem="diagnostic": s = 6 (M^2 c* sum w_i^2)^{-1/2} sqrt(log(2/alpha)/6),
-        the scale used by the empirical MGF diagnostic, where c* controls
-        the exponential's size (10 for mean experiments, 5 for regression).
-    """
-    if theorem in ("hoeffding", "u_sharp"):
-        if tau is None or not tau > 0:
-            raise ValueError("tau must be positive")
-        s = _weighted_range_sum(w, ranges)
-        return (4.0 if theorem == "hoeffding" else 12.0) * tau / s
-    if theorem == "diagnostic":
-        if M is None or c_star is None or sum_w2 is None or alpha is None:
-            raise ValueError("diagnostic form needs M, c_star, sum_w2 and alpha")
-        denom = M * M * c_star * sum_w2
-        if not denom > 0:
-            raise ValueError("M^2 * c_star * sum_w2 must be positive")
-        return 6.0 / math.sqrt(denom) * math.sqrt(math.log(2.0 / alpha) / 6.0)
-    raise ValueError("theorem must be 'hoeffding', 'u_sharp' or 'diagnostic'")
+
+def diagnostic_s(M, c_star, sum_w2, alpha):
+    """The empirical MGF diagnostic's scale s = 6 (M^2 c* sum w_i^2)^{-1/2}
+    sqrt(log(2/alpha)/6), the u_sharp half-width of 6 (M^2 c* sum w_i^2)^{-1/2}.
+    c* sets the exponential's size (10 for mean experiments, 5 for
+    regression): exp(s^2 M^2 sum w_i^2 / 6) = (2/alpha)^(1/c*)."""
+    denom = M * M * c_star * sum_w2
+    if not denom > 0:
+        raise ValueError("M^2 * c_star * sum_w2 must be positive")
+    return half_width(TAIL_CONSTANTS["u_sharp"] / math.sqrt(denom), alpha)
 
 
 def rule_of_thumb(w, variances, ranges):

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from densum.concentration import a5_from_sums, optimal_s, rule_of_thumb
+from densum.concentration import a5_from_sums, diagnostic_s, half_width, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
 from densum.estimators import _ExchangeableSandwich, _qr_weight_rows
 from densum.kernels import (
@@ -621,27 +621,25 @@ def _coverage_rows(W, stats, beta, support, c_star, names, **fields):
 
     A mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
     conventional Wald comparator (exchangeable sandwich over n // 10
-    sequential clusters), the known-range set R sqrt(sum w^2)
-    sqrt(log(2/ALPHA)/6), its residual-range plug-in (the pooled residual
-    range standing in for 2M; None when the cell kept no range) and the MGF
-    diagnostic.  ``fields`` fill the remaining report columns and take
+    sequential clusters), the known-range set ``half_width`` of
+    R sqrt(sum w^2), its residual-range plug-in ``ci_r`` (the pooled residual
+    range standing in for R, scaled by ||w_s|| as the paper's table 3 does;
+    None when the cell kept no range) and the MGF diagnostic at
+    ``diagnostic_s``.  ``fields`` fill the remaining report columns and take
     precedence.
     """
     n = W.shape[1]
     R = support.range
     M = support.length / 2.0
-    root_log = math.sqrt(math.log(2.0 / ALPHA) / 6.0)
     sum_w2 = np.sum(W * W, axis=1)
     B = beta[None, :] + stats.err
     rows = []
     for s_idx, name in enumerate(names):
         err = stats.err[:, s_idx]
         abs_err = np.abs(err)
-        half_u = R * math.sqrt(sum_w2[s_idx]) * root_log
-        s_diag = optimal_s(
-            theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2[s_idx], alpha=ALPHA
-        )
-        report = a5_from_sums(err, W[s_idx], s_diag, M)
+        norm = math.sqrt(sum_w2[s_idx])
+        half_u = half_width(R * norm, ALPHA)
+        report = a5_from_sums(err, W[s_idx], diagnostic_s(M, c_star, sum_w2[s_idx], ALPHA), M)
         row = dict(
             n=n,
             mean_lower=float(np.mean(B[:, s_idx]) - half_u),
@@ -649,7 +647,7 @@ def _coverage_rows(W, stats, beta, support, c_star, names, **fields):
             ci_wald=float(np.mean(stats.covered_wald[:, s_idx])),
             ci_u=float(np.mean(abs_err <= half_u)),
             ci_r=None if stats.rhat is None else float(
-                np.mean(abs_err <= stats.rhat * math.sqrt(sum_w2[s_idx]) * root_log)),
+                np.mean(abs_err <= half_width(stats.rhat * norm, ALPHA))),
             a_hat=report.a_hat,
             av_star=report.av_star,
             verdict=report.verdict,

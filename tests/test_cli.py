@@ -510,11 +510,20 @@ class TestFitCommand:
         fit = ols_fit(np.column_stack([np.ones(60), x]), y)
         assert np.all(fit.fitted >= 0.0)
         for s, row in enumerate(report.coefficients):
-            w = fit.weight_rows[s]
-            want = ci_linear(fit.coefficients[s], w, range_source=source, ranges=ranges,
-                             fitted=fit.fitted, rhat=float(np.ptp(w * fit.residuals)))
+            w, R = fit.weight_rows[s], ranges
+            if source == "two_mean":
+                R = 2.0 * fit.fitted
+            elif source == "residual_range":  # unit weights on the summands W_s e
+                w, R = np.ones(60), float(np.ptp(w * fit.residuals))
+            want = ci_linear(fit.coefficients[s], w, R, range_source=source)
             assert row.range_source == source
             assert (row.ci_lower, row.ci_upper) == (want.lower, want.upper)
+
+    def test_two_mean_rejects_negative_fitted(self, regression_csv, capsys):
+        # y = 2 + 3x on x in [-1, 2]: the fitted means near x = -1 are negative
+        assert main(["fit", regression_csv, "--response", "y", "--covariates", "x",
+                     "--range", "two-mean"]) == 1
+        assert "nonnegative fitted" in capsys.readouterr().err
 
     def test_partition_and_comparator_output(self, regression_csv, capsys):
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
@@ -755,6 +764,35 @@ class TestSettingsFailBeforeTheWork:
         argv = {
             "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
             "ci": ["ci", unit_column, "--column", "y"],
+        }[command]
+        assert main(argv + ["-c", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [("diagnose", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'"),
+         ("ci", "[DEFAULT]\nreps = x\n", "[DEFAULT] reps must be int, got 'x'"),
+         ("simulate", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'")],
+        ids=["diagnose-analysis-alpha", "ci-default-reps", "simulate-analysis-alpha"],
+    )
+    def test_a_bad_config_value_fails_every_command_that_reads_the_file(
+        self, regression_csv, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        # a value is checked when the file is read, not only by the commands that take its key
+        def never(*args):
+            raise AssertionError("the input must not be read")
+
+        for module in (densum.cli, densum.analysis):
+            monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.simulation, "run_table", never)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        argv = {
+            "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
+            "ci": ["ci", regression_csv, "--column", "y"],
+            "diagnose": ["diagnose", regression_csv, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()

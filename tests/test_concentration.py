@@ -10,6 +10,8 @@ from densum.concentration import (
     bernstein_tail,
     ci_linear,
     ci_mean,
+    diagnostic_s,
+    half_width,
     hoeffding_tail,
     optimal_s,
     rule_of_thumb,
@@ -212,16 +214,12 @@ class TestCiLinear:
     def test_two_mean_uses_doubled_fitted_values(self):
         w = np.array([0.5, 0.5])
         fitted = np.array([1.0, 3.0])
-        out = ci_linear(2.0, w, range_source="two_mean", fitted=fitted)
+        out = ci_linear(2.0, w, 2.0 * fitted, range_source="two_mean")
         expected = math.sqrt(0.25 * 4.0 + 0.25 * 36.0) * math.sqrt(LOG40 / 6.0)
         assert 0.5 * out.width == pytest.approx(expected, rel=1e-12)
 
-    def test_two_mean_rejects_negative_fitted(self):
-        with pytest.raises(ValueError, match="nonnegative fitted"):
-            ci_linear(0.0, [0.5, 0.5], range_source="two_mean", fitted=[-1.0, 1.0])
-
     def test_residual_range_half_width(self):
-        out = ci_linear(0.0, np.zeros(25), range_source="residual_range", rhat=0.3)
+        out = ci_linear(0.0, np.ones(25), 0.3, range_source="residual_range")
         assert 0.5 * out.width == pytest.approx(1.17615041354953, abs=1e-12)
         assert out.range_source == "residual_range"
 
@@ -237,19 +235,29 @@ class TestOptimalS:
         assert optimal_s(tau=0.1, w=W, ranges=1.0, theorem="u_sharp") == pytest.approx(120.0)
 
     def test_diagnostic_form(self):
-        s = optimal_s(theorem="diagnostic", M=0.5, c_star=10.0, sum_w2=0.01, alpha=0.05)
+        s = diagnostic_s(M=0.5, c_star=10.0, sum_w2=0.01, alpha=0.05)
         assert s == pytest.approx(29.7545134221238, abs=1e-10)
-
-    def test_diagnostic_form_requires_all_parameters(self):
-        with pytest.raises(ValueError, match="diagnostic form needs"):
-            optimal_s(theorem="diagnostic", M=0.5, c_star=10.0, sum_w2=0.01)
 
     def test_diagnostic_exponential_size_is_invariant(self):
         # by construction exp(s^2 M^2 sum_w2 / 6) = (2/alpha)^(1/c*),
         # independent of M and of the weights
         for M, sum_w2 in [(0.5, 0.01), (20.0, 1e-4), (3.0, 0.2)]:
-            s = optimal_s(theorem="diagnostic", M=M, c_star=10.0, sum_w2=sum_w2, alpha=0.05)
+            s = diagnostic_s(M=M, c_star=10.0, sum_w2=sum_w2, alpha=0.05)
             assert math.exp(s * s * M * M * sum_w2 / 6.0) == pytest.approx(40.0 ** 0.1, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 0.0])
+@pytest.mark.parametrize(
+    "scale",
+    [lambda alpha: half_width(0.1, alpha),
+     lambda alpha: half_width(0.1, alpha, "hoeffding"),
+     lambda alpha: diagnostic_s(M=0.5, c_star=10.0, sum_w2=0.01, alpha=alpha)],
+    ids=["half-width-u", "half-width-hoeffding", "diagnostic-s"],
+)
+def test_a_level_outside_the_unit_interval_is_rejected_by_name(scale, alpha):
+    # 1.5 once gave a number, 3 a math domain error and 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        scale(alpha)
 
 
 class TestRuleOfThumb:

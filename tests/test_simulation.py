@@ -17,7 +17,7 @@ from scipy import special, stats
 
 import densum.simulation
 from densum import kernels
-from densum.concentration import a5_from_sums, optimal_s
+from densum.concentration import a5_from_sums, diagnostic_s
 from densum.estimators import (
     _ExchangeableSandwich,
     _qr_weight_rows,
@@ -1022,7 +1022,7 @@ def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     partition = sequential_partition(n, n // 10)
     vcov, _ = _ExchangeableSandwich(np.ones((n, 1)), partition)(Y - ybar[:, None])
     half_wald = std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(vcov[:, 0, 0])
-    s = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=1.0 / n, alpha=alpha)
+    s = diagnostic_s(M, c_star, 1.0 / n, alpha)
     w = np.full(n, 1.0 / n)
     report = a5_from_sums((Y - mu) @ w, w, s, M)
     return {
@@ -1083,7 +1083,7 @@ def _regression_cell_oracle(n, phi_star, reps, seed, alpha=0.05, c_star=5.0):
         err = B[:, s] - TABLE3_BETA[s]
         sum_w2 = float(W[s] @ W[s])
         half_u = R * math.sqrt(sum_w2) * root_log
-        s_diag = optimal_s(theorem="diagnostic", M=M, c_star=c_star, sum_w2=sum_w2, alpha=alpha)
+        s_diag = diagnostic_s(M, c_star, sum_w2, alpha)
         report = a5_from_sums(eps @ W[s], W[s], s_diag, M)
         rows.append({
             "mean_lower": float(np.mean(B[:, s]) - half_u),
