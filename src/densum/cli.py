@@ -224,8 +224,11 @@ def cmd_fit(args):
         raise ValueError("--partitions: the first count sets the Wald comparator's "
                          "clusters and must be at least 2")
     alpha = _level(args.alpha)
+    if covariates is not None:  # a climate frame's columns are known once it is built
+        _check_screen(args.screen, ("intercept", *covariates))
 
     y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
+    _check_screen(args.screen, columns)
     parts = [sequential_partition(y.shape[0], k) for k in counts]
     fit = ols_fit(X, y)
     report = fit_report(fit, columns, alpha, source, given, provenance={
@@ -270,11 +273,14 @@ def cmd_fit(args):
     return 0
 
 
+def _check_screen(screen_column, columns):
+    if screen_column is not None and screen_column not in columns:
+        raise ValueError(f"--screen {screen_column!r} is not a column of the model "
+                         f"({', '.join(columns)})")
+
+
 def _print_screen(screen_column, full, columns):
     """The with/without covariate-retention comparison (reported, not automated)."""
-    if screen_column not in columns:
-        print(f"  retention screen skipped: {screen_column!r} is not in the model")
-        return
     drop = columns.index(screen_column)
     keep = [j for j in range(len(columns)) if j != drop]
     reduced = ols_fit(full.design[:, keep], full.outcomes)

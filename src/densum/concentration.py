@@ -248,7 +248,7 @@ def a5_from_sums(sums, w, s, M):
     "boundary" when |A_hat - Av*| falls within A5_BOUNDARY_SES Monte Carlo
     standard errors of A_hat, otherwise "holds" (A_hat < Av*) or "violated".
     """
-    from scipy.special import logsumexp  # here, so ``densum ci`` loads no scipy
+    from scipy.special import logsumexp  # here, so the analysis commands load no scipy
 
     if not s >= 0:
         raise ValueError("s must be nonnegative")

@@ -67,6 +67,16 @@ def _qr_weight_rows(X):
     would contaminate the per-observation weights that the confidence sets
     consume.  Rank deficiency is reported by the column whose R diagonal
     collapses.
+
+    The triangular solve is numpy's general solve.  numpy's R has exact
+    zeros below its nonzero diagonal, so LU with partial pivoting swaps no
+    row, its U is R itself, and the solve ends in the same triangular BLAS
+    solve as scipy's ``solve_triangular``, bit for bit.  numpy and scipy
+    each bundle their own BLAS with its own thread pool; calls that
+    alternate between the two pools stall at each handover, so the weight
+    rows stay on numpy's.  W is returned in Fortran order, as
+    ``solve_triangular`` returns it: ``W @ y`` sums in layout order, and a
+    C-ordered W moves the coefficients in their last digits.
     """
     Q, R = np.linalg.qr(X)
     tol = 1e-10 * np.linalg.norm(X)
@@ -77,9 +87,7 @@ def _qr_weight_rows(X):
             f"design is rank deficient: column {int(small[0])} is linearly "
             "dependent on the preceding columns"
         )
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(R, Q.T, lower=False)
+    return np.asfortranarray(np.linalg.solve(R, Q.T))
 
 
 def ols_fit(X, y):
@@ -464,7 +472,7 @@ def gee_exchangeable_vcov(fit, partition):
 
 def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
-    from densum.kernels import std_normal_quantile  # here, so ``densum ci`` loads no scipy
+    from densum.kernels import std_normal_quantile  # here, so only ``fit --partitions`` loads scipy
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

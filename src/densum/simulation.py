@@ -229,6 +229,17 @@ def _norm_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _has_float_variance(shape):
+    """Whether ``MarginalSpec`` computes Beta(shape, shape)'s variance,
+    1/(4(2 shape + 1)), to float precision: an extreme shape under- or
+    overflows the terms of its general formula."""
+    try:
+        variance = MarginalSpec.beta(shape, shape).variance
+    except ArithmeticError:
+        return False
+    return variance > 0.0 and math.isclose(variance, 0.25 / (2.0 * shape + 1.0), rel_tol=1e-12)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one coverage experiment, all checked before any replication.
@@ -268,6 +279,9 @@ class ExperimentConfig:
             raise ValueError(f"shape sets table 2's Beta shapes; table {self.table} has none")
         if self.shape is not None and self.shape <= 0:
             raise ValueError(f"beta shape must be positive, got {self.shape}")
+        if self.shape is not None and not _has_float_variance(self.shape):
+            raise ValueError(f"beta shape {self.shape} is too extreme: the variance of "
+                             f"Beta({self.shape}, {self.shape}) under- or overflows")
         for n in self.ns if self.phi is not None and self.table != 3 else ():
             _check_exchangeable(n, self.phi, "phi")
         if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:

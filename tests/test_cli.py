@@ -194,6 +194,13 @@ class TestSimulateCommand:
             (["--table", "1", "--seed", "-1"], "master_seed must be a nonnegative integer, got -1"),
             (["--table", "1", "--n", "200"], "table 1 is defined for n in (100, 500, 1500)"),
             (["--table", "2", "--shape", "-1"], "beta shape must be positive, got -1.0"),
+            # positive and finite, but the Beta variance's terms under- or overflow
+            (["--table", "2", "--shape", "1e-300"], "beta shape 1e-300 is too extreme: the "
+                                                    "variance of Beta(1e-300, 1e-300) under-"),
+            # subnormal terms: the variance comes out positive but 1e-8 off
+            (["--table", "2", "--shape", "1e-158"], "beta shape 1e-158 is too extreme"),
+            (["--table", "2", "--shape", "1e300"], "beta shape 1e+300 is too extreme: the "
+                                                   "variance of Beta(1e+300, 1e+300) under-"),
             # -0.005 keeps table 1's n = 100 matrix positive definite, not n = 500's
             (["--table", "1", "--phi", "-0.005"], "phi = -0.005 needs -1/(n-1) = -0.002004 < "
                                                   "phi < 1 for an exchangeable correlation at n = 500"),
@@ -534,13 +541,23 @@ class TestFitCommand:
         assert "partition check x: recommend K=" in stdout
         assert "comparator Wald (x, K=10):" in stdout
 
-    def test_screen_present_and_absent(self, regression_csv, capsys):
+    def test_screen_compares_with_and_without(self, regression_csv, capsys):
         main(["fit", regression_csv, "--response", "y", "--covariates", "x",
               "--screen", "x"])
         assert "retention screen for x" in capsys.readouterr().out
-        main(["fit", regression_csv, "--response", "y", "--covariates", "x",
-              "--screen", "z"])
-        assert "retention screen skipped: 'z' is not in the model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("screen", ["z", "y"])
+    def test_screen_outside_the_model_fails_before_the_load(self, regression_csv, screen,
+                                                            monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the CSV must not be read")
+
+        monkeypatch.setattr(densum.analysis, "load_columns", never)
+        rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
+                   "--screen", screen])
+        assert rc == 1
+        assert (f"error: --screen {screen!r} is not a column of the model "
+                "(intercept, x)") in capsys.readouterr().err
 
     def test_duplicate_covariate_is_a_clean_error(self, regression_csv, capsys):
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x,x"])
@@ -1321,7 +1338,7 @@ GOLDEN_FIT = ["--response", "y", "--covariates", "x1,x2,x3"]
      (["diagnose", "--column", "y"], set()),
      (["fit", "--climate", "monthly"], {"densum.climate"}),
      (["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10,25", "--screen", "x3",
-       "--out", "fit.json"], set()),
+       "--out", "fit.json"], {"scipy"}),
      (["diagnose", GOLDEN_FRAME, *GOLDEN_FIT, "--coefficient", "x1", "--out", "diag"], set())],
     ids=["ci", "fit", "diagnose", "fit-climate", "fit-partitions-screen", "diagnose-coefficient"],
 )
@@ -1338,9 +1355,9 @@ def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, 
         argv = [argv[0], regression_csv, *argv[1:]]
     imported = _modules_imported_by(argv, tmp_path)
     assert "densum.analysis" in imported  # the probe sees densum's own imports
-    if argv[0] == "ci":  # a column's mean set needs no scipy
-        assert not {name for name in imported if name.partition(".")[0] == "scipy"}
-    unused = {"densum.simulation", "densum.climate", "urllib.request"} - loaded
+    # Only --partitions' comparator Wald z (scipy.special.ndtri) needs scipy:
+    # the weight rows are solved with numpy.
+    unused = {"densum.simulation", "densum.climate", "urllib.request", "scipy"} - loaded
     assert imported & (unused | loaded) == loaded
 
 

@@ -1,15 +1,19 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densum.analysis import load_columns
 from densum.core import Partition, sequential_partition
 from densum.estimators import (
     ConvergenceError,
     RegressionFit,
     _ExchangeableSandwich,
+    _qr_weight_rows,
     acf_phi_hat,
     cluster_robust,
     gee_exchangeable_vcov,
@@ -20,7 +24,7 @@ from densum.estimators import (
     partition_compare,
     residual_range,
 )
-from densum.simulation import BLOCK_ROWS
+from densum.simulation import BLOCK_ROWS, table3_design
 
 # Worked example used throughout: three points, one slope.
 #   X = [[1,0],[1,1],[1,2]], y = [0,1,1]
@@ -79,6 +83,44 @@ class TestOlsFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             ols_fit(X3, np.zeros(4))
+
+
+def _golden_design(covariates):
+    data = load_columns(Path(__file__).parent / "golden" / "analysis_200.csv", ["y", *covariates])
+    return np.column_stack([np.ones(data["y"].shape[0])] + [data[c] for c in covariates])
+
+
+def _random_design(seed):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(20, 3000)), 2 + seed % 5
+    scales = rng.uniform(0.1, 100.0, p - 1)
+    return np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * scales])
+
+
+# Fixed in advance: the golden fit's design and its model without x3, table
+# 3's designs, and ten seeded designs with p = 2..6 and column scales from
+# 0.1 to 100.
+ORACLE_DESIGNS = {
+    "analysis_200_p4": lambda: _golden_design(["x1", "x2", "x3"]),
+    "analysis_200_p3": lambda: _golden_design(["x1", "x2"]),
+    **{f"table3_n{n}": (lambda n=n: table3_design(n, master_seed=0)) for n in (100, 500, 1500)},
+    **{f"random_{seed}": (lambda seed=seed: _random_design(seed)) for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("design", ORACLE_DESIGNS.values(), ids=ORACLE_DESIGNS.keys())
+def test_weight_rows_match_scipy_solve_triangular_bit_for_bit(design):
+    # The numpy solve must give scipy's bits and layout: W @ y sums in
+    # layout order, so a C-ordered W would move the coefficients.
+    X = design()
+    Q, R = np.linalg.qr(X)
+    oracle = scipy.linalg.solve_triangular(R, Q.T, lower=False)
+    W = _qr_weight_rows(X)
+    assert W.flags.f_contiguous == oracle.flags.f_contiguous
+    np.testing.assert_array_equal(W.view(np.uint64), oracle.view(np.uint64))
+    y = np.random.default_rng(X.shape[0]).standard_normal(X.shape[0])
+    np.testing.assert_array_equal(ols_fit(X, y).coefficients.view(np.uint64),
+                                  (oracle @ y).view(np.uint64))
 
 
 class TestMeat:
