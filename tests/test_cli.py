@@ -1355,8 +1355,7 @@ def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, 
         argv = [argv[0], regression_csv, *argv[1:]]
     imported = _modules_imported_by(argv, tmp_path)
     assert "densum.analysis" in imported  # the probe sees densum's own imports
-    # Only --partitions' comparator Wald z (scipy.special.ndtri) needs scipy:
-    # the weight rows are solved with numpy.
+    # Only --partitions' comparator Wald z (scipy.special.ndtri) needs scipy.
     unused = {"densum.simulation", "densum.climate", "urllib.request", "scipy"} - loaded
     assert imported & (unused | loaded) == loaded
 
