@@ -411,7 +411,9 @@ class _ExchangeableSandwich:
         self.source = tuple(next(i for i in range(j + 1) if np.array_equal(layout[i], row))
                             for j, row in enumerate(layout))
 
-        self.Sx = np.add.reduceat(X[order], first_obs, axis=0)  # K x p cluster sums of columns
+        # K x p cluster sums of columns; labels already in order need no gathered copy of X
+        in_order = X if np.array_equal(order, np.arange(n)) else X[order]
+        self.Sx = np.add.reduceat(in_order, first_obs, axis=0)
         self.SxSx = (self.Sx[:, :, None] * self.Sx[:, None, :]).reshape(K, p * p)
         self.XtX = X.T @ X
         self.n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))

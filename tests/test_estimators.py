@@ -24,7 +24,7 @@ from densum.estimators import (
     partition_compare,
     residual_range,
 )
-from densum.simulation import BLOCK_ROWS, table3_design
+from densum.simulation import block_rows, table3_design
 
 # Worked example used throughout: three points, one slope.
 #   X = [[1,0],[1,1],[1,2]], y = [0,1,1]
@@ -453,12 +453,33 @@ class TestSandwichLayout:
         partition = SANDWICH_PARTITIONS[name]
         rng = np.random.default_rng(p)
         X = np.column_stack([np.ones(partition.n), rng.standard_normal((partition.n, p - 1))])
-        E = rng.standard_normal((BLOCK_ROWS + 5, partition.n))
+        rows = block_rows(partition.n)  # the coverage engine's block at this n
+        E = rng.standard_normal((rows + 5, partition.n))
         vcov, rho = _ExchangeableSandwich(X, partition)(E)
-        for reps in (1, 2, 3, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
+        for reps in (1, 2, 3, 7, rows - 1, rows, rows + 1):
             vcov_r, rho_r = _ExchangeableSandwich(X, partition)(E[:reps])
             np.testing.assert_array_equal(vcov_r, vcov[:reps])
             np.testing.assert_array_equal(rho_r, rho[:reps])
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("name", SANDWICH_PARTITIONS)
+    def test_cluster_sums_equal_the_gathered_form(self, name, layout):
+        # labels already in order reduce X itself, with no gathered copy; the
+        # sums must equal those of X taken in stable label order, to the bit
+        partition = SANDWICH_PARTITIONS[name]
+        rng = np.random.default_rng(4)
+        X = np.asarray(
+            np.column_stack([np.ones(partition.n), rng.standard_normal((partition.n, 2))]),
+            order=layout,
+        )
+        sandwich = _ExchangeableSandwich(X, partition)
+        order = np.argsort(partition.assignment, kind="stable")
+        first = np.concatenate(([0], np.cumsum(partition.cluster_sizes)[:-1]))
+        Sx = np.add.reduceat(X[order], first, axis=0)
+        np.testing.assert_array_equal(sandwich.Sx, Sx)
+        np.testing.assert_array_equal(
+            sandwich.SxSx, (Sx[:, :, None] * Sx[:, None, :]).reshape(first.size, 9)
+        )
 
     @pytest.mark.parametrize("name", ["equal", "shuffled", "lopsided"])
     @pytest.mark.parametrize("p", [1, 2])

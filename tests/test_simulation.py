@@ -34,7 +34,8 @@ from densum.kernels import (
     truncnorm_quantile,
 )
 from densum.simulation import (
-    BLOCK_ROWS,
+    BLOCK_VALUES,
+    DENSE_ROWS,
     TABLE1_GRID,
     TABLE2_SHAPES,
     TABLE3_BETA,
@@ -48,6 +49,7 @@ from densum.simulation import (
     _parts,
     _Statistics,
     _table3_copula,
+    block_rows,
     copula_sample,
     exchangeable_corr,
     run_table,
@@ -59,8 +61,9 @@ from densum.simulation import (
 )
 from densum.core import sequential_partition
 
-# Worker counts the determinism tests run at: 3 splits a 1000-row block
-# unevenly, 334/333/333.  Starting 3 threads on fewer CPUs is harmless.
+# Worker counts the determinism tests run at: 3 splits most blocks unevenly
+# (the 5242 rows of a block at n = 100 into 1748/1747/1747).  Starting 3
+# threads on fewer CPUs is harmless.
 WORKER_COUNTS = (1, 2, 3)
 
 
@@ -282,7 +285,8 @@ class TestCopulaSample:
     def test_a_zero_loading_vector_maps_the_normals_alone(self, marginal):
         # phi = 0 takes the copying factor: each row is the map of its own
         # stream's normals, bit for bit, over a full block and a partial one
-        n, reps = 30, BLOCK_ROWS + 300
+        n = 30
+        reps = block_rows(n) + 300
         for sign in (1, -1):
             assert _copula_factor(np.zeros(n), sign) is densum.simulation._identity_block
         Y = copula_sample(np.zeros(n), marginal, reps, seed=4)
@@ -387,9 +391,9 @@ class TestStructuredSampler:
         k=st.integers(1, 600),
         seed=st.integers(0, 2**16),
     )
-    @example(cell="beta-exchangeable", n=1500, k=1000, seed=0)
-    @example(cell="truncnormal-mosaic", n=500, k=1000, seed=0)
-    @example(cell="truncnormal-dense", n=500, k=1001, seed=0)
+    @example(cell="beta-exchangeable", n=1500, k=block_rows(1500), seed=0)
+    @example(cell="truncnormal-mosaic", n=500, k=block_rows(500), seed=0)
+    @example(cell="truncnormal-dense", n=500, k=DENSE_ROWS + 1, seed=0)
     def test_shorter_run_is_a_bitwise_prefix(self, workers, cell, n, k, seed):
         corr, m = self.CELLS[cell](n)
         with _workers(workers):
@@ -564,7 +568,7 @@ def _run_capturing_statistics(config):
 
 
 class TestBlockedEngine:
-    # The drivers score replications in blocks of at most BLOCK_ROWS, and
+    # The drivers score replications in blocks of at most block_rows(n), and
     # every step computes a replication's values from its own row alone, so
     # a replication's statistics depend neither on reps nor on the block
     # size: a reps=k report is the reduction of the first k rows of a
@@ -583,17 +587,19 @@ class TestBlockedEngine:
     @settings(max_examples=5, deadline=None)
     @given(
         cell=st.sampled_from(sorted(CELLS)),
-        n=st.sampled_from([100, 500]),
-        k=st.integers(1, 2 * BLOCK_ROWS + 1),
+        n_k=st.sampled_from([100, 500]).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 2 * block_rows(n) + 1))
+        ),
         seed=st.integers(0, 2**16),
     )
-    @example(cell="table3", n=100, k=BLOCK_ROWS - 1, seed=0)
-    @example(cell="table1", n=100, k=BLOCK_ROWS, seed=1)
-    @example(cell="table3", n=500, k=BLOCK_ROWS + 1, seed=2)
-    @example(cell="table2", n=100, k=2 * BLOCK_ROWS + 1, seed=3)
-    @example(cell="table1-negative", n=500, k=BLOCK_ROWS + 1, seed=4)
-    @example(cell="table3-negative", n=100, k=BLOCK_ROWS - 1, seed=5)
-    def test_report_is_the_reduction_of_a_longer_runs_prefix(self, workers, cell, n, k, seed):
+    @example(cell="table3", n_k=(100, block_rows(100) - 1), seed=0)
+    @example(cell="table1", n_k=(100, block_rows(100)), seed=1)
+    @example(cell="table3", n_k=(500, block_rows(500) + 1), seed=2)
+    @example(cell="table2", n_k=(100, 2 * block_rows(100) + 1), seed=3)
+    @example(cell="table1-negative", n_k=(500, block_rows(500) + 1), seed=4)
+    @example(cell="table3-negative", n_k=(100, block_rows(100) - 1), seed=5)
+    def test_report_is_the_reduction_of_a_longer_runs_prefix(self, workers, cell, n_k, seed):
+        n, k = n_k
         settings_ = dict(self.CELLS[cell], n=n, master_seed=seed)
         with _workers(workers):
             short_rows, short_calls = _run_capturing_statistics(
@@ -618,15 +624,16 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("table", [1, 2, 3])
     def test_statistics_do_not_depend_on_the_block_size(self, table, workers, monkeypatch):
         # ... nor on the worker count: every run is compared with one
-        # 1000-row block on one thread.
-        config = ExperimentConfig(table=table, n=100, reps=250, master_seed=5)
+        # block on one thread.  The budgets make blocks of 7, 100 and 1000 rows.
+        n = 100
+        config = ExperimentConfig(table=table, n=n, reps=250, master_seed=5)
         with _workers(1):
             reference_rows, reference_calls = _run_capturing_statistics(config)
         runs = {}
         monkeypatch.setattr(densum.simulation, "WORKERS", workers)
-        for block_rows in (7, 100, 1000):
-            monkeypatch.setattr(densum.simulation, "BLOCK_ROWS", block_rows)
-            runs[block_rows] = _run_capturing_statistics(config)
+        for rows in (7, 100, 1000):
+            monkeypatch.setattr(densum.simulation, "BLOCK_VALUES", rows * n)
+            runs[rows] = _run_capturing_statistics(config)
         for report_rows, calls in runs.values():
             assert report_rows == reference_rows
             assert len(calls) == len(reference_calls) >= 1
@@ -667,6 +674,18 @@ class TestBlockedEngine:
         assert peaks[2, 10000] < 64.0, peaks
         assert peaks[2, 20] < 8.0, peaks
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "settings_", MEMORY_CELLS + [dict(table=2), dict(table=3, n=100, phi=0.15)]
+    )
+    def test_block_memory_does_not_grow_with_n(self, settings_, workers, monkeypatch):
+        # A block holds BLOCK_VALUES values whatever n is, so the block
+        # buffers (table 2's four shapes add the copy buffer to the draw,
+        # the factor's output and the scratch) bound the peak at every n.
+        monkeypatch.setattr(densum.simulation, "WORKERS", workers)
+        peak = _traced_peak_mb(ExperimentConfig(reps=10000, **settings_))
+        assert peak <= (4 * 8 * BLOCK_VALUES) / 2**20 + 4.0, peak
+
 
 def _traced_peak_mb(config):
     """tracemalloc's peak, in MB, over run_table(config)."""
@@ -683,6 +702,10 @@ class TestWorkerThreads:
     # thread scores the first, helper threads of a pool that lives for one
     # call the rest.  A part's failure or warning reaches the caller, a
     # one-part block starts no thread, and no thread outlives the call.
+    # The runs are at n = 100, whose blocks split into two parts at HALF.
+
+    ROWS = block_rows(100)
+    HALF = ROWS - ROWS // 2
 
     def test_workers_follow_the_cpus_this_process_may_use(self):
         if hasattr(os, "sched_getaffinity"):
@@ -707,7 +730,7 @@ class TestWorkerThreads:
         with _workers(1):
             expected_rows, expected_calls = _run_capturing_statistics(config)
         monkeypatch.setattr(densum.simulation, "WORKERS", 3)
-        monkeypatch.setattr(densum.simulation, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(densum.simulation, "BLOCK_VALUES", 7 * config.n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -724,19 +747,19 @@ class TestWorkerThreads:
         add = densum.simulation._Cell.add
 
         def failing_add(cell, start, eps, scratch):
-            if start >= BLOCK_ROWS:
+            if start >= self.ROWS:
                 raise ArithmeticError(f"replication {start} failed")
             return add(cell, start, eps, scratch)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
         before = threading.active_count()
-        # the second block's parts start at 1000 and 1500; the first part's
-        # failure is the one raised
-        with pytest.raises(ArithmeticError, match=r"^replication 1000 failed$"):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=2500))
+        # the second block's parts start at ROWS and ROWS + HALF; the first
+        # part's failure is the one raised
+        with pytest.raises(ArithmeticError, match=rf"^replication {self.ROWS} failed$"):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=2 * self.ROWS + self.HALF))
         assert threading.active_count() == before
-        run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+        run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
         assert threading.active_count() == before
 
     def test_a_warning_in_a_worker_reaches_the_caller(self, monkeypatch):
@@ -751,32 +774,32 @@ class TestWorkerThreads:
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", warning_add)
         with pytest.warns(RuntimeWarning, match=r"^replication \d+ warned$") as record:
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
         assert {str(w.message) for w in record} == {"replication 0 warned",
-                                                    "replication 500 warned"}
+                                                    f"replication {self.HALF} warned"}
         # the caller scores the first part, a helper thread the second
         assert threads[0] is threading.main_thread()
-        assert threads[500] is not threading.main_thread()
+        assert threads[self.HALF] is not threading.main_thread()
 
     def test_a_failure_in_a_helper_reaches_the_caller(self, monkeypatch):
         add = densum.simulation._Cell.add
 
         def failing_add(cell, start, eps, scratch):
-            if start == BLOCK_ROWS // 2:  # the second part, a helper's
+            if start == self.HALF:  # the second part, a helper's
                 raise ArithmeticError(f"replication {start} failed")
             return add(cell, start, eps, scratch)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
-        with pytest.raises(ArithmeticError, match=r"^replication 500 failed$"):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+        with pytest.raises(ArithmeticError, match=rf"^replication {self.HALF} failed$"):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
 
     @pytest.mark.parametrize(
         "workers, config, count",
         [
-            (1, ExperimentConfig(table=1, n=100, reps=BLOCK_ROWS + 1), 8),  # 4 cells x 2 blocks
+            (1, ExperimentConfig(table=1, n=100, reps=ROWS + 1), 8),  # 4 cells x 2 blocks
             # phi* = 3.1 clips the seed-0 n = 100 mosaic: a dense factor, whole blocks
-            (2, ExperimentConfig(table=3, n=100, phi=3.1, reps=BLOCK_ROWS + 1), 2),
+            (2, ExperimentConfig(table=3, n=100, phi=3.1, reps=DENSE_ROWS + 1), 2),
         ],
         ids=["one-worker", "dense"],
     )
@@ -799,21 +822,28 @@ class TestWorkerThreads:
     def test_a_one_worker_run_is_seen_by_cprofile(self, monkeypatch):
         monkeypatch.setattr(densum.simulation, "WORKERS", 1)
         profile = cProfile.Profile()
-        profile.runcall(run_table1, ExperimentConfig(table=1, n=100, reps=BLOCK_ROWS + 1))
+        profile.runcall(run_table1, ExperimentConfig(table=1, n=100, reps=self.ROWS + 1))
         code = densum.simulation._Cell.add.__code__
         calls = pstats.Stats(profile).stats[code.co_filename, code.co_firstlineno, code.co_name][1]
         assert calls == 8  # 4 cells x 2 blocks
 
     @pytest.mark.parametrize(
-        "corr, starts",
+        "corr, rows, split",
         [
-            # a dense factor's bits fix its rows' positions: whole blocks
-            (exchangeable_corr(50, 0.1), {0, 1000, 2000}),
+            # a dense factor's bits fix its rows' positions: whole DENSE_ROWS blocks
+            (exchangeable_corr(50, 0.1), DENSE_ROWS, False),
             # a loading vector's blocks split into two parts each
-            (np.full(50, math.sqrt(0.1)), {0, 500, 1000, 1500, 2000, 2250}),
+            (np.full(50, math.sqrt(0.1)), block_rows(50), True),
         ],
+        ids=["dense", "loading-vector"],
     )
-    def test_dense_blocks_are_scored_whole(self, corr, starts, monkeypatch):
+    def test_dense_blocks_are_scored_whole(self, corr, rows, split, monkeypatch):
+        # two full blocks and a half one; a split block's second part starts
+        # halfway through it, the longer part first
+        reps, tail = 2 * rows + rows // 2, rows // 2
+        starts = {0, rows, 2 * rows}
+        if split:
+            starts |= {rows - rows // 2, 2 * rows - rows // 2, 2 * rows + tail - tail // 2}
         seen = set()
         score_blocks = densum.simulation._score_blocks
 
@@ -829,7 +859,7 @@ class TestWorkerThreads:
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation, "_score_blocks", recording_score_blocks)
-        copula_sample(corr, MarginalSpec.uniform(0, 1), 2500, seed=0)
+        copula_sample(corr, MarginalSpec.uniform(0, 1), reps, seed=0)
         assert seen == starts
 
     @pytest.mark.skipif(np.__version__.startswith("1."),
@@ -838,14 +868,14 @@ class TestWorkerThreads:
         add = densum.simulation._Cell.add
 
         def dividing_add(cell, start, eps, scratch):
-            if start == BLOCK_ROWS // 2:  # the second part, a helper's
+            if start == self.HALF:  # the second part, a helper's
                 np.divide(eps[:, :1], 0.0)
             return add(cell, start, eps, scratch)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", dividing_add)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=BLOCK_ROWS))
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
 
 
 class TestVectorizedSandwich:
