@@ -25,7 +25,7 @@ normal-scale table from ``kernels``, built once per marginal per driver
 call) and writes its per-replication statistics (estimation errors, Wald
 cover flags, and the residual range where a table reports it) into
 length-reps vectors, reduced to the table rows after the last block.
-Memory is O(min(reps * n, BLOCK_VALUES)) per n, the same bound at every n.
+Memory is a few buffers of at most BLOCK_VALUES values each, at every n.
 Every step is row-local, one output row from one input row by numpy's own
 loops, so a replication's statistics depend neither on reps nor on the
 block size, and a shorter run's are a bit-identical prefix of a longer
@@ -38,7 +38,7 @@ tables, v proportional to the intercept weights, sign that of phi or phi*),
 whose semiseparable factor takes one cumulative sum per row; a clipped
 mosaic not repaired to the identity and a matrix passed to ``copula_sample``
 take a dense Cholesky product, whose bits fix its rows' positions, so their
-blocks are scored whole, DENSE_ROWS rows at a time.
+blocks are scored whole, on a block_rows(n) x n product pair.
 """
 
 from __future__ import annotations
@@ -82,14 +82,9 @@ DESIGN_STREAM_OFFSET = 2**32
 
 # Values per block buffer (4 MiB of float64).  The drivers and
 # ``copula_sample`` run block by block, ``block_rows(n)`` replications at a
-# time, so memory is O(min(reps * n, BLOCK_VALUES)) whatever reps and n are.
+# time, so no buffer holds more than BLOCK_VALUES values, whatever reps and
+# n are.
 BLOCK_VALUES = 2**19
-
-# Rows of a dense factor's product pair and of its blocks.  A BLAS product's
-# bits depend on its row count and on a row's place in it (with OpenBLAS
-# 0.3.31, 349 or 1048 rows move last bits at n = 1500 and 500), so dense
-# outputs keep the 1000 rows they were first made with.
-DENSE_ROWS = 1000
 
 # Parts of a block scored at once, the first on the calling thread
 # (``_score_blocks``): one per CPU this process may run on, at most 2, the
@@ -444,7 +439,7 @@ def _copula_factor(corr, sign=1):
     map sees).  A matrix must be square and symmetric with a unit diagonal;
     the identity takes the same copy, the comonotone matrix (all cells 1)
     repeats the first coordinate in every column, and any other matrix
-    takes a dense product on a DENSE_ROWS x n pair of its own.
+    takes a dense product on a block_rows(n) x n pair of its own.
     """
     corr = np.asarray(corr, dtype=float)
     if not corr.size:
@@ -460,7 +455,7 @@ def _copula_factor(corr, sign=1):
         return _identity_block
     if n > 1 and np.all(corr == 1.0):
         return _comonotone_block
-    zb, xb = np.zeros((DENSE_ROWS, n)), np.zeros((DENSE_ROWS, n))
+    zb, xb = np.zeros((block_rows(n), n)), np.zeros((block_rows(n), n))
     return functools.partial(_dense_block, cholesky(corr).T, zb, xb)
 
 
@@ -477,7 +472,7 @@ def _rank_one_block(sv, d, g, z, x, scratch):
 
 
 def _dense_block(LT, zb, xb, z, x, scratch):
-    """z @ L^T into x through the fixed DENSE_ROWS x n pair (zb, xb): the
+    """z @ L^T into x through the fixed block_rows(n) x n pair (zb, xb): the
     BLAS product's shape is the same whatever the block's length is, and
     row i of a whole block sits at row i of the pair, so every row's bits
     are the same too (``_score_blocks`` hands a dense factor whole blocks)."""
@@ -607,7 +602,8 @@ def _score_blocks(n, reps, seed, groups):
     the normals are drawn once (row r from the counter-based stream
     (seed, r)), each factor is applied once, and each of its consumers gets
     its own copy (the last one takes the block itself).  Memory is a few
-    min(reps, block_rows(n)) x n buffers, at most BLOCK_VALUES values each.
+    min(reps, block_rows(n)) x n buffers (a dense factor adds its
+    block_rows(n) x n pair), at most BLOCK_VALUES values each.
 
     Each block's rows are split into WORKERS contiguous parts (``_parts``)
     scored in one round: the caller scores the first itself and helper
@@ -616,10 +612,9 @@ def _score_blocks(n, reps, seed, groups):
     step above on views of its own rows of the same buffers, so memory does
     not grow with WORKERS, and since every step is row-local no bit depends
     on it.  A dense product's bits depend on its rows' positions in its
-    fixed pair, so with a dense factor each block is one part of DENSE_ROWS
-    rows."""
+    fixed pair, so with a dense factor each block is one part."""
     whole = any(getattr(factor, "func", None) is _dense_block for factor, _ in groups)
-    size = DENSE_ROWS if whole else block_rows(n)
+    size = block_rows(n)
     shape = (min(reps, size), n)
     z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
