@@ -25,7 +25,8 @@ normal-scale table from ``kernels``, built once per marginal per driver
 call) and writes its per-replication statistics (estimation errors, Wald
 cover flags, and the residual range where a table reports it) into
 length-reps vectors, reduced to the table rows after the last block.
-Memory is a few buffers of at most BLOCK_VALUES values each, at every n.
+Memory is two buffers of at most BLOCK_VALUES values each, the draw and the
+factor's output, at every n (with a dense factor's pair of its own).
 Every step is row-local, one output row from one input row by numpy's own
 loops, so a replication's statistics depend neither on reps nor on the
 block size, and a shorter run's are a bit-identical prefix of a longer
@@ -60,6 +61,7 @@ from densum.concentration import a5_from_sums, diagnostic_s, half_width, rule_of
 from densum.core import SupportSpec, sequential_partition
 from densum.estimators import _ExchangeableSandwich, _qr_weight_rows
 from densum.kernels import (
+    NORMAL_MAP_BLOCK,
     beta_normal_map,
     beta_quantile,
     cholesky,
@@ -428,10 +430,9 @@ def _table3_copula(phi_star, w1):
 
 def _copula_factor(corr, sign=1):
     """The normal-scale step of the copula for one correlation, factored and
-    checked once: a function (z, x, scratch) that writes z times the
-    transposed Cholesky factor into x (z, x and scratch are views of the
-    same rows of one block, with as many columns as ``corr`` has rows;
-    scratch is overwritten).
+    checked once: a function (z, x) that writes z times the transposed
+    Cholesky factor into x (z and x are views of the same rows of one block,
+    with as many columns as ``corr`` has rows; z is left as it was).
 
     A loading vector v stands for diag(1 - sign v^2) + sign v v^T and takes
     its semiseparable factor row by row, or for v = 0 (phi = 0) a copy of z
@@ -459,7 +460,7 @@ def _copula_factor(corr, sign=1):
     return functools.partial(_dense_block, cholesky(corr).T, zb, xb)
 
 
-def _rank_one_block(sv, d, g, z, x, scratch):
+def _rank_one_block(sv, d, g, z, x):
     """X_i = d_i Z_i + sv_i sum_{j<i} g_j Z_j with (d, g) from
     ``rank_one_cholesky(v, sign)`` and sv = sign v: one exclusive cumulative
     sum per row, so each row depends on its own draws alone."""
@@ -468,10 +469,21 @@ def _rank_one_block(sv, d, g, z, x, scratch):
     np.multiply(z[:, :-1], g[:-1], out=tail)
     np.cumsum(tail, axis=1, out=tail)
     x *= sv
-    x += np.multiply(z, d, out=scratch)
+    for rows, dz in _row_chunks(*z.shape):
+        np.add(x[rows], np.multiply(z[rows], d, out=dz), out=x[rows])
 
 
-def _dense_block(LT, zb, xb, z, x, scratch):
+def _row_chunks(rows, n):
+    """A rows x n block's rows as consecutive slices, each with a temporary of
+    its shape: at most NORMAL_MAP_BLOCK values, but at least one row."""
+    step = max(1, NORMAL_MAP_BLOCK // n)
+    temporary = np.empty((min(rows, step), n))
+    for start in range(0, rows, step):
+        chunk = slice(start, min(start + step, rows))
+        yield chunk, temporary[:chunk.stop - start]
+
+
+def _dense_block(LT, zb, xb, z, x):
     """z @ L^T into x through the fixed block_rows(n) x n pair (zb, xb): the
     BLAS product's shape is the same whatever the block's length is, and
     row i of a whole block sits at row i of the pair, so every row's bits
@@ -481,11 +493,11 @@ def _dense_block(LT, zb, xb, z, x, scratch):
     x[...] = xb[:len(z)]
 
 
-def _comonotone_block(z, x, scratch):
+def _comonotone_block(z, x):
     x[...] = z[:, :1]
 
 
-def _identity_block(z, x, scratch):
+def _identity_block(z, x):
     np.copyto(x, z)
 
 
@@ -496,7 +508,9 @@ def copula_sample(corr, marginal, reps, seed):
     Row r is marginal.normal_map() applied to L z_r, with L the Cholesky
     factor of the correlation and z_r standard normal from the
     counter-based stream (seed, r) — deterministic per replication, whatever
-    the scheduling.
+    the scheduling.  A matrix that takes the dense product (see
+    ``_copula_factor``) keeps this only for a fixed OpenBLAS thread count:
+    the product's bits depend on that count at n = 500 and 1500.
 
     ``corr`` (n >= 1) is either a length-n loading vector v, standing for
     the correlation diag(1 - v^2) + v v^T (it must be finite, and positive
@@ -514,7 +528,7 @@ def copula_sample(corr, marginal, reps, seed):
     to_marginal = marginal.normal_map()
     Y = np.empty((reps, n))
 
-    def store(start, x, scratch):
+    def store(start, x):
         Y[start:start + x.shape[0]] = to_marginal(x)
 
     _score_blocks(n, reps, seed, [(factor, [store])])
@@ -557,20 +571,21 @@ class _Cell:
             np.empty(reps) if ranges else None,
         )
 
-    def add(self, start, eps, scratch):
+    def add(self, start, eps):
         """Score replications start, start + 1, ... from their normal-scale
-        block eps, one row each (overwritten, like scratch).  The
+        block eps, one row each (overwritten with the residuals).  The
         least-squares products are einsum's loops, one output row from one
         input row, so each replication's statistics do not depend on reps or
         on the block size."""
-        e = self.to_marginal(eps)
+        resid = self.to_marginal(eps)
         if self.shift != 0.0:  # x - 0.0 is x, -0.0 and NaN included
-            e -= self.shift
-        err = np.einsum("rn,pn->rp", e, self.Wc)
-        fitted = np.einsum("rp,pn->rn", err, self.XT, out=scratch)
-        resid = np.subtract(e, fitted, out=fitted)
+            resid -= self.shift
+        err = np.einsum("rn,pn->rp", resid, self.Wc)
+        for rows, fitted in _row_chunks(*resid.shape):
+            np.einsum("rp,pn->rn", err[rows], self.XT, out=fitted)
+            np.subtract(resid[rows], fitted, out=resid[rows])
         vcov, _ = self.sandwich(resid)
-        done = slice(start, start + e.shape[0])
+        done = slice(start, start + resid.shape[0])
         self.stats.err[done] = err
         self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
             np.diagonal(vcov, axis1=1, axis2=2)
@@ -597,13 +612,14 @@ def _parts(rows):
 def _score_blocks(n, reps, seed, groups):
     """The block loop at one n.  ``groups`` pairs each ``_copula_factor``
     with the consumers that share its normal-scale block: callables
-    (start, x, scratch) such as ``_Cell.add``, x holding replications start,
-    start + 1, ... one per row, which may overwrite x and scratch.  Per block
-    the normals are drawn once (row r from the counter-based stream
-    (seed, r)), each factor is applied once, and each of its consumers gets
-    its own copy (the last one takes the block itself).  Memory is a few
-    min(reps, block_rows(n)) x n buffers (a dense factor adds its
-    block_rows(n) x n pair), at most BLOCK_VALUES values each.
+    (start, x) such as ``_Cell.add``, x holding replications start,
+    start + 1, ... one per row, which may overwrite x.  Per block the normals
+    are drawn once into z (row r from the counter-based stream (seed, r)),
+    and each factor is applied once, from z into x.  Only the last group may
+    have more than one consumer: each but its last gets a copy of x in z,
+    which no factor reads again, and the last takes x itself.  Memory is
+    two min(reps, block_rows(n)) x n buffers, z and x, at most BLOCK_VALUES
+    values each (a dense factor adds its block_rows(n) x n pair).
 
     Each block's rows are split into WORKERS contiguous parts (``_parts``)
     scored in one round: the caller scores the first itself and helper
@@ -613,22 +629,23 @@ def _score_blocks(n, reps, seed, groups):
     not grow with WORKERS, and since every step is row-local no bit depends
     on it.  A dense product's bits depend on its rows' positions in its
     fixed pair, so with a dense factor each block is one part."""
+    if any(len(consumers) > 1 for _, consumers in groups[:-1]):
+        raise ValueError("only the last group may share its factor: its copies overwrite the draw")
     whole = any(getattr(factor, "func", None) is _dense_block for factor, _ in groups)
     size = block_rows(n)
     shape = (min(reps, size), n)
-    z_buf, x_buf, scratch_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-    copy_buf = np.empty(shape) if any(len(consumers) > 1 for _, consumers in groups) else None
+    z_buf, x_buf = np.empty(shape), np.empty(shape)
 
     def score(start, rows):
         first = start + rows.start
-        z, x, scratch = z_buf[rows], x_buf[rows], scratch_buf[rows]
+        z, x = z_buf[rows], x_buf[rows]
         seeded_normals(seed, first, z)
         for factor, consumers in groups:
-            factor(z, x, scratch)
+            factor(z, x)
             for consume in consumers[:-1]:
-                np.copyto(copy_buf[rows], x)
-                consume(first, copy_buf[rows], scratch)
-            consumers[-1](first, x, scratch)
+                np.copyto(z, x)
+                consume(first, z)
+            consumers[-1](first, x)
 
     with concurrent.futures.ThreadPoolExecutor(max(1, WORKERS - 1)) as pool:
         for start in range(0, reps, size):

@@ -46,6 +46,7 @@ from densum.simulation import (
     _coverage_rows,
     _exchangeable_copula,
     _parts,
+    _row_chunks,
     _Statistics,
     _table3_copula,
     block_rows,
@@ -352,8 +353,8 @@ def _dense(v, sign=1):
 
 def _rank_one_normals(v, Z, sign=1):
     """Rows of Z times the semiseparable factor, through the copula's block step."""
-    out, scratch = np.empty(Z.shape), np.empty(Z.shape)
-    _copula_factor(v, sign)(Z, out, scratch)
+    out = np.empty(Z.shape)
+    _copula_factor(v, sign)(Z, out)
     return out
 
 
@@ -672,22 +673,47 @@ class TestBlockedEngine:
             assert peaks[2, reps] <= peaks[1, reps] + 1.0, peaks
         assert peaks[2, 10000] < 64.0, peaks
         assert peaks[2, 20] < 8.0, peaks
-        # A block holds BLOCK_VALUES values whatever n is, so four block
+        # A block holds BLOCK_VALUES values whatever n is, so two block
         # buffers bound the peak at every n.
         assert max(peaks[1, 10000], peaks[2, 10000]) <= BLOCK_MEMORY_MB, peaks
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("settings_", [dict(table=2), dict(table=3, n=100, phi=0.15)])
     def test_block_memory_does_not_grow_with_n(self, settings_, workers, monkeypatch):
-        # The same bound on table 2, whose four shapes add the copy buffer to
-        # the draw, the factor's output and the scratch, and at n = 100.
+        # The same bound on table 2, whose four shapes share one factor and
+        # copy its output into the draw, and at n = 100.
         monkeypatch.setattr(densum.simulation, "WORKERS", workers)
         peak = _traced_peak_mb(ExperimentConfig(reps=10000, **settings_))
         assert peak <= BLOCK_MEMORY_MB, peak
 
+    @pytest.mark.parametrize("rows, n",
+                             [(1, 3), (1000, 100), (350, 1500), (3, NORMAL_MAP_BLOCK + 1)])
+    def test_row_chunks_cover_a_block_in_small_temporaries(self, rows, n):
+        # the factor's d * z and the cell's fitted values go through these:
+        # at most NORMAL_MAP_BLOCK values, but at least one row
+        chunks = list(_row_chunks(rows, n))
+        assert chunks[0][0].start == 0 and chunks[-1][0].stop == rows
+        assert all(a.stop == b.start for (a, _), (b, _) in zip(chunks, chunks[1:]))
+        for chunk, temporary in chunks:
+            assert temporary.shape == (chunk.stop - chunk.start, n)
+            assert temporary.size <= max(NORMAL_MAP_BLOCK, n)
 
-# Four block buffers of BLOCK_VALUES float64 values, plus 4 MiB of the rest.
-BLOCK_MEMORY_MB = 4 * 8 * BLOCK_VALUES / 2**20 + 4.0
+    def test_only_the_last_group_may_share_its_factor(self):
+        # a shared factor's extra consumers take their copies in the draw,
+        # which a later group's factor would read
+        identity = _copula_factor(np.zeros(3))
+
+        def consume(start, x):
+            pass
+
+        with pytest.raises(ValueError, match="only the last group"):
+            densum.simulation._score_blocks(3, 5, 0, [(identity, [consume, consume]),
+                                                     (identity, [consume])])
+
+
+# Two block buffers of BLOCK_VALUES float64 values, the draw and the
+# factor's output, plus 5.5 MiB of the rest.
+BLOCK_MEMORY_MB = 2 * 8 * BLOCK_VALUES / 2**20 + 5.5
 
 
 def _traced_peak_mb(config):
@@ -726,7 +752,7 @@ class TestWorkerThreads:
             assert _parts(1) == [slice(0, 1)]
 
     def test_parts_share_no_writes_under_frequent_thread_switches(self, monkeypatch):
-        # table 2's four shapes share each block through the copy buffer;
+        # table 2's four shapes share each block, three through a copy in the draw;
         # three workers on 7-row blocks, switching threads every microsecond,
         # must write exactly what one worker does
         config = ExperimentConfig(table=2, n=100, reps=250, master_seed=5)
@@ -749,10 +775,10 @@ class TestWorkerThreads:
     def test_a_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
         add = densum.simulation._Cell.add
 
-        def failing_add(cell, start, eps, scratch):
+        def failing_add(cell, start, eps):
             if start >= self.ROWS:
                 raise ArithmeticError(f"replication {start} failed")
-            return add(cell, start, eps, scratch)
+            return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
@@ -769,10 +795,10 @@ class TestWorkerThreads:
         add = densum.simulation._Cell.add
         threads = {}
 
-        def warning_add(cell, start, eps, scratch):
+        def warning_add(cell, start, eps):
             threads[start] = threading.current_thread()
             warnings.warn(f"replication {start} warned", RuntimeWarning)
-            return add(cell, start, eps, scratch)
+            return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", warning_add)
@@ -787,10 +813,10 @@ class TestWorkerThreads:
     def test_a_failure_in_a_helper_reaches_the_caller(self, monkeypatch):
         add = densum.simulation._Cell.add
 
-        def failing_add(cell, start, eps, scratch):
+        def failing_add(cell, start, eps):
             if start == self.HALF:  # the second part, a helper's
                 raise ArithmeticError(f"replication {start} failed")
-            return add(cell, start, eps, scratch)
+            return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
@@ -810,9 +836,9 @@ class TestWorkerThreads:
         add = densum.simulation._Cell.add
         calls = []
 
-        def recording_add(cell, start, eps, scratch):
+        def recording_add(cell, start, eps):
             calls.append((threading.current_thread(), threading.active_count()))
-            return add(cell, start, eps, scratch)
+            return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", workers)
         monkeypatch.setattr(densum.simulation._Cell, "add", recording_add)
@@ -852,9 +878,9 @@ class TestWorkerThreads:
         score_blocks = densum.simulation._score_blocks
 
         def recording(consume):
-            def record(start, x, scratch):
+            def record(start, x):
                 seen.add(start)
-                return consume(start, x, scratch)
+                return consume(start, x)
             return record
 
         def recording_score_blocks(n, reps, seed, groups):
@@ -871,10 +897,10 @@ class TestWorkerThreads:
     def test_the_callers_numpy_error_state_reaches_the_workers(self, monkeypatch):
         add = densum.simulation._Cell.add
 
-        def dividing_add(cell, start, eps, scratch):
+        def dividing_add(cell, start, eps):
             if start == self.HALF:  # the second part, a helper's
                 np.divide(eps[:, :1], 0.0)
-            return add(cell, start, eps, scratch)
+            return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", dividing_add)
