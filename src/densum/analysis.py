@@ -179,8 +179,10 @@ def _load_columns_csv(handle, names):
     return dict(zip(data, table))
 
 
-def load_columns(path, names):
-    """Read the named numeric columns from a UTF-8 CSV with a header row.
+def load_table(path, names):
+    """Read the named numeric columns from a UTF-8 CSV with a header row, as
+    (names, table): the distinct names in order, and an n x k C-ordered
+    table whose column j holds names[j].
 
     The data rows go to numpy's C reader (``np.loadtxt``), which reads only
     the named columns.  When it rejects the file, finds no data row or
@@ -192,7 +194,7 @@ def load_columns(path, names):
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         if not handle.seekable():  # a pipe cannot be reread: one csv-module pass
-            return _load_columns_csv(handle, names)
+            return _stacked(_load_columns_csv(handle, names))
         position = _read_header(csv.reader(handle), names)
         names = list(dict.fromkeys(names))  # repeated names collapse to one read
         try:
@@ -206,7 +208,19 @@ def load_columns(path, names):
             table = None
         if table is None or not len(table) or not np.isfinite(table).all():
             handle.seek(0)
-            return _load_columns_csv(handle, names)
+            return _stacked(_load_columns_csv(handle, names))
+    return names, table
+
+
+def _stacked(columns):
+    """The csv-module loader's columns as ``load_table`` returns them."""
+    return list(columns), np.column_stack(list(columns.values()))
+
+
+def load_columns(path, names):
+    """The named columns of ``load_table``, each one C-contiguous array, in a
+    dict keyed by name."""
+    names, table = load_table(path, names)
     return dict(zip(names, np.ascontiguousarray(table.T)))
 
 
@@ -226,9 +240,13 @@ def fit_frame(path, response, covariates, climate_unit):
 
         frame = climate.climate_prepare(climate.load_climate_csv(path), unit=climate_unit)
         return frame.response, frame.design, frame.columns
-    data = load_columns(path, [response] + covariates)
-    design = np.column_stack([np.ones(data[response].shape[0])] + [data[c] for c in covariates])
-    return data[response], design, tuple(["intercept"] + covariates)
+    names = [response] + covariates
+    if len(set(names)) < len(names):
+        raise ValueError(f"the response and covariates must be distinct columns, got {names}")
+    design = load_table(path, names)[1]
+    y = design[:, 0].copy()
+    design[:, 0] = 1.0  # the loaded table becomes the design: no second copy of the data
+    return y, design, tuple(["intercept"] + covariates)
 
 
 def mean_set(summary, alpha, method, source, given):

@@ -28,7 +28,7 @@ import numpy as np
 from densum.analysis import (
     _series_diagnostics, file_sha256, fit_frame, fit_report, load_columns, mean_set,
 )
-from densum.core import sequential_partition, summarize
+from densum.core import check_cluster_count, sequential_partition, summarize
 from densum.estimators import gee_exchangeable_wald, ols_fit, partition_compare
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,8 @@ def cmd_fit(args):
 
     y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
     _check_screen(args.screen, columns)
-    parts = [sequential_partition(y.shape[0], k) for k in counts]
+    for k in counts:  # the partitions themselves are built when they are compared
+        check_cluster_count(y.shape[0], k)
     fit = ols_fit(X, y)
     report = fit_report(fit, columns, alpha, source, given, provenance={
         "input_sha256": file_sha256(args.file),
@@ -251,20 +252,13 @@ def cmd_fit(args):
             f"mu*phi bound={diag.rule_of_thumb_bound:.3g}"
         )
 
-    if parts:
-        for s, name in enumerate(columns):
-            comparison = partition_compare(fit, parts, s)
-            chosen = counts[comparison.recommended]
-            tie = " (tie)" if comparison.is_tie else ""
-            print(f"  partition check {name}: recommend K={chosen}{tie}")
-        wald = gee_exchangeable_wald(fit, parts[0], alpha=alpha, s=len(columns) - 1)
-        print(
-            f"  comparator Wald ({columns[-1]}, K={counts[0]}): "
-            f"[{wald.lower:.6g}, {wald.upper:.6g}]"
-        )
+    if counts:
+        _print_partition_checks(fit, counts, columns, alpha)
 
     if args.screen:
-        _print_screen(args.screen, fit, columns)
+        coefficients = fit.coefficients
+        del fit  # the screen reads only the design, the outcomes and the coefficients
+        _print_screen(args.screen, X, y, coefficients, columns)
 
     if args.out:
         with open(args.out, "w") as handle:
@@ -279,17 +273,34 @@ def _check_screen(screen_column, columns):
                          f"({', '.join(columns)})")
 
 
-def _print_screen(screen_column, full, columns):
+def _print_partition_checks(fit, counts, columns, alpha):
+    """Each coefficient's recommended cluster count, and the Wald comparator
+    clustered by the first count."""
+    parts = [sequential_partition(fit.n, k) for k in counts]
+    for s, name in enumerate(columns):
+        comparison = partition_compare(fit, parts, s)
+        chosen = counts[comparison.recommended]
+        tie = " (tie)" if comparison.is_tie else ""
+        print(f"  partition check {name}: recommend K={chosen}{tie}")
+    del parts[1:]  # the comparator reads the first partition only
+    wald = gee_exchangeable_wald(fit, parts[0], alpha=alpha, s=len(columns) - 1)
+    print(
+        f"  comparator Wald ({columns[-1]}, K={counts[0]}): "
+        f"[{wald.lower:.6g}, {wald.upper:.6g}]"
+    )
+
+
+def _print_screen(screen_column, X, y, coefficients, columns):
     """The with/without covariate-retention comparison (reported, not automated)."""
     drop = columns.index(screen_column)
     keep = [j for j in range(len(columns)) if j != drop]
-    reduced = ols_fit(full.design[:, keep], full.outcomes)
+    reduced = ols_fit(X[:, keep], y).coefficients
     print(f"  retention screen for {screen_column}:")
     for pos, j in enumerate(keep):
         if columns[j] == "intercept":
             continue
-        with_ = full.coefficients[j]
-        without = reduced.coefficients[pos]
+        with_ = coefficients[j]
+        without = reduced[pos]
         change = abs(with_ - without)
         rel = change / abs(with_) if with_ != 0 else float("inf")
         print(
@@ -298,26 +309,29 @@ def _print_screen(screen_column, full, columns):
         )
 
 
-def cmd_diagnose(args):
-    resolve_settings(args, "analysis")
+def _diagnosed_series(args):
+    """(name, series): diagnose's column, or its coefficient's weighted
+    residuals (the fit behind them is freed on return)."""
     if args.column is not None:
         for flag, value in (("--coefficient", args.coefficient), ("--climate", args.climate)):
             if value is not None:
                 raise ValueError(f"column {args.column!r} and {flag} {value!r} name two series "
                                  f"to diagnose; give one (a column may come from the config)")
-        series = load_columns(args.file, [args.column])[args.column]
-        name = args.column
-    else:
-        covariates = _covariates(args)
-        if args.coefficient is None:
-            raise ValueError("--coefficient is required when diagnosing a fit")
-        y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
-        if args.coefficient not in columns:
-            raise ValueError(f"unknown coefficient {args.coefficient!r}")
-        fit = ols_fit(X, y)
-        series = fit.weight_rows[columns.index(args.coefficient)] * fit.residuals
-        name = f"weighted residuals: {args.coefficient}"
+        return args.column, load_columns(args.file, [args.column])[args.column]
+    covariates = _covariates(args)
+    if args.coefficient is None:
+        raise ValueError("--coefficient is required when diagnosing a fit")
+    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
+    if args.coefficient not in columns:
+        raise ValueError(f"unknown coefficient {args.coefficient!r}")
+    fit = ols_fit(X, y)
+    return (f"weighted residuals: {args.coefficient}",
+            fit.weight_rows[columns.index(args.coefficient)] * fit.residuals)
 
+
+def cmd_diagnose(args):
+    resolve_settings(args, "analysis")
+    name, series = _diagnosed_series(args)
     diag, acf = _series_diagnostics(name, series)
     print(f"series: {name}  (n={series.shape[0]})")
     print(
@@ -336,18 +350,19 @@ def cmd_diagnose(args):
     return 0
 
 
-# Rows formatted per join when writing plot CSVs: one join per block is as
-# fast as one per file, and memory stays bounded whatever the series length.
+# Rows formatted per %-format when writing plot CSVs: one format per block is
+# as fast as one per file, and memory stays bounded whatever the series length.
 PLOT_CSV_BLOCK = 1 << 12
 
 
 def _write_rows(handle, fmt, *columns):
-    """Write row i as fmt.format(column_1[i], ...) plus CRLF: the bytes
-    csv.writer writes when no field needs quoting."""
-    line = (fmt + "\r\n").format
+    """Write row i as fmt % (column_1[i], ...) plus CRLF: the bytes
+    csv.writer writes when no field needs quoting.  Each block of rows is
+    one %-format over the block's values, row by row."""
+    line = fmt + "\r\n"
     for start in range(0, len(columns[0]), PLOT_CSV_BLOCK):
         block = [column[start:start + PLOT_CSV_BLOCK].tolist() for column in columns]
-        handle.write("".join(itertools.starmap(line, zip(*block))))
+        handle.write(line * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _write_plot_csvs(prefix, series, diag, acf):
@@ -356,14 +371,15 @@ def _write_plot_csvs(prefix, series, diag, acf):
     counts, edges = np.histogram(z, bins="auto")
     with open(f"{prefix}_hist.csv", "w", newline="") as handle:
         handle.write("bin_left,bin_right,count\r\n")
-        _write_rows(handle, "{:.6g},{:.6g},{}", edges[:-1], edges[1:], counts)
+        _write_rows(handle, "%.6g,%.6g,%d", edges[:-1], edges[1:], counts)
     with open(f"{prefix}_ecdf.csv", "w", newline="") as handle:
         handle.write("value,fraction\r\n")
-        _write_rows(handle, "{:.6g},{:.6g}", np.sort(z), np.arange(1, n + 1) / n)
+        _write_rows(handle, "%.6g,%.6g", np.sort(z), np.arange(1, n + 1) / n)
     with open(f"{prefix}_acf.csv", "w", newline="") as handle:
         handle.write("lag,r,window\r\n")
         for window, lags in (("short", diag.lags_short), ("long", diag.lags_long)):
-            _write_rows(handle, "{},{:.6g}," + window, np.arange(1, lags + 1), acf[:lags])
+            _write_rows(handle, "%d,%.6g," + window.replace("%", "%%"),
+                        np.arange(1, lags + 1), acf[:lags])
 
 
 def cmd_fetch_climate(args):

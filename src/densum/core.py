@@ -221,6 +221,14 @@ class Partition:
         return np.nonzero(self.assignment == k)[0]
 
 
+def check_cluster_count(n, K):
+    """Raise the error ``sequential_partition(n, K)`` raises, without building it."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 1 <= K <= n:
+        raise ValueError(f"cluster count K={K} must satisfy 1 <= K <= n={n}")
+
+
 def sequential_partition(n, K):
     """Split observations 1..n into K contiguous, near-equal blocks.
 
@@ -230,10 +238,7 @@ def sequential_partition(n, K):
     """
     n = int(n)
     K = int(K)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= K <= n:
-        raise ValueError(f"cluster count K={K} must satisfy 1 <= K <= n={n}")
+    check_cluster_count(n, K)
     i = np.arange(1, n + 1, dtype=np.int64)
     labels = -(-i * K // n)  # ceil division on integers
     return Partition(labels)

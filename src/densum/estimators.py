@@ -76,7 +76,8 @@ def _qr_weight_rows(X):
     alternate between the two pools stall at each handover, so the weight
     rows stay on numpy's.  W is returned in Fortran order, as
     ``solve_triangular`` returns it: ``W @ y`` sums in layout order, and a
-    C-ordered W moves the coefficients in their last digits.
+    C-ordered W moves the coefficients in their last digits.  Q is freed
+    before that copy, so the copy sits beside the solve's output alone.
     """
     Q, R = np.linalg.qr(X)
     tol = 1e-10 * np.linalg.norm(X)
@@ -87,7 +88,9 @@ def _qr_weight_rows(X):
             f"design is rank deficient: column {int(small[0])} is linearly "
             "dependent on the preceding columns"
         )
-    return np.asfortranarray(np.linalg.solve(R, Q.T))
+    W = np.linalg.solve(R, Q.T)
+    del Q
+    return np.asfortranarray(W)
 
 
 def ols_fit(X, y):
@@ -395,13 +398,22 @@ class _ExchangeableSandwich:
         rows = -(-sizes // width)
         first_row = np.concatenate(([0], np.cumsum(rows)[:-1]))
         first_obs = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        # Each n-long index array is freed once read, before the layout is built.
         order = np.argsort(labels, kind="stable")
+        in_order = np.array_equal(order, np.arange(n))
+        # K x p cluster sums of columns; labels already in order need no gathered copy of X
+        self.Sx = np.add.reduceat(X if in_order else X[order], first_obs, axis=0)
         k = labels[order] - 1
-        slot = np.empty(n, dtype=np.intp)
-        slot[order] = first_row[k] * width + np.arange(n) - first_obs[k]
+        slot = first_row[k] * width + np.arange(n) - first_obs[k]  # in label order
+        del k
+        if not in_order:
+            slot[order] = slot.copy()
+        del order
         self.shape = (int(rows.sum()), width)
         identity = self.shape[0] * width == n and np.array_equal(slot, np.arange(n))
         self.slot = None if identity else slot
+        if identity:
+            slot = slice(None)  # the observations fill the slots in order: free the index array
         self.fold = None if self.shape[0] == K else first_row  # rows -> clusters
         layout = np.zeros((p + 1, self.shape[0] * width))
         layout[0, slot] = 1.0
@@ -410,10 +422,6 @@ class _ExchangeableSandwich:
         # per layout row, the first row equal to it: an intercept repeats the ones row
         self.source = tuple(next(i for i in range(j + 1) if np.array_equal(layout[i], row))
                             for j, row in enumerate(layout))
-
-        # K x p cluster sums of columns; labels already in order need no gathered copy of X
-        in_order = X if np.array_equal(order, np.arange(n)) else X[order]
-        self.Sx = np.add.reduceat(in_order, first_obs, axis=0)
         self.SxSx = (self.Sx[:, :, None] * self.Sx[:, None, :]).reshape(K, p * p)
         self.XtX = X.T @ X
         self.n_pairs = float(np.sum(sizes * (sizes - 1) / 2.0))
@@ -474,11 +482,13 @@ def gee_exchangeable_vcov(fit, partition):
 
 def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
-    from densum.kernels import std_normal_quantile  # here, so only ``fit --partitions`` loads scipy
-
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     vcov, _ = gee_exchangeable_vcov(fit, partition)
+    # Imported here, so only ``fit --partitions`` loads scipy, and after the
+    # sandwich, so scipy's pages do not add to the sandwich's peak.
+    from densum.kernels import std_normal_quantile
+
     se = float(np.sqrt(vcov[s, s]))
     z = std_normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceSet(
@@ -529,6 +539,13 @@ def acf_phi_hat(series, lags):
     # lengths numpy's FFT handles fast, and fixed by n alone.
     size = min(f << ((2 * n - 2) // f).bit_length() for f in (1, 3, 5, 9, 15))
     spectrum = np.fft.rfft(centered, size)
-    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
-    acf = np.fft.irfft(power, size)[1 : lags + 1] / denom
+    del centered
+    # The power |F|^2 overwrites the spectrum, imaginary parts zero: the
+    # complex input irfft would otherwise cast a real power array into.
+    re, im = spectrum.real, spectrum.imag
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    re += im
+    im[:] = 0.0
+    acf = np.fft.irfft(spectrum, size)[1 : lags + 1] / denom
     return ACFReport(acf=acf, phi_hat=float(np.mean(acf)))

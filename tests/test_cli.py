@@ -22,6 +22,7 @@ from densum.analysis import (
     SeriesDiagnostics,
     _load_columns_csv,
     _series_diagnostics,
+    fit_frame,
     load_columns,
 )
 from densum.cli import _parse_range_flag, _write_plot_csvs, main
@@ -553,6 +554,7 @@ class TestFitCommand:
             raise AssertionError("the CSV must not be read")
 
         monkeypatch.setattr(densum.analysis, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
                    "--screen", screen])
         assert rc == 1
@@ -650,6 +652,7 @@ class TestFitCommand:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         argv = [command, regression_csv, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -669,6 +672,7 @@ class TestFitCommand:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         missing = tmp_path / "missing" / "dir"
         argv = {
             "ci": ["ci", regression_csv, "--column", "y"],
@@ -711,6 +715,7 @@ class TestSettingsFailBeforeTheWork:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         argv = argv[:1] + [regression_csv] + argv[1:]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -745,6 +750,7 @@ class TestSettingsFailBeforeTheWork:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "keys.ini"
         cfg.write_text(text)
@@ -803,6 +809,7 @@ class TestSettingsFailBeforeTheWork:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -1013,6 +1020,7 @@ class TestDiagnoseCommand:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         argv = ["diagnose", regression_csv, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -1037,6 +1045,7 @@ class TestDiagnoseCommand:
 
         for module in (densum.cli, densum.analysis):
             monkeypatch.setattr(module, "load_columns", never)
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         monkeypatch.setattr(densum.climate, "load_climate_csv", never)
         argv = ["diagnose", regression_csv, *flags]
         if config is not None:
@@ -1122,6 +1131,28 @@ def _csv_writer_plot_csvs(prefix, series, diag, acf):
 
 
 class TestLoadColumns:
+    @pytest.mark.parametrize("first_x1", ["0.25", "0_25"], ids=["numpy-reader", "csv-module"])
+    def test_fit_frame_turns_the_loaded_table_into_the_design(self, tmp_path, first_x1):
+        # The response's column of the loaded table becomes the intercept: the
+        # design has the bits and C order of the loaded columns stacked beside
+        # ones.  "0_25" sends the file to the csv-module loader.
+        rng = np.random.default_rng(30)
+        rows = [f"{a!r},{b!r},{c!r}" for a, b, c in rng.standard_normal((50, 3)).tolist()]
+        rows[0] = rows[0].rsplit(",", 1)[0] + "," + first_x1
+        path = tmp_path / "frame.csv"
+        path.write_text("x2,y,x1\n" + "\n".join(rows) + "\n")
+        data = load_columns(path, ["y", "x1", "x2"])
+        y, X, columns = fit_frame(path, "y", ["x1", "x2"], None)
+        assert columns == ("intercept", "x1", "x2")
+        assert X.flags.c_contiguous and y.flags.c_contiguous
+        want = np.column_stack([np.ones(50), data["x1"], data["x2"]])
+        assert X.tobytes() == want.tobytes() and y.tobytes() == data["y"].tobytes()
+
+    def test_fit_frame_rejects_a_repeated_column(self, tmp_path):
+        path = write_csv(tmp_path / "frame.csv", {"x": [1.0, 2.0, 4.0], "y": [0.0, 1.0, 3.0]})
+        with pytest.raises(ValueError, match="distinct"):
+            fit_frame(path, "y", ["x", "x"], None)
+
     def test_non_numeric_cell_is_located(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3,oops\n")
