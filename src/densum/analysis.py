@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import warnings
 from array import array
 from dataclasses import asdict, dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from densum.concentration import ci_linear, ci_mean, rule_of_thumb
 from densum.core import SupportSpec
-from densum.estimators import acf_phi_hat, residual_range
+from densum.estimators import acf_phi_hat, residual_range, weighted_residuals
 from densum.uclass import check_u_class
 
 # The short lag window, floor(10 log10 n), must stay below n.
@@ -185,24 +186,29 @@ def load_table(path, names):
     table whose column j holds names[j].
 
     The data rows go to numpy's C reader (``np.loadtxt``), which reads only
-    the named columns.  When it rejects the file, finds no data row or
-    reads a non-finite value, the csv-module loader ``_load_columns_csv``
-    reads the file again: it accepts what ``float()`` accepts (``1_000``,
-    non-ASCII digits) and otherwise raises the error that names the column
-    and file line.  The two agree bit for bit wherever both accept.  A
-    UTF-8 byte-order mark before the header is dropped.
+    the named columns.  It is given the file's path and skips the header's
+    lines: given an open file, numpy iterates it one Python string per
+    line, and given a path it reads the file in chunks.  When it rejects
+    the file, finds no data row or reads a non-finite value, the csv-module
+    loader ``_load_columns_csv`` reads the file again: it accepts what
+    ``float()`` accepts (``1_000``, non-ASCII digits) and otherwise raises
+    the error that names the column and file line.  The two agree bit for
+    bit wherever both accept.  A UTF-8 byte-order mark before the header is
+    dropped.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         if not handle.seekable():  # a pipe cannot be reread: one csv-module pass
             return _stacked(_load_columns_csv(handle, names))
-        position = _read_header(csv.reader(handle), names)
+        reader = csv.reader(handle)
+        position = _read_header(reader, names)
         names = list(dict.fromkeys(names))  # repeated names collapse to one read
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows
                 table = np.loadtxt(
-                    handle, dtype=float, comments=None, delimiter=",",
+                    os.fsdecode(path), dtype=float, comments=None, delimiter=",",
                     quotechar='"', usecols=[position[c] for c in names], ndmin=2,
+                    skiprows=reader.line_num, encoding="utf-8-sig",
                 )
         except (IndexError, ValueError):  # a bad cell, a short row
             table = None
@@ -268,14 +274,14 @@ def mean_set(summary, alpha, method, source, given):
     return ci_mean(summary, R=R, alpha=alpha, method=method)
 
 
-def _weights_and_ranges(fit, s, source, given):
+def _weights_and_ranges(fit, s, z, source, given):
     """Coefficient s's weights and ranges R_i for ``ci_linear``, by range
     source: the weight row with the given R (known, marginal_range) or with
     twice the fitted means (two_mean); for residual_range, unit weights with
-    the range of W_s e, since those weighted residuals are the summands the
-    plug-in bounds."""
+    the range of z = W_s e, since those weighted residuals are the summands
+    the plug-in bounds."""
     if source == "residual_range":
-        return np.ones(fit.n), residual_range(fit, s)
+        return np.ones(fit.n), residual_range(fit, s, z)
     if source == "two_mean":
         if np.any(fit.fitted < 0):
             raise ValueError("two_mean ranges need nonnegative fitted means")
@@ -291,12 +297,12 @@ def fit_report(fit, columns, alpha, source, given, provenance):
         # a zero-noise fit's weighted residuals have zero spread
         warnings.filterwarnings("ignore", "weighted residuals have degenerate", UserWarning)
         for s, name in enumerate(columns):
-            w, ranges = _weights_and_ranges(fit, s, source, given)
+            z = weighted_residuals(fit, s)  # read by the range and the diagnostics
+            w, ranges = _weights_and_ranges(fit, s, z, source, given)
             cs = ci_linear(fit.coefficients[s], w, ranges, alpha, source)
+            del w, ranges  # unit weights or 2 * fitted: freed before the diagnostics' FFTs
             rows.append(CoefficientRow(name, float(fit.coefficients[s]), cs.lower, cs.upper,
                                        cs.method, cs.range_source))
-        for name, w in zip(columns, fit.weight_rows):
-            z = w * fit.residuals
             if float(np.ptp(z)) > 0.0:
                 diagnostics.append(_series_diagnostics(name, z)[0])
     if not diagnostics:  # a zero-residual fit still reports a diagnostics block

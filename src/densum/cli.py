@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,9 @@ from densum.analysis import (
     _series_diagnostics, file_sha256, fit_frame, fit_report, load_columns, mean_set,
 )
 from densum.core import check_cluster_count, sequential_partition, summarize
-from densum.estimators import gee_exchangeable_wald, ols_fit, partition_compare
+from densum.estimators import (
+    gee_exchangeable_wald, ols_fit, partition_compare, weighted_residuals,
+)
 
 # ---------------------------------------------------------------------------
 # settings resolution
@@ -326,7 +329,7 @@ def _diagnosed_series(args):
         raise ValueError(f"unknown coefficient {args.coefficient!r}")
     fit = ols_fit(X, y)
     return (f"weighted residuals: {args.coefficient}",
-            fit.weight_rows[columns.index(args.coefficient)] * fit.residuals)
+            weighted_residuals(fit, columns.index(args.coefficient)))
 
 
 def cmd_diagnose(args):
@@ -415,7 +418,10 @@ def cmd_fetch_climate(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; ``main`` looks each
+    command's handler up when it runs."""
     parser = argparse.ArgumentParser(
         prog="densum",
         description="Dependence-robust confidence sets for bounded data",
@@ -437,7 +443,6 @@ def build_parser():
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out")
     sim.add_argument("-c", "--config")
-    sim.set_defaults(func=cmd_simulate)
 
     ci = sub.add_parser("ci", help="confidence set for a column mean")
     ci.add_argument("file")
@@ -447,7 +452,6 @@ def build_parser():
     ci.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
     ci.add_argument("--out")
     ci.add_argument("-c", "--config")
-    ci.set_defaults(func=cmd_ci)
 
     fit = sub.add_parser("fit", parents=[model],
                          help="least squares with dependence-robust sets")
@@ -458,7 +462,6 @@ def build_parser():
     fit.add_argument("--screen", help="covariate to evaluate for retention")
     fit.add_argument("--out", help="write the JSON report here")
     fit.add_argument("-c", "--config")
-    fit.set_defaults(func=cmd_fit)
 
     diag = sub.add_parser("diagnose", parents=[model],
                           help="U-class and dependence diagnostics")
@@ -466,7 +469,6 @@ def build_parser():
     diag.add_argument("--coefficient", help="diagnose this coefficient's weighted residuals")
     diag.add_argument("--out", help="prefix for plot-ready CSVs")
     diag.add_argument("-c", "--config")
-    diag.set_defaults(func=cmd_diagnose)
 
     fetch = sub.add_parser("fetch-climate", help="download and normalize the public series")
     fetch.add_argument("--temp-url")  # default climate.DEFAULT_TEMP_URL
@@ -475,15 +477,17 @@ def build_parser():
     fetch.add_argument("--start", default="1979-1")
     fetch.add_argument("--end", default="2022-12")
     fetch.add_argument("--out", default="climate.csv")
-    fetch.set_defaults(func=cmd_fetch_climate)
 
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # Looked up per call, not bound into the cached parser, so a handler
+    # replaced after the parser was built is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,8 @@ in :mod:`densum.concentration` apply directly to it.  This module provides
 * ``ols_fit`` — least squares with the weight rows made explicit,
 * ``meat_estimator`` / ``cluster_robust`` / ``partition_compare`` — variance
   estimators for additive statistics under dependence,
-* ``residual_range`` — the plug-in range estimate feeding the
+* ``weighted_residuals`` / ``residual_range`` — a coefficient's weighted
+  residuals W_s e and the plug-in range estimate feeding the
   residual-range confidence sets,
 * ``irwls_fit`` — iteratively reweighted least squares with the final
   additive representation extracted at convergence,
@@ -155,15 +156,25 @@ class ClusterVarianceEstimate:
             raise ValueError("cluster variance estimate cannot be negative")
 
 
+def weighted_residuals(fit, s):
+    """W_s e, coefficient s's weighted residuals: the summands of its
+    estimation error, which the cluster, range and series estimates read."""
+    W = np.asarray(fit.weight_rows, dtype=float)
+    e = np.asarray(fit.residuals, dtype=float)
+    return W[s] * e
+
+
 def cluster_robust(fit, partition, s):
     """Cluster-robust variance estimate for coefficient s under a partition.
 
     The singleton partition reproduces ``meat_estimator`` exactly, since each
     squared cluster sum collapses to one squared weighted residual.
     """
-    W = np.asarray(fit.weight_rows, dtype=float)
-    e = np.asarray(fit.residuals, dtype=float)
-    z = W[s] * e
+    return _cluster_variance(weighted_residuals(fit, s), partition)
+
+
+def _cluster_variance(z, partition):
+    """``cluster_robust`` on the weighted residuals z = W_s e."""
     if z.shape[0] != partition.assignment.shape[0]:
         raise ValueError("partition length does not match the fit")
     sums = np.bincount(partition.assignment - 1, weights=z, minlength=partition.n_clusters)
@@ -199,7 +210,8 @@ def partition_compare(fit, partitions, s):
     """
     if len(partitions) < 2:
         raise ValueError("need at least two partitions to compare")
-    values = np.array([cluster_robust(fit, part, s).value for part in partitions])
+    z = weighted_residuals(fit, s)  # formed once for every partition
+    values = np.array([_cluster_variance(z, part).value for part in partitions])
     tie_tol = 1e-12 * max(1.0, float(np.max(values)))
     recommended = int(np.argmax(values))
     top = values[recommended]
@@ -211,19 +223,19 @@ def partition_compare(fit, partitions, s):
     )
 
 
-def residual_range(fit, s):
+def residual_range(fit, s, z=None):
     """Sample range of the weighted residuals W_s e, the plug-in for one
-    coefficient's per-observation range.
+    coefficient's per-observation range; ``z`` is W_s e when the caller has
+    already formed it (``weighted_residuals``).
 
     A zero range (all weighted residuals equal) is returned as 0.0 with a
     warning, since a degenerate spread makes the downstream interval
     collapse.
     """
-    W = np.asarray(fit.weight_rows, dtype=float)
-    e = np.asarray(fit.residuals, dtype=float)
-    if e.shape[0] < 2:
+    if z is None:
+        z = weighted_residuals(fit, s)
+    if z.shape[0] < 2:
         raise ValueError("need at least two observations for a range")
-    z = W[s] * e
     spread = float(np.max(z) - np.min(z))
     if spread == 0.0:
         warnings.warn("weighted residuals have degenerate (zero) spread", stacklevel=2)

@@ -566,6 +566,18 @@ class TestFitCommand:
         assert rc == 1
         assert "rank deficient" in capsys.readouterr().err
 
+    def test_screen_keeps_the_full_designs_rank_error(self, tmp_path, capsys):
+        # x3 repeats x2, so the full design fails at its column 3.  The screen's
+        # reduced design, without x1, would fail at its own column 2.
+        rng = np.random.default_rng(7)
+        x = rng.uniform(size=(40, 2))
+        path = write_csv(tmp_path / "dup.csv", {"y": rng.uniform(size=40), "x1": x[:, 0],
+                                                "x2": x[:, 1], "x3": x[:, 1]})
+        rc = main(["fit", path, "--response", "y", "--covariates", "x1,x2,x3", "--screen", "x1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "column 3 is linearly dependent" in captured.err and captured.out == ""
+
     def test_missing_model_spec(self, regression_csv, capsys):
         assert main(["fit", regression_csv]) == 1
         assert "--response and --covariates are required" in capsys.readouterr().err
@@ -1285,6 +1297,24 @@ class TestLoadColumns:
             pass
         assert len(calls) == (request.node.callspec.id not in self.FALLBACK_FREE)
 
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "pathlib"])
+    def test_numpy_reads_the_file_by_its_path(self, tmp_path, monkeypatch, as_path):
+        # Given an open file, np.loadtxt iterates it one Python string per
+        # line; given a path, its C reader reads the file in chunks.
+        seen = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            seen.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(densum.analysis.np, "loadtxt", spy)
+        path = tmp_path / "frame.csv"
+        path.write_bytes(b'\xef\xbb\xbf"a\nx",b\n1,2\n3,4\n')
+        got = load_columns(as_path(path), ["b", "a\nx"])
+        assert len(seen) == 1 and type(seen[0]) is str and seen[0] == str(path)
+        self.assert_same_columns(got, self.oracle(path, ["b", "a\nx"]))
+
     def test_fast_path_matches_the_csv_loader_on_generated_rows(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(20)
         table = rng.standard_normal((20_000, 3)) * 10.0 ** rng.integers(-300, 300, (20_000, 3))
@@ -1389,6 +1419,42 @@ def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, 
     # Only --partitions' comparator Wald z (scipy.special.ndtri) needs scipy.
     unused = {"densum.simulation", "densum.climate", "urllib.request", "scipy"} - loaded
     assert imported & (unused | loaded) == loaded
+
+
+class TestOneProcessManyCommands:
+    """One process may run many commands through ``main`` on one parser."""
+
+    def test_the_parser_is_built_once(self):
+        assert densum.cli.build_parser() is densum.cli.build_parser()
+
+    def test_fit_flags_do_not_reach_the_next_fit(self, capsys):
+        assert main(["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10",
+                     "--screen", "x3"]) == 0
+        first = capsys.readouterr().out
+        assert "partition check" in first and "retention screen" in first
+        assert main(["fit", GOLDEN_FRAME, *GOLDEN_FIT]) == 0
+        second = capsys.readouterr().out
+        assert "model:" in second
+        for line in ("partition check", "comparator Wald", "retention screen"):
+            assert line not in second
+
+    def test_a_diagnosed_column_does_not_reach_the_next_diagnose(self, capsys):
+        assert main(["diagnose", GOLDEN_FRAME, "--column", "y"]) == 0
+        assert "series: y " in capsys.readouterr().out
+        assert main(["diagnose", GOLDEN_FRAME, *GOLDEN_FIT, "--coefficient", "x1"]) == 0
+        assert "series: weighted residuals: x1 " in capsys.readouterr().out
+
+    def test_a_replaced_handler_runs(self, unit_column, monkeypatch):
+        assert main(["ci", unit_column, "--column", "y"]) == 0  # the parser is built
+        seen = []
+
+        def handler(args):
+            seen.append(args.column)
+            return 7
+
+        monkeypatch.setattr(densum.cli, "cmd_ci", handler)
+        assert main(["ci", unit_column, "--column", "y"]) == 7
+        assert seen == ["y"]
 
 
 def test_fetch_climate_reports_network_failures(tmp_path, capsys):
