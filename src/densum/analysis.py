@@ -149,8 +149,9 @@ def _read_header(reader, names):
     return {c: j for j, c in enumerate(header)}
 
 
-def _load_columns_csv(handle, names):
-    """The csv-module loader: one ``float()`` per cell.
+def _load_table_csv(handle, names):
+    """The csv-module loader: one ``float()`` per cell, returning
+    ``load_table``'s (names, table).
 
     It takes every input ``float()`` takes and names the column and file
     line (``line_num``) of the first bad or non-finite cell, so blank lines
@@ -172,12 +173,12 @@ def _load_columns_csv(handle, names):
                     f"column '{c}' is not numeric (line {reader.line_num})"
                 ) from exc
         lines.append(reader.line_num)
-    table = np.array(list(data.values()), dtype=float)  # one row per column
-    rows, cols = np.nonzero(~np.isfinite(table.T))
+    table = np.column_stack(list(data.values()))  # n x k, C-ordered
+    rows, cols = np.nonzero(~np.isfinite(table))
     if rows.size:
         c = list(data)[cols[0]]
         raise ValueError(f"column '{c}' is not finite (line {lines[rows[0]]})")
-    return dict(zip(data, table))
+    return list(data), table
 
 
 def load_table(path, names):
@@ -190,7 +191,7 @@ def load_table(path, names):
     lines: given an open file, numpy iterates it one Python string per
     line, and given a path it reads the file in chunks.  When it rejects
     the file, finds no data row or reads a non-finite value, the csv-module
-    loader ``_load_columns_csv`` reads the file again: it accepts what
+    loader ``_load_table_csv`` reads the file again: it accepts what
     ``float()`` accepts (``1_000``, non-ASCII digits) and otherwise raises
     the error that names the column and file line.  The two agree bit for
     bit wherever both accept.  A UTF-8 byte-order mark before the header is
@@ -198,7 +199,7 @@ def load_table(path, names):
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         if not handle.seekable():  # a pipe cannot be reread: one csv-module pass
-            return _stacked(_load_columns_csv(handle, names))
+            return _load_table_csv(handle, names)
         reader = csv.reader(handle)
         position = _read_header(reader, names)
         names = list(dict.fromkeys(names))  # repeated names collapse to one read
@@ -214,20 +215,8 @@ def load_table(path, names):
             table = None
         if table is None or not len(table) or not np.isfinite(table).all():
             handle.seek(0)
-            return _stacked(_load_columns_csv(handle, names))
+            return _load_table_csv(handle, names)
     return names, table
-
-
-def _stacked(columns):
-    """The csv-module loader's columns as ``load_table`` returns them."""
-    return list(columns), np.column_stack(list(columns.values()))
-
-
-def load_columns(path, names):
-    """The named columns of ``load_table``, each one C-contiguous array, in a
-    dict keyed by name."""
-    names, table = load_table(path, names)
-    return dict(zip(names, np.ascontiguousarray(table.T)))
 
 
 def file_sha256(path):
@@ -281,7 +270,7 @@ def _weights_and_ranges(fit, s, z, source, given):
     the range of z = W_s e, since those weighted residuals are the summands
     the plug-in bounds."""
     if source == "residual_range":
-        return np.ones(fit.n), residual_range(fit, s, z)
+        return np.ones(fit.n), residual_range(z)
     if source == "two_mean":
         if np.any(fit.fitted < 0):
             raise ValueError("two_mean ranges need nonnegative fitted means")

@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from densum.analysis import (
-    _series_diagnostics, file_sha256, fit_frame, fit_report, load_columns, mean_set,
+    _series_diagnostics, file_sha256, fit_frame, fit_report, load_table, mean_set,
 )
 from densum.core import check_cluster_count, sequential_partition, summarize
 from densum.estimators import (
@@ -184,7 +184,7 @@ def cmd_ci(args):
     source, given = _parse_range_flag(args.range)
     alpha = _level(args.alpha)
 
-    summary = summarize(load_columns(args.file, [args.column])[args.column])
+    summary = summarize(load_table(args.file, [args.column])[1][:, 0])
     result = mean_set(summary, alpha, CI_MEAN_METHODS[method], source, given)
     print(
         f"{result.level:.0%} confidence set for mean({args.column}): "
@@ -228,10 +228,10 @@ def cmd_fit(args):
                          "clusters and must be at least 2")
     alpha = _level(args.alpha)
     if covariates is not None:  # a climate frame's columns are known once it is built
-        _check_screen(args.screen, ("intercept", *covariates))
+        _check_model_column("--screen", args.screen, ("intercept", *covariates))
 
     y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
-    _check_screen(args.screen, columns)
+    _check_model_column("--screen", args.screen, columns)
     for k in counts:  # the partitions themselves are built when they are compared
         check_cluster_count(y.shape[0], k)
     fit = ols_fit(X, y)
@@ -270,9 +270,10 @@ def cmd_fit(args):
     return 0
 
 
-def _check_screen(screen_column, columns):
-    if screen_column is not None and screen_column not in columns:
-        raise ValueError(f"--screen {screen_column!r} is not a column of the model "
+def _check_model_column(flag, name, columns):
+    """Reject ``flag``'s column ``name``, when given, unless the model has it."""
+    if name is not None and name not in columns:
+        raise ValueError(f"{flag} {name!r} is not a column of the model "
                          f"({', '.join(columns)})")
 
 
@@ -320,13 +321,14 @@ def _diagnosed_series(args):
             if value is not None:
                 raise ValueError(f"column {args.column!r} and {flag} {value!r} name two series "
                                  f"to diagnose; give one (a column may come from the config)")
-        return args.column, load_columns(args.file, [args.column])[args.column]
+        return args.column, load_table(args.file, [args.column])[1][:, 0]
     covariates = _covariates(args)
     if args.coefficient is None:
         raise ValueError("--coefficient is required when diagnosing a fit")
+    if covariates is not None:  # a climate frame's columns are known once it is built
+        _check_model_column("--coefficient", args.coefficient, ("intercept", *covariates))
     y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
-    if args.coefficient not in columns:
-        raise ValueError(f"unknown coefficient {args.coefficient!r}")
+    _check_model_column("--coefficient", args.coefficient, columns)
     fit = ols_fit(X, y)
     return (f"weighted residuals: {args.coefficient}",
             weighted_residuals(fit, columns.index(args.coefficient)))

@@ -223,17 +223,14 @@ def partition_compare(fit, partitions, s):
     )
 
 
-def residual_range(fit, s, z=None):
-    """Sample range of the weighted residuals W_s e, the plug-in for one
-    coefficient's per-observation range; ``z`` is W_s e when the caller has
-    already formed it (``weighted_residuals``).
+def residual_range(z):
+    """Sample range of one coefficient's weighted residuals z = W_s e
+    (``weighted_residuals``), the plug-in for its per-observation range.
 
     A zero range (all weighted residuals equal) is returned as 0.0 with a
     warning, since a degenerate spread makes the downstream interval
     collapse.
     """
-    if z is None:
-        z = weighted_residuals(fit, s)
     if z.shape[0] < 2:
         raise ValueError("need at least two observations for a range")
     spread = float(np.max(z) - np.min(z))

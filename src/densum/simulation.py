@@ -510,7 +510,8 @@ def copula_sample(corr, marginal, reps, seed):
     counter-based stream (seed, r) — deterministic per replication, whatever
     the scheduling.  A matrix that takes the dense product (see
     ``_copula_factor``) keeps this only for a fixed OpenBLAS thread count:
-    the product's bits depend on that count at n = 500 and 1500.
+    at n = 500 and 1500 both its Cholesky factor and the product move with
+    that count, so a row-local product alone would not pin them.
 
     ``corr`` (n >= 1) is either a length-n loading vector v, standing for
     the correlation diag(1 - v^2) + v v^T (it must be finite, and positive

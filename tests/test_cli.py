@@ -20,10 +20,10 @@ from densum.analysis import (
     AnalysisReport,
     CoefficientRow,
     SeriesDiagnostics,
-    _load_columns_csv,
+    _load_table_csv,
     _series_diagnostics,
     fit_frame,
-    load_columns,
+    load_table,
 )
 from densum.cli import _parse_range_flag, _write_plot_csvs, main
 from densum.climate import write_climate_csv
@@ -325,7 +325,7 @@ class TestCiCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        monkeypatch.setattr(densum.cli, "load_columns", never)
+        monkeypatch.setattr(densum.cli, "load_table", never)
         argv = ["ci", unit_column, "--column", "y", *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -553,7 +553,6 @@ class TestFitCommand:
         def never(*args):
             raise AssertionError("the CSV must not be read")
 
-        monkeypatch.setattr(densum.analysis, "load_columns", never)
         monkeypatch.setattr(densum.analysis, "load_table", never)
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
                    "--screen", screen])
@@ -662,9 +661,8 @@ class TestFitCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         argv = [command, regression_csv, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -682,9 +680,8 @@ class TestFitCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         missing = tmp_path / "missing" / "dir"
         argv = {
             "ci": ["ci", regression_csv, "--column", "y"],
@@ -725,9 +722,8 @@ class TestSettingsFailBeforeTheWork:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         argv = argv[:1] + [regression_csv] + argv[1:]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -760,9 +756,8 @@ class TestSettingsFailBeforeTheWork:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "keys.ini"
         cfg.write_text(text)
@@ -792,7 +787,7 @@ class TestSettingsFailBeforeTheWork:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        monkeypatch.setattr(densum.cli, "load_columns", never)
+        monkeypatch.setattr(densum.cli, "load_table", never)
         monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -819,9 +814,8 @@ class TestSettingsFailBeforeTheWork:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
@@ -1030,9 +1024,8 @@ class TestDiagnoseCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         argv = ["diagnose", regression_csv, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
@@ -1055,9 +1048,8 @@ class TestDiagnoseCommand:
         def never(*args):
             raise AssertionError("the input must not be read")
 
-        for module in (densum.cli, densum.analysis):
-            monkeypatch.setattr(module, "load_columns", never)
-        monkeypatch.setattr(densum.analysis, "load_table", never)
+        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
+            monkeypatch.setattr(module, "load_table", never)
         monkeypatch.setattr(densum.climate, "load_climate_csv", never)
         argv = ["diagnose", regression_csv, *flags]
         if config is not None:
@@ -1070,11 +1062,31 @@ class TestDiagnoseCommand:
         climate = flags[flags.index("--climate") + 1]
         assert f"column 'y' and --climate '{climate}'" in captured.err
 
-    def test_unknown_coefficient(self, regression_csv, capsys):
+    def test_unknown_coefficient(self, regression_csv, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the CSV must not be read")
+
+        monkeypatch.setattr(densum.analysis, "load_table", never)
         rc = main(["diagnose", regression_csv, "--response", "y",
                    "--covariates", "x", "--coefficient", "zzz"])
         assert rc == 1
-        assert "unknown coefficient" in capsys.readouterr().err
+        assert ("error: --coefficient 'zzz' is not a column of the model "
+                "(intercept, x)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("diagnose", "--coefficient"), ("fit", "--screen")])
+    def test_a_climate_frames_columns_are_checked_once_it_is_built(self, tmp_path, capsys,
+                                                                   command, flag):
+        path = str(tmp_path / "climate.csv")
+        write_climate_csv(
+            [densum.climate.ClimateRow(1979 + i // 12, i % 12 + 1, 0.01 * (i % 7), 340.0 + i)
+             for i in range(48)],
+            path,
+        )
+        assert main([command, path, "--climate", "monthly", flag, "zzz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} 'zzz' is not a column of the model "
+                                "(intercept, temp_lag1, log_co2_lag1, spring, summer, autumn)\n")
 
     def test_plot_csvs_written(self, regression_csv, tmp_path):
         prefix = str(tmp_path / "diag")
@@ -1153,12 +1165,12 @@ class TestLoadColumns:
         rows[0] = rows[0].rsplit(",", 1)[0] + "," + first_x1
         path = tmp_path / "frame.csv"
         path.write_text("x2,y,x1\n" + "\n".join(rows) + "\n")
-        data = load_columns(path, ["y", "x1", "x2"])
+        table = load_table(path, ["y", "x1", "x2"])[1]
         y, X, columns = fit_frame(path, "y", ["x1", "x2"], None)
         assert columns == ("intercept", "x1", "x2")
         assert X.flags.c_contiguous and y.flags.c_contiguous
-        want = np.column_stack([np.ones(50), data["x1"], data["x2"]])
-        assert X.tobytes() == want.tobytes() and y.tobytes() == data["y"].tobytes()
+        want = np.column_stack([np.ones(50), table[:, 1], table[:, 2]])
+        assert X.tobytes() == want.tobytes() and y.tobytes() == table[:, 0].tobytes()
 
     def test_fit_frame_rejects_a_repeated_column(self, tmp_path):
         path = write_csv(tmp_path / "frame.csv", {"x": [1.0, 2.0, 4.0], "y": [0.0, 1.0, 3.0]})
@@ -1169,25 +1181,25 @@ class TestLoadColumns:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3,oops\n")
         with pytest.raises(ValueError, match="column 'b' is not numeric \\(line 3\\)"):
-            load_columns(path, ["a", "b"])
+            load_table(path, ["a", "b"])
 
     def test_non_finite_cell_is_located(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("a,b\n1,2\n3,4\ninf,5\n")
         with pytest.raises(ValueError, match="column 'a' is not finite \\(line 4\\)"):
-            load_columns(path, ["a", "b"])
+            load_table(path, ["a", "b"])
 
     def test_error_names_the_file_line_after_a_blank_line(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("a,b\n1,2\n\n3,oops\n")
         with pytest.raises(ValueError, match="column 'b' is not numeric \\(line 4\\)"):
-            load_columns(path, ["a", "b"])
+            load_table(path, ["a", "b"])
 
     def test_non_finite_error_names_the_file_line_after_a_blank_line(self, tmp_path):
         path = tmp_path / "blank_inf.csv"
         path.write_text("a,b\n1,2\n\n3,inf\n")
         with pytest.raises(ValueError, match="column 'b' is not finite \\(line 4\\)"):
-            load_columns(path, ["a", "b"])
+            load_table(path, ["a", "b"])
 
     # Accepted by np.loadtxt, so the fast path must return them without the
     # csv-module loader; every other case runs that loader exactly once.
@@ -1253,15 +1265,18 @@ class TestLoadColumns:
     @staticmethod
     def oracle(path, names):
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return _load_columns_csv(handle, names)
+            return _load_table_csv(handle, names)
 
     @staticmethod
-    def assert_same_columns(got, want):
-        """Same names, and arrays equal bit for bit (the sign of zero too)."""
-        assert list(got) == list(want)
-        for name, values in want.items():
-            assert got[name].dtype == np.float64 and got[name].flags.c_contiguous
-            np.testing.assert_array_equal(got[name].view(np.uint64), values.view(np.uint64))
+    def assert_same_table(got, want):
+        """Same names, and n x k C-ordered float tables equal bit for bit
+        (the sign of zero too)."""
+        (names, table), (want_names, want_table) = got, want
+        assert names == want_names
+        for t in (table, want_table):
+            assert t.dtype == np.float64 and t.flags.c_contiguous
+            assert t.shape == (t.shape[0], len(names))
+        np.testing.assert_array_equal(table.view(np.uint64), want_table.view(np.uint64))
 
     @pytest.mark.parametrize("content, names, expected", CASES)
     def test_accept_reject_set(self, tmp_path, content, names, expected):
@@ -1269,16 +1284,16 @@ class TestLoadColumns:
         path.write_bytes(content)
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=expected) as got:
-                load_columns(path, names)
+                load_table(path, names)
             with pytest.raises(ValueError) as want:
                 self.oracle(path, names)
             assert str(got.value) == str(want.value)
             return
-        got = load_columns(path, names)
-        assert list(got) == list(expected)
-        for name, values in expected.items():
-            np.testing.assert_array_equal(got[name], values)
-        self.assert_same_columns(got, self.oracle(path, names))
+        got = load_table(path, names)
+        assert got[0] == list(expected)
+        for j, values in enumerate(expected.values()):
+            np.testing.assert_array_equal(got[1][:, j], values)
+        self.assert_same_table(got, self.oracle(path, names))
 
     @pytest.mark.parametrize("content, names, expected", CASES)
     def test_fast_path_is_taken(self, tmp_path, monkeypatch, request, content, names, expected):
@@ -1286,13 +1301,13 @@ class TestLoadColumns:
 
         def counted(handle, names):
             calls.append(names)
-            return _load_columns_csv(handle, names)
+            return _load_table_csv(handle, names)
 
-        monkeypatch.setattr(densum.analysis, "_load_columns_csv", counted)
+        monkeypatch.setattr(densum.analysis, "_load_table_csv", counted)
         path = tmp_path / "cells.csv"
         path.write_bytes(content)
         try:
-            load_columns(path, names)
+            load_table(path, names)
         except ValueError:
             pass
         assert len(calls) == (request.node.callspec.id not in self.FALLBACK_FREE)
@@ -1311,9 +1326,9 @@ class TestLoadColumns:
         monkeypatch.setattr(densum.analysis.np, "loadtxt", spy)
         path = tmp_path / "frame.csv"
         path.write_bytes(b'\xef\xbb\xbf"a\nx",b\n1,2\n3,4\n')
-        got = load_columns(as_path(path), ["b", "a\nx"])
+        got = load_table(as_path(path), ["b", "a\nx"])
         assert len(seen) == 1 and type(seen[0]) is str and seen[0] == str(path)
-        self.assert_same_columns(got, self.oracle(path, ["b", "a\nx"]))
+        self.assert_same_table(got, self.oracle(path, ["b", "a\nx"]))
 
     def test_fast_path_matches_the_csv_loader_on_generated_rows(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(20)
@@ -1330,11 +1345,10 @@ class TestLoadColumns:
             raise AssertionError("the csv-module loader ran on a well-formed file")
 
         want = self.oracle(path, ["c", "a", "b"])
-        monkeypatch.setattr(densum.analysis, "_load_columns_csv", never)
-        got = load_columns(path, ["c", "a", "b"])
-        self.assert_same_columns(got, want)
-        for j, name in enumerate("abc"):
-            np.testing.assert_array_equal(got[name].view(np.uint64), table[:, j].view(np.uint64))
+        monkeypatch.setattr(densum.analysis, "_load_table_csv", never)
+        got = load_table(path, ["c", "a", "b"])
+        self.assert_same_table(got, want)
+        np.testing.assert_array_equal(got[1].view(np.uint64), table[:, [2, 0, 1]].view(np.uint64))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_is_read_in_one_csv_module_pass(self, tmp_path):
@@ -1343,19 +1357,19 @@ class TestLoadColumns:
         writer = threading.Thread(target=path.write_bytes, args=(b"a,b\n1_000,2\n",), daemon=True)
         writer.start()
         try:
-            got = load_columns(path, ["a", "b"])
+            names, table = load_table(path, ["a", "b"])
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert {k: v.tolist() for k, v in got.items()} == {"a": [1000.0], "b": [2.0]}
+        assert names == ["a", "b"] and table.tolist() == [[1000.0, 2.0]]
 
     def test_header_only_file_raises_no_warning(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("a,b\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = load_columns(path, ["a", "b"])
-        assert [v.size for v in got.values()] == [0, 0]
+            names, table = load_table(path, ["a", "b"])
+        assert names == ["a", "b"] and table.shape == (0, 2)
 
     def test_nan_response_fails_the_fit_at_load(self, regression_csv, tmp_path, capsys):
         lines = open(regression_csv).read().splitlines()
@@ -1370,7 +1384,7 @@ class TestLoadColumns:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            load_columns(path, ["a"])
+            load_table(path, ["a"])
 
 
 def _modules_imported_by(argv, cwd):

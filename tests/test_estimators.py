@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densum.analysis import load_columns
+from densum.analysis import load_table
 from densum.core import Partition, sequential_partition
 from densum.estimators import (
     ConvergenceError,
@@ -23,6 +23,7 @@ from densum.estimators import (
     ols_fit,
     partition_compare,
     residual_range,
+    weighted_residuals,
 )
 from densum.simulation import block_rows, table3_design
 
@@ -86,8 +87,8 @@ class TestOlsFit:
 
 
 def _golden_design(covariates):
-    data = load_columns(Path(__file__).parent / "golden" / "analysis_200.csv", ["y", *covariates])
-    return np.column_stack([np.ones(data["y"].shape[0])] + [data[c] for c in covariates])
+    table = load_table(Path(__file__).parent / "golden" / "analysis_200.csv", ["y", *covariates])[1]
+    return np.column_stack([np.ones(table.shape[0]), table[:, 1:]])
 
 
 def _random_design(seed):
@@ -201,8 +202,8 @@ class TestPartitionCompare:
 class TestResidualRange:
     def test_worked_values(self, fit3):
         # weighted residuals for s=0: (-5/36, 1/9, 1/36) -> range 1/4
-        assert residual_range(fit3, 0) == pytest.approx(0.25, rel=1e-13)
-        assert residual_range(fit3, 1) == pytest.approx(1.0 / 6.0, rel=1e-13)
+        assert residual_range(weighted_residuals(fit3, 0)) == pytest.approx(0.25, rel=1e-13)
+        assert residual_range(weighted_residuals(fit3, 1)) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_zero_spread_warns(self, fit3):
         exact = RegressionFit(
@@ -214,12 +215,12 @@ class TestResidualRange:
             residuals=np.zeros_like(fit3.residuals),
         )
         with pytest.warns(UserWarning, match="degenerate"):
-            assert residual_range(exact, 0) == 0.0
+            assert residual_range(weighted_residuals(exact, 0)) == 0.0
 
     def test_needs_two_observations(self):
         fit = ols_fit(np.array([[1.0]]), np.array([2.0]))
         with pytest.raises(ValueError, match="at least two"):
-            residual_range(fit, 0)
+            residual_range(weighted_residuals(fit, 0))
 
 
 def newton_logit(X, y, iters=200):

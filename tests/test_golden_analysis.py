@@ -1,4 +1,4 @@
-"""Golden analysis outputs: ``fit`` and ``diagnose`` on one committed CSV.
+"""Golden analysis outputs: ``ci``, ``fit`` and ``diagnose`` on one committed CSV.
 
 ``tests/golden/analysis_200.csv`` is perfbench's synthetic frame at seed 0
 and 200 rows (``workloads.write_frame(path, workloads.synthetic_frame(0,
@@ -9,7 +9,10 @@ and 200 rows (``workloads.write_frame(path, workloads.synthetic_frame(0,
   --out ...``;
 * ``analysis_200_diagnose_x1_{hist,ecdf,acf}.csv``, the plot CSVs of
   ``densum diagnose analysis_200.csv --response y --covariates x1,x2,x3
-  --coefficient x1 --out ...``.
+  --coefficient x1 --out ...``;
+* ``analysis_200_ci_y.txt`` and ``analysis_200_ci_y_hoeffding_known40.txt``,
+  the stdout of ``densum ci analysis_200.csv --column y``, plain and with
+  ``--method hoeffding --range known=40``: the set's line, then its JSON.
 
 A rerun must reproduce every label, flag, count and lag exactly and every
 other number at six significant digits (``agree6``), as the coverage
@@ -20,7 +23,10 @@ rounding (W e = 0), so it is checked to be below 1e-14 in magnitude.
 
 import csv
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from densum.cli import main
 from test_golden import GOLDEN, agree6
@@ -54,6 +60,27 @@ def test_fit_reproduces_the_golden_report(tmp_path):
                  "--out", str(out)]) == 0
     expected = json.loads((GOLDEN / "analysis_200_fit.json").read_text())
     _assert_agrees(expected, json.loads(out.read_text()), ())
+
+
+# ci's stdout line: its numbers and the text between them
+NUMBER = re.compile(r"(-?[0-9.]+(?:e[-+]?[0-9]+)?)")
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], "analysis_200_ci_y.txt"),
+     (["--method", "hoeffding", "--range", "known=40"], "analysis_200_ci_y_hoeffding_known40.txt")],
+    ids=["u", "hoeffding-known40"],
+)
+def test_ci_reproduces_the_golden_stdout(capsys, flags, golden):
+    assert main(["ci", str(FRAME), "--column", "y", *flags]) == 0
+    line, payload = capsys.readouterr().out.splitlines()
+    ref_line, ref_payload = (GOLDEN / golden).read_text().splitlines()
+    got, ref = NUMBER.split(line), NUMBER.split(ref_line)
+    assert len(got) == len(ref), line
+    assert got[0::2] == ref[0::2], line  # the text between the numbers
+    assert all(agree6(a, b) for a, b in zip(ref[1::2], got[1::2])), (line, ref_line)
+    _assert_agrees(json.loads(ref_payload), json.loads(payload), ())
 
 
 def _rows(path):
