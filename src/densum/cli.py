@@ -227,11 +227,11 @@ def cmd_fit(args):
         raise ValueError("--partitions: the first count sets the Wald comparator's "
                          "clusters and must be at least 2")
     alpha = _level(args.alpha)
-    if covariates is not None:  # a climate frame's columns are known once it is built
-        _check_model_column("--screen", args.screen, ("intercept", *covariates))
+    if os.path.exists(args.file) and not os.path.isfile(args.file):  # stat opens nothing
+        raise ValueError(f"fit hashes its input for the report's provenance, so the input "
+                         f"must be a regular file, which {args.file} is not")
 
-    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
-    _check_model_column("--screen", args.screen, columns)
+    y, X, columns = _model_frame(args, covariates, "--screen", args.screen)
     for k in counts:  # the partitions themselves are built when they are compared
         check_cluster_count(y.shape[0], k)
     fit = ols_fit(X, y)
@@ -270,11 +270,21 @@ def cmd_fit(args):
     return 0
 
 
-def _check_model_column(flag, name, columns):
-    """Reject ``flag``'s column ``name``, when given, unless the model has it."""
+def _model_frame(args, covariates, flag, name):
+    """fit's and diagnose's (y, X, columns), once ``flag``'s column ``name``, when
+    given, is found among the model's: a plain frame's (the intercept and the
+    covariates) before the load, a climate frame's once it is built."""
+    if covariates is None:  # a climate frame's columns are known once it is built
+        frame = fit_frame(args.file, None, None, args.climate)
+        columns = frame[2]
+    else:
+        columns = ("intercept", *covariates)
     if name is not None and name not in columns:
         raise ValueError(f"{flag} {name!r} is not a column of the model "
                          f"({', '.join(columns)})")
+    if covariates is None:
+        return frame
+    return fit_frame(args.file, args.response, covariates, None)
 
 
 def _print_partition_checks(fit, counts, columns, alpha):
@@ -325,10 +335,7 @@ def _diagnosed_series(args):
     covariates = _covariates(args)
     if args.coefficient is None:
         raise ValueError("--coefficient is required when diagnosing a fit")
-    if covariates is not None:  # a climate frame's columns are known once it is built
-        _check_model_column("--coefficient", args.coefficient, ("intercept", *covariates))
-    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate)
-    _check_model_column("--coefficient", args.coefficient, columns)
+    y, X, columns = _model_frame(args, covariates, "--coefficient", args.coefficient)
     fit = ols_fit(X, y)
     return (f"weighted residuals: {args.coefficient}",
             weighted_residuals(fit, columns.index(args.coefficient)))

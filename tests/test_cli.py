@@ -4,7 +4,6 @@ import math
 import os
 import shutil
 import subprocess
-import sys
 import threading
 import warnings
 from pathlib import Path
@@ -16,6 +15,7 @@ import densum.analysis
 import densum.cli
 import densum.climate
 import densum.simulation
+from conftest import GOLDEN_FIT, GOLDEN_FRAME, run_python
 from densum.analysis import (
     AnalysisReport,
     CoefficientRow,
@@ -560,6 +560,18 @@ class TestFitCommand:
         assert (f"error: --screen {screen!r} is not a column of the model "
                 "(intercept, x)") in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("model", [GOLDEN_FIT, ["--climate", "monthly"]],
+                             ids=["plain", "climate"])
+    def test_an_input_it_cannot_read_twice_is_refused(self, tmp_path, model):
+        # fit hashes its input after the load; on a pipe with no writer it waited for ever
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        proc = run_python("-m", "densum.cli", "fit", str(pipe), *model, timeout=30, status=1)
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: fit hashes its input for the report's provenance, so the "
+                               f"input must be a regular file, which {pipe} is not\n")
+
     def test_duplicate_covariate_is_a_clean_error(self, regression_csv, capsys):
         rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x,x"])
         assert rc == 1
@@ -804,8 +816,11 @@ class TestSettingsFailBeforeTheWork:
         "command, text, message",
         [("diagnose", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'"),
          ("ci", "[DEFAULT]\nreps = x\n", "[DEFAULT] reps must be int, got 'x'"),
-         ("simulate", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'")],
-        ids=["diagnose-analysis-alpha", "ci-default-reps", "simulate-analysis-alpha"],
+         ("simulate", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'"),
+         ("ci", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'"),
+         ("fit", "[analysis]\nalpha = x\n", "[analysis] alpha must be float, got 'x'")],
+        ids=["diagnose-analysis-alpha", "ci-default-reps", "simulate-analysis-alpha",
+             "ci-analysis-alpha", "fit-analysis-alpha"],
     )
     def test_a_bad_config_value_fails_every_command_that_reads_the_file(
         self, regression_csv, tmp_path, monkeypatch, capsys, command, text, message
@@ -822,12 +837,29 @@ class TestSettingsFailBeforeTheWork:
         argv = {
             "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
             "ci": ["ci", regression_csv, "--column", "y"],
+            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
             "diagnose": ["diagnose", regression_csv, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [(["simulate", "--table", "2"], ["--seed", "3", "--reps", "20"]),
+         (["fit", GOLDEN_FRAME], ["--alpha", "0.1", *GOLDEN_FIT]),
+         (["ci", GOLDEN_FRAME], ["--alpha", "0.1", "--column", "y"])],
+        ids=["simulate", "fit", "ci"],
+    )
+    def test_a_config_file_gives_the_output_its_flags_give(self, tmp_path, argv, flags):
+        cfg = tmp_path / "densum.ini"
+        cfg.write_text("[DEFAULT]\nseed = 3\n[table2]\nreps = 20\n[analysis]\nalpha = 0.1\n"
+                       "response = y\ncovariates = x1,x2,x3\ncolumn = y\n")
+        config, given = tmp_path / "config.out", tmp_path / "flags.out"
+        assert main([*argv, "-c", str(cfg), "--out", str(config)]) == 0
+        assert main([*argv, *flags, "--out", str(given)]) == 0
+        assert config.read_bytes() == given.read_bytes()
 
     def test_one_config_file_serves_every_command(self, unit_column, tmp_path):
         # [DEFAULT] may hold any command's key; each command reads its own
@@ -1390,20 +1422,9 @@ class TestLoadColumns:
 def _modules_imported_by(argv, cwd):
     """Every module a fresh ``python -m densum.cli`` process imports, as
     ``-X importtime`` reports them."""
-    package_root = str(Path(densum.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "densum.cli", *argv],
-        capture_output=True, text=True, timeout=120, cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-X", "importtime", "-m", "densum.cli", *argv, cwd=cwd, timeout=120)
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
-
-
-GOLDEN_FRAME = str(Path(__file__).parent / "golden" / "analysis_200.csv")
-GOLDEN_FIT = ["--response", "y", "--covariates", "x1,x2,x3"]
 
 
 @pytest.mark.parametrize(
