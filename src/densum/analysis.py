@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from densum.concentration import ci_linear, ci_mean, rule_of_thumb
-from densum.core import SupportSpec
+from densum.core import SupportSpec, binary_scale
 from densum.estimators import acf_phi_hat, residual_range, weighted_residuals
 from densum.uclass import check_u_class
 
@@ -108,14 +108,21 @@ def _series_diagnostics(name, series):
         )
     if float(np.min(z)) == float(np.max(z)):
         raise ValueError(f"series {name} is constant; diagnostics are undefined")
-    support = SupportSpec(float(np.min(z)), float(np.max(z)))
-    u_report = check_u_class(z, support)
-    bound = rule_of_thumb(np.ones(n), float(np.var(z)), support.length)
+    # The moments are taken on z scaled by a power of two, so no square over-
+    # or underflows; the scaling is exact, and the three location-scale
+    # figures are scaled back.
+    scale = binary_scale(z)
+    zs = z * scale
+    support = SupportSpec(float(np.min(zs)), float(np.max(zs)))
+    u_report = check_u_class(zs, support)
+    variance = float(np.var(zs))
+    bound = rule_of_thumb(np.ones(n), variance, support.length)
+    half = n // 2
+    drift = abs(float(np.mean(zs[:half]) - np.mean(zs[half:])))
+    del zs  # freed before the ACF's FFT buffers
+    drift_se = math.sqrt(variance * (1.0 / half + 1.0 / (n - half)))
     short, long_ = lag_windows(n)
     acf = acf_phi_hat(z, max(short, long_)).acf
-    half = n // 2
-    drift = abs(float(np.mean(z[:half]) - np.mean(z[half:])))
-    drift_se = math.sqrt(np.var(z) * (1.0 / half + 1.0 / (n - half)))
     note = (
         "halves differ by more than 3 standard errors; inspect for drift"
         if drift > 3.0 * drift_se
@@ -125,9 +132,9 @@ def _series_diagnostics(name, series):
         name=name,
         is_u=u_report.is_u,
         is_sub_u=u_report.is_sub_u,
-        expected_value=u_report.expected_value,
-        functional_average=u_report.functional_average,
-        tolerance=u_report.tolerance,
+        expected_value=u_report.expected_value / scale,
+        functional_average=u_report.functional_average / scale,
+        tolerance=u_report.tolerance / scale,
         rule_of_thumb_bound=bound,
         phi_hat_short=float(np.mean(acf[:short])),
         phi_hat_long=float(np.mean(acf[:long_])),

@@ -29,7 +29,7 @@ import numpy as np
 from densum.analysis import (
     _series_diagnostics, file_sha256, fit_frame, fit_report, load_table, mean_set,
 )
-from densum.core import check_cluster_count, sequential_partition, summarize
+from densum.core import check_alpha, check_cluster_count, sequential_partition, summarize
 from densum.estimators import (
     gee_exchangeable_wald, ols_fit, partition_compare, weighted_residuals,
 )
@@ -160,10 +160,8 @@ def _parse_range_flag(text):
 
 
 def _level(alpha):
-    """ci's and fit's alpha: 0.05 unless set, and inside (0, 1)."""
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return 0.05 if alpha is None else alpha
+    """ci's and fit's alpha: 0.05 unless set, and checked by ``check_alpha``."""
+    return 0.05 if alpha is None else check_alpha(alpha)
 
 
 # --method value -> ci_mean method

@@ -249,12 +249,12 @@ def parse_index_csv(text):
     """Parse a pre-built index series: CSV with date (YYYY-MM) and value columns."""
     reader = csv.DictReader(io.StringIO(text))
     out = {}
-    for i, record in enumerate(reader, start=2):
+    for record in reader:
         try:
             year, month = record["date"].split("-")
             out[(int(year), int(month))] = float(record["value"])
-        except (KeyError, ValueError, AttributeError) as exc:
-            raise ValueError(f"line {i}: cannot parse index row ({exc})") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # TypeError: a short row
+            raise ValueError(f"line {reader.line_num}: cannot parse index row ({exc})") from exc
     if not out:
         raise ValueError("no data rows found in index file")
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from densum.core import ConfidenceSet, SampleSummary, summarize
+from densum.core import ConfidenceSet, SampleSummary, binary_scale, check_alpha, summarize
 from densum.uclass import log_av_product
 
 # Each range-based theorem's constant c: its tail is 2 exp(-c tau^2 / sum w_i^2 R_i^2).
@@ -38,10 +38,8 @@ class TailBound:
 
 
 def _log_level(alpha):
-    """log(2/alpha) for a level alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return math.log(2.0 / alpha)
+    """log(2/alpha) for an alpha ``check_alpha`` accepts."""
+    return math.log(2.0 / check_alpha(alpha))
 
 
 def _tail_constant(theorem):
@@ -55,6 +53,17 @@ def half_width(scale, alpha, theorem="u_sharp"):
     tau at which ``theorem``'s tail equals alpha, for scale =
     sqrt(sum w_i^2 R_i^2) (a float or an array) and c = TAIL_CONSTANTS[theorem]."""
     return scale * math.sqrt(_log_level(alpha) / _tail_constant(theorem))
+
+
+def _finite_set(center, half, alpha, method, range_source, R):
+    """center +- half at level 1 - alpha, refused when an end overflows (R, the
+    range or ranges behind ``half``, is named by its largest value)."""
+    lower, upper = center - half, center + half
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"the {method} set {center:.6g} +- {half:.6g} overflows double "
+                         f"precision: the range R = {float(np.max(R)):.6g} or the data's "
+                         "magnitude is too large")
+    return ConfidenceSet(lower, upper, 1.0 - alpha, method, range_source)
 
 
 def _weighted_range_sum(w, ranges):
@@ -143,15 +152,17 @@ def ci_mean(data, R=None, alpha=0.05, method="u_sharp"):
         if R is None or not R >= 0:
             raise ValueError("a positive range R, or 0 for a one-point set, is required")
         if method == "bernstein":
-            # tau^2 = log(2/alpha) (2 w^2 A + (2/3) w tau M), A = n M^2 / 3
-            M = R / 2.0
+            # tau^2 = log(2/alpha) (2 w^2 A + (2/3) w tau M), A = n M^2 / 3, solved
+            # for M scaled by a power of two, so M^2 cannot overflow, then scaled back
+            scale = binary_scale(R / 2.0)
+            M = R / 2.0 * scale
             w = 1.0 / n
             A = n * M * M / 3.0
             b = log_term * (2.0 / 3.0) * w * M
-            half = 0.5 * (b + math.sqrt(b * b + 8.0 * log_term * w * w * A))
+            half = 0.5 * (b + math.sqrt(b * b + 8.0 * log_term * w * w * A)) / scale
         else:
             half = half_width(R / math.sqrt(n), alpha, method)
-        return ConfidenceSet(summary.mean - half, summary.mean + half, 1.0 - alpha, method, "known")
+        return _finite_set(summary.mean, half, alpha, method, "known", R)
     if method == "ratio":
         if summary.minimum < 0:
             raise ValueError("the ratio form requires a nonnegative support (m >= 0)")
@@ -182,9 +193,11 @@ def ci_linear(estimate, w_s, ranges, alpha=0.05, range_source="known"):
     R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
     if not np.all(R >= 0):
         raise ValueError("ranges must be nonnegative")
-    half = half_width(math.sqrt(float(np.sum(w * w * R * R))), alpha)
-    return ConfidenceSet(float(estimate) - half, float(estimate) + half, 1.0 - alpha, "u_sharp",
-                         range_source)
+    # w and R scaled by powers of two, so no w_i^2 R_i^2 over- or underflows
+    a, b = binary_scale(w), binary_scale(R)
+    ws, Rs = w * a, R * b
+    half = half_width(math.sqrt(float(np.sum(ws * ws * Rs * Rs))) / a / b, alpha)
+    return _finite_set(float(estimate), half, alpha, "u_sharp", range_source, R)
 
 
 def optimal_s(tau, w, ranges, theorem="u_sharp"):

@@ -244,6 +244,28 @@ def sequential_partition(n, K):
     return Partition(labels)
 
 
+def check_alpha(alpha):
+    """``alpha``, once checked: 0 < alpha < 1, and its level 1 - alpha below 1
+    (an alpha at or below 2**-54 leaves a level that rounds to 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha = {alpha!r} is too small: its level 1 - alpha rounds to 1")
+    return alpha
+
+
+def binary_scale(values):
+    """The power of two 2**-k that brings the largest |value| into [0.5, 1)
+    (1.0 for zeros).  Scaling by it is exact barring subnormal results, so a
+    sum of squares taken on scaled values and scaled back keeps the plain
+    sum's bits wherever the plain sum neither over- nor underflows."""
+    peak = max(float(np.max(values, initial=-math.inf)),
+               -float(np.min(values, initial=math.inf)))
+    if not 0.0 < peak < math.inf:
+        return 1.0
+    return math.ldexp(1.0, -max(math.frexp(peak)[1], -1023))
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """A one-dimensional confidence set [lower, upper] at a given level."""
@@ -300,10 +322,12 @@ def summarize(sample):
     values = sample.values
     if values.size == 1:
         raise ValueError("variance undefined for a single observation")
+    scale = binary_scale(values)  # exact: no sum or square over- or underflows
+    scaled = values * scale
     return SampleSummary(
         n=int(values.size),
-        mean=float(values.mean()),
-        variance=float(values.var(ddof=1)),
+        mean=float(scaled.mean()) / scale,
+        variance=float(scaled.var(ddof=1)) / scale / scale,
         minimum=float(values.min()),
         maximum=float(values.max()),
         range=float(values.max() - values.min()),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from densum.core import ConfidenceSet, Partition
+from densum.core import ConfidenceSet, Partition, binary_scale, check_alpha
 
 
 class ConvergenceError(RuntimeError):
@@ -211,11 +211,15 @@ def partition_compare(fit, partitions, s):
     if len(partitions) < 2:
         raise ValueError("need at least two partitions to compare")
     z = weighted_residuals(fit, s)  # formed once for every partition
-    values = np.array([_cluster_variance(z, part).value for part in partitions])
-    tie_tol = 1e-12 * max(1.0, float(np.max(values)))
-    recommended = int(np.argmax(values))
-    top = values[recommended]
-    is_tie = bool(np.sum(np.abs(values - top) <= tie_tol) > 1)
+    scale = binary_scale(z)  # exact: no squared cluster sum over- or underflows
+    z *= scale
+    scaled = np.array([_cluster_variance(z, part).value for part in partitions])
+    tie_tol = 1e-12 * max(scale * scale, float(np.max(scaled)))  # 1e-12 max(1, top), scaled
+    recommended = int(np.argmax(scaled))
+    top = scaled[recommended]
+    is_tie = bool(np.sum(np.abs(scaled - top) <= tie_tol) > 1)
+    with np.errstate(over="ignore"):  # a variance beyond double precision reads inf
+        values = scaled / scale / scale
     return PartitionComparison(
         values=values,
         recommended=recommended,
@@ -491,14 +495,16 @@ def gee_exchangeable_vcov(fit, partition):
 
 def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    vcov, _ = gee_exchangeable_vcov(fit, partition)
+    check_alpha(alpha)
+    # The residuals are scaled by a power of two, so no square in the sandwich
+    # over- or underflows, and the standard error is scaled back (exactly).
+    scale = binary_scale(fit.residuals)
+    vcov, _ = _ExchangeableSandwich(fit.design, partition)(fit.residuals[None, :] * scale)
     # Imported here, so only ``fit --partitions`` loads scipy, and after the
     # sandwich, so scipy's pages do not add to the sandwich's peak.
     from densum.kernels import std_normal_quantile
 
-    se = float(np.sqrt(vcov[s, s]))
+    se = float(np.sqrt(vcov[0, s, s])) / scale
     z = std_normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceSet(
         lower=float(fit.coefficients[s]) - z * se,
@@ -540,7 +546,8 @@ def acf_phi_hat(series, lags):
     lags = int(lags)
     if not 1 <= lags < n:
         raise ValueError("lags must satisfy 1 <= lags < n")
-    centered = y - np.mean(y)
+    centered = y * binary_scale(y)  # exact; no sum or square over- or underflows
+    centered -= np.mean(centered)
     denom = float(np.sum(centered * centered))
     if denom == 0.0:
         raise ValueError("series is constant; autocorrelation is undefined")

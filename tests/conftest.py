@@ -18,6 +18,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Refuse the work of the commands that read no input: simulate's grid and
+    fetch-climate's download.  (ci, fit and diagnose are given an input that
+    does not exist: reading it first would fail with its own error.)"""
+    def never(*args, **kwargs):
+        raise AssertionError("the work must not start")
+
+    monkeypatch.setattr("densum.simulation.run_table", never)
+    monkeypatch.setattr("densum.climate.fetch_climate", never)
+
+
 def random_psd(rng, n, rank=None):
     """A random symmetric PSD matrix with nontrivial off-diagonal mass."""
     rank = rank if rank is not None else n

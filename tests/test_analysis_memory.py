@@ -24,11 +24,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import GOLDEN_FIT
 from densum.cli import main
 
 N, P = 100_000, 4
 DESIGN_BYTES = N * P * 8
-MODEL = ["--response", "y", "--covariates", "x1,x2,x3"]
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +42,8 @@ def frame(tmp_path_factory):
                    header="y,x1,x2,x3", comments="")
     # the lazy imports (scipy for the Wald comparator, numpy.fft) load before any trace
     warm = str(folder / "warm.csv")
-    assert main(["fit", warm, *MODEL, "--partitions", "2,3", "--screen", "x3"]) == 0
-    assert main(["diagnose", warm, *MODEL, "--coefficient", "x1",
+    assert main(["fit", warm, *GOLDEN_FIT, "--partitions", "2,3", "--screen", "x3"]) == 0
+    assert main(["diagnose", warm, *GOLDEN_FIT, "--coefficient", "x1",
                  "--out", str(folder / "warm")]) == 0
     return folder / "frame.csv"
 
@@ -60,14 +60,14 @@ def traced_peak_in_designs(argv, capsys):
 
 
 def test_fit_holds_at_most_five_designs(frame, tmp_path, capsys):
-    argv = ["fit", str(frame), *MODEL, "--partitions", "5,10,25", "--screen", "x3",
+    argv = ["fit", str(frame), *GOLDEN_FIT, "--partitions", "5,10,25", "--screen", "x3",
             "--out", str(tmp_path / "fit.json")]
     peak = traced_peak_in_designs(argv, capsys)
     assert peak <= 5.0, f"fit's traced peak is {peak:.2f} designs"
 
 
 def test_diagnose_holds_at_most_four_designs(frame, tmp_path, capsys):
-    argv = ["diagnose", str(frame), *MODEL, "--coefficient", "x1",
+    argv = ["diagnose", str(frame), *GOLDEN_FIT, "--coefficient", "x1",
             "--out", str(tmp_path / "diagnose")]
     peak = traced_peak_in_designs(argv, capsys)
     assert peak <= 4.0, f"diagnose's traced peak is {peak:.2f} designs"

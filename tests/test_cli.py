@@ -14,7 +14,6 @@ import pytest
 import densum.analysis
 import densum.cli
 import densum.climate
-import densum.simulation
 from conftest import GOLDEN_FIT, GOLDEN_FRAME, run_python
 from densum.analysis import (
     AnalysisReport,
@@ -55,6 +54,13 @@ def unit_column(tmp_path):
     """101 values filling [0, 1] exactly; mean exactly 0.5."""
     y = np.arange(101) / 100.0
     return write_csv(tmp_path / "unit.csv", {"y": y})
+
+
+@pytest.fixture
+def unread(tmp_path):
+    """An input that does not exist.  A command that read it before checking
+    its settings would fail with [Errno 2], not with the setting's error."""
+    return str(tmp_path / "never-written.csv")
 
 
 @pytest.fixture
@@ -174,11 +180,7 @@ class TestSimulateCommand:
                      "--out", str(out)]) == 0
         assert read_results_csv(out)[0]["phi"] == "0.2"
 
-    def test_missing_output_directory_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
-        def never(config):
-            raise AssertionError("run_table must not run")
-
-        monkeypatch.setattr(densum.simulation, "run_table", never)
+    def test_missing_output_directory_fails_before_the_work(self, tmp_path, no_work, capsys):
         missing = tmp_path / "missing" / "dir"
         rc = main(["simulate", "--table", "1", "--reps", "300", "--out", str(missing / "x.csv")])
         assert rc == 1
@@ -211,22 +213,14 @@ class TestSimulateCommand:
             (["--table", "3", "--n", "1"], "n must be at least 20 ("),
         ],
     )
-    def test_bad_settings_fail_before_the_work(self, flags, message, tmp_path, monkeypatch, capsys):
-        def never(config):
-            raise AssertionError("run_table must not run")
-
-        monkeypatch.setattr(densum.simulation, "run_table", never)
+    def test_bad_settings_fail_before_the_work(self, flags, message, tmp_path, no_work, capsys):
         out = tmp_path / "x.csv"
         rc = main(["simulate", *flags, "--reps", "2", "--out", str(out)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
-        def never(config):
-            raise AssertionError("run_table must not run")
-
-        monkeypatch.setattr(densum.simulation, "run_table", never)
+    def test_bad_env_seed_is_named(self, tmp_path, no_work, monkeypatch, capsys):
         monkeypatch.setenv("DENSUM_SEED", "abc")
         out = tmp_path / "x.csv"
         assert main(["simulate", "--table", "1", "--reps", "2", "--out", str(out)]) == 1
@@ -319,14 +313,9 @@ class TestCiCommand:
          (["--range", "known=3"], "method = ratio", "known=3")],
         ids=["flags", "flag-residual", "config-range", "config-method"],
     )
-    def test_ratio_rejects_a_range_before_the_load(
-        self, unit_column, tmp_path, monkeypatch, capsys, flags, config, given
-    ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        monkeypatch.setattr(densum.cli, "load_table", never)
-        argv = ["ci", unit_column, "--column", "y", *flags]
+    def test_ratio_rejects_a_range_before_the_load(self, unread, tmp_path, capsys, flags, config,
+                                                   given):
+        argv = ["ci", unread, "--column", "y", *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
             cfg.write_text(f"[analysis]\n{config}\n")
@@ -548,13 +537,8 @@ class TestFitCommand:
         assert "retention screen for x" in capsys.readouterr().out
 
     @pytest.mark.parametrize("screen", ["z", "y"])
-    def test_screen_outside_the_model_fails_before_the_load(self, regression_csv, screen,
-                                                            monkeypatch, capsys):
-        def never(*args):
-            raise AssertionError("the CSV must not be read")
-
-        monkeypatch.setattr(densum.analysis, "load_table", never)
-        rc = main(["fit", regression_csv, "--response", "y", "--covariates", "x",
+    def test_screen_outside_the_model_fails_before_the_load(self, unread, screen, capsys):
+        rc = main(["fit", unread, "--response", "y", "--covariates", "x",
                    "--screen", screen])
         assert rc == 1
         assert (f"error: --screen {screen!r} is not a column of the model "
@@ -668,14 +652,9 @@ class TestFitCommand:
         ids=["fit-flags", "diagnose-flags", "fit-config", "diagnose-config"],
     )
     def test_a_repeated_covariate_is_rejected_before_the_load(
-        self, regression_csv, tmp_path, monkeypatch, capsys, command, flags, config
+        self, unread, tmp_path, capsys, command, flags, config
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        argv = [command, regression_csv, *flags]
+        argv = [command, unread, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
             cfg.write_text(f"[analysis]\n{config}\n")
@@ -686,19 +665,13 @@ class TestFitCommand:
         assert "error: covariate 'x' is listed twice" in captured.err
 
     @pytest.mark.parametrize("command", ["ci", "fit", "diagnose"])
-    def test_missing_output_directory_fails_before_the_work(
-        self, regression_csv, tmp_path, monkeypatch, capsys, command
-    ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
+    def test_missing_output_directory_fails_before_the_work(self, unread, tmp_path, capsys,
+                                                            command):
         missing = tmp_path / "missing" / "dir"
         argv = {
-            "ci": ["ci", regression_csv, "--column", "y"],
-            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
-            "diagnose": ["diagnose", regression_csv, "--column", "y"],
+            "ci": ["ci", unread, "--column", "y"],
+            "fit": ["fit", unread, "--response", "y", "--covariates", "x"],
+            "diagnose": ["diagnose", unread, "--column", "y"],
         }[command]
         assert main(argv + ["--out", str(missing / "p")]) == 1
         captured = capsys.readouterr()
@@ -717,6 +690,10 @@ class TestSettingsFailBeforeTheWork:
              "alpha must lie in (0, 1)"),
             (["fit", "--response", "y", "--covariates", "x"], "alpha = 1.5",
              "alpha must lie in (0, 1)"),
+            (["ci", "--column", "y", "--alpha", "1e-320"], None,
+             "alpha = 1e-320 is too small: its level 1 - alpha rounds to 1"),
+            (["fit", "--response", "y", "--covariates", "x", "--alpha", "1e-17"], None,
+             "alpha = 1e-17 is too small: its level 1 - alpha rounds to 1"),
             (["diagnose", "--response", "y", "--covariates", "x"], None,
              "--coefficient is required when diagnosing a fit"),
             (["fit", "--response", "y", "--covariates", "x", "--partitions", "1,5"], None,
@@ -725,18 +702,13 @@ class TestSettingsFailBeforeTheWork:
             (["fit", "--response", "y", "--covariates", "x", "--partitions", "5"], None,
              "--partitions needs at least two cluster counts to compare, got 5"),
         ],
-        ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha",
-             "diagnose-coefficient", "fit-partitions", "fit-single-partition"],
+        ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha", "ci-tiny-alpha",
+             "fit-tiny-alpha", "diagnose-coefficient", "fit-partitions", "fit-single-partition"],
     )
     def test_bad_setting_fails_before_the_input_is_read(
-        self, regression_csv, tmp_path, monkeypatch, capsys, argv, config, message
+        self, unread, tmp_path, capsys, argv, config, message
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        argv = argv[:1] + [regression_csv] + argv[1:]
+        argv = argv[:1] + [unread] + argv[1:]
         if config is not None:
             cfg = tmp_path / "an.ini"
             cfg.write_text(f"[analysis]\n{config}\n")
@@ -745,6 +717,17 @@ class TestSettingsFailBeforeTheWork:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ci", "--column", "y"], ["fit", *GOLDEN_FIT], ["diagnose", "--column", "y"]],
+        ids=["ci", "fit", "diagnose"],
+    )
+    def test_a_well_formed_command_fails_on_the_unread_input(self, unread, capsys, argv):
+        # what the tests above would print, had the command read its input first
+        assert main(argv[:1] + [unread] + argv[1:]) == 1
+        assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                           f"{unread!r}\n")
 
     @pytest.mark.parametrize(
         "command, text, message",
@@ -763,22 +746,16 @@ class TestSettingsFailBeforeTheWork:
              "other-section"],
     )
     def test_config_keys_a_section_cannot_take_fail_before_the_input_is_read(
-        self, regression_csv, tmp_path, monkeypatch, capsys, command, text, message
+        self, unread, tmp_path, no_work, capsys, command, text, message
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "keys.ini"
         cfg.write_text(text)
         argv = {
             "simulate": ["simulate", "--table", "1", "--reps", "2",
                          "--out", str(tmp_path / "t.csv")],
-            "ci": ["ci", regression_csv, "--column", "y"],
-            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
-            "diagnose": ["diagnose", regression_csv, "--column", "y"],
+            "ci": ["ci", unread, "--column", "y"],
+            "fit": ["fit", unread, "--response", "y", "--covariates", "x"],
+            "diagnose": ["diagnose", unread, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -794,18 +771,13 @@ class TestSettingsFailBeforeTheWork:
         ids=["simulate-seed", "simulate-beside-its-section", "ci-alpha"],
     )
     def test_a_bad_config_value_names_the_section_it_came_from(
-        self, unit_column, tmp_path, monkeypatch, capsys, command, text, message
+        self, unread, tmp_path, no_work, capsys, command, text, message
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        monkeypatch.setattr(densum.cli, "load_table", never)
-        monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         argv = {
             "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
-            "ci": ["ci", unit_column, "--column", "y"],
+            "ci": ["ci", unread, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -823,22 +795,16 @@ class TestSettingsFailBeforeTheWork:
              "ci-analysis-alpha", "fit-analysis-alpha"],
     )
     def test_a_bad_config_value_fails_every_command_that_reads_the_file(
-        self, regression_csv, tmp_path, monkeypatch, capsys, command, text, message
+        self, unread, tmp_path, no_work, capsys, command, text, message
     ):
         # a value is checked when the file is read, not only by the commands that take its key
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        monkeypatch.setattr(densum.simulation, "run_table", never)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         argv = {
             "simulate": ["simulate", "--table", "1", "--out", str(tmp_path / "t.csv")],
-            "ci": ["ci", regression_csv, "--column", "y"],
-            "fit": ["fit", regression_csv, "--response", "y", "--covariates", "x"],
-            "diagnose": ["diagnose", regression_csv, "--column", "y"],
+            "ci": ["ci", unread, "--column", "y"],
+            "fit": ["fit", unread, "--response", "y", "--covariates", "x"],
+            "diagnose": ["diagnose", unread, "--column", "y"],
         }[command]
         assert main(argv + ["-c", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -875,12 +841,8 @@ class TestSettingsFailBeforeTheWork:
         assert json.loads(out.read_text())["level"] == pytest.approx(0.9)
 
     def test_fetch_climate_checks_its_output_directory_before_the_download(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, no_work, capsys
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("nothing must be downloaded")
-
-        monkeypatch.setattr(densum.climate, "fetch_climate", never)
         missing = tmp_path / "missing" / "dir"
         assert main(["fetch-climate", "--out", str(missing / "c.csv")]) == 1
         assert f"error: output directory {missing} does not exist" in capsys.readouterr().err
@@ -899,13 +861,8 @@ class TestSettingsFailBeforeTheWork:
         ids=["start-text", "start-month-13", "end-month-0", "end-short-year", "end-long-month",
              "start-after-end"],
     )
-    def test_fetch_climate_checks_its_window_before_the_download(
-        self, monkeypatch, capsys, flags, message
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError("nothing must be downloaded")
-
-        monkeypatch.setattr(densum.climate, "fetch_climate", never)
+    def test_fetch_climate_checks_its_window_before_the_download(self, no_work, capsys, flags,
+                                                                  message):
         assert main(["fetch-climate", *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -1051,14 +1008,9 @@ class TestDiagnoseCommand:
         ids=["flags", "config-column"],
     )
     def test_a_column_and_a_coefficient_are_rejected_before_the_load(
-        self, regression_csv, tmp_path, monkeypatch, capsys, flags, config
+        self, unread, tmp_path, capsys, flags, config
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        argv = ["diagnose", regression_csv, *flags]
+        argv = ["diagnose", unread, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
             cfg.write_text(f"[analysis]\n{config}\n")
@@ -1075,15 +1027,9 @@ class TestDiagnoseCommand:
         ids=["flags", "config-column"],
     )
     def test_a_column_and_climate_are_rejected_before_the_load(
-        self, regression_csv, tmp_path, monkeypatch, capsys, flags, config
+        self, unread, tmp_path, capsys, flags, config
     ):
-        def never(*args):
-            raise AssertionError("the input must not be read")
-
-        for module in (densum.cli, densum.analysis):  # the names ci and fit_frame call
-            monkeypatch.setattr(module, "load_table", never)
-        monkeypatch.setattr(densum.climate, "load_climate_csv", never)
-        argv = ["diagnose", regression_csv, *flags]
+        argv = ["diagnose", unread, *flags]
         if config is not None:
             cfg = tmp_path / "an.ini"
             cfg.write_text(f"[analysis]\n{config}\n")
@@ -1094,12 +1040,8 @@ class TestDiagnoseCommand:
         climate = flags[flags.index("--climate") + 1]
         assert f"column 'y' and --climate '{climate}'" in captured.err
 
-    def test_unknown_coefficient(self, regression_csv, monkeypatch, capsys):
-        def never(*args):
-            raise AssertionError("the CSV must not be read")
-
-        monkeypatch.setattr(densum.analysis, "load_table", never)
-        rc = main(["diagnose", regression_csv, "--response", "y",
+    def test_unknown_coefficient(self, unread, capsys):
+        rc = main(["diagnose", unread, "--response", "y",
                    "--covariates", "x", "--coefficient", "zzz"])
         assert rc == 1
         assert ("error: --coefficient 'zzz' is not a column of the model "

@@ -275,6 +275,8 @@ GML_SAMPLE = """# CO2 expressed as a mole fraction in dry air
 1980 1 1980.042 338.45 0.10 337.82 0.09
 """
 
+SHORT_INDEX_ROW = "date,value\n2000-01,1.0\n2000-02\n"
+
 
 class TestRawParsers:
     def test_gistemp_wide_format(self):
@@ -325,6 +327,24 @@ class TestRawParsers:
     def test_index_csv_empty(self):
         with pytest.raises(ValueError, match="no data rows"):
             parse_index_csv("date,value\n")
+
+    @pytest.mark.parametrize("text, line", [(SHORT_INDEX_ROW, 3),
+                                            ("date,value\n2000-01,1.0\n\n\n2000-02,oops\n", 5)],
+                             ids=["short-row", "after-blank-lines"])
+    def test_index_csv_error_names_the_file_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: cannot parse index row"):
+            parse_index_csv(text)
+
+    def test_fetch_climate_reports_a_short_index_row(self, tmp_path, monkeypatch, capsys):
+        texts = {"temp": GISTEMP_SAMPLE, "co2": GML_SAMPLE, "index": SHORT_INDEX_ROW}
+        monkeypatch.setattr("densum.climate.fetch_text", texts.get)
+        out = tmp_path / "c.csv"
+        assert main(["fetch-climate", "--temp-url", "temp", "--co2-url", "co2",
+                     "--index-url", "index", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: line 3: cannot parse index row (")
+        assert captured.err.count("\n") == 1
 
 
 class TestMergeSeries:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densum.cli import _level
 from densum.concentration import (
     a5_from_sums,
     bernstein_tail,
@@ -17,7 +18,8 @@ from densum.concentration import (
     rule_of_thumb,
     u_tail,
 )
-from densum.core import SampleSummary, summarize
+from densum.core import SampleSummary, check_alpha, sequential_partition, summarize
+from densum.estimators import gee_exchangeable_wald, ols_fit
 from densum.kernels import seeded_stream
 
 # Shared scenario: n = 100 equal weights 1/n on unit-range variables, so
@@ -227,6 +229,27 @@ class TestCiLinear:
         with pytest.raises(ValueError, match="range_source"):
             ci_linear(0.0, [1.0], range_source="plugin", ranges=1.0)
 
+    def test_the_scaled_sum_keeps_the_plain_sums_bits(self, rng):
+        # w and R are scaled by powers of two, which is exact
+        for _ in range(20):
+            w = rng.standard_normal(50) * 10.0 ** rng.integers(-5, 6)
+            R = rng.uniform(0.1, 3.0, 50) * 10.0 ** rng.integers(-5, 6)
+            half = half_width(math.sqrt(float(np.sum(w * w * R * R))), 0.05)
+            out = ci_linear(0.3, w, R)
+            assert (out.lower, out.upper) == (0.3 - half, 0.3 + half)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_squares_beyond_double_precision_scale_the_set_exactly(self, k):
+        w, R = np.array([0.25, -0.5, 0.1]), np.array([1.0, 2.0, 3.0])
+        plain = ci_linear(0.0, w, R)
+        scaled = ci_linear(0.0, w, R * 2.0 ** k)
+        assert (scaled.lower, scaled.upper) == (plain.lower * 2.0 ** k, plain.upper * 2.0 ** k)
+
+    def test_a_set_beyond_double_precision_is_refused(self):
+        with pytest.raises(ValueError, match=r"overflows double precision: the range "
+                                             r"R = 1\.5e\+308"):
+            ci_linear(0.0, np.ones(4), 1.5e308)
+
 
 class TestOptimalS:
     def test_tail_forms(self):
@@ -258,6 +281,28 @@ def test_a_level_outside_the_unit_interval_is_rejected_by_name(scale, alpha):
     # 1.5 once gave a number, 3 a math domain error and 0 a ZeroDivisionError
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
         scale(alpha)
+
+
+@pytest.mark.parametrize("alpha", [2.0 ** -54, 1e-17, 1e-320])
+@pytest.mark.parametrize(
+    "use",
+    [check_alpha,
+     lambda alpha: half_width(0.1, alpha),
+     lambda alpha: ci_mean([0.0, 0.5, 1.0], R=1.0, alpha=alpha),
+     lambda alpha: gee_exchangeable_wald(ols_fit(np.ones((4, 1)), np.arange(4.0)),
+                                         sequential_partition(4, 2), alpha=alpha),
+     _level],
+    ids=["check-alpha", "half-width", "ci-mean", "gee-wald", "cli-level"],
+)
+def test_an_alpha_whose_level_rounds_to_1_is_rejected_by_name(use, alpha):
+    # the set's level 1 - alpha would be 1, not the level asked for
+    with pytest.raises(ValueError, match=r"^alpha = .+ is too small: its level 1 - alpha "
+                                         r"rounds to 1$"):
+        use(alpha)
+
+
+def test_the_smallest_alpha_with_a_level_below_1_is_kept():
+    assert check_alpha(2.0 ** -53) == 2.0 ** -53 and 1.0 - 2.0 ** -53 < 1.0
 
 
 class TestRuleOfThumb:

@@ -172,6 +172,11 @@ class TestSummarize:
             minimum=1.0, maximum=6.0, range=5.0,
         )
 
+    def test_squares_beyond_double_precision_keep_the_variance(self, rng):
+        # |y| above 2**512 squares past the largest double; the variance does not
+        y = rng.standard_normal(1000)
+        assert summarize(y * 2.0 ** 511).variance == float(y.var(ddof=1)) * 2.0 ** 1022
+
     def test_single_observation_rejected(self):
         with pytest.raises(ValueError, match="single observation"):
             summarize([4.2])

@@ -578,6 +578,12 @@ class TestAcf:
         report = acf_phi_hat(y, lags=12)
         np.testing.assert_allclose(report.acf, full[1:13] / full[0], atol=1e-12)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_scaling_by_a_power_of_two_keeps_every_bit(self, rng, k):
+        # the squares of y * 2**600 overflow and those of y * 2**-600 underflow
+        y = rng.standard_normal(300)
+        assert np.array_equal(acf_phi_hat(y * 2.0 ** k, 40).acf, acf_phi_hat(y, 40).acf)
+
     def test_white_noise_is_small(self, rng):
         report = acf_phi_hat(rng.standard_normal(4000), lags=10)
         assert abs(report.phi_hat) < 0.05

@@ -28,11 +28,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN_FIT, GOLDEN_FRAME
 from densum.cli import main
 from test_golden import GOLDEN, agree6
 
-FRAME = GOLDEN / "analysis_200.csv"
-MODEL = ["--response", "y", "--covariates", "x1,x2,x3"]
 ZERO_UP_TO_ROUNDING = 1e-14
 
 
@@ -56,7 +55,7 @@ def _assert_agrees(ref, got, path):
 
 def test_fit_reproduces_the_golden_report(tmp_path):
     out = tmp_path / "fit.json"
-    assert main(["fit", str(FRAME), *MODEL, "--partitions", "5,10,25", "--screen", "x3",
+    assert main(["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10,25", "--screen", "x3",
                  "--out", str(out)]) == 0
     expected = json.loads((GOLDEN / "analysis_200_fit.json").read_text())
     _assert_agrees(expected, json.loads(out.read_text()), ())
@@ -73,7 +72,7 @@ NUMBER = re.compile(r"(-?[0-9.]+(?:e[-+]?[0-9]+)?)")
     ids=["u", "hoeffding-known40"],
 )
 def test_ci_reproduces_the_golden_stdout(capsys, flags, golden):
-    assert main(["ci", str(FRAME), "--column", "y", *flags]) == 0
+    assert main(["ci", GOLDEN_FRAME, "--column", "y", *flags]) == 0
     line, payload = capsys.readouterr().out.splitlines()
     ref_line, ref_payload = (GOLDEN / golden).read_text().splitlines()
     got, ref = NUMBER.split(line), NUMBER.split(ref_line)
@@ -90,7 +89,7 @@ def _rows(path):
 
 def test_diagnose_reproduces_the_golden_plot_csvs(tmp_path):
     prefix = tmp_path / "diag"
-    assert main(["diagnose", str(FRAME), *MODEL, "--coefficient", "x1",
+    assert main(["diagnose", GOLDEN_FRAME, *GOLDEN_FIT, "--coefficient", "x1",
                  "--out", str(prefix)]) == 0
     for part, exact in (("hist", {"count"}), ("ecdf", set()), ("acf", {"lag", "window"})):
         expected = _rows(GOLDEN / f"analysis_200_diagnose_x1_{part}.csv")

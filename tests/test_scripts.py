@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-import densum.simulation
 from densum.cli import main
 from densum.simulation import read_results_csv
 from densum.climate import write_climate_csv
@@ -40,13 +39,8 @@ def test_env_seed_reaches_the_seed_column(coverage_tables, tmp_path, monkeypatch
     assert {r["seed"] for r in read_results_csv(f"{prefix}_table2.csv")} == {"5"}
 
 
-def test_missing_prefix_directory_fails_before_the_work(
-    coverage_tables, tmp_path, monkeypatch, capsys
-):
-    def never(config):
-        raise AssertionError("run_table must not run")
-
-    monkeypatch.setattr(densum.simulation, "run_table", never)
+def test_missing_prefix_directory_fails_before_the_work(coverage_tables, tmp_path, no_work,
+                                                        capsys):
     missing = tmp_path / "missing"
     assert coverage_tables.main(["--tables", "1", "--prefix", str(missing / "cov")]) == 1
     assert f"output directory {missing} does not exist" in capsys.readouterr().err
