@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from densum.cli import main as densum_main
+from densum.climate import climate_prepare, load_climate_csv
 
 
 def main(argv=None):
@@ -24,12 +25,19 @@ def main(argv=None):
         if code != 0:
             return code
 
+    # The index is screened when the model has it: fetch-climate writes an index
+    # column only when given --index-url.  fit reports an input it cannot read.
+    try:
+        columns = climate_prepare(load_climate_csv(csv_path)).columns
+    except (OSError, ValueError):
+        columns = ()
+    screen = ["--screen", "log_index_lag1"] if "log_index_lag1" in columns else []
     for unit in ("monthly", "yearly"):
         code = densum_main(
             [
                 "fit", csv_path, "--climate", unit,
                 "--range", "residual",
-                "--screen", "log_index_lag1",
+                *screen,
                 "--out", f"{args.out_prefix}_{unit}.json",
             ]
         )

@@ -108,15 +108,10 @@ def _series_diagnostics(name, series):
         )
     if float(np.min(z)) == float(np.max(z)):
         raise ValueError(f"series {name} is constant; diagnostics are undefined")
-    # The moments are taken on z scaled by a power of two, so no square over-
-    # or underflows; the scaling is exact, and the three location-scale
-    # figures are scaled back.
-    scale = binary_scale(z)
-    zs = z * scale
-    support = SupportSpec(float(np.min(zs)), float(np.max(zs)))
-    u_report = check_u_class(zs, support)
+    u_report = check_u_class(z, SupportSpec(float(np.min(z)), float(np.max(z))))
+    zs = z * binary_scale(z)  # exact; the variance's squares neither over- nor underflow
     variance = float(np.var(zs))
-    bound = rule_of_thumb(np.ones(n), variance, support.length)
+    bound = rule_of_thumb(np.ones(n), variance, float(np.max(zs) - np.min(zs)))
     half = n // 2
     drift = abs(float(np.mean(zs[:half]) - np.mean(zs[half:])))
     del zs  # freed before the ACF's FFT buffers
@@ -132,9 +127,9 @@ def _series_diagnostics(name, series):
         name=name,
         is_u=u_report.is_u,
         is_sub_u=u_report.is_sub_u,
-        expected_value=u_report.expected_value / scale,
-        functional_average=u_report.functional_average / scale,
-        tolerance=u_report.tolerance / scale,
+        expected_value=u_report.expected_value,
+        functional_average=u_report.functional_average,
+        tolerance=u_report.tolerance,
         rule_of_thumb_bound=bound,
         phi_hat_short=float(np.mean(acf[:short])),
         phi_hat_long=float(np.mean(acf[:long_])),
@@ -145,14 +140,17 @@ def _series_diagnostics(name, series):
 
 
 def _read_header(reader, names):
-    """Read the header record; return each column's position (a repeated
-    header name: the last one wins)."""
+    """Read the header record; return each column's position.  A requested
+    name that the header repeats is refused: which column it means is unknown."""
     header = next(reader, None)
     if header is None:
         raise ValueError("input file is empty")
     missing = [c for c in names if c not in header]
     if missing:
         raise ValueError(f"missing column(s) {missing}; available: {header}")
+    for c in names:
+        if header.count(c) > 1:
+            raise ValueError(f"column '{c}' appears {header.count(c)} times in the header")
     return {c: j for j, c in enumerate(header)}
 
 

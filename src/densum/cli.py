@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict
 
@@ -394,17 +393,12 @@ def _write_plot_csvs(prefix, series, diag, acf):
 
 def cmd_fetch_climate(args):
     resolve_settings(args)
-    window = {}
-    for flag in ("start", "end"):  # YYYY-M or YYYY-MM, kept as (year, month)
-        text = getattr(args, flag)
-        match = re.fullmatch(r"([0-9]{4})-(0?[1-9]|1[0-2])", text)
-        if not match:
-            raise ValueError(f"--{flag} must be YYYY-M or YYYY-MM (month 1-12), got {text!r}")
-        window[flag] = (int(match[1]), int(match[2]))
-    if window["start"] > window["end"]:
-        raise ValueError("--start must not come after --end")
     from densum import climate
 
+    window = {flag: climate.parse_year_month(getattr(args, flag), f"--{flag}")
+              for flag in ("start", "end")}  # each a (year, month)
+    if window["start"] > window["end"]:
+        raise ValueError("--start must not come after --end")
     try:
         rows = climate.fetch_climate(
             climate.DEFAULT_TEMP_URL if args.temp_url is None else args.temp_url,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ SEASONS = {
     6: "summer", 7: "summer", 8: "summer",
     9: "autumn", 10: "autumn", 11: "autumn",
 }
+
+
+def parse_year_month(text, what="date"):
+    """(year, month) of a YYYY-M or YYYY-MM date, month 1-12: the one date
+    rule of the climate CSV, the index series and fetch's window."""
+    match = re.fullmatch(r"([0-9]{4})-(0?[1-9]|1[0-2])", text)
+    if not match:
+        raise ValueError(f"{what} must be YYYY-M or YYYY-MM (month 1-12), got {text!r}")
+    return int(match[1]), int(match[2])
 
 
 @dataclass(frozen=True)
@@ -154,12 +164,10 @@ def load_climate_csv(path):
         rows = []
         for record in reader:
             try:
-                year, month = record["date"].split("-")
                 idx = record.get("index")
                 rows.append(
                     ClimateRow(
-                        year=int(year),
-                        month=int(month),
+                        *parse_year_month(record["date"]),
                         temp_anomaly=_finite(record, "temp_anomaly"),
                         co2=_finite(record, "co2"),
                         index=_finite(record, "index") if idx not in (None, "") else None,
@@ -251,9 +259,8 @@ def parse_index_csv(text):
     out = {}
     for record in reader:
         try:
-            year, month = record["date"].split("-")
-            out[(int(year), int(month))] = float(record["value"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # TypeError: a short row
+            out[parse_year_month(record["date"])] = float(record["value"])
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
             raise ValueError(f"line {reader.line_num}: cannot parse index row ({exc})") from exc
     if not out:
         raise ValueError("no data rows found in index file")

@@ -66,22 +66,34 @@ def _finite_set(center, half, alpha, method, range_source, R):
     return ConfidenceSet(lower, upper, 1.0 - alpha, method, range_source)
 
 
-def _weighted_range_sum(w, ranges):
+def _scaled_range_sum(w, ranges):
+    """(sum (a w_i)^2 (b R_i)^2, a b), a and b the powers of two that bring w and
+    R into [0.5, 1): exactly (a b)^2 times the plain sum, with no term out of range."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
-    if np.any(R <= 0):
+    if not np.all(R >= 0):
+        raise ValueError("ranges must be nonnegative")
+    a, b = binary_scale(w), binary_scale(R)
+    ws, Rs = w * a, R * b
+    return float(np.sum(ws * ws * Rs * Rs)), a * b
+
+
+def _tail_terms(tau, w, ranges):
+    """(a b tau, sum, a b): ``_scaled_range_sum`` for a tail at tau > 0, ranges > 0."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if not np.all(np.asarray(ranges, dtype=float) > 0):
         raise ValueError("ranges must be positive")
-    total = float(np.sum(w * w * R * R))
+    total, scale = _scaled_range_sum(w, ranges)
     if total == 0.0:
         raise ValueError("sum of w_i^2 R_i^2 is zero")
-    return total
+    return tau * scale, total, scale
 
 
 def _range_tail(tau, w, ranges, theorem):
     """2 exp(-c tau^2 / sum w_i^2 R_i^2), capped at 1, c = TAIL_CONSTANTS[theorem]."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    exponent = TAIL_CONSTANTS[theorem] * tau * tau / _weighted_range_sum(w, ranges)
+    t, total, _ = _tail_terms(tau, w, ranges)
+    exponent = TAIL_CONSTANTS[theorem] * t * t / total
     return TailBound(tau=float(tau), value=min(1.0, 2.0 * math.exp(-exponent)), theorem=theorem)
 
 
@@ -189,24 +201,17 @@ def ci_linear(estimate, w_s, ranges, alpha=0.05, range_source="known"):
     range.  This differs from table 3's ``ci_r``, which scales the pooled range
     of the residuals e by ||w_s||.
     """
-    w = np.atleast_1d(np.asarray(w_s, dtype=float))
-    R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
-    if not np.all(R >= 0):
-        raise ValueError("ranges must be nonnegative")
-    # w and R scaled by powers of two, so no w_i^2 R_i^2 over- or underflows
-    a, b = binary_scale(w), binary_scale(R)
-    ws, Rs = w * a, R * b
-    half = half_width(math.sqrt(float(np.sum(ws * ws * Rs * Rs))) / a / b, alpha)
-    return _finite_set(float(estimate), half, alpha, "u_sharp", range_source, R)
+    total, scale = _scaled_range_sum(w_s, ranges)
+    half = half_width(math.sqrt(total) / scale, alpha)
+    return _finite_set(float(estimate), half, alpha, "u_sharp", range_source, ranges)
 
 
 def optimal_s(tau, w, ranges, theorem="u_sharp"):
     """The exponent scale s = 2c tau / sum w_i^2 R_i^2 that minimizes the MGF
     bound of ``theorem`` (c = TAIL_CONSTANTS[theorem]): 4 tau / sum w_i^2 R_i^2
     for hoeffding, 12 tau / sum w_i^2 R_i^2 for u_sharp."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    return 2.0 * _tail_constant(theorem) * tau / _weighted_range_sum(w, ranges)
+    t, total, scale = _tail_terms(tau, w, ranges)
+    return 2.0 * _tail_constant(theorem) * t / total * scale
 
 
 def diagnostic_s(M, c_star, sum_w2, alpha):
@@ -230,10 +235,13 @@ def rule_of_thumb(w, variances, ranges):
     R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
     if np.any(sigma2 < 0):
         raise ValueError("variances must be nonnegative")
-    denom = float(np.sum(w * w * sigma2))
+    # w, and R with sigma, scaled exactly by powers of two: the ratio keeps its bits
+    a, b = binary_scale(w), binary_scale(R)
+    ws, Rs = w * a, R * b
+    denom = float(np.sum(ws * ws * (sigma2 * b * b)))
     if denom <= 0.0:
         raise ValueError("sum of w^2 sigma^2 must be positive")
-    return float(np.sum(w * w * R * R)) / (12.0 * denom) - 1.0
+    return float(np.sum(ws * ws * Rs * Rs)) / (12.0 * denom) - 1.0
 
 
 A5_BOUNDARY_SES = 2.0  # "boundary": |A_hat - Av*| within this many MC standard errors

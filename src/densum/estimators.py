@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -482,37 +483,35 @@ class _ExchangeableSandwich:
         return Dinv @ meat @ Dinv, rho
 
 
-def gee_exchangeable_vcov(fit, partition):
-    """Exchangeable-sandwich covariance of a least-squares fit.
+def wald_z(alpha):
+    """The two-sided Wald multiplier z = -Phi^{-1}(alpha / 2) (``NormalDist``'s
+    AS241), taken at alpha / 2 since 1 - alpha / 2 rounds for a tiny alpha."""
+    return -NormalDist().inv_cdf(check_alpha(alpha) / 2.0)
 
-    The one-replication case of ``_ExchangeableSandwich``.  An
-    all-singleton partition gives rho = 0 and reduces to the
-    heteroskedasticity-robust sandwich.  Returns (vcov, rho_hat).
-    """
-    vcov, rho = _ExchangeableSandwich(fit.design, partition)(fit.residuals[None, :])
-    return vcov[0], float(rho[0])
+
+def _scaled_sandwich(fit, partition):
+    """(scale^2 vcov, rho, scale): the sandwich on the residuals times the
+    power of two ``scale``, exact, so no square in it over- or underflows."""
+    scale = binary_scale(fit.residuals)
+    vcov, rho = _ExchangeableSandwich(fit.design, partition)(fit.residuals[None, :] * scale)
+    return vcov[0], float(rho[0]), scale
+
+
+def gee_exchangeable_vcov(fit, partition):
+    """(vcov, rho_hat), the exchangeable sandwich of a least-squares fit: the
+    one-replication case of ``_ExchangeableSandwich``.  An all-singleton
+    partition gives rho = 0, the heteroskedasticity-robust sandwich."""
+    vcov, rho, scale = _scaled_sandwich(fit, partition)
+    with np.errstate(over="ignore"):  # a covariance beyond double precision reads inf
+        return vcov / scale / scale, rho
 
 
 def gee_exchangeable_wald(fit, partition, alpha=0.05, s=0):
     """Wald confidence set for coefficient s from the exchangeable sandwich."""
-    check_alpha(alpha)
-    # The residuals are scaled by a power of two, so no square in the sandwich
-    # over- or underflows, and the standard error is scaled back (exactly).
-    scale = binary_scale(fit.residuals)
-    vcov, _ = _ExchangeableSandwich(fit.design, partition)(fit.residuals[None, :] * scale)
-    # Imported here, so only ``fit --partitions`` loads scipy, and after the
-    # sandwich, so scipy's pages do not add to the sandwich's peak.
-    from densum.kernels import std_normal_quantile
-
-    se = float(np.sqrt(vcov[0, s, s])) / scale
-    z = std_normal_quantile(1.0 - alpha / 2.0)
-    return ConfidenceSet(
-        lower=float(fit.coefficients[s]) - z * se,
-        upper=float(fit.coefficients[s]) + z * se,
-        level=1.0 - alpha,
-        method="wald",
-        range_source=None,
-    )
+    z = wald_z(alpha)
+    vcov, _, scale = _scaled_sandwich(fit, partition)
+    center, half = float(fit.coefficients[s]), z * (float(np.sqrt(vcov[s, s])) / scale)
+    return ConfidenceSet(center - half, center + half, 1.0 - alpha, "wald", range_source=None)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,6 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix expected to be PD fails its Cholesky factorization."""
 
 
-def std_normal_quantile(p):
-    """Inverse standard normal CDF for p in (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
-    return special.ndtri(p)
-
-
 def beta_quantile(a, b, p):
     """Inverse of the regularized incomplete beta function I_x(a, b).
 

@@ -59,7 +59,7 @@ from scipy.special import ndtr
 
 from densum.concentration import a5_from_sums, diagnostic_s, half_width, rule_of_thumb
 from densum.core import SupportSpec, sequential_partition
-from densum.estimators import _ExchangeableSandwich, _qr_weight_rows
+from densum.estimators import _ExchangeableSandwich, _qr_weight_rows, wald_z
 from densum.kernels import (
     NORMAL_MAP_BLOCK,
     beta_normal_map,
@@ -70,7 +70,6 @@ from densum.kernels import (
     rank_one_cholesky,
     seeded_normals,
     seeded_stream,
-    std_normal_quantile,
     truncnorm_normal_map,
     truncnorm_quantile,
     validate_correlation,
@@ -566,7 +565,7 @@ class _Cell:
         self.W, self.shift, self.to_marginal = W, shift, to_marginal
         self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
-        self.z = std_normal_quantile(1.0 - ALPHA / 2.0)
+        self.z = wald_z(ALPHA)
         self.stats = _Statistics(
             np.empty((reps, p)), np.empty((reps, p), dtype=bool),
             np.empty(reps) if ranges else None,

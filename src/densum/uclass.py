@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from densum.core import SupportSpec
+from densum.core import SupportSpec, binary_scale
 
 
 def av_moment(support, k):
@@ -159,26 +159,28 @@ def check_u_class(data, support):
     """
     if not isinstance(support, SupportSpec):
         raise TypeError("support must be a SupportSpec")
-    R = support.range
     is_sample = hasattr(data, "__len__") or hasattr(data, "__array__")
     if callable(getattr(data, "mean", None)) and not is_sample:
-        expected = float(data.mean())
-        tolerance = 1e-3 * R
+        values = np.array([float(data.mean())])  # one value: no standard error
     else:
         values = np.asarray(data, dtype=float)
         if values.size == 0:
             raise ValueError("empty sample")
-        expected = float(values.mean())
-        se = float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
-        tolerance = 1e-3 * R + 3.0 * se
-    av = support.midpoint  # regular support: the functional average is the midpoint
+    # values and bounds scaled exactly by one power of two: no square leaves the range
+    scale = min(binary_scale(values), binary_scale([support.lower, support.upper]))
+    values = values * scale
+    m, M = support.lower * scale, support.upper * scale
+    expected = float(values.mean())
+    se = float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
+    tolerance = 1e-3 * support.range * scale + 3.0 * se
+    av = 0.5 * (m + M)  # regular support: the functional average is the midpoint
     return UDiagnosticsReport(
-        expected_value=expected,
-        functional_average=av,
+        expected_value=expected / scale,
+        functional_average=av / scale,
         is_u=abs(expected - av) <= tolerance,
         is_sub_u=(av - expected) <= tolerance,
-        cdf_area_gap=(support.upper - expected) - (expected - support.lower),
-        tolerance=tolerance,
+        cdf_area_gap=((M - expected) - (expected - m)) / scale,
+        tolerance=tolerance / scale,
     )
 
 

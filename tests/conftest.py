@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 import densum
+from densum.analysis import fit_frame
+from densum.estimators import ols_fit
 
 PACKAGE_ROOT = str(Path(densum.__file__).resolve().parents[1])  # children import this densum
 GOLDEN_FRAME = str(Path(__file__).parent / "golden" / "analysis_200.csv")
 GOLDEN_FIT = ["--response", "y", "--covariates", "x1,x2,x3"]
+
+
+def golden_fit(k=0):
+    """The least-squares fit of GOLDEN_FIT on GOLDEN_FRAME, its y times 2**k."""
+    y, X, _ = fit_frame(GOLDEN_FRAME, "y", ["x1", "x2", "x3"], None)
+    return ols_fit(X, y * 2.0 ** k)
 
 
 @pytest.fixture

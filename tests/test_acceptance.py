@@ -18,11 +18,10 @@ from scipy.special import betainc, ndtr
 from densum.cli import main
 from densum.concentration import bernstein_tail, ci_mean, hoeffding_tail, u_tail
 from densum.core import SampleSummary, sequential_partition
-from densum.estimators import cluster_robust, irwls_fit, meat_estimator, ols_fit
+from densum.estimators import cluster_robust, irwls_fit, meat_estimator, ols_fit, wald_z
 from densum.kernels import (
     beta_quantile,
     seeded_stream,
-    std_normal_quantile,
     truncnorm_quantile,
 )
 from densum.simulation import ExperimentConfig, MarginalSpec, copula_sample, exchangeable_corr, run_table1, run_table2, run_table3
@@ -216,10 +215,11 @@ def test_quantile_kernels_agree_with_bisection_oracles():
     oracle = bisect(lambda x: (ndtr((x - mu) / sigma) - za) / (zb - za), p, lo, hi)
     assert np.max(np.abs(got - oracle)) <= 1e-8
 
+    # the Wald comparators' z = -Phi^{-1}(alpha / 2) is |Phi^{-1}(p)| at alpha = 2 min(p, 1 - p)
     p = rng.uniform(1e-6, 1.0 - 1e-6, 200)
-    got = std_normal_quantile(p)
+    got = np.array([wald_z(2.0 * min(q, 1.0 - q)) for q in p])
     oracle = bisect(ndtr, p, -9.0, 9.0)
-    assert np.max(np.abs(got - oracle)) <= 1e-8
+    assert np.max(np.abs(got - np.abs(oracle))) <= 1e-8
 
 
 def test_estimator_identities():

@@ -40,7 +40,7 @@ def frame(tmp_path_factory):
     for rows, name in ((100, "warm.csv"), (N, "frame.csv")):
         np.savetxt(folder / name, np.column_stack([y, x])[:rows], fmt="%.10f", delimiter=",",
                    header="y,x1,x2,x3", comments="")
-    # the lazy imports (scipy for the Wald comparator, numpy.fft) load before any trace
+    # the lazy imports (numpy.fft) load before any trace
     warm = str(folder / "warm.csv")
     assert main(["fit", warm, *GOLDEN_FIT, "--partitions", "2,3", "--screen", "x3"]) == 0
     assert main(["diagnose", warm, *GOLDEN_FIT, "--coefficient", "x1",

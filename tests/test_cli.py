@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -469,6 +470,20 @@ class TestFitCommand:
         assert slope.ci_lower < 3.0 < slope.ci_upper
         assert abs(intercept.estimate - 2.0) < 0.2
         assert abs(slope.estimate - 3.0) < 0.2
+
+    def test_an_alpha_whose_one_minus_half_rounds_to_1_gives_the_comparator_its_set(
+        self, capsys
+    ):
+        # at alpha = 1e-16, 1 - alpha/2 rounds to 1; z = -Phi^{-1}(alpha/2) = 8.3048 is finite
+        sets = []
+        for alpha in (["--alpha", "1e-16"], []):
+            assert main(["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10", *alpha]) == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            assert line.startswith("  comparator Wald (x3, K=5): [")
+            sets.append([float(end) for end in line.split("[")[1].rstrip("]").split(", ")])
+        (lo, hi), (lo95, hi95) = sets
+        assert (lo + hi) / 2 == pytest.approx((lo95 + hi95) / 2, rel=1e-5)
+        assert (hi - lo) / (hi95 - lo95) == pytest.approx(8.3047854 / 1.9599640, rel=1e-5)
 
     def test_provenance_hashes_the_input(self, regression_csv, tmp_path):
         import hashlib
@@ -1337,6 +1352,27 @@ class TestLoadColumns:
         assert not writer.is_alive()
         assert names == ["a", "b"] and table.tolist() == [[1000.0, 2.0]]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ci", "--column", "y", "--range", "known=100"],
+         ["fit", "--response", "x", "--covariates", "y"],
+         ["diagnose", "--column", "y"]],
+        ids=["ci", "fit", "diagnose"],
+    )
+    def test_a_requested_name_the_header_repeats_is_refused(self, tmp_path, capsys, argv):
+        # which of the two y columns is meant is unknown; the last one was once read
+        path = tmp_path / "repeated.csv"
+        path.write_text("y,x,y\n" + "".join(f"{i},{i * i % 7},{10 * i}\n" for i in range(1, 13)))
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == "error: column 'y' appears 2 times in the header\n"
+
+    def test_both_loaders_read_the_header_alike(self, tmp_path):
+        with pytest.raises(ValueError, match="^column 'y' appears 2 times in the header$"):
+            densum.analysis._load_table_csv(io.StringIO("y,x,y\n1,2,3\n"), ["x", "y"])
+        path = tmp_path / "repeated.csv"
+        path.write_text("y,x,y\n1,5,10\n2,6,20\n")  # a repeated name not asked for is legal
+        assert load_table(path, ["x"])[1].tolist() == [[5.0], [6.0]]
+
     def test_header_only_file_raises_no_warning(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("a,b\n")
@@ -1376,7 +1412,7 @@ def _modules_imported_by(argv, cwd):
      (["diagnose", "--column", "y"], set()),
      (["fit", "--climate", "monthly"], {"densum.climate"}),
      (["fit", GOLDEN_FRAME, *GOLDEN_FIT, "--partitions", "5,10,25", "--screen", "x3",
-       "--out", "fit.json"], {"scipy"}),
+       "--out", "fit.json"], set()),
      (["diagnose", GOLDEN_FRAME, *GOLDEN_FIT, "--coefficient", "x1", "--out", "diag"], set())],
     ids=["ci", "fit", "diagnose", "fit-climate", "fit-partitions-screen", "diagnose-coefficient"],
 )
@@ -1393,7 +1429,6 @@ def test_each_command_imports_only_what_it_runs(regression_csv, tmp_path, argv, 
         argv = [argv[0], regression_csv, *argv[1:]]
     imported = _modules_imported_by(argv, tmp_path)
     assert "densum.analysis" in imported  # the probe sees densum's own imports
-    # Only --partitions' comparator Wald z (scipy.special.ndtri) needs scipy.
     unused = {"densum.simulation", "densum.climate", "urllib.request", "scipy"} - loaded
     assert imported & (unused | loaded) == loaded
 

@@ -234,6 +234,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             load_climate_csv(path)
 
+    @pytest.mark.parametrize("date", ["2001-002", "02001-02", " 2001-02", "2001-+2", "２００１-02"])
+    def test_dates_follow_the_one_rule_of_fetch_and_the_index(self, tmp_path, date):
+        path = tmp_path / "c.csv"
+        path.write_text(f"date,temp_anomaly,co2\n2001-01,0.1,370\n{date},0.2,371\n")
+        with pytest.raises(ValueError, match=r"^line 3: cannot parse climate row \(date must be "
+                                             r"YYYY-M or YYYY-MM \(month 1-12\)"):
+            load_climate_csv(path)
+
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path, marked = tmp_path / "c.csv", tmp_path / "bom.csv"
         write_climate_csv(make_rows(n_months=3), path)
@@ -323,6 +331,13 @@ class TestRawParsers:
     def test_index_csv_bad_row(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_index_csv("date,value\n1979-01,100.5\nnot-a-date,7\n")
+
+    @pytest.mark.parametrize("month", ["13", "0"])
+    def test_index_csv_refuses_a_month_outside_1_to_12(self, month):
+        # merge_series once dropped such rows without a word
+        with pytest.raises(ValueError, match=r"^line 3: cannot parse index row \(date must be "
+                                             rf"YYYY-M or YYYY-MM \(month 1-12\), got '2000-{month}'\)$"):
+            parse_index_csv(f"date,value\n2000-01,1.0\n2000-{month},2.0\n")
 
     def test_index_csv_empty(self):
         with pytest.raises(ValueError, match="no data rows"):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,15 @@ from densum.kernels import seeded_stream
 N = 100
 W = np.full(N, 1.0 / N)
 LOG40 = math.log(40.0)  # log(2/alpha) at alpha = 0.05
+# Unequal weights and ranges: sum w_i^2 R_i^2 = 1.1525.
+W3, R3 = np.array([0.25, -0.5, 0.1]), np.array([1.0, 2.0, 3.0])
+
+
+def strictly(f, *args):
+    """f(*args) with every warning an error, so an overflow that is only warned about fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
 
 
 class TestTailBounds:
@@ -75,6 +86,55 @@ class TestTailBounds:
     def test_monotone_in_tau(self, t1, t2):
         lo, hi = sorted((t1, t2))
         assert u_tail(hi, W, 1.0).value <= u_tail(lo, W, 1.0).value + 1e-15
+
+    @pytest.mark.parametrize("tail", [u_tail, hoeffding_tail])
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_a_tail_is_scale_free_beyond_double_precision(self, tail, k):
+        # tau with R, or tau with w, times 2**k: the squares once over- or underflowed
+        plain = tail(1.5, W3, R3).value
+        assert 0.0 < plain < 1.0
+        assert strictly(tail, 1.5 * 2.0 ** k, W3, R3 * 2.0 ** k).value == plain
+        assert strictly(tail, 1.5 * 2.0 ** k, W3 * 2.0 ** k, R3).value == plain
+
+    @pytest.mark.parametrize("tail, c", [(u_tail, 6.0), (hoeffding_tail, 2.0)])
+    @pytest.mark.parametrize("x", [1e200, 1e-200])
+    def test_the_tail_at_a_huge_or_tiny_tau_and_range(self, tail, c, x):
+        # 2 exp(-c x^2 / (2 x^2)); at 1e200 once 1.0, at 1e-200 once "sum ... is zero"
+        value = strictly(tail, x, [1.0, 1.0], x).value
+        assert value == pytest.approx(2.0 * math.exp(-c / 2.0), rel=1e-15)
+
+
+class TestExactTails:
+    """The tails against exact laws in rational arithmetic: a bound must lie at
+    or above the exact tail of a U law, and may fall below that of another."""
+
+    @staticmethod
+    def uniform_mean_tail(n, tau):
+        """P(|mean| >= tau) for n independent U(-1/2, 1/2): 2 (1 - F_n(n/2 + n tau)),
+        F_n(x) = sum_{k <= x} (-1)^k C(n, k) (x - k)^n / n!, the Irwin-Hall CDF."""
+        x = Fraction(n, 2) + n * tau
+        terms = ((-1) ** k * math.comb(n, k) * (x - k) ** n for k in range(math.floor(x) + 1))
+        return 2 * (1 - sum(terms) / math.factorial(n))
+
+    def test_both_tails_bound_the_uniform_mean(self):
+        for n in range(2, 13):
+            for tau in (Fraction(step, 20) for step in range(1, 10)):
+                exact = self.uniform_mean_tail(n, tau)
+                for tail in (u_tail, hoeffding_tail):
+                    bound = tail(float(tau), np.full(n, 1.0 / n), 1.0).value
+                    assert Fraction(bound) >= exact, (n, tau, tail.__name__)
+
+    def test_the_oracle_is_the_irwin_hall_law(self):
+        # n = 2: the triangle law, P(|mean| >= tau) = (1 - 2 tau)^2
+        assert self.uniform_mean_tail(2, Fraction(1, 10)) == Fraction(16, 25)
+        assert self.uniform_mean_tail(12, Fraction(1, 2)) == 0
+
+    def test_the_u_tail_falls_below_a_rademacher_mean(self):
+        # outside the U class: P(|mean of 10 signs| >= 0.4) = P(B <= 3 or B >= 7), B ~ Bin(10, 1/2)
+        exact = Fraction(2 * sum(math.comb(10, b) for b in range(4)), 2 ** 10)
+        bound = u_tail(0.4, np.full(10, 0.1), 2.0).value
+        assert exact == Fraction(11, 32)  # 0.34375
+        assert bound == pytest.approx(0.18144, abs=5e-6) and bound < exact
 
 
 class TestBernsteinTails:
@@ -257,6 +317,16 @@ class TestOptimalS:
         assert optimal_s(tau=0.1, w=W, ranges=1.0, theorem="hoeffding") == pytest.approx(40.0)
         assert optimal_s(tau=0.1, w=W, ranges=1.0, theorem="u_sharp") == pytest.approx(120.0)
 
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_scales_exactly_beyond_double_precision(self, k):
+        # s = 2c tau / sum w_i^2 R_i^2: tau and R times 2**k give s times 2**-k
+        assert strictly(optimal_s, 1.5 * 2.0 ** k, W3, R3 * 2.0 ** k) == math.ldexp(
+            optimal_s(1.5, W3, R3), -k)
+
+    def test_a_huge_tau_and_range(self):
+        # 12 * 1e200 / (2 * 1e400); once 0.0
+        assert strictly(optimal_s, 1e200, [1.0, 1.0], 1e200) == pytest.approx(6e-200, rel=1e-15)
+
     def test_diagnostic_form(self):
         s = diagnostic_s(M=0.5, c_star=10.0, sum_w2=0.01, alpha=0.05)
         assert s == pytest.approx(29.7545134221238, abs=1e-10)
@@ -325,6 +395,18 @@ class TestRuleOfThumb:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             rule_of_thumb(W, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_the_weights_scale_out_beyond_double_precision(self, k):
+        # w^2 once over- or underflowed: inf / inf, or a zero denominator
+        assert strictly(rule_of_thumb, W3 * 2.0 ** k, 0.05, R3) == rule_of_thumb(W3, 0.05, R3)
+
+    def test_a_range_whose_square_overflows(self):
+        # R times 2**512 and sigma^2 times 4**512 leave R^2 / sigma^2 as it was; R^2 once read inf
+        assert strictly(rule_of_thumb, W3, 2.0 ** 1020, R3 * 2.0 ** 512) == rule_of_thumb(
+            W3, 0.0625, R3)
+        assert strictly(rule_of_thumb, np.ones(2), 1e300, 1e300) == pytest.approx(
+            1e300 / 12.0 - 1.0, rel=1e-15)
 
 
 class TestEmpiricalMgfDiagnostic:

@@ -1,12 +1,16 @@
+import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import golden_fit
 from densum.analysis import load_table
 from densum.core import Partition, sequential_partition
 from densum.estimators import (
@@ -23,6 +27,7 @@ from densum.estimators import (
     ols_fit,
     partition_compare,
     residual_range,
+    wald_z,
     weighted_residuals,
 )
 from densum.simulation import block_rows, table3_design
@@ -427,6 +432,30 @@ class TestGeeExchangeable:
         assert cs.method == "wald"
         assert cs.range_source is None
         assert cs.lower < cs.upper
+
+    @pytest.mark.parametrize("k", [530, -560])
+    def test_the_covariance_scales_exactly_and_rho_keeps_its_bits(self, k):
+        # the sandwich's squares once overflowed at y * 2**530 (a NaN covariance
+        # and rho) and underflowed at y * 2**-560 (rho = 0)
+        partition = sequential_partition(200, 5)
+        vcov, rho = gee_exchangeable_vcov(golden_fit(), partition)
+        wald = gee_exchangeable_wald(golden_fit(), partition, s=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vcov_k, rho_k = gee_exchangeable_vcov(golden_fit(k), partition)
+            wald_k = gee_exchangeable_wald(golden_fit(k), partition, s=3)
+        assert rho_k == rho == pytest.approx(0.0529, abs=5e-5)
+        with np.errstate(over="ignore"):  # beyond double precision both read inf
+            assert np.array_equal(vcov_k, np.ldexp(vcov, 2 * k))
+        assert (wald_k.lower, wald_k.upper) == (math.ldexp(wald.lower, k),
+                                                math.ldexp(wald.upper, k))
+
+
+def test_wald_z_agrees_with_scipy_ndtri():
+    # z = -Phi^{-1}(alpha / 2), from the smallest alpha check_alpha keeps to 0.999
+    alphas = np.concatenate([[2.0 ** -53, 1e-16, 0.05], np.geomspace(1e-16, 0.999, 400)])
+    z = np.array([wald_z(alpha) for alpha in alphas])
+    np.testing.assert_allclose(z, -scipy.special.ndtri(alphas / 2.0), rtol=1e-15, atol=0.0)
 
 
 def lopsided_partition(n):

@@ -17,7 +17,6 @@ from densum.kernels import (
     ensure_pd,
     seeded_normals,
     seeded_stream,
-    std_normal_quantile,
     truncnorm_normal_map,
     truncnorm_quantile,
     validate_correlation,
@@ -35,23 +34,6 @@ def bisect_inverse(cdf, p, lo, hi, iters=80):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def test_normal_cdf_quantile_roundtrip():
-    p = np.linspace(0.001, 0.999, 97)
-    np.testing.assert_allclose(special.ndtr(std_normal_quantile(p)), p, atol=1e-12)
-
-
-def test_normal_quantile_against_bisection(rng):
-    p = rng.uniform(0.01, 0.99, size=200)
-    oracle = bisect_inverse(special.ndtr, p, -10.0, 10.0)
-    np.testing.assert_allclose(std_normal_quantile(p), oracle, atol=1e-10)
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
-def test_normal_quantile_domain(p):
-    with pytest.raises(ValueError, match="strictly inside"):
-        std_normal_quantile(p)
 
 
 class TestBetaQuantile:

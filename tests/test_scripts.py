@@ -46,9 +46,12 @@ def test_missing_prefix_directory_fails_before_the_work(coverage_tables, tmp_pat
     assert f"output directory {missing} does not exist" in capsys.readouterr().err
 
 
-def test_climate_pipeline_writes_what_fit_and_diagnose_write(tmp_path):
+@pytest.mark.parametrize("with_index", [True, False], ids=["index", "no-index"])
+def test_climate_pipeline_writes_what_fit_and_diagnose_write(tmp_path, with_index):
+    # fetch-climate without --index-url writes no index column, and no index to screen
     data = tmp_path / "climate.csv"
-    write_climate_csv(make_rows(with_index=True), data)
+    write_climate_csv(make_rows(with_index=with_index), data)
+    screen = ["--screen", "log_index_lag1"] if with_index else []
     prefix = tmp_path / "pipe"
     pipeline = _load_script("climate_pipeline")
     assert pipeline.main(["--csv", str(data), "--out-prefix", str(prefix)]) == 0
@@ -56,8 +59,8 @@ def test_climate_pipeline_writes_what_fit_and_diagnose_write(tmp_path):
     assert len(outputs) == 8
     for unit in ("monthly", "yearly"):
         direct = tmp_path / f"direct_{unit}"
-        assert main(["fit", str(data), "--climate", unit, "--range", "residual",
-                     "--screen", "log_index_lag1", "--out", f"{direct}.json"]) == 0
+        assert main(["fit", str(data), "--climate", unit, "--range", "residual", *screen,
+                     "--out", f"{direct}.json"]) == 0
         assert main(["diagnose", str(data), "--climate", unit,
                      "--coefficient", "log_co2_lag1", "--out", str(direct)]) == 0
     for name in outputs:

@@ -23,6 +23,7 @@ from densum.estimators import (
     _qr_weight_rows,
     gee_exchangeable_vcov,
     ols_fit,
+    wald_z,
 )
 from densum.kernels import (
     NORMAL_MAP_BLOCK,
@@ -30,7 +31,6 @@ from densum.kernels import (
     ensure_pd,
     seeded_normals,
     seeded_stream,
-    std_normal_quantile,
     truncnorm_quantile,
 )
 from densum.simulation import (
@@ -914,7 +914,7 @@ class TestVectorizedSandwich:
 
     @staticmethod
     def assert_batch_equals_single_fits(X, ys, beta, partition):
-        z = std_normal_quantile(0.975)
+        z = wald_z(0.05)
         fits = [ols_fit(X, y) for y in ys]
         B = np.array([fit.coefficients for fit in fits])
         vcov, rho = _ExchangeableSandwich(X, partition)(np.array([fit.residuals for fit in fits]))
@@ -1081,7 +1081,7 @@ def _mean_cell_oracle(n, phi, marginal, reps, seed, alpha=0.05, c_star=10.0):
     half_u = R * math.sqrt(math.log(2.0 / alpha) / (6.0 * n))
     partition = sequential_partition(n, n // 10)
     vcov, _ = _ExchangeableSandwich(np.ones((n, 1)), partition)(Y - ybar[:, None])
-    half_wald = std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(vcov[:, 0, 0])
+    half_wald = wald_z(alpha) * np.sqrt(vcov[:, 0, 0])
     s = diagnostic_s(M, c_star, 1.0 / n, alpha)
     w = np.full(n, 1.0 / n)
     report = a5_from_sums((Y - mu) @ w, w, s, M)
@@ -1135,7 +1135,7 @@ def _regression_cell_oracle(n, phi_star, reps, seed, alpha=0.05, c_star=5.0):
     B = np.array([np.linalg.lstsq(X, y, rcond=None)[0] for y in Y])
     resid = Y - B @ X.T
     vcov, _ = _ExchangeableSandwich(X, sequential_partition(n, n // 10))(resid)
-    z = std_normal_quantile(1.0 - alpha / 2.0)
+    z = wald_z(alpha)
     rhat = np.max(resid, axis=1) - np.min(resid, axis=1)
     root_log = math.sqrt(math.log(2.0 / alpha) / 6.0)
     rows = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import golden_fit
 from densum.core import SupportSpec
+from densum.estimators import weighted_residuals
 from densum.uclass import (
     av_exp,
     av_moment,
@@ -211,6 +214,21 @@ class TestCheckUClass:
         as_array = check_u_class(values, SYM)
         assert as_list.tolerance == as_array.tolerance
         assert as_list.tolerance > 1e-3 * SYM.range
+
+    @pytest.mark.parametrize("k", [530, -560])
+    def test_the_check_scales_exactly_beyond_double_precision(self, k):
+        # at W_1 e * 2**530 the squares once overflowed: an infinite tolerance, is_u True
+        def check(z):
+            return check_u_class(z, SupportSpec(float(np.min(z)), float(np.max(z))))
+
+        z = weighted_residuals(golden_fit(), 1)
+        plain = check(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = check(z * 2.0 ** k)
+        assert (scaled.is_u, scaled.is_sub_u) == (plain.is_u, plain.is_sub_u) == (False, True)
+        for name in ("expected_value", "functional_average", "tolerance", "cdf_area_gap"):
+            assert getattr(scaled, name) == math.ldexp(getattr(plain, name), k)
 
 
 class TestMomentConditions:
