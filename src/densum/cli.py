@@ -1,14 +1,15 @@
 """Command-line surface: simulate, ci, fit, diagnose, fetch-climate.
 
-Settings resolve in priority order: built-in defaults, then the config file
-(``-c/--config``, accepted by simulate, ci, fit and diagnose; INI sections
-[table1]/[table2]/[table3]/[analysis]), then command-line flags, then the
-DENSUM_SEED environment variable (which overrides any seed).  Each command
-calls ``resolve_settings`` for the steps all share (DENSUM_SEED, the config
-file, the output directory), then checks its own settings, before any input
-is read, grid run or download made.  Exit codes: 0 success, 1 setting, config
-or data error, 2 network failure or a usage error that argparse rejects (an
-unknown flag, a bad --table or --partitions).
+Each setting is one row of ``SETTINGS``, which the parser and
+``resolve_settings`` both read.  Settings resolve in priority order: built-in
+defaults, then the config file (``-c/--config``; INI sections
+[table1]/[table2]/[table3]/[analysis]), then flags, then the DENSUM_SEED
+environment variable (which overrides any seed).  Each command calls
+``resolve_settings`` for the steps all share, then checks its own settings,
+before any input is read, grid run or download made.  Exit codes: 0 success,
+1 setting, config or data error, 2 network failure or a usage error that
+argparse rejects (an unknown flag, or a bad --table, --method, --climate or
+--partitions).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
@@ -33,64 +36,6 @@ from densum.estimators import (
     gee_exchangeable_wald, ols_fit, partition_compare, weighted_residuals,
 )
 
-# ---------------------------------------------------------------------------
-# settings resolution
-# ---------------------------------------------------------------------------
-
-
-# The keys of each config section, with their casts: [table1]-[table3] hold
-# simulate's, [analysis] those of ci, fit and diagnose, and [DEFAULT] or any
-# other section any command's.
-TABLE_KEYS = {"n": int, "phi": float, "shape": float, "reps": int, "seed": int}
-ANALYSIS_KEYS = {"alpha": float, "method": str, "range": str,
-                 "column": str, "response": str, "covariates": str}
-
-
-def resolve_settings(args, section=None):
-    """Fill, in place, each setting of config ``section`` that no flag set
-    (from the section, else from [DEFAULT]; DENSUM_SEED overrides any seed),
-    and make the checks every command shares.  Every key and value of the
-    config file is checked when it is read, whichever command reads it, a bad
-    value named under its section.  Without a section no config file is read."""
-    readers = {"analysis": ("ci, fit or diagnose", ANALYSIS_KEYS),
-               **dict.fromkeys(("table1", "table2", "table3"), ("simulate", TABLE_KEYS))}
-    keys = readers[section][1] if section else {}
-    env = os.environ.get("DENSUM_SEED")
-    if env is not None and "seed" in keys:
-        try:
-            args.seed = int(env)
-        except ValueError:
-            raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
-    if section and args.config:
-        # [DEFAULT] is read as a plain section (no name is empty) to check its own keys.
-        config = configparser.ConfigParser(interpolation=None, default_section="")
-        with open(args.config) as handle:
-            config.read_file(handle)
-        values = {}  # (section, key) -> the cast value, every section's checked
-        for name in config.sections():
-            takers, takes = readers.get(name, ("any command", {**TABLE_KEYS, **ANALYSIS_KEYS}))
-            for key, text in config[name].items():
-                if key not in takes:
-                    raise ValueError(f"[{name}] {key} is not a setting of {takers}")
-                try:
-                    values[name, key] = takes[key](text)
-                except ValueError:
-                    raise ValueError(f"[{name}] {key} must be {takes[key].__name__}, "
-                                     f"got {text!r}") from None
-        for key in keys:
-            found = [values[name, key] for name in (section, "DEFAULT") if (name, key) in values]
-            # A flag's value stays, as does a key only another reader of the section takes.
-            if found and key in vars(args) and getattr(args, key) is None:
-                setattr(args, key, found[0])
-    out_dir = os.path.dirname(args.out or "")
-    if out_dir and not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir} does not exist")
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
 
 def _cluster_counts(text):
     """argparse type of --partitions: comma-separated positive integers."""
@@ -100,28 +45,136 @@ def _cluster_counts(text):
         counts = []
     if not counts or min(counts) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive cluster counts, got {text!r}"
-        )
+            f"expected comma-separated positive cluster counts, got {text!r}")
     return counts
 
 
+# --method value -> ci_mean method
+CI_MEAN_METHODS = {"hoeffding": "hoeffding", "u": "u_sharp",
+                   "bernstein": "bernstein", "ratio": "ratio"}
+# Each command and its help, in the order a message lists the commands.
+COMMANDS = {"simulate": "run a coverage experiment grid",
+            "ci": "confidence set for a column mean",
+            "fit": "least squares with dependence-robust sets",
+            "diagnose": "U-class and dependence diagnostics",
+            "fetch-climate": "download and normalize the public series"}
+
+Setting = namedtuple("Setting", "name flags commands sections cast choices default help required",
+                     defaults=((), None, None, None, None, False))
+TABLES, ANALYSIS, MODEL = ("table1", "table2", "table3"), ("analysis",), ("fit", "diagnose")
+SECTIONS, ANALYSES, CONFIGURED = TABLES + ANALYSIS, ("ci", *MODEL), ("simulate", "ci", *MODEL)
+# Every setting, in each command's flag order: its ``args`` name and config key,
+# flags, commands, config sections (none: no config key; [DEFAULT] and sections not
+# in SECTIONS give any key some section gives), cast (None keeps the text), choices,
+# default (argparse's where no section gives the setting) and help.  Kept elsewhere:
+# simulate's defaults (ExperimentConfig), --range's (_parse_range_flag, as --method
+# ratio tells an unset range from residual) and the climate URLs (densum.climate).
+SETTINGS = (
+    Setting("table", ("--table",), ("simulate",), cast=int, choices=(1, 2, 3), required=True),
+    Setting("n", ("--n",), ("simulate",), TABLES, int),
+    Setting("phi", ("--phi", "--phi-star"), ("simulate",), TABLES, float),
+    Setting("shape", ("--shape",), ("simulate",), TABLES, float),
+    Setting("reps", ("--reps",), ("simulate",), TABLES, int),
+    Setting("seed", ("--seed",), ("simulate",), TABLES, int),
+    Setting("file", ("file",), ANALYSES),
+    Setting("response", ("--response",), MODEL, ANALYSIS),
+    Setting("covariates", ("--covariates",), MODEL, ANALYSIS,
+            help="comma-separated column names"),
+    Setting("climate", ("--climate",), MODEL, choices=("monthly", "yearly"),
+            help="treat the input as a climate CSV and build the lagged frame"),
+    Setting("column", ("--column",), ("ci", "diagnose"), ANALYSIS),
+    Setting("alpha", ("--alpha",), ("ci", "fit"), ANALYSIS, float, default=0.05),
+    Setting("method", ("--method",), ("ci",), ANALYSIS, choices=tuple(CI_MEAN_METHODS),
+            default="u"),
+    Setting("range", ("--range",), ("ci", "fit"), ANALYSIS,
+            help="known=R | marginal=R | residual | two-mean"),
+    Setting("partitions", ("--partitions",), ("fit",), cast=_cluster_counts,
+            help="comma-separated cluster counts to compare"),
+    Setting("screen", ("--screen",), ("fit",), help="covariate to evaluate for retention"),
+    Setting("coefficient", ("--coefficient",), ("diagnose",),
+            help="diagnose this coefficient's weighted residuals"),
+    Setting("temp_url", ("--temp-url",), ("fetch-climate",)),
+    Setting("co2_url", ("--co2-url",), ("fetch-climate",)),
+    Setting("index_url", ("--index-url",), ("fetch-climate",)),
+    Setting("start", ("--start",), ("fetch-climate",), default="1979-1"),
+    Setting("end", ("--end",), ("fetch-climate",), default="2022-12"),
+    Setting("out", ("--out",), CONFIGURED,
+            help="write the output here (for diagnose, the prefix of its plot-ready CSVs)"),
+    Setting("out", ("--out",), ("fetch-climate",), default="climate.csv"),
+    Setting("config", ("-c", "--config"), CONFIGURED),
+)
+
+
+def _config_value(section, key, text):
+    """A config file's ``[section] key = text``, cast and checked, a bad key or
+    value named under its section."""
+    takes = [row for row in SETTINGS if section in row.sections
+             or (row.sections and section not in SECTIONS)]
+    row = next((row for row in takes if row.name == key), None)
+    if row is None:
+        *rest, last = [c for c in COMMANDS if any(c in t.commands for t in takes)]
+        takers = f"{', '.join(rest)} or {last}" if rest else last
+        raise ValueError(f"[{section}] {key} is not a setting of "
+                         f"{takers if section in SECTIONS else 'any command'}")
+    try:
+        value = text if row.cast is None else row.cast(text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} must be {row.cast.__name__}, got {text!r}") from None
+    if row.choices is not None and value not in row.choices:
+        raise ValueError(f"[{section}] {key} must be one of {', '.join(map(str, row.choices))}, "
+                         f"got {text!r}")
+    return value
+
+
+def resolve_settings(args, section=None):
+    """Fill, in place, each setting of config ``section`` that no flag set
+    (from the section, else from [DEFAULT]; DENSUM_SEED overrides any seed),
+    then each default, and make the checks every command shares.  Every key
+    and value of the config file is checked when it is read, whichever command
+    reads it.  Without a section no config file is read."""
+    rows = [row for row in SETTINGS if args.command in row.commands]
+    given = [row for row in rows if section in row.sections]  # the config file may give
+    env = os.environ.get("DENSUM_SEED")
+    if env is not None and any(row.name == "seed" for row in given):
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError(f"DENSUM_SEED must be an integer, got {env!r}") from None
+    if section and args.config:
+        # [DEFAULT] is read as a plain section (no name is empty) to check its own keys.
+        config = configparser.ConfigParser(interpolation=None, default_section="")
+        with open(args.config) as handle:
+            config.read_file(handle)
+        values = {(name, key): _config_value(name, key, text)
+                  for name in config.sections() for key, text in config[name].items()}
+        for row in given:
+            found = [values[name, row.name] for name in (section, "DEFAULT")
+                     if (name, row.name) in values]
+            if found and getattr(args, row.name) is None:  # a flag's value stays
+                setattr(args, row.name, found[0])
+    for row in rows:
+        if getattr(args, row.name) is None:
+            setattr(args, row.name, row.default)
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir} does not exist")
+
+
 def cmd_simulate(args):
-    resolve_settings(args, f"table{args.table}")
+    section = f"table{args.table}"
+    resolve_settings(args, section)
     from densum.simulation import ExperimentConfig, _fmt, run_table, write_results_csv
 
-    settings = {("master_seed" if key == "seed" else key): getattr(args, key)
-                for key in TABLE_KEYS if getattr(args, key) is not None}
+    settings = {("master_seed" if row.name == "seed" else row.name): getattr(args, row.name)
+                for row in SETTINGS
+                if section in row.sections and getattr(args, row.name) is not None}
     experiment = ExperimentConfig(table=args.table, **settings)
     out = args.out or f"table{args.table}_results.csv"
     rows = []
     for row in run_table(experiment):
         rows.append(row)
-        if row.coefficient:
-            label = f" {row.coefficient}"
-        elif row.alpha_shape is not None:
-            label = f" shape={row.alpha_shape:g}"
-        else:
-            label = ""
+        label = (f" {row.coefficient}" if row.coefficient else
+                 "" if row.alpha_shape is None else f" shape={row.alpha_shape:g}")
         print(
             f"table {row.table} n={row.n} phi={_fmt(row.phi)}{label}"
             + f": ci_u={_fmt(row.ci_u)} ci_wald={_fmt(row.ci_wald)} verdict={row.verdict}"
@@ -158,16 +211,6 @@ def _parse_range_flag(text):
     raise ValueError("--range must be known=R, marginal=R, residual or two-mean")
 
 
-def _level(alpha):
-    """ci's and fit's alpha: 0.05 unless set, and checked by ``check_alpha``."""
-    return 0.05 if alpha is None else check_alpha(alpha)
-
-
-# --method value -> ci_mean method
-CI_MEAN_METHODS = {"hoeffding": "hoeffding", "u": "u_sharp",
-                   "bernstein": "bernstein", "ratio": "ratio"}
-
-
 def cmd_ci(args):
     resolve_settings(args, "analysis")
     if args.method == "ratio" and args.range not in (None, "two-mean"):
@@ -175,14 +218,11 @@ def cmd_ci(args):
                          f"it cannot take --range {args.range}")
     if args.column is None:
         raise ValueError("--column is required")
-    method = "u" if args.method is None else args.method
-    if method not in CI_MEAN_METHODS:
-        raise ValueError("--method must be hoeffding, u, bernstein or ratio")
     source, given = _parse_range_flag(args.range)
-    alpha = _level(args.alpha)
+    alpha = check_alpha(args.alpha)
 
     summary = summarize(load_table(args.file, [args.column])[1][:, 0])
-    result = mean_set(summary, alpha, CI_MEAN_METHODS[method], source, given)
+    result = mean_set(summary, alpha, CI_MEAN_METHODS[args.method], source, given)
     print(
         f"{result.level:.0%} confidence set for mean({args.column}): "
         f"[{result.lower:.6g}, {result.upper:.6g}] "
@@ -223,8 +263,9 @@ def cmd_fit(args):
     if counts and counts[0] < 2:
         raise ValueError("--partitions: the first count sets the Wald comparator's "
                          "clusters and must be at least 2")
-    alpha = _level(args.alpha)
-    if os.path.exists(args.file) and not os.path.isfile(args.file):  # stat opens nothing
+    alpha = check_alpha(args.alpha)
+    loaded = _file_identity(args.file) if os.path.exists(args.file) else None  # stat opens nothing
+    if loaded and not stat.S_ISREG(loaded[0]):
         raise ValueError(f"fit hashes its input for the report's provenance, so the input "
                          f"must be a regular file, which {args.file} is not")
 
@@ -232,25 +273,27 @@ def cmd_fit(args):
     for k in counts:  # the partitions themselves are built when they are compared
         check_cluster_count(y.shape[0], k)
     fit = ols_fit(X, y)
+    digest = file_sha256(args.file)
+    # The hash must be of the file loaded.  A file replaced, or written with a new
+    # size or mtime, between the stat above and this one is refused; a rewrite in
+    # place that keeps the size and the mtime cannot be seen here.
+    if _file_identity(args.file) != loaded:
+        raise ValueError(f"{args.file} changed while fit read it, so the report's "
+                         f"input_sha256 would not be the data's")
     report = fit_report(fit, columns, alpha, source, given, provenance={
-        "input_sha256": file_sha256(args.file),
-        "seed": None,
+        "input_sha256": digest, "seed": None,
         "config": {"alpha": alpha, "range": args.range or "residual", "n": fit.n},
     })
 
     print(f"model: {report.model}  (n={fit.n})")
     for row in report.coefficients:
-        print(
-            f"  {row.name:>16}: {row.estimate: .6g}  "
-            f"[{row.ci_lower:.6g}, {row.ci_upper:.6g}]  ({row.range_source})"
-        )
+        print(f"  {row.name:>16}: {row.estimate: .6g}  "
+              f"[{row.ci_lower:.6g}, {row.ci_upper:.6g}]  ({row.range_source})")
     for diag in report.diagnostics:
-        print(
-            f"  {diag.name:>16}: U={'yes' if diag.is_u else 'NO'} "
-            f"phi_hat={diag.phi_hat_short:.4f}@{diag.lags_short} / "
-            f"{diag.phi_hat_long:.4f}@{diag.lags_long}  "
-            f"mu*phi bound={diag.rule_of_thumb_bound:.3g}"
-        )
+        print(f"  {diag.name:>16}: U={'yes' if diag.is_u else 'NO'} "
+              f"phi_hat={diag.phi_hat_short:.4f}@{diag.lags_short} / "
+              f"{diag.phi_hat_long:.4f}@{diag.lags_long}  "
+              f"mu*phi bound={diag.rule_of_thumb_bound:.3g}")
 
     if counts:
         _print_partition_checks(fit, counts, columns, alpha)
@@ -265,6 +308,12 @@ def cmd_fit(args):
             handle.write(report.to_json() + "\n")
         print(f"wrote report to {args.out}")
     return 0
+
+
+def _file_identity(path):
+    """(mode, device, inode, size, mtime in ns) of ``path``."""
+    st = os.stat(path)
+    return st.st_mode, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _model_frame(args, covariates, flag, name):
@@ -310,8 +359,7 @@ def _print_screen(screen_column, X, y, coefficients, columns):
     for pos, j in enumerate(keep):
         if columns[j] == "intercept":
             continue
-        with_ = coefficients[j]
-        without = reduced[pos]
+        with_, without = coefficients[j], reduced[pos]
         change = abs(with_ - without)
         rel = change / abs(with_) if with_ != 0 else float("inf")
         print(
@@ -403,9 +451,7 @@ def cmd_fetch_climate(args):
         rows = climate.fetch_climate(
             climate.DEFAULT_TEMP_URL if args.temp_url is None else args.temp_url,
             climate.DEFAULT_CO2_URL if args.co2_url is None else args.co2_url,
-            args.index_url,
-            **window,
-        )
+            args.index_url, **window)
     except OSError as exc:  # urllib's URLError is an OSError
         print(f"network failure: {exc}", file=sys.stderr)
         return 2
@@ -414,71 +460,21 @@ def cmd_fetch_climate(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process; ``main`` looks each
     command's handler up when it runs."""
     parser = argparse.ArgumentParser(
-        prog="densum",
-        description="Dependence-robust confidence sets for bounded data",
-    )
+        prog="densum", description="Dependence-robust confidence sets for bounded data")
     sub = parser.add_subparsers(dest="command", required=True)
-    model = argparse.ArgumentParser(add_help=False)  # the flags fit and diagnose share
-    model.add_argument("file")
-    model.add_argument("--response")
-    model.add_argument("--covariates", help="comma-separated column names")
-    model.add_argument("--climate", choices=("monthly", "yearly"),
-                       help="treat the input as a climate CSV and build the lagged frame")
-
-    sim = sub.add_parser("simulate", help="run a coverage experiment grid")
-    sim.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--phi", "--phi-star", type=float)
-    sim.add_argument("--shape", type=float)
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--out")
-    sim.add_argument("-c", "--config")
-
-    ci = sub.add_parser("ci", help="confidence set for a column mean")
-    ci.add_argument("file")
-    ci.add_argument("--column")
-    ci.add_argument("--alpha", type=float)
-    ci.add_argument("--method", choices=CI_MEAN_METHODS)
-    ci.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
-    ci.add_argument("--out")
-    ci.add_argument("-c", "--config")
-
-    fit = sub.add_parser("fit", parents=[model],
-                         help="least squares with dependence-robust sets")
-    fit.add_argument("--alpha", type=float)
-    fit.add_argument("--range", help="known=R | marginal=R | residual | two-mean")
-    fit.add_argument("--partitions", type=_cluster_counts,
-                     help="comma-separated cluster counts to compare")
-    fit.add_argument("--screen", help="covariate to evaluate for retention")
-    fit.add_argument("--out", help="write the JSON report here")
-    fit.add_argument("-c", "--config")
-
-    diag = sub.add_parser("diagnose", parents=[model],
-                          help="U-class and dependence diagnostics")
-    diag.add_argument("--column")
-    diag.add_argument("--coefficient", help="diagnose this coefficient's weighted residuals")
-    diag.add_argument("--out", help="prefix for plot-ready CSVs")
-    diag.add_argument("-c", "--config")
-
-    fetch = sub.add_parser("fetch-climate", help="download and normalize the public series")
-    fetch.add_argument("--temp-url")  # default climate.DEFAULT_TEMP_URL
-    fetch.add_argument("--co2-url")  # default climate.DEFAULT_CO2_URL
-    fetch.add_argument("--index-url")
-    fetch.add_argument("--start", default="1979-1")
-    fetch.add_argument("--end", default="2022-12")
-    fetch.add_argument("--out", default="climate.csv")
-
+    commands = {name: sub.add_parser(name, help=text) for name, text in COMMANDS.items()}
+    for row in SETTINGS:
+        for command in row.commands:
+            commands[command].add_argument(
+                *row.flags, type=row.cast, choices=row.choices,
+                default=None if row.sections else row.default, help=row.help,
+                **({"required": True} if row.required else {}),  # a positional takes none
+            )
     return parser
 
 

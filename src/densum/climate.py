@@ -246,6 +246,8 @@ def parse_gml_monthly(text):
             year, month, value = int(parts[0]), int(parts[1]), float(parts[3])
         except ValueError as exc:
             raise ValueError(f"line {i}: cannot parse co2 row ({exc})") from exc
+        if not 1 <= month <= 12:  # merge_series would drop the row without a word
+            raise ValueError(f"line {i}: month must be 1-12, got {month}")
         if value > 0:  # the source flags missing months with negative sentinels
             out[(year, month)] = value
     if not out:

@@ -235,6 +235,8 @@ def rule_of_thumb(w, variances, ranges):
     R = np.broadcast_to(np.asarray(ranges, dtype=float), w.shape)
     if np.any(sigma2 < 0):
         raise ValueError("variances must be nonnegative")
+    if np.any(R < 0):  # the squares below would hide the sign
+        raise ValueError("ranges must be nonnegative")
     # w, and R with sigma, scaled exactly by powers of two: the ratio keeps its bits
     a, b = binary_scale(w), binary_scale(R)
     ws, Rs = w * a, R * b

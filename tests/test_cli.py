@@ -497,6 +497,36 @@ class TestFitCommand:
         assert report.provenance["config"]["alpha"] == 0.1
         assert report.provenance["config"]["n"] == 120
 
+    @pytest.mark.parametrize("climate", [False, True], ids=["plain", "climate"])
+    def test_an_input_changed_before_its_hash_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                         climate):
+        path = tmp_path / "in.csv"
+        if climate:
+            write_climate_csv(
+                [densum.climate.ClimateRow(1979 + i // 12, i % 12 + 1, 0.01 * (i % 7),
+                                           340.0 + i) for i in range(48)],
+                str(path),
+            )
+            model = ["--climate", "monthly"]
+        else:
+            shutil.copyfile(GOLDEN_FRAME, path)
+            model = GOLDEN_FIT
+        hash_file = densum.cli.file_sha256
+
+        def grow_then_hash(name):  # a row appended after the load, before the hash
+            with open(name, "a") as handle:
+                handle.write(Path(name).read_text().splitlines()[-1] + "\n")
+            return hash_file(name)
+
+        monkeypatch.setattr(densum.cli, "file_sha256", grow_then_hash)
+        out = tmp_path / "report.json"
+        assert main(["fit", str(path), *model, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path} changed while fit read it, so the report's "
+                                "input_sha256 would not be the data's\n")
+        assert not out.exists()
+
     def test_known_range_flag(self, regression_csv, tmp_path):
         out = tmp_path / "report.json"
         main(["fit", regression_csv, "--response", "y", "--covariates", "x",
@@ -700,7 +730,7 @@ class TestSettingsFailBeforeTheWork:
         [
             (["ci", "--column", "y", "--alpha", "1.5"], None, "alpha must lie in (0, 1)"),
             (["ci", "--column", "y"], "method = bogus",
-             "--method must be hoeffding, u, bernstein or ratio"),
+             "[analysis] method must be one of hoeffding, u, bernstein, ratio, got 'bogus'"),
             (["fit", "--response", "y", "--covariates", "x", "--alpha", "0"], None,
              "alpha must lie in (0, 1)"),
             (["fit", "--response", "y", "--covariates", "x"], "alpha = 1.5",

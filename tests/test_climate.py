@@ -320,6 +320,12 @@ class TestRawParsers:
         with pytest.raises(ValueError, match="at least 4 columns"):
             parse_gml_monthly("1979 1 1979.042\n")
 
+    @pytest.mark.parametrize("month", [13, 0])
+    def test_gml_refuses_a_month_outside_1_to_12(self, month):
+        # merge_series once dropped such rows without a word
+        with pytest.raises(ValueError, match=rf"^line 2: month must be 1-12, got {month}$"):
+            parse_gml_monthly(f"2000 1 2000.04 369.5 0\n2000 {month} 2000.9 370.1 0\n")
+
     def test_gml_no_data(self):
         with pytest.raises(ValueError, match="no data rows"):
             parse_gml_monthly("# only comments\n# here\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densum.cli import _level
+from densum.cli import build_parser, cmd_ci
 from densum.concentration import (
     a5_from_sums,
     bernstein_tail,
@@ -361,7 +361,9 @@ def test_a_level_outside_the_unit_interval_is_rejected_by_name(scale, alpha):
      lambda alpha: ci_mean([0.0, 0.5, 1.0], R=1.0, alpha=alpha),
      lambda alpha: gee_exchangeable_wald(ols_fit(np.ones((4, 1)), np.arange(4.0)),
                                          sequential_partition(4, 2), alpha=alpha),
-     _level],
+     # ci's own check, made before its (absent) input is read
+     lambda alpha: cmd_ci(build_parser().parse_args(
+         ["ci", "never-written.csv", "--column", "y", "--alpha", repr(alpha)]))],
     ids=["check-alpha", "half-width", "ci-mean", "gee-wald", "cli-level"],
 )
 def test_an_alpha_whose_level_rounds_to_1_is_rejected_by_name(use, alpha):
@@ -395,6 +397,12 @@ class TestRuleOfThumb:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             rule_of_thumb(W, 0.0, 1.0)
+
+    @pytest.mark.parametrize("ranges", [-1.0, [1.0, -1.0]], ids=["scalar", "one-of-two"])
+    def test_a_negative_range_is_refused(self, ranges):
+        # its square once hid the sign: R = -1 gave R = 1's bound
+        with pytest.raises(ValueError, match="^ranges must be nonnegative$"):
+            rule_of_thumb(np.ones(2), 1.0 / 84.0, ranges)
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_the_weights_scale_out_beyond_double_precision(self, k):
