@@ -67,8 +67,8 @@ SECTIONS, ANALYSES, CONFIGURED = TABLES + ANALYSIS, ("ci", *MODEL), ("simulate",
 # flags, commands, config sections (none: no config key; [DEFAULT] and sections not
 # in SECTIONS give any key some section gives), cast (None keeps the text), choices,
 # default (argparse's where no section gives the setting) and help.  Kept elsewhere:
-# simulate's defaults (ExperimentConfig), --range's (_parse_range_flag, as --method
-# ratio tells an unset range from residual) and the climate URLs (densum.climate).
+# simulate's (ExperimentConfig; --out names its table), --range's (_parse_range_flag,
+# as --method ratio tells unset from residual) and the climate URLs (densum.climate).
 SETTINGS = (
     Setting("table", ("--table",), ("simulate",), cast=int, choices=(1, 2, 3), required=True),
     Setting("n", ("--n",), ("simulate",), TABLES, int),
