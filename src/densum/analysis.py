@@ -232,21 +232,34 @@ def file_sha256(path):
     return digest.hexdigest()
 
 
-def fit_frame(path, response, covariates, climate_unit):
+def fit_frame(path, response, covariates, climate_unit, named=None):
     """(response, design, column names): ``response`` on an intercept and the
-    ``covariates``, or with ``climate_unit`` a climate CSV's lagged frame."""
+    ``covariates``, or with ``climate_unit`` a climate CSV's lagged frame.
+    ``named``, a (flag, column) pair such as ("--screen", "x3"), is refused
+    unless its column, when not None, is one of the model's: a plain frame's
+    before the load, a climate frame's once it is built."""
     if climate_unit:
         from densum import climate  # only climate frames need it
 
         frame = climate.climate_prepare(climate.load_climate_csv(path), unit=climate_unit)
+        _check_named(named, frame.columns)
         return frame.response, frame.design, frame.columns
+    columns = ("intercept", *covariates)
+    _check_named(named, columns)
     names = [response] + covariates
     if len(set(names)) < len(names):
         raise ValueError(f"the response and covariates must be distinct columns, got {names}")
     design = load_table(path, names)[1]
     y = design[:, 0].copy()
     design[:, 0] = 1.0  # the loaded table becomes the design: no second copy of the data
-    return y, design, tuple(["intercept"] + covariates)
+    return y, design, columns
+
+
+def _check_named(named, columns):
+    """Refuse the column of ``named``, a (flag, column) pair, outside ``columns``."""
+    flag, name = named or (None, None)
+    if name is not None and name not in columns:
+        raise ValueError(f"{flag} {name!r} is not a column of the model ({', '.join(columns)})")
 
 
 def mean_set(summary, alpha, method, source, given):

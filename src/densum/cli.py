@@ -244,6 +244,8 @@ def _covariates(args):
     if args.response is None or args.covariates is None:
         raise ValueError("--response and --covariates are required (or use --climate)")
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    if not covariates:
+        raise ValueError(f"--covariates names no column, got {args.covariates!r}")
     if args.response in covariates:
         raise ValueError(f"response {args.response!r} is also listed among the covariates")
     for i, c in enumerate(covariates):
@@ -269,7 +271,8 @@ def cmd_fit(args):
         raise ValueError(f"fit hashes its input for the report's provenance, so the input "
                          f"must be a regular file, which {args.file} is not")
 
-    y, X, columns = _model_frame(args, covariates, "--screen", args.screen)
+    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate,
+                              ("--screen", args.screen))
     for k in counts:  # the partitions themselves are built when they are compared
         check_cluster_count(y.shape[0], k)
     fit = ols_fit(X, y)
@@ -314,23 +317,6 @@ def _file_identity(path):
     """(mode, device, inode, size, mtime in ns) of ``path``."""
     st = os.stat(path)
     return st.st_mode, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _model_frame(args, covariates, flag, name):
-    """fit's and diagnose's (y, X, columns), once ``flag``'s column ``name``, when
-    given, is found among the model's: a plain frame's (the intercept and the
-    covariates) before the load, a climate frame's once it is built."""
-    if covariates is None:  # a climate frame's columns are known once it is built
-        frame = fit_frame(args.file, None, None, args.climate)
-        columns = frame[2]
-    else:
-        columns = ("intercept", *covariates)
-    if name is not None and name not in columns:
-        raise ValueError(f"{flag} {name!r} is not a column of the model "
-                         f"({', '.join(columns)})")
-    if covariates is None:
-        return frame
-    return fit_frame(args.file, args.response, covariates, None)
 
 
 def _print_partition_checks(fit, counts, columns, alpha):
@@ -380,7 +366,8 @@ def _diagnosed_series(args):
     covariates = _covariates(args)
     if args.coefficient is None:
         raise ValueError("--coefficient is required when diagnosing a fit")
-    y, X, columns = _model_frame(args, covariates, "--coefficient", args.coefficient)
+    y, X, columns = fit_frame(args.file, args.response, covariates, args.climate,
+                              ("--coefficient", args.coefficient))
     fit = ols_fit(X, y)
     return (f"weighted residuals: {args.coefficient}",
             weighted_residuals(fit, columns.index(args.coefficient)))

@@ -24,7 +24,8 @@ phi = 0) and marginal map (for Beta and truncated-normal marginals a
 normal-scale table from ``kernels``, built once per marginal per driver
 call) and writes its per-replication statistics (estimation errors, Wald
 cover flags, and the residual range where a table reports it) into
-length-reps vectors, reduced to the table rows after the last block.
+length-reps vectors, which the cell reduces to its table rows after the
+last block.
 Memory is two buffers of at most BLOCK_VALUES values each, the draw and the
 factor's output, at every n (with a dense factor's pair of its own).
 Every step is row-local, one output row from one input row by numpy's own
@@ -52,7 +53,6 @@ import functools
 import math
 import numbers
 import os
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -540,36 +540,31 @@ def copula_sample(corr, marginal, reps, seed):
 # ---------------------------------------------------------------------------
 
 
-class _Statistics(NamedTuple):
-    """Per-replication statistics of one coverage cell: the estimation
-    errors eps W^T (reps x p), the Wald comparator's cover flags (reps x p)
-    and the pooled residual range (reps), None where no row reports it."""
-
-    err: np.ndarray
-    covered_wald: np.ndarray
-    rhat: np.ndarray | None
-
-
 class _Cell:
-    """One coverage cell, scored block by block: the least-squares fit
-    beta_hat = W y on the design X, with errors eps = to_marginal(draw) -
-    shift, to_marginal the marginal's ``normal_map()``, built once per driver.
+    """One coverage cell: the least-squares fit beta_hat = W y on the design X
+    of y = X beta + eps, with errors eps = to_marginal(draw) - marginal.mean,
+    to_marginal the marginal's ``normal_map()``, built once per driver.
 
     The sandwich's design side over n // 10 sequential clusters is built here
-    once; ``add`` fills the cell's length-reps statistics, the residual range
-    only with ``ranges`` (the regression rows report it, the mean rows not).
+    once; ``add`` fills the cell's length-reps statistics, the estimation
+    errors eps W^T (reps x p), the Wald comparator's cover flags (reps x p)
+    and, with ``ranges`` (the regression rows report it, the mean rows not),
+    the pooled residual range (reps); ``rows`` reduces them to the report.
+    ``fields`` fill the report's remaining columns.
     """
 
-    def __init__(self, X, W, to_marginal, shift, reps, ranges=True):
+    def __init__(self, X, W, marginal, to_marginal, config, beta, c_star, names, ranges=True,
+                 **fields):
         n, p = X.shape
-        self.W, self.shift, self.to_marginal = W, shift, to_marginal
+        self.W, self.marginal, self.to_marginal = W, marginal, to_marginal
+        self.beta, self.c_star, self.names = beta, c_star, names
+        self.fields = dict(fields, seed=config.master_seed)
+        self.shift = marginal.mean
         self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
         self.z = wald_z(ALPHA)
-        self.stats = _Statistics(
-            np.empty((reps, p)), np.empty((reps, p), dtype=bool),
-            np.empty(reps) if ranges else None,
-        )
+        self.err, self.covered_wald = np.empty((config.reps, p)), np.empty((config.reps, p), bool)
+        self.rhat = np.empty(config.reps) if ranges else None
 
     def add(self, start, eps):
         """Score replications start, start + 1, ... from their normal-scale
@@ -586,12 +581,51 @@ class _Cell:
             np.subtract(resid[rows], fitted, out=resid[rows])
         vcov, _ = self.sandwich(resid)
         done = slice(start, start + resid.shape[0])
-        self.stats.err[done] = err
-        self.stats.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
+        self.err[done] = err
+        self.covered_wald[done] = np.abs(err) <= self.z * np.sqrt(
             np.diagonal(vcov, axis1=1, axis2=2)
         )
-        if self.stats.rhat is not None:
-            self.stats.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
+        if self.rhat is not None:
+            self.rhat[done] = np.max(resid, axis=1) - np.min(resid, axis=1)
+
+    def rows(self):
+        """One CoverageReport per coefficient, reduced from the cell's statistics.
+
+        A mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
+        conventional Wald comparator (exchangeable sandwich over n // 10
+        sequential clusters), the known-range set ``half_width`` of
+        R sqrt(sum w^2), its residual-range plug-in ``ci_r`` (the pooled residual
+        range standing in for R, scaled by ||w_s|| as the paper's table 3 does;
+        None when the cell kept no range) and the MGF diagnostic at
+        ``diagnostic_s``.
+        """
+        W, support = self.W, self.marginal.support
+        R, M = support.range, support.length / 2.0
+        sum_w2 = np.sum(W * W, axis=1)
+        B = self.beta[None, :] + self.err
+        rows = []
+        for s_idx, name in enumerate(self.names):
+            err = self.err[:, s_idx]
+            abs_err = np.abs(err)
+            norm = math.sqrt(sum_w2[s_idx])
+            half_u = half_width(R * norm, ALPHA)
+            s = diagnostic_s(M, self.c_star, sum_w2[s_idx], ALPHA)
+            report = a5_from_sums(err, W[s_idx], s, M)
+            rows.append(CoverageReport(
+                n=W.shape[1],
+                mean_lower=float(np.mean(B[:, s_idx]) - half_u),
+                mean_upper=float(np.mean(B[:, s_idx]) + half_u),
+                ci_wald=float(np.mean(self.covered_wald[:, s_idx])),
+                ci_u=float(np.mean(abs_err <= half_u)),
+                ci_r=None if self.rhat is None else float(
+                    np.mean(abs_err <= half_width(self.rhat * norm, ALPHA))),
+                a_hat=report.a_hat,
+                av_star=report.av_star,
+                verdict=report.verdict,
+                coefficient=name,
+                **self.fields,
+            ))
+        return rows
 
 
 def block_rows(n):
@@ -657,63 +691,23 @@ def _score_blocks(n, reps, seed, groups):
                 future.result()
 
 
-def _coverage_rows(W, stats, beta, support, c_star, names, **fields):
-    """One CoverageReport per coefficient of the least-squares fit beta_hat = W y,
-    reduced from the cell's per-replication ``_Statistics``.
-
-    A mean is the intercept-only case: X = 1, W = 1/n.  Per coefficient: the
-    conventional Wald comparator (exchangeable sandwich over n // 10
-    sequential clusters), the known-range set ``half_width`` of
-    R sqrt(sum w^2), its residual-range plug-in ``ci_r`` (the pooled residual
-    range standing in for R, scaled by ||w_s|| as the paper's table 3 does;
-    None when the cell kept no range) and the MGF diagnostic at
-    ``diagnostic_s``.  ``fields`` fill the remaining report columns and take
-    precedence.
-    """
-    n = W.shape[1]
-    R = support.range
-    M = support.length / 2.0
-    sum_w2 = np.sum(W * W, axis=1)
-    B = beta[None, :] + stats.err
-    rows = []
-    for s_idx, name in enumerate(names):
-        err = stats.err[:, s_idx]
-        abs_err = np.abs(err)
-        norm = math.sqrt(sum_w2[s_idx])
-        half_u = half_width(R * norm, ALPHA)
-        report = a5_from_sums(err, W[s_idx], diagnostic_s(M, c_star, sum_w2[s_idx], ALPHA), M)
-        row = dict(
-            n=n,
-            mean_lower=float(np.mean(B[:, s_idx]) - half_u),
-            mean_upper=float(np.mean(B[:, s_idx]) + half_u),
-            ci_wald=float(np.mean(stats.covered_wald[:, s_idx])),
-            ci_u=float(np.mean(abs_err <= half_u)),
-            ci_r=None if stats.rhat is None else float(
-                np.mean(abs_err <= half_width(stats.rhat * norm, ALPHA))),
-            a_hat=report.a_hat,
-            av_star=report.av_star,
-            verdict=report.verdict,
-            coefficient=name,
-        )
-        rows.append(CoverageReport(**{**row, **fields}))
-    return rows
+def _run_cells(n, config, groups):
+    """Score ``groups``, pairs of a ``_copula_factor`` and the cells that share
+    its normal-scale block, in one block loop at n, and return their cells'
+    rows in order."""
+    _score_blocks(n, config.reps, config.master_seed,
+                  [(factor, [cell.add for cell in cells]) for factor, cells in groups])
+    return [row for _, cells in groups for cell in cells for row in cell.rows()]
 
 
-def _mean_cell(n, marginal, to_marginal, config):
-    """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n,
-    errors centred at the marginal mean, and no residual range."""
+def _mean_cell(n, marginal, to_marginal, config, **fields):
+    """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n, the
+    marginal mean as the truth, no residual range, and as its threshold the
+    feasibility bound divided by n - 1."""
     W = np.full((1, n), 1.0 / n)
-    return _Cell(np.ones((n, 1)), W, to_marginal, marginal.mean, config.reps, ranges=False)
-
-
-def _mean_row(table, n, phi, marginal, config, cell, alpha_shape=None):
-    bound = rule_of_thumb(cell.W[0], marginal.variance, marginal.support.range)
-    (row,) = _coverage_rows(
-        cell.W, cell.stats, np.array([marginal.mean]), marginal.support, MEAN_C_STAR,
-        names=(None,), table=table, phi=phi, seed=config.master_seed,
-        alpha_shape=alpha_shape, threshold=bound / (n - 1),
-    )
-    return row
+    bound = rule_of_thumb(W[0], marginal.variance, marginal.support.range)
+    return _Cell(np.ones((n, 1)), W, marginal, to_marginal, config, np.array([marginal.mean]),
+                 MEAN_C_STAR, (None,), ranges=False, threshold=bound / (n - 1), **fields)
 
 
 def run_table1(config):
@@ -724,16 +718,14 @@ def run_table1(config):
     that it keeps the exchangeable matrix positive definite).
     """
     marginal = MarginalSpec.beta(10, 10)
-    rows = []
     to_marginal = marginal.normal_map()
+    rows = []
     for n in config.ns:
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
-        copulas = [_exchangeable_copula(n, phi) for phi in phis]
-        cells = [_mean_cell(n, marginal, to_marginal, config) for _ in phis]
-        _score_blocks(n, config.reps, config.master_seed,
-                      [(_copula_factor(v, sign), [cell.add])
-                       for (v, sign), cell in zip(copulas, cells)])
-        rows += [_mean_row(1, n, phi, marginal, config, cell) for phi, cell in zip(phis, cells)]
+        rows += _run_cells(n, config, [
+            (_copula_factor(*_exchangeable_copula(n, phi)),
+             [_mean_cell(n, marginal, to_marginal, config, table=1, phi=phi)])
+            for phi in phis])
     return rows
 
 
@@ -749,14 +741,9 @@ def run_table2(config):
     phi = config.phi if config.phi is not None else 0.1
     shapes = (config.shape,) if config.shape is not None else TABLE2_SHAPES
     marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
-    v, sign = _exchangeable_copula(n, phi)
-    factor = _copula_factor(v, sign)
-    cells = [_mean_cell(n, marginal, marginal.normal_map(), config) for marginal in marginals]
-    _score_blocks(n, config.reps, config.master_seed, [(factor, [cell.add for cell in cells])])
-    return [
-        _mean_row(2, n, phi, marginal, config, cell, alpha_shape=float(shape))
-        for shape, marginal, cell in zip(shapes, marginals, cells)
-    ]
+    cells = [_mean_cell(n, marginal, marginal.normal_map(), config, table=2, phi=phi,
+                        alpha_shape=float(shape)) for shape, marginal in zip(shapes, marginals)]
+    return _run_cells(n, config, [(_copula_factor(*_exchangeable_copula(n, phi)), cells)])
 
 
 def table3_design(n, master_seed):
@@ -790,16 +777,11 @@ def run_table3(config):
         X = table3_design(n, config.master_seed)
         W = _qr_weight_rows(X)
         copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
-        cells = [_Cell(X, W, to_marginal, 0.0, config.reps) for _ in phis]
-        groups = [(_copula_factor(corr, sign), [cell.add])
-                  for (corr, sign, _), cell in zip(copulas, cells)]
-        _score_blocks(n, config.reps, config.master_seed, groups)
-        for phi_star, (_, _, repair), cell in zip(phis, copulas, cells):
-            rows += _coverage_rows(
-                W, cell.stats, TABLE3_BETA, marginal.support, REGRESSION_C_STAR,
-                names=("beta0", "beta1"),
-                table=3, phi=phi_star, seed=config.master_seed, repair_lambda=repair.lam,
-            )
+        rows += _run_cells(n, config, [
+            (_copula_factor(corr, sign),
+             [_Cell(X, W, marginal, to_marginal, config, TABLE3_BETA, REGRESSION_C_STAR,
+                    ("beta0", "beta1"), table=3, phi=phi_star, repair_lambda=repair.lam)])
+            for phi_star, (corr, sign, repair) in zip(phis, copulas)])
     return rows
 
 

@@ -746,9 +746,20 @@ class TestSettingsFailBeforeTheWork:
              "must be at least 2"),
             (["fit", "--response", "y", "--covariates", "x", "--partitions", "5"], None,
              "--partitions needs at least two cluster counts to compare, got 5"),
+            (["fit", "--response", "y", "--covariates", ","], None,
+             "--covariates names no column, got ','"),
+            (["fit", "--response", "y", "--covariates", ""], None,
+             "--covariates names no column, got ''"),
+            (["fit"], "response = y\ncovariates = ,", "--covariates names no column, got ','"),
+            (["diagnose", "--response", "y", "--covariates", " , ", "--coefficient", "x"], None,
+             "--covariates names no column, got ' , '"),
+            (["diagnose", "--coefficient", "x"], "response = y\ncovariates = ,",
+             "--covariates names no column, got ','"),
         ],
         ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha", "ci-tiny-alpha",
-             "fit-tiny-alpha", "diagnose-coefficient", "fit-partitions", "fit-single-partition"],
+             "fit-tiny-alpha", "diagnose-coefficient", "fit-partitions", "fit-single-partition",
+             "fit-no-covariate", "fit-empty-covariates", "fit-config-no-covariate",
+             "diagnose-no-covariate", "diagnose-config-no-covariate"],
     )
     def test_bad_setting_fails_before_the_input_is_read(
         self, unread, tmp_path, capsys, argv, config, message

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -123,6 +124,34 @@ class TestExactTails:
                 for tail in (u_tail, hoeffding_tail):
                     bound = tail(float(tau), np.full(n, 1.0 / n), 1.0).value
                     assert Fraction(bound) >= exact, (n, tau, tail.__name__)
+
+    @staticmethod
+    def uniform_sum_tail(a, tau):
+        """P(|S - sum(a)/2| >= tau) for S a sum of independent U(0, a_k):
+        2 (1 - F(sum(a)/2 + tau)), F(x) = sum over index sets T of
+        (-1)^|T| (x - sum_{k in T} a_k)_+^m / (m! prod_k a_k), m = len(a)."""
+        m = len(a)
+        x = Fraction(sum(a), 2) + tau
+        cdf = sum((-1) ** r * max(x - sum(T), 0) ** m
+                  for r in range(m + 1) for T in itertools.combinations(a, r))
+        return 2 * (1 - cdf / (math.factorial(m) * math.prod(a)))
+
+    # Unequal ranges a_k, fixed before the first run.
+    UNEQUAL_RANGES = ((1, 2), (1, 1, 3), (1, 2, 4), (1, 1, 1, 10), (2, 3, 5, 7, 11),
+                      tuple(range(1, 9)))
+
+    def test_both_tails_bound_a_sum_of_unequal_uniforms(self):
+        # U(0, a_k) is a_k times a unit-range U variable: weights a_k, ranges 1
+        assert self.uniform_sum_tail((1, 2), Fraction(1, 10)) == Fraction(9, 10)  # trapezoid law
+        assert (self.uniform_sum_tail((1,) * 5, Fraction(5, 4))
+                == self.uniform_mean_tail(5, Fraction(1, 4)))
+        for a in self.UNEQUAL_RANGES:
+            for step in range(1, 10):
+                tau = Fraction(step * sum(a), 20)
+                exact = self.uniform_sum_tail(a, tau)
+                for tail in (u_tail, hoeffding_tail):
+                    bound = tail(float(tau), np.array(a, dtype=float), 1.0).value
+                    assert Fraction(bound) >= exact, (a, tau, tail.__name__)
 
     def test_the_oracle_is_the_irwin_hall_law(self):
         # n = 2: the triangle law, P(|mean| >= tau) = (1 - 2 tau)^2

@@ -10,7 +10,7 @@ sigma^2 rho_Y(c) = sum_{k>=1} a_k^2 c^k / k!, a_k = E[g(Z) He_k(Z)].
 The cell oracles reuse the sampler and the goldens pin the engine against
 itself; this checks that a cell draws with the correlation it reports.  Each
 comparison is z = (mean of err^2 - identity) / its Monte Carlo standard
-error, err the engine's own per-replication errors (``_Cell.stats.err`` as
+error, err the engine's own per-replication errors (``_Cell.err`` as
 ``_score_blocks`` fills them, mean zero for these symmetric marginals).
 """
 
@@ -23,6 +23,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from densum.core import DependencySummary
 from densum.estimators import _qr_weight_rows
 from densum.simulation import (
+    REGRESSION_C_STAR,
+    TABLE3_BETA,
     TABLE3_SIGMA,
     ExperimentConfig,
     MarginalSpec,
@@ -93,7 +95,7 @@ def test_mean_cells_draw_the_exchangeable_variance(n):
         rho_y = float(terms @ phi ** np.arange(1, K + 1)) / sigma2
         identity = additive_variance(cell.W, np.full(n, sigma2),
                                      DependencySummary(mu=n - 1, phi=rho_y)).total[0, 0]
-        z[phi] = mc_z(cell.stats.err[:, 0], identity)
+        z[phi] = mc_z(cell.err[:, 0], identity)
     assert max(map(abs, z.values())) <= Z_BOUND, z
 
 
@@ -104,8 +106,10 @@ def test_regression_cells_draw_the_mosaic_variance(n):
     W = _qr_weight_rows(X)
     copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
     assert [repair.lam for _, _, repair in copulas][-1] == 1.0
+    config = ExperimentConfig(table=3, reps=REPS, master_seed=SEED)
     to_marginal = TRUNCNORMAL.normal_map()
-    cells = [_Cell(X, W, to_marginal, 0.0, REPS) for _ in phis]
+    cells = [_Cell(X, W, TRUNCNORMAL, to_marginal, config, TABLE3_BETA, REGRESSION_C_STAR,
+                   ("beta0", "beta1")) for _ in phis]
     _score_blocks(n, REPS, SEED, [(_copula_factor(v, sign), [cell.add])
                                   for (v, sign, _), cell in zip(copulas, cells)])
     terms = hermite_terms(TRUNCNORMAL)
@@ -118,5 +122,5 @@ def test_regression_cells_draw_the_mosaic_variance(n):
             # sum_{i != j} w_i w_j c_ij^k = sign^k ((sum_i w_i v_i^k)^2 - sum_i w_i^2 v_i^2k)
             cross = float(sign ** k * ((vk @ w) ** 2 - (vk * vk) @ (w * w)) @ terms)
             identity = TRUNCNORMAL.variance * float(w @ w) + cross
-            z[phi_star, s] = mc_z(cell.stats.err[:, s], identity)
+            z[phi_star, s] = mc_z(cell.err[:, s], identity)
     assert max(map(abs, z.values())) <= Z_BOUND, z

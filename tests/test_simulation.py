@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import cProfile
 import math
 import os
@@ -42,12 +43,11 @@ from densum.simulation import (
     CoverageReport,
     ExperimentConfig,
     MarginalSpec,
+    _Cell,
     _copula_factor,
-    _coverage_rows,
     _exchangeable_copula,
     _parts,
     _row_chunks,
-    _Statistics,
     _table3_copula,
     block_rows,
     copula_sample,
@@ -552,19 +552,24 @@ class TestStructuredSampler:
         assert sorted(calls) == [0, 1, 2, 2**32 + 100]  # plus the design draw
 
 
-def _run_capturing_statistics(config):
-    """run_table(config) plus, per call of the engine's reduction, the
-    arguments it got: (W, _Statistics, other positional args, fields)."""
-    calls = []
+def _run_capturing_cells(config):
+    """run_table(config) plus each cell it reduced to report rows, in order."""
+    cells = []
+    rows_of = _Cell.rows
 
-    def capture(W, stats, *args, **fields):
-        calls.append((W, stats, args, fields))
-        return _coverage_rows(W, stats, *args, **fields)
+    def capture(cell):
+        cells.append(cell)
+        return rows_of(cell)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(densum.simulation, "_coverage_rows", capture)
+        patch.setattr(_Cell, "rows", capture)
         rows = run_table(config)
-    return rows, calls
+    return rows, cells
+
+
+def _statistics(cell):
+    """A cell's per-replication statistics: errors, Wald cover flags, residual range."""
+    return cell.err, cell.covered_wald, cell.rhat
 
 
 class TestBlockedEngine:
@@ -602,22 +607,22 @@ class TestBlockedEngine:
         n, k = n_k
         settings_ = dict(self.CELLS[cell], n=n, master_seed=seed)
         with _workers(workers):
-            short_rows, short_calls = _run_capturing_statistics(
-                ExperimentConfig(reps=k, **settings_)
-            )
-            _, long_calls = _run_capturing_statistics(ExperimentConfig(reps=2 * k, **settings_))
-        assert len(short_calls) == len(long_calls) >= 1
+            short_rows, short_cells = _run_capturing_cells(ExperimentConfig(reps=k, **settings_))
+            _, long_cells = _run_capturing_cells(ExperimentConfig(reps=2 * k, **settings_))
+        assert len(short_cells) == len(long_cells) >= 1
         rows = []
-        for (W, short, args, fields), (_, long, long_args, _) in zip(short_calls, long_calls):
+        for short, long in zip(short_cells, long_cells):
             # a mean cell keeps no residual range: its rows report no plug-in
             assert (short.rhat is None) == (long.rhat is None) == (settings_["table"] != 3)
-            for got, longer in zip(short, long):
+            for got, longer in zip(_statistics(short), _statistics(long)):
                 if got is None:
                     continue
                 assert got.shape[0] == k
                 np.testing.assert_array_equal(got, longer[:k])
-            head = _Statistics(*(None if values is None else values[:k] for values in long))
-            rows += _coverage_rows(W, head, *long_args, **fields)
+            head = copy.copy(long)
+            head.err, head.covered_wald, head.rhat = (
+                None if values is None else values[:k] for values in _statistics(long))
+            rows += head.rows()
         assert rows == short_rows
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -628,17 +633,17 @@ class TestBlockedEngine:
         n = 100
         config = ExperimentConfig(table=table, n=n, reps=250, master_seed=5)
         with _workers(1):
-            reference_rows, reference_calls = _run_capturing_statistics(config)
+            reference_rows, reference_cells = _run_capturing_cells(config)
         runs = {}
         monkeypatch.setattr(densum.simulation, "WORKERS", workers)
         for rows in (7, 100, 1000):
             monkeypatch.setattr(densum.simulation, "BLOCK_VALUES", rows * n)
-            runs[rows] = _run_capturing_statistics(config)
-        for report_rows, calls in runs.values():
+            runs[rows] = _run_capturing_cells(config)
+        for report_rows, cells in runs.values():
             assert report_rows == reference_rows
-            assert len(calls) == len(reference_calls) >= 1
-            for (_, got, _, _), (_, expected, _, _) in zip(calls, reference_calls):
-                for values, expected_values in zip(got, expected):
+            assert len(cells) == len(reference_cells) >= 1
+            for got, expected in zip(cells, reference_cells):
+                for values, expected_values in zip(_statistics(got), _statistics(expected)):
                     np.testing.assert_array_equal(values, expected_values)
 
     MEMORY_CELLS = [
@@ -757,19 +762,19 @@ class TestWorkerThreads:
         # must write exactly what one worker does
         config = ExperimentConfig(table=2, n=100, reps=250, master_seed=5)
         with _workers(1):
-            expected_rows, expected_calls = _run_capturing_statistics(config)
+            expected_rows, expected_cells = _run_capturing_cells(config)
         monkeypatch.setattr(densum.simulation, "WORKERS", 3)
         monkeypatch.setattr(densum.simulation, "BLOCK_VALUES", 7 * config.n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows, calls = _run_capturing_statistics(config)
+            rows, cells = _run_capturing_cells(config)
         finally:
             sys.setswitchinterval(interval)
         assert rows == expected_rows
-        assert len(calls) == len(expected_calls) == 4
-        for (_, got, _, _), (_, expected, _, _) in zip(calls, expected_calls):
-            for values, expected_values in zip(got, expected):
+        assert len(cells) == len(expected_cells) == 4
+        for got, expected in zip(cells, expected_cells):
+            for values, expected_values in zip(_statistics(got), _statistics(expected)):
                 np.testing.assert_array_equal(values, expected_values)
 
     def test_a_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
