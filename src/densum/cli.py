@@ -238,8 +238,14 @@ def cmd_ci(args):
 
 
 def _covariates(args):
-    """fit's and diagnose's checked covariate list; None for --climate's frame."""
+    """fit's and diagnose's checked covariate list; None for --climate's frame,
+    which builds its own model and so refuses a response or covariates."""
     if args.climate:
+        named = [f"--{name} {getattr(args, name)!r}" for name in ("response", "covariates")
+                 if getattr(args, name) is not None]
+        if named:
+            raise ValueError(f"--climate builds its own model, so it takes no "
+                             f"{' or '.join(named)} (either may come from the config)")
         return None
     if args.response is None or args.covariates is None:
         raise ValueError("--response and --covariates are required (or use --climate)")

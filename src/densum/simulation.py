@@ -31,28 +31,32 @@ factor's output, at every n (with a dense factor's pair of its own).
 Every step is row-local, one output row from one input row by numpy's own
 loops, so a replication's statistics depend neither on reps nor on the
 block size, and a shorter run's are a bit-identical prefix of a longer
-run's.  So each block's rows are split into WORKERS contiguous parts, scored
-at the same time by the caller and WORKERS - 1 helper threads (numpy's heavy
-loops release the GIL) on views of the block's own buffers: memory does not
-grow with the count, and no bit depends on it.  Every grid correlation is
+run's.  So a call's replications are split into WORKERS contiguous ranges,
+scored at the same time by the caller and WORKERS - 1 forked worker
+processes, each on two block buffers of its own: the cells' statistics (and
+``copula_sample``'s draws) live in anonymous shared memory, which every
+process writes its own rows of, and no bit depends on the count.  Every grid
+correlation is
 diag(1 - sign v^2) + sign v v^T (v = sqrt(|phi|) 1 for the exchangeable
 tables, v proportional to the intercept weights, sign that of phi or phi*),
 whose semiseparable factor takes one cumulative sum per row; a clipped
 mosaic not repaired to the identity and a matrix passed to ``copula_sample``
 take a dense Cholesky product, whose bits fix its rows' positions, so their
-blocks are scored whole, on a block_rows(n) x n product pair.
+blocks are scored whole, in the caller, on a block_rows(n) x n product pair.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import csv
 import dataclasses
 import functools
 import math
+import mmap
 import numbers
 import os
+import pickle
+import signal
+import warnings
 
 import numpy as np
 from scipy.special import ndtr
@@ -87,11 +91,13 @@ DESIGN_STREAM_OFFSET = 2**32
 # n are.
 BLOCK_VALUES = 2**19
 
-# Parts of a block scored at once, the first on the calling thread
-# (``_score_blocks``): one per CPU this process may run on, at most 2, the
-# largest count measured.  No output bit depends on it, so it is derived.
-WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
+# Replication ranges scored at once, the first by the caller and the rest by
+# forked worker processes (``_score_blocks``): one per CPU this process may run
+# on, at most 2, the largest count measured, where the OS can say which CPUs
+# those are and can fork; 1 elsewhere.  No output bit depends on it, so it is
+# derived.
+WORKERS = (min(2, len(os.sched_getaffinity(0)))
+           if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
 
 TABLE1_GRID = {
     100: (0.0, 0.06, 0.1, 0.2),
@@ -526,7 +532,7 @@ def copula_sample(corr, marginal, reps, seed):
     factor = _copula_factor(corr)
     n = np.shape(corr)[0]
     to_marginal = marginal.normal_map()
-    Y = np.empty((reps, n))
+    Y = _shared((reps, n))
 
     def store(start, x):
         Y[start:start + x.shape[0]] = to_marginal(x)
@@ -549,7 +555,8 @@ class _Cell:
     once; ``add`` fills the cell's length-reps statistics, the estimation
     errors eps W^T (reps x p), the Wald comparator's cover flags (reps x p)
     and, with ``ranges`` (the regression rows report it, the mean rows not),
-    the pooled residual range (reps); ``rows`` reduces them to the report.
+    the pooled residual range (reps), in shared memory (``_score_blocks``'
+    workers write their rows of them); ``rows`` reduces them to the report.
     ``fields`` fill the report's remaining columns.
     """
 
@@ -563,8 +570,8 @@ class _Cell:
         self.Wc, self.XT = np.ascontiguousarray(W), np.ascontiguousarray(X.T)
         self.sandwich = _ExchangeableSandwich(X, sequential_partition(n, n // 10))
         self.z = wald_z(ALPHA)
-        self.err, self.covered_wald = np.empty((config.reps, p)), np.empty((config.reps, p), bool)
-        self.rhat = np.empty(config.reps) if ranges else None
+        self.err, self.covered_wald = _shared((config.reps, p)), _shared((config.reps, p), bool)
+        self.rhat = _shared(config.reps) if ranges else None
 
     def add(self, start, eps):
         """Score replications start, start + 1, ... from their normal-scale
@@ -634,13 +641,21 @@ def block_rows(n):
     return max(1, BLOCK_VALUES // n)
 
 
-def _parts(rows):
-    """A block's rows 0 .. rows - 1 as min(WORKERS, rows) contiguous slices
+def _parts(reps):
+    """Replications 0 .. reps - 1 as min(WORKERS, reps) contiguous slices
     whose lengths differ by at most one, the longer ones first."""
-    count = min(WORKERS, rows)
-    size, extra = divmod(rows, count)
+    count = min(WORKERS, reps)
+    size, extra = divmod(reps, count)
     stops = [k * size + min(k, extra) for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(stops, stops[1:])]
+
+
+def _shared(shape, dtype=float):
+    """A zero-filled array in anonymous shared memory, so the writes of a
+    worker process that ``_score_blocks`` forks reach the caller."""
+    dtype, count = np.dtype(dtype), int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(1, count * dtype.itemsize)), dtype,
+                         count).reshape(shape)
 
 
 def _score_blocks(n, reps, seed, groups):
@@ -652,43 +667,128 @@ def _score_blocks(n, reps, seed, groups):
     and each factor is applied once, from z into x.  Only the last group may
     have more than one consumer: each but its last gets a copy of x in z,
     which no factor reads again, and the last takes x itself.  Memory is
-    two min(reps, block_rows(n)) x n buffers, z and x, at most BLOCK_VALUES
-    values each (a dense factor adds its block_rows(n) x n pair).
+    two buffers per process, z and x, of at most block_rows(n) x n values,
+    so at most BLOCK_VALUES each (a dense factor adds its block_rows(n) x n
+    pair).
 
-    Each block's rows are split into WORKERS contiguous parts (``_parts``)
-    scored in one round: the caller scores the first itself and helper
-    threads the rest, each in a copy of the caller's context (numpy's error
-    state carries over), so a one-part block starts no thread.  A part runs every
-    step above on views of its own rows of the same buffers, so memory does
-    not grow with WORKERS, and since every step is row-local no bit depends
-    on it.  A dense product's bits depend on its rows' positions in its
-    fixed pair, so with a dense factor each block is one part."""
+    The replications are split into WORKERS contiguous ranges (``_parts``):
+    the caller scores the first, and a worker process forked for each other
+    range scores that one, each on two buffers of its own.  So a consumer's
+    writes reach the caller only through shared memory (``_shared``): the
+    cells' statistics and ``copula_sample``'s draws live there, and whatever
+    else a consumer writes stays in its own process.  Since every step is
+    row-local, no bit depends on the split.  The caller forks nothing, and
+    cProfile and tracemalloc see the whole call, when WORKERS is 1, when a
+    factor is dense (its product's bits depend on its rows' positions in its
+    fixed pair) or when the draw fits in one block (reps * n <= BLOCK_VALUES).
+
+    A worker's exception reaches the caller with its type and message, and
+    its warnings are issued again in the caller, under the caller's filters
+    (a filter that turns them into errors already did so in the worker,
+    which inherits the caller's filters and numpy error state).  The first
+    range's failure is raised, the caller's own first; on any failure or
+    interrupt in the caller the workers are killed.  Every worker is reaped
+    before the call returns or raises.  On Python 3.12 and later, os.fork
+    issues a DeprecationWarning when the process has more than one OS
+    thread, so the first fork of a process does warn: after the imports,
+    numpy's and scipy's OpenBLAS pools make three threads.  OpenBLAS stops
+    its pools at a fork and restarts them at its next threaded call.  The
+    warning is attributed to this module, so Python's default filters hide
+    it.  The fork is safe here: no lock of those pools survives into the
+    worker, which runs only numpy and its pipe before os._exit."""
     if any(len(consumers) > 1 for _, consumers in groups[:-1]):
         raise ValueError("only the last group may share its factor: its copies overwrite the draw")
-    whole = any(getattr(factor, "func", None) is _dense_block for factor, _ in groups)
     size = block_rows(n)
-    shape = (min(reps, size), n)
-    z_buf, x_buf = np.empty(shape), np.empty(shape)
 
-    def score(start, rows):
-        first = start + rows.start
-        z, x = z_buf[rows], x_buf[rows]
-        seeded_normals(seed, first, z)
-        for factor, consumers in groups:
-            factor(z, x)
-            for consume in consumers[:-1]:
-                np.copyto(z, x)
-                consume(first, z)
-            consumers[-1](first, x)
+    def score(part):
+        shape = (min(part.stop - part.start, size), n)
+        z_buf, x_buf = np.empty(shape), np.empty(shape)
+        for start in range(part.start, part.stop, size):
+            rows = min(size, part.stop - start)
+            z, x = z_buf[:rows], x_buf[:rows]
+            seeded_normals(seed, start, z)
+            for factor, consumers in groups:
+                factor(z, x)
+                for consume in consumers[:-1]:
+                    np.copyto(z, x)
+                    consume(start, z)
+                consumers[-1](start, x)
 
-    with concurrent.futures.ThreadPoolExecutor(max(1, WORKERS - 1)) as pool:
-        for start in range(0, reps, size):
-            rows = min(size, reps - start)
-            head, *rest = [slice(0, rows)] if whole else _parts(rows)
-            helpers = [pool.submit(contextvars.copy_context().run, score, start, part) for part in rest]
-            score(start, head)  # a failure here is raised when the with block has joined the helpers
-            for future in helpers:
-                future.result()
+    dense = any(getattr(factor, "func", None) is _dense_block for factor, _ in groups)
+    head, *rest = [slice(0, reps)] if dense or reps * n <= BLOCK_VALUES else _parts(reps)
+    workers = []
+    try:
+        for part in rest:
+            workers.append(_Worker(score, part))
+        score(head)
+        for worker in workers:
+            worker.receive()
+    except BaseException:
+        for worker in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker in workers:
+            worker.reap()
+    for worker in workers:
+        worker.relay()
+
+
+class _Worker:
+    """A forked process that runs score(part) and sends back, pickled through
+    a pipe, its exception (None on success) and the warnings it recorded,
+    then leaves by os._exit.  The caller ``receive``s that report, ``reap``s
+    the process and ``relay``s the report, or ``kill``s the process first."""
+
+    def __init__(self, score, part):
+        self.part = part
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            _worker_main(score, part, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def receive(self):
+        self.report = self.pipe.read()  # to end of file: the worker has reported or died
+
+    def kill(self):
+        os.kill(self.pid, signal.SIGKILL)  # not yet reaped, so the pid is still its
+
+    def reap(self):
+        self.pipe.close()
+        self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+    def relay(self):
+        if not self.report:
+            raise ChildProcessError(f"the worker scoring replications {self.part.start} to "
+                                    f"{self.part.stop - 1} exited with status {self.status} "
+                                    f"before it reported")
+        error, caught = pickle.loads(self.report)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+
+
+def _worker_main(score, part, write_fd):
+    """A worker process's whole life: score(part), report to write_fd, exit."""
+    status = 1
+    try:
+        error = None
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                score(part)
+            except BaseException as exc:  # KeyboardInterrupt too: the caller reports it
+                error = exc
+        report = pickle.dumps((error, [(str(w.message), w.category, w.filename, w.lineno)
+                                       for w in caught]))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(report)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_cells(n, config, groups):

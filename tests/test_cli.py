@@ -1096,6 +1096,33 @@ class TestDiagnoseCommand:
         climate = flags[flags.index("--climate") + 1]
         assert f"column 'y' and --climate '{climate}'" in captured.err
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [(["--response", "zzz"], None, "--response 'zzz'"),
+         (["--covariates", "nope1,nope2"], None, "--covariates 'nope1,nope2'"),
+         (["--response", "zzz", "--covariates", "nope"], None,
+          "--response 'zzz' or --covariates 'nope'"),
+         ([], "covariates = x1", "--covariates 'x1'")],
+        ids=["response", "covariates", "both", "config-covariates"],
+    )
+    def test_a_model_beside_climate_is_rejected_before_the_load(
+        self, unread, tmp_path, capsys, command, flags, config, named
+    ):
+        # --climate builds its own model; a response or covariates named
+        # beside it were ignored without a word
+        argv = [command, unread, "--climate", "monthly", *flags, "--coefficient", "temp_lag1"][
+            :None if command == "diagnose" else -2]
+        if config is not None:
+            cfg = tmp_path / "an.ini"
+            cfg.write_text(f"[analysis]\n{config}\n")
+            argv += ["-c", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --climate builds its own model, so it takes no {named} "
+                                f"(either may come from the config)\n")
+
     def test_unknown_coefficient(self, unread, capsys):
         rc = main(["diagnose", unread, "--response", "y",
                    "--covariates", "x", "--coefficient", "zzz"])

@@ -1,6 +1,7 @@
 """Checks that need a fresh process: the worker count and OpenBLAS's thread count are
 fixed at a process's start, and its peak RSS only grows.  The peak is the child's own
-``VmHWM``, which exec starts afresh; ``ru_maxrss`` keeps the parent's peak across exec."""
+``VmHWM``, which exec starts afresh; ``ru_maxrss`` keeps the parent's peak across exec.
+The coverage engine's forked workers report theirs in ``RUSAGE_CHILDREN``."""
 
 import json
 import os
@@ -15,7 +16,7 @@ from conftest import GOLDEN_FIT, GOLDEN_FRAME, run_python
 pytestmark = [pytest.mark.acceptance,
               pytest.mark.skipif(sys.platform != "linux", reason="taskset and /proc/self/status")]
 
-GROWTH = """import json, sys
+GROWTH = """import json, resource, sys
 from densum.cli import main
 def peak():  # KiB
     return int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
@@ -23,12 +24,15 @@ warm, run = json.loads(sys.argv[1])
 assert main(warm) == 0
 before = peak()
 assert main(run) == 0
-print((peak() - before) / 1024)"""
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB, 0 if none forked
+print((peak() - before) / 1024, (workers - before) / 1024)"""
 
 
 def rss_growth_mb(warm, run, env=None):
-    """Peak RSS growth (MB) of a fresh process that runs densum ``warm``, then ``run``."""
-    return float(run_python("-c", GROWTH, json.dumps([warm, run]), env=env).stdout.split()[-1])
+    """Peak RSS growth (MB) of a fresh process that runs densum ``warm``, then ``run``:
+    the caller's own, and its largest worker's peak less the caller's peak before ``run``."""
+    return [float(mb) for mb in
+            run_python("-c", GROWTH, json.dumps([warm, run]), env=env).stdout.split()[-2:]]
 
 
 def written(directory, *argv, **kwargs):
@@ -64,9 +68,13 @@ def test_a_reps_10000_runs_peak_rss_does_not_grow_with_n(cell):
     # A block holds BLOCK_VALUES values (4 MiB) at every n and is scored on two
     # such buffers; 1000-row blocks grew the peak by about 42 MB at n = 1500.
     warm = ["simulate", "--table", "3", "--n", "100", "--reps", "20", "--out", os.devnull]
-    growth = rss_growth_mb(warm, ["simulate", *cell.split(), "--reps", "10000",
-                                  "--out", os.devnull])
+    # The warm-up forks nothing, so a worker's peak is the run's; forked from
+    # the caller, it shares the caller's pages until it writes them.
+    growth, worker = rss_growth_mb(warm, ["simulate", *cell.split(), "--reps", "10000",
+                                          "--out", os.devnull])
     assert growth <= 15.0, f"peak RSS grew {growth:.1f} MB"
+    assert worker <= 15.0, (f"a worker's peak RSS exceeded the caller's pre-run peak by "
+                            f"{worker:.1f} MB")
 
 
 @pytest.mark.parametrize("argv", ["fit --partitions 5,10,25 --screen x3 --out fit.json",
@@ -97,7 +105,7 @@ def test_a_1m_row_fit_grows_the_rss_by_at_most_six_designs(frames, tmp_path, thr
     # design, its copy, LAPACK's two work arrays and Q).  At 1M rows the JSON's
     # last digits follow the thread count, so it is not compared.
     model = [*GOLDEN_FIT, "--partitions", "5,10,25", *screen, "--out", str(tmp_path / "fit.json")]
-    growth = rss_growth_mb(["fit", frames[1], *model], ["fit", frames[0], *model],
-                           env=blas_env(threads))
+    growth, _ = rss_growth_mb(["fit", frames[1], *model], ["fit", frames[0], *model],
+                              env=blas_env(threads))
     design = 1_000_000 * 4 * 8 / 2**20
     assert growth <= 6 * design, f"peak RSS grew {growth / design:.2f} designs"

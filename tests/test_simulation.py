@@ -5,8 +5,7 @@ import math
 import os
 import pstats
 import re
-import sys
-import threading
+import time
 import tracemalloc
 import warnings
 
@@ -61,15 +60,15 @@ from densum.simulation import (
 )
 from densum.core import sequential_partition
 
-# Worker counts the determinism tests run at: 3 splits most blocks unevenly
-# (the 5242 rows of a block at n = 100 into 1748/1747/1747).  Starting 3
-# threads on fewer CPUs is harmless.
+# Worker counts the determinism tests run at: 3 splits most runs unevenly
+# (5242 replications into 1748/1747/1747).  Forking 3 processes on fewer
+# CPUs is harmless.
 WORKER_COUNTS = (1, 2, 3)
 
 
 @contextlib.contextmanager
 def _workers(count):
-    """The coverage engine's thread count set to ``count`` for the block."""
+    """The coverage engine's worker count set to ``count`` for the block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(densum.simulation, "WORKERS", count)
         yield
@@ -655,9 +654,9 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize("settings_", MEMORY_CELLS)
     def test_cell_memory_does_not_grow_with_reps(self, settings_, monkeypatch):
-        # One worker: with two, the peak depends on whether the parts'
-        # temporaries overlap in time, which moves a reps-1000 peak by a few
-        # MB from run to run; test_two_workers_cost_no_memory bounds that.
+        # One worker, so the caller scores every replication and tracemalloc
+        # sees it all; test_two_workers_cost_no_memory bounds the caller's
+        # share of a two-worker run.
         monkeypatch.setattr(densum.simulation, "WORKERS", 1)
         peaks = {reps: _traced_peak_mb(ExperimentConfig(reps=reps, **settings_))
                  for reps in (20, 1000, 10000)}
@@ -667,8 +666,11 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize("settings_", MEMORY_CELLS)
     def test_two_workers_cost_no_memory(self, settings_, monkeypatch):
-        # The parts are views of one block's buffers, so two workers add at
-        # most their temporaries' overlap, never a second block.
+        # With two workers the caller scores the first range on its own two
+        # block buffers and a forked worker the second on two of its own,
+        # which tracemalloc here cannot see: these bounds hold the caller's
+        # traced peak, and tests/test_fresh_process.py bounds the worker's
+        # peak RSS.
         peaks = {}
         for workers in (1, 2):
             monkeypatch.setattr(densum.simulation, "WORKERS", workers)
@@ -731,24 +733,31 @@ def _traced_peak_mb(config):
         tracemalloc.stop()
 
 
-class TestWorkerThreads:
-    # _score_blocks splits each block's rows into WORKERS parts: the calling
-    # thread scores the first, helper threads of a pool that lives for one
-    # call the rest.  A part's failure or warning reaches the caller, a
-    # one-part block starts no thread, and no thread outlives the call.
-    # The runs are at n = 100, whose blocks split into two parts at HALF.
+class TestWorkerProcesses:
+    # _score_blocks splits a call's replications into WORKERS ranges: the
+    # caller scores the first, a forked worker process each of the rest, and
+    # the cells' statistics live in shared memory.  A worker's failure or
+    # warning reaches the caller, three kinds of call fork nothing, and no
+    # worker outlives the call.  The runs are at n = 100 on REPS replications,
+    # one more than a block, which split into two ranges at SPLIT; what a
+    # worker does is recorded in shared memory, which the caller can read.
 
     ROWS = block_rows(100)
-    HALF = ROWS - ROWS // 2
+    REPS = ROWS + 1
+    SPLIT = REPS - REPS // 2
+
+    @staticmethod
+    def assert_no_child_is_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_follow_the_cpus_this_process_may_use(self):
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+            assert densum.simulation.WORKERS == min(2, len(os.sched_getaffinity(0)))
         else:
-            cpus = os.cpu_count() or 1
-        assert densum.simulation.WORKERS == min(2, cpus)
+            assert densum.simulation.WORKERS == 1
 
-    def test_parts_split_a_block_evenly(self):
+    def test_parts_split_the_replications_evenly(self):
         with _workers(3):
             assert [p.stop - p.start for p in _parts(1000)] == [334, 333, 333]
             assert _parts(2) == [slice(0, 1), slice(1, 2)]
@@ -756,107 +765,150 @@ class TestWorkerThreads:
             assert _parts(7) == [slice(0, 4), slice(4, 7)]
             assert _parts(1) == [slice(0, 1)]
 
-    def test_parts_share_no_writes_under_frequent_thread_switches(self, monkeypatch):
-        # table 2's four shapes share each block, three through a copy in the draw;
-        # three workers on 7-row blocks, switching threads every microsecond,
-        # must write exactly what one worker does
+    def test_ranges_share_no_writes(self, monkeypatch):
+        # table 2's four shapes share each block, three through a copy in the
+        # draw; three processes on 7-row blocks must write exactly what one
+        # worker does
         config = ExperimentConfig(table=2, n=100, reps=250, master_seed=5)
         with _workers(1):
             expected_rows, expected_cells = _run_capturing_cells(config)
         monkeypatch.setattr(densum.simulation, "WORKERS", 3)
         monkeypatch.setattr(densum.simulation, "BLOCK_VALUES", 7 * config.n)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows, cells = _run_capturing_cells(config)
-        finally:
-            sys.setswitchinterval(interval)
+        rows, cells = _run_capturing_cells(config)
         assert rows == expected_rows
         assert len(cells) == len(expected_cells) == 4
         for got, expected in zip(cells, expected_cells):
             for values, expected_values in zip(_statistics(got), _statistics(expected)):
                 np.testing.assert_array_equal(values, expected_values)
 
-    def test_a_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("failing, raised", [("worker", ROWS + 1), ("both", ROWS)],
+                             ids=["worker", "caller-and-worker"])
+    def test_a_failure_in_a_worker_reaches_the_caller(self, failing, raised, monkeypatch):
+        # 2 ROWS + 1 replications: the caller's range holds blocks at 0 and
+        # ROWS, the worker's one at ROWS + 1, which it fails on first; when
+        # both fail, the caller's own failure is the one raised
         add = densum.simulation._Cell.add
+        fails = {self.ROWS + 1} | ({self.ROWS} if failing == "both" else set())
 
         def failing_add(cell, start, eps):
-            if start >= self.ROWS:
+            if start in fails:
                 raise ArithmeticError(f"replication {start} failed")
             return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
-        before = threading.active_count()
-        # the second block's parts start at ROWS and ROWS + HALF; the first
-        # part's failure is the one raised
-        with pytest.raises(ArithmeticError, match=rf"^replication {self.ROWS} failed$"):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=2 * self.ROWS + self.HALF))
-        assert threading.active_count() == before
-        run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
-        assert threading.active_count() == before
+        config = ExperimentConfig(table=1, n=100, phi=0.06, reps=2 * self.ROWS + 1)
+        with pytest.raises(ArithmeticError, match=rf"^replication {raised} failed$"):
+            run_table1(config)
+        self.assert_no_child_is_left()
+        monkeypatch.setattr(densum.simulation._Cell, "add", add)
+        run_table1(config)
+        self.assert_no_child_is_left()
+
+    def test_an_interrupted_caller_kills_its_worker(self, monkeypatch):
+        # the worker would sleep for a minute; the caller's KeyboardInterrupt
+        # kills and reaps it at once
+        add = densum.simulation._Cell.add
+
+        def interrupted_add(cell, start, eps):
+            if start == self.ROWS + 1:
+                time.sleep(60)
+            if start == self.ROWS:
+                raise KeyboardInterrupt
+            return add(cell, start, eps)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", interrupted_add)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=2 * self.ROWS + 1))
+        assert time.monotonic() - began < 30.0
+        self.assert_no_child_is_left()
+
+    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+        add = densum.simulation._Cell.add
+
+        def dying_add(cell, start, eps):
+            if start == self.SPLIT:
+                os._exit(3)
+            return add(cell, start, eps)
+
+        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
+        monkeypatch.setattr(densum.simulation._Cell, "add", dying_add)
+        with pytest.raises(ChildProcessError, match=rf"replications {self.SPLIT} to "
+                                                    rf"{self.REPS - 1} exited with status 3"):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.REPS))
+        self.assert_no_child_is_left()
 
     def test_a_warning_in_a_worker_reaches_the_caller(self, monkeypatch):
         add = densum.simulation._Cell.add
-        threads = {}
+        pids = densum.simulation._shared(self.REPS, np.int64)
 
         def warning_add(cell, start, eps):
-            threads[start] = threading.current_thread()
+            pids[start] = os.getpid()
             warnings.warn(f"replication {start} warned", RuntimeWarning)
             return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation._Cell, "add", warning_add)
         with pytest.warns(RuntimeWarning, match=r"^replication \d+ warned$") as record:
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.REPS))
         assert {str(w.message) for w in record} == {"replication 0 warned",
-                                                    f"replication {self.HALF} warned"}
-        # the caller scores the first part, a helper thread the second
-        assert threads[0] is threading.main_thread()
-        assert threads[self.HALF] is not threading.main_thread()
+                                                    f"replication {self.SPLIT} warned"}
+        # the caller scores the first range, a worker process the second
+        assert pids[0] == os.getpid()
+        assert pids[self.SPLIT] not in (0, os.getpid())
 
-    def test_a_failure_in_a_helper_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.skipif(np.__version__.startswith("1."),
+                        reason="numpy 1.x keeps the error state per thread, not per context")
+    def test_the_callers_numpy_error_state_reaches_the_workers(self, monkeypatch):
         add = densum.simulation._Cell.add
 
-        def failing_add(cell, start, eps):
-            if start == self.HALF:  # the second part, a helper's
-                raise ArithmeticError(f"replication {start} failed")
+        def dividing_add(cell, start, eps):
+            if start == self.SPLIT:  # the worker's range
+                np.divide(eps[:, :1], 0.0)
             return add(cell, start, eps)
 
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
-        monkeypatch.setattr(densum.simulation._Cell, "add", failing_add)
-        with pytest.raises(ArithmeticError, match=rf"^replication {self.HALF} failed$"):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
+        monkeypatch.setattr(densum.simulation._Cell, "add", dividing_add)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.REPS))
+        self.assert_no_child_is_left()
 
     @pytest.mark.parametrize(
         "workers, config, count",
         [
-            (1, ExperimentConfig(table=1, n=100, reps=ROWS + 1), 8),  # 4 cells x 2 blocks
+            (1, ExperimentConfig(table=1, n=100, reps=REPS), 8),  # 4 cells x 2 blocks
             # phi* = 3.1 clips the seed-0 n = 100 mosaic: a dense factor, whole blocks
-            (2, ExperimentConfig(table=3, n=100, phi=3.1, reps=ROWS + 1), 2),
+            (2, ExperimentConfig(table=3, n=100, phi=3.1, reps=REPS), 2),
+            # the draw fits in one block: reps * n <= BLOCK_VALUES
+            (2, ExperimentConfig(table=1, n=100, reps=ROWS), 4),
         ],
-        ids=["one-worker", "dense"],
+        ids=["one-worker", "dense", "one-block"],
     )
-    def test_one_part_blocks_start_no_thread(self, workers, config, count, monkeypatch):
-        add = densum.simulation._Cell.add
-        calls = []
+    def test_calls_that_fork_nothing(self, workers, config, count, monkeypatch):
+        add, fork = densum.simulation._Cell.add, os.fork
+        calls, forks = [], []
 
         def recording_add(cell, start, eps):
-            calls.append((threading.current_thread(), threading.active_count()))
+            calls.append(os.getpid())
             return add(cell, start, eps)
+
+        def spy_fork():
+            forks.append(1)
+            return fork()
 
         monkeypatch.setattr(densum.simulation, "WORKERS", workers)
         monkeypatch.setattr(densum.simulation._Cell, "add", recording_add)
-        before = threading.active_count()
+        monkeypatch.setattr(os, "fork", spy_fork)
         run_table(config)
-        assert len(calls) == count
-        for thread, active in calls:
-            assert thread is threading.main_thread() and active <= before
+        assert forks == []
+        assert calls == [os.getpid()] * count
 
     def test_a_one_worker_run_is_seen_by_cprofile(self, monkeypatch):
         monkeypatch.setattr(densum.simulation, "WORKERS", 1)
         profile = cProfile.Profile()
-        profile.runcall(run_table1, ExperimentConfig(table=1, n=100, reps=self.ROWS + 1))
+        profile.runcall(run_table1, ExperimentConfig(table=1, n=100, reps=self.REPS))
         code = densum.simulation._Cell.add.__code__
         calls = pstats.Stats(profile).stats[code.co_filename, code.co_firstlineno, code.co_name][1]
         assert calls == 8  # 4 cells x 2 blocks
@@ -864,27 +916,28 @@ class TestWorkerThreads:
     @pytest.mark.parametrize(
         "corr, split",
         [
-            # a dense factor's bits fix its rows' positions: whole blocks
+            # a dense factor's bits fix its rows' positions: whole blocks, in the caller
             (exchangeable_corr(50, 0.1), False),
-            # a loading vector's blocks split into two parts each
+            # a loading vector's replications split into two ranges
             (np.full(50, math.sqrt(0.1)), True),
         ],
         ids=["dense", "loading-vector"],
     )
     def test_dense_blocks_are_scored_whole(self, corr, split, monkeypatch):
-        # two full blocks and a half one; a split block's second part starts
-        # halfway through it, the longer part first
+        # two full blocks and a half one; split, the second range starts
+        # halfway through them, the longer range first, and each range's
+        # blocks start at its own start
         rows = block_rows(50)
-        reps, tail = 2 * rows + rows // 2, rows // 2
-        starts = {0, rows, 2 * rows}
-        if split:
-            starts |= {rows - rows // 2, 2 * rows - rows // 2, 2 * rows + tail - tail // 2}
-        seen = set()
+        reps = 2 * rows + rows // 2
+        half = reps - reps // 2
+        ranges = [(0, half), (half, reps)] if split else [(0, reps)]
+        starts = {start for a, b in ranges for start in range(a, b, rows)}
+        seen = densum.simulation._shared(reps, bool)
         score_blocks = densum.simulation._score_blocks
 
         def recording(consume):
             def record(start, x):
-                seen.add(start)
+                seen[start] = True
                 return consume(start, x)
             return record
 
@@ -895,22 +948,7 @@ class TestWorkerThreads:
         monkeypatch.setattr(densum.simulation, "WORKERS", 2)
         monkeypatch.setattr(densum.simulation, "_score_blocks", recording_score_blocks)
         copula_sample(corr, MarginalSpec.uniform(0, 1), reps, seed=0)
-        assert seen == starts
-
-    @pytest.mark.skipif(np.__version__.startswith("1."),
-                        reason="numpy 1.x keeps the error state per thread, not per context")
-    def test_the_callers_numpy_error_state_reaches_the_workers(self, monkeypatch):
-        add = densum.simulation._Cell.add
-
-        def dividing_add(cell, start, eps):
-            if start == self.HALF:  # the second part, a helper's
-                np.divide(eps[:, :1], 0.0)
-            return add(cell, start, eps)
-
-        monkeypatch.setattr(densum.simulation, "WORKERS", 2)
-        monkeypatch.setattr(densum.simulation._Cell, "add", dividing_add)
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            run_table1(ExperimentConfig(table=1, n=100, phi=0.06, reps=self.ROWS))
+        assert set(np.flatnonzero(seen).tolist()) == starts
 
 
 class TestVectorizedSandwich:
