@@ -245,6 +245,9 @@ def fit_frame(path, response, covariates, climate_unit, named=None):
         _check_named(named, frame.columns)
         return frame.response, frame.design, frame.columns
     columns = ("intercept", *covariates)
+    if columns[0] in covariates:
+        raise ValueError(f"covariate {columns[0]!r} has the name of the model's constant column; "
+                         "rename it in the CSV")
     _check_named(named, columns)
     names = [response] + covariates
     if len(set(names)) < len(names):

@@ -20,12 +20,11 @@ at most ``block_rows(n)`` replications, BLOCK_VALUES values: a block's
 normals are drawn once and read by every cell at that n, so grid cells
 share common random numbers (table 2's shapes also share the normal-scale
 block).  Each cell applies its correlation factor (a copy of the draw at
-phi = 0) and marginal map (for Beta and truncated-normal marginals a
-normal-scale table from ``kernels``, built once per marginal per driver
-call) and writes its per-replication statistics (estimation errors, Wald
-cover flags, and the residual range where a table reports it) into
-length-reps vectors, which the cell reduces to its table rows after the
-last block.
+phi = 0) and its marginal's ``normal_map`` (for Beta and truncated-normal
+marginals a normal-scale table from ``kernels``) and writes its
+per-replication statistics (estimation errors, Wald cover flags, and the
+residual range where a table reports it) into length-reps vectors, which
+the cell reduces to its table rows after the last block.
 Memory is two buffers of at most BLOCK_VALUES values each, the draw and the
 factor's output, at every n (with a dense factor's pair of its own).
 Every step is row-local, one output row from one input row by numpy's own
@@ -213,7 +212,8 @@ class MarginalSpec:
     def normal_map(self):
         """The Gaussian-copula transform quantile(Phi(x)) as an in-place
         function of a writable C-contiguous float64 array, with any setup
-        (the normal-scale table) done once here.
+        (the normal-scale table) done on the first call: every call on one
+        marginal returns the same map.
 
         Beta and truncated-normal marginals use the normal-scale maps
         ``beta_normal_map`` and ``truncnorm_normal_map``.  A uniform
@@ -221,6 +221,10 @@ class MarginalSpec:
         [tiny, 1 - 2^-53] by ``clipped_normal_cdf``, so draws far in either
         tail map inside the support.
         """
+        return self._normal_map
+
+    @functools.cached_property
+    def _normal_map(self):
         if self.family == "beta":
             return beta_normal_map(*self.params)
         if self.family == "truncnormal":
@@ -548,8 +552,8 @@ def copula_sample(corr, marginal, reps, seed):
 
 class _Cell:
     """One coverage cell: the least-squares fit beta_hat = W y on the design X
-    of y = X beta + eps, with errors eps = to_marginal(draw) - marginal.mean,
-    to_marginal the marginal's ``normal_map()``, built once per driver.
+    of y = X beta + eps, with errors eps = marginal.normal_map()(draw) -
+    marginal.mean.
 
     The sandwich's design side over n // 10 sequential clusters is built here
     once; ``add`` fills the cell's length-reps statistics, the estimation
@@ -560,10 +564,9 @@ class _Cell:
     ``fields`` fill the report's remaining columns.
     """
 
-    def __init__(self, X, W, marginal, to_marginal, config, beta, c_star, names, ranges=True,
-                 **fields):
+    def __init__(self, X, W, marginal, config, beta, c_star, names, ranges=True, **fields):
         n, p = X.shape
-        self.W, self.marginal, self.to_marginal = W, marginal, to_marginal
+        self.W, self.marginal, self.to_marginal = W, marginal, marginal.normal_map()
         self.beta, self.c_star, self.names = beta, c_star, names
         self.fields = dict(fields, seed=config.master_seed)
         self.shift = marginal.mean
@@ -680,7 +683,9 @@ def _score_blocks(n, reps, seed, groups):
     row-local, no bit depends on the split.  The caller forks nothing, and
     cProfile and tracemalloc see the whole call, when WORKERS is 1, when a
     factor is dense (its product's bits depend on its rows' positions in its
-    fixed pair) or when the draw fits in one block (reps * n <= BLOCK_VALUES).
+    fixed pair, and OpenBLAS's threaded product already uses both CPUs, so
+    ranges cut at whole blocks keep the bits but run slower) or when the
+    draw fits in one block (reps * n <= BLOCK_VALUES).
 
     A worker's exception reaches the caller with its type and message, and
     its warnings are issued again in the caller, under the caller's filters
@@ -800,14 +805,14 @@ def _run_cells(n, config, groups):
     return [row for _, cells in groups for cell in cells for row in cell.rows()]
 
 
-def _mean_cell(n, marginal, to_marginal, config, **fields):
+def _mean_cell(n, marginal, config, **fields):
     """A mean cell (tables 1-2) as the intercept-only fit: X = 1, W = 1/n, the
     marginal mean as the truth, no residual range, and as its threshold the
     feasibility bound divided by n - 1."""
     W = np.full((1, n), 1.0 / n)
     bound = rule_of_thumb(W[0], marginal.variance, marginal.support.range)
-    return _Cell(np.ones((n, 1)), W, marginal, to_marginal, config, np.array([marginal.mean]),
-                 MEAN_C_STAR, (None,), ranges=False, threshold=bound / (n - 1), **fields)
+    return _Cell(np.ones((n, 1)), W, marginal, config, np.array([marginal.mean]), MEAN_C_STAR,
+                 (None,), ranges=False, threshold=bound / (n - 1), **fields)
 
 
 def run_table1(config):
@@ -818,13 +823,12 @@ def run_table1(config):
     that it keeps the exchangeable matrix positive definite).
     """
     marginal = MarginalSpec.beta(10, 10)
-    to_marginal = marginal.normal_map()
     rows = []
     for n in config.ns:
         phis = (config.phi,) if config.phi is not None else TABLE1_GRID[n]
         rows += _run_cells(n, config, [
             (_copula_factor(*_exchangeable_copula(n, phi)),
-             [_mean_cell(n, marginal, to_marginal, config, table=1, phi=phi)])
+             [_mean_cell(n, marginal, config, table=1, phi=phi)])
             for phi in phis])
     return rows
 
@@ -840,9 +844,8 @@ def run_table2(config):
     (n,) = config.ns
     phi = config.phi if config.phi is not None else 0.1
     shapes = (config.shape,) if config.shape is not None else TABLE2_SHAPES
-    marginals = [MarginalSpec.beta(shape, shape) for shape in shapes]
-    cells = [_mean_cell(n, marginal, marginal.normal_map(), config, table=2, phi=phi,
-                        alpha_shape=float(shape)) for shape, marginal in zip(shapes, marginals)]
+    cells = [_mean_cell(n, MarginalSpec.beta(shape, shape), config, table=2, phi=phi,
+                        alpha_shape=float(shape)) for shape in shapes]
     return _run_cells(n, config, [(_copula_factor(*_exchangeable_copula(n, phi)), cells)])
 
 
@@ -871,7 +874,6 @@ def run_table3(config):
     """
     marginal = MarginalSpec.truncnormal(0.0, TABLE3_SIGMA, -20.0, 20.0)
     phis = (config.phi,) if config.phi is not None else TABLE3_PHIS
-    to_marginal = marginal.normal_map()
     rows = []
     for n in config.ns:
         X = table3_design(n, config.master_seed)
@@ -879,7 +881,7 @@ def run_table3(config):
         copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
         rows += _run_cells(n, config, [
             (_copula_factor(corr, sign),
-             [_Cell(X, W, marginal, to_marginal, config, TABLE3_BETA, REGRESSION_C_STAR,
+             [_Cell(X, W, marginal, config, TABLE3_BETA, REGRESSION_C_STAR,
                     ("beta0", "beta1"), table=3, phi=phi_star, repair_lambda=repair.lam)])
             for phi_star, (corr, sign, repair) in zip(phis, copulas)])
     return rows

@@ -724,6 +724,10 @@ class TestFitCommand:
         assert f"output directory {missing} does not exist" in captured.err
 
 
+INTERCEPT_CLASH = ("covariate 'intercept' has the name of the model's constant column; "
+                   "rename it in the CSV")
+
+
 class TestSettingsFailBeforeTheWork:
     @pytest.mark.parametrize(
         "argv, config, message",
@@ -755,11 +759,20 @@ class TestSettingsFailBeforeTheWork:
              "--covariates names no column, got ' , '"),
             (["diagnose", "--coefficient", "x"], "response = y\ncovariates = ,",
              "--covariates names no column, got ','"),
+            (["fit", "--response", "y", "--covariates", "intercept"], None, INTERCEPT_CLASH),
+            (["fit", "--screen", "intercept"], "response = y\ncovariates = x,intercept",
+             INTERCEPT_CLASH),
+            (["diagnose", "--response", "y", "--covariates", "intercept", "--coefficient",
+              "intercept"], None, INTERCEPT_CLASH),
+            (["diagnose", "--coefficient", "x"], "response = y\ncovariates = intercept,x",
+             INTERCEPT_CLASH),
         ],
         ids=["ci-alpha", "ci-config-method", "fit-alpha", "fit-config-alpha", "ci-tiny-alpha",
              "fit-tiny-alpha", "diagnose-coefficient", "fit-partitions", "fit-single-partition",
              "fit-no-covariate", "fit-empty-covariates", "fit-config-no-covariate",
-             "diagnose-no-covariate", "diagnose-config-no-covariate"],
+             "diagnose-no-covariate", "diagnose-config-no-covariate", "fit-intercept-covariate",
+             "fit-config-intercept-covariate", "diagnose-intercept-covariate",
+             "diagnose-config-intercept-covariate"],
     )
     def test_bad_setting_fails_before_the_input_is_read(
         self, unread, tmp_path, capsys, argv, config, message
@@ -1233,6 +1246,12 @@ class TestLoadColumns:
         path = write_csv(tmp_path / "frame.csv", {"x": [1.0, 2.0, 4.0], "y": [0.0, 1.0, 3.0]})
         with pytest.raises(ValueError, match="distinct"):
             fit_frame(path, "y", ["x", "x"], None)
+
+    def test_fit_frame_rejects_a_covariate_named_intercept(self, tmp_path):
+        path = write_csv(tmp_path / "frame.csv", {"intercept": [1.0, 2.0, 4.0],
+                                                 "y": [0.0, 1.0, 3.0]})
+        with pytest.raises(ValueError, match="^covariate 'intercept' has the name of the model's"):
+            fit_frame(path, "y", ["intercept"], None)
 
     def test_non_numeric_cell_is_located(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -165,6 +165,20 @@ class TestExactTails:
         assert exact == Fraction(11, 32)  # 0.34375
         assert bound == pytest.approx(0.18144, abs=5e-6) and bound < exact
 
+    def test_the_range_sets_cover_a_uniform_mean(self):
+        # ci_mean's half-width at R = 1 (the summary's mean and spread do not
+        # enter it); the set misses the mean 1/2 of n independent U(0, 1) with
+        # exact probability P(|mean - 1/2| > half), at most alpha
+        for n in range(2, 41):
+            summary = SampleSummary(n=n, mean=0.5, variance=1 / 12, minimum=0.0, maximum=1.0,
+                                    range=1.0)
+            for alpha in (0.01, 0.05, 0.2):
+                for method in ("u_sharp", "hoeffding", "bernstein"):
+                    upper = ci_mean(summary, R=1.0, alpha=alpha, method=method).upper
+                    half = Fraction(upper) - Fraction(1, 2)
+                    miss = self.uniform_mean_tail(n, half)
+                    assert miss <= Fraction(alpha), (n, alpha, method, float(miss))
+
 
 class TestBernsteinTails:
     # uniform errors on [-1/2, 1/2]: M = 1/2, Av(Z^2) = M^2/3 = 1/12

@@ -83,8 +83,7 @@ def test_the_hermite_terms_sum_to_the_marginal_variance(marginal):
 def test_mean_cells_draw_the_exchangeable_variance(n):
     phis = TABLE1_CELLS[n]
     config = ExperimentConfig(table=1, reps=REPS, master_seed=SEED)
-    to_marginal = BETA.normal_map()
-    cells = [_mean_cell(n, BETA, to_marginal, config) for _ in phis]
+    cells = [_mean_cell(n, BETA, config) for _ in phis]
     _score_blocks(n, REPS, SEED, [(_copula_factor(*_exchangeable_copula(n, phi)), [cell.add])
                                   for phi, cell in zip(phis, cells)])
     terms = hermite_terms(BETA)
@@ -107,9 +106,8 @@ def test_regression_cells_draw_the_mosaic_variance(n):
     copulas = [_table3_copula(phi_star, W[0]) for phi_star in phis]
     assert [repair.lam for _, _, repair in copulas][-1] == 1.0
     config = ExperimentConfig(table=3, reps=REPS, master_seed=SEED)
-    to_marginal = TRUNCNORMAL.normal_map()
-    cells = [_Cell(X, W, TRUNCNORMAL, to_marginal, config, TABLE3_BETA, REGRESSION_C_STAR,
-                   ("beta0", "beta1")) for _ in phis]
+    cells = [_Cell(X, W, TRUNCNORMAL, config, TABLE3_BETA, REGRESSION_C_STAR, ("beta0", "beta1"))
+             for _ in phis]
     _score_blocks(n, REPS, SEED, [(_copula_factor(v, sign), [cell.add])
                                   for (v, sign, _), cell in zip(copulas, cells)])
     terms = hermite_terms(TRUNCNORMAL)

@@ -550,6 +550,27 @@ class TestStructuredSampler:
         run_table3(ExperimentConfig(table=3, n=100, reps=3))
         assert sorted(calls) == [0, 1, 2, 2**32 + 100]  # plus the design draw
 
+    def test_each_marginal_builds_its_normal_map_once(self, monkeypatch):
+        builds = []
+
+        def counting(build):
+            def counted(*params):
+                builds.append(params)
+                return build(*params)
+            return counted
+
+        for name in ("beta_normal_map", "truncnorm_normal_map"):
+            monkeypatch.setattr(densum.simulation, name, counting(getattr(kernels, name)))
+        for table, count in ((1, 1), (2, len(TABLE2_SHAPES)), (3, 1)):
+            builds.clear()
+            run_table(ExperimentConfig(table=table, reps=3))
+            assert len(builds) == count, table
+        builds.clear()
+        m = MarginalSpec.beta(10, 10)
+        first = copula_sample(np.full(20, 0.3), m, 5, seed=1)
+        np.testing.assert_array_equal(first, copula_sample(np.full(20, 0.3), m, 5, seed=1))
+        assert builds == [(10.0, 10.0)] and m.normal_map() is m.normal_map()
+
 
 def _run_capturing_cells(config):
     """run_table(config) plus each cell it reduced to report rows, in order."""
